@@ -380,7 +380,7 @@ def end_to_end(samples: list[Sample], setups: list[float]) -> tuple[dict, dict]:
         ms = [s.ms for s in samples if s.config == config and s.ok]
         pct = tail_pct(len(ms))
         tails[config] = {"percentile": pct, "samples": len(ms)}
-        metrics[f"{config}.block_ms.p50"] = (median(ms), "ms")
+        metrics[f"{config}.block_ms.p50"] = (percentile(ms, 50) if ms else math.nan, "ms")
         metrics[f"{config}.block_ms.tail"] = (percentile(ms, pct) if ms else math.nan, "ms")
     timed_s = sum(s.ms for s in samples) / 1e3
     metrics["throughput_tps"] = (sum(s.n for s in samples if s.ok) / timed_s, "1/s")
