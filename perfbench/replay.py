@@ -30,12 +30,26 @@ With ``trace=False`` the run reports the end-to-end metrics:
 * ``<config>.block_ms.p50`` and ``<config>.block_ms.tail``, where the tail is
   the highest percentile with at least ten samples beyond it; the percentile
   and the sample count are printed and recorded;
-* ``throughput_tps``: transactions of successful samples per timed second;
+* ``throughput_tps``: transactions of successful samples per timed second,
+  over the four configs of a block; the median over blocks;
 * ``success_pct``: successful samples as a share of those attempted. It is
   the complement of the failed share, which is printed too; a share that
   reads 0 cannot carry a relative regression bound;
-* ``setup_s``: generating block 0 and replaying it once per config, untimed
-  as a sample; the median of five set-ups.
+* ``setup_s``: generating a block and replaying it once per config, untimed
+  as a sample; the median over the first ``SETUP_REPS`` blocks.
+
+Two measures keep runs on a shared host comparable:
+
+* the process is pinned to one CPU. Under the GIL the two threads never run
+  Python at once, and handing the GIL between two vCPUs makes a block's time
+  depend on what else runs on the other one: up to 1.7x on ``hot``;
+* the end-to-end times are reported at reference host speed. The speed the
+  host gives the process flips between states about 2x apart, each lasting
+  from milliseconds to minutes. So the run times ``calibrate``, a fixed loop
+  that uses no binsched code, in wall and CPU time, before and after every
+  timed span. ``HostSpeed.adjust`` rescales the CPU share of the span by the
+  mean of the two and keeps the rest, such as the sleeps of ``faulty``, as
+  measured. Measured values are printed and recorded beside them.
 
 With ``trace=True`` it first replays untraced for a third of the time, then
 traced, recording a span around every layer call. It reports the per-layer
@@ -78,11 +92,14 @@ from binsched import (
 # threads would measure the OS scheduler instead of binsched.
 THREADS = 2
 WATCHDOG_SECS = 5.0  # about 40x the slowest config's block time
-SETUP_REPS = 5
+SETUP_REPS = 9
 TAIL_LADDER = (99, 95, 90, 80, 75, 50)
 TAIL_MIN_BEYOND = 10
 ATOMIC_OPS = 20_000
 N_ACCOUNTS = 100  # caps the hot-account pool, a cap these block sizes never reach
+# CPU ms of calibrate() on the reference machine (2-vCPU KVM guest, CPython
+# 3.11.7) in the slower of its two usual states
+CALIB_REF_MS = 1.8
 
 MAIN_CONFIGS = ("standard", "assisted", "lockfree")
 CONFIGS = MAIN_CONFIGS + ("lockfree_crash",)
@@ -131,7 +148,10 @@ class Workload:
 
 
 # Sized so that a 30 s run on the reference machine (CPython 3.11, 2 cores)
-# replays about 70 blocks: the tail is then p80, with ~14 samples beyond it.
+# replays about 70 blocks of ``faulty`` and 150 of ``cold`` and ``hot``: the
+# tail is then p80 and p90, with at least ten samples beyond it. Within a run,
+# block times of larger ``cold`` and ``hot`` blocks spread too widely for a
+# run's median to repeat.
 WORKLOADS = {
     w.name: w
     for w in (
@@ -139,14 +159,14 @@ WORKLOADS = {
             "cold",
             "dependency 0: conflict-free block, time goes to phase 2 inserts, "
             "per-claim atomics and pool start-up",
-            n_txns=2100,
+            n_txns=1000,
             dependency_pct=0,
         ),
         Workload(
             "hot",
             "dependency 100: O(n^2) conflict table, long bin chains and "
             "NOT_READY skips in the helper variants",
-            n_txns=800,
+            n_txns=400,
             dependency_pct=100,
         ),
         Workload(
@@ -160,6 +180,60 @@ WORKLOADS = {
         ),
     )
 }
+
+
+def pin_to_one_cpu() -> int | None:
+    """Pin the process, and the threads it starts later, to its highest CPU."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
+
+
+def calibrate() -> tuple[float, float]:
+    """Wall and CPU milliseconds of a fixed single-threaded loop of dict and set work.
+
+    It uses no binsched code, so a change to the program cannot move it; it
+    moves only with the speed the host gives the process. The garbage
+    collector is off while it runs: a full collection of the process's heap
+    would take several times the loop's own time.
+    """
+    gc.disable()
+    start, cpu_start = time.perf_counter(), time.process_time()
+    try:
+        groups: dict[int, set[int]] = {}
+        for i in range(5_000):
+            key = i * 7919 % 5003
+            members = groups.get(key)
+            if members is None:
+                groups[key] = members = set()
+            members.add(i & 63)
+    finally:
+        gc.enable()
+    return (time.perf_counter() - start) * 1e3, (time.process_time() - cpu_start) * 1e3
+
+
+@dataclass(frozen=True)
+class HostSpeed:
+    """Wall and CPU milliseconds of ``calibrate`` around one timed span."""
+
+    wall_ms: float
+    cpu_ms: float
+
+    @classmethod
+    def around(cls, before: tuple[float, float], after: tuple[float, float]) -> HostSpeed:
+        return cls((before[0] + after[0]) / 2, (before[1] + after[1]) / 2)
+
+    def adjust(self, wall_ms: float, cpu_ms: float) -> float:
+        """A span of ``wall_ms``, ``cpu_ms`` of it on the CPU, at reference speed.
+
+        The span's CPU time ran ``self.cpu_ms / CALIB_REF_MS`` times slower
+        than on the reference host, and waiting for the CPU (other load,
+        steal) stretched it by ``self.wall_ms / self.cpu_ms``. The span's
+        other time, sleeps and waits, is kept as measured.
+        """
+        return wall_ms + cpu_ms * (CALIB_REF_MS - self.wall_ms) / self.cpu_ms
 
 
 class Tracer:
@@ -185,6 +259,7 @@ class Sample:
     block: int
     n: int
     ms: float
+    cpu_ms: float  # process CPU time, all threads, over the same span
     crash_point: str | None = None
     error: str | None = None
     wrong: bool = False
@@ -193,6 +268,7 @@ class Sample:
     phase2_ms: float = math.nan
     pool_ms: float = math.nan
     execute_ms: float = math.nan
+    host: HostSpeed | None = None  # calibration around the sample
     cas_retries: int = 0
     not_ready_skips: int = 0
     final: dict | None = None  # balances, dropped once checked
@@ -213,7 +289,7 @@ def run_config(
     """One timed replay: schedule the block, then execute its plan."""
     faults = workload.fault_plan(config, block_no)
     crash_point = faults.crash_point.value if faults.crashes_anyone else None
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     try:
         result = schedule_with_watchdog(
             block, VARIANT_OF[config], THREADS, faults, watchdog_secs=WATCHDOG_SECS
@@ -225,8 +301,9 @@ def run_config(
         )
     except RuntimeError as exc:  # NonTermination or an incomplete assignment
         return Sample(config, block_no, len(block), (time.perf_counter() - start) * 1e3,
+                      (time.process_time() - cpu_start) * 1e3,
                       crash_point, error=f"{type(exc).__name__}: {exc}")
-    end = time.perf_counter()
+    end, cpu_end = time.perf_counter(), time.process_time()
     if tracer is not None:
         build_execution_plan(result.assignment)
         built = time.perf_counter()
@@ -236,7 +313,8 @@ def run_config(
         tracer.add("executor.plan_build", end, built, block_no, span)
     timing = result.timing
     return Sample(
-        config, block_no, len(block), (end - start) * 1e3, crash_point,
+        config, block_no, len(block), (end - start) * 1e3, (cpu_end - cpu_start) * 1e3,
+        crash_point,
         bins=result.assignment.initial_bin_list(),
         phase1_ms=timing.phase1_s * 1e3,
         phase2_ms=timing.phase2_s * 1e3,
@@ -273,19 +351,33 @@ def trace_layers(workload: Workload, block, b: int, tracer: Tracer, parent: int)
 
 
 def replay(
-    workload: Workload, seed: int, seconds: float, block, tracer: Tracer | None = None
+    workload: Workload,
+    seed: int,
+    seconds: float,
+    block,
+    calibrations: list[tuple[float, float]],
+    tracer: Tracer | None = None,
 ) -> list[Sample]:
-    """Closed loop over blocks 0, 1, ... until ``seconds`` pass; block 0 is given."""
+    """Closed loop over blocks 0, 1, ... until ``seconds`` pass; block 0 is given.
+
+    Appends the ``calibrate`` times before and after each sample to
+    ``calibrations``.
+    """
     deadline = time.perf_counter() + seconds
     samples: list[Sample] = []
     b = 0
     while True:
         gc.collect()
+        calibrations.append(calibrate())
         start = time.perf_counter()
         root = tracer.add("block", start, math.nan, b) if tracer is not None else None
         if tracer is not None:
             trace_layers(workload, block, b, tracer, root)
-        done = [run_config(workload, config, block, b, tracer, root) for config in CONFIGS]
+        done = []
+        for config in CONFIGS:
+            done.append(run_config(workload, config, block, b, tracer, root))
+            calibrations.append(calibrate())
+            done[-1].host = HostSpeed.around(*calibrations[-2:])
         check_start = time.perf_counter()
         check_block(done, block)
         samples.extend(done)
@@ -338,21 +430,28 @@ def oracle_check(block, lower: list[frozenset[int]], samples: list[Sample]) -> f
     return elapsed
 
 
-def setup(workload: Workload, seed: int) -> tuple[list, list[float], list[float]]:
-    """Generate block 0 and warm every config up by replaying it once, untimed.
+def setup(
+    workload: Workload, seed: int, calibrations: list[tuple[float, float]]
+) -> tuple[list, list[tuple[float, float, HostSpeed]], list[float]]:
+    """Generate a block and warm every config up by replaying it once, untimed.
 
-    Repeated ``SETUP_REPS`` times; returns the block, the set-up times and
-    the generation times, in seconds.
+    Done for each of blocks 0 to ``SETUP_REPS - 1``, so that the median
+    set-up time does not hang on one block's content, with a ``calibrate``
+    before and after each. Returns block 0, the set-up times in seconds as
+    (wall, CPU, calibration) and the generation times in seconds.
     """
-    setups, gens = [], []
-    for _ in range(SETUP_REPS):
-        start = time.perf_counter()
-        block = generate_workload(workload.spec(seed))
+    setups, gens, blocks = [], [], []
+    for b in range(SETUP_REPS):
+        calibrations.append(calibrate())
+        start, cpu_start = time.perf_counter(), time.process_time()
+        blocks.append(generate_workload(workload.spec(seed + b)))
         gens.append(time.perf_counter() - start)
         for config in CONFIGS:
-            run_config(workload, config, block, 0)
-        setups.append(time.perf_counter() - start)
-    return block, setups, gens
+            run_config(workload, config, blocks[-1], b)
+        wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
+        calibrations.append(calibrate())
+        setups.append((wall, cpu, HostSpeed.around(*calibrations[-2:])))
+    return blocks[0], setups, gens
 
 
 def percentile(values: list[float], pct: float) -> float:
@@ -374,18 +473,37 @@ def median(values) -> float:
     return statistics.median(values) if values else math.nan
 
 
-def end_to_end(samples: list[Sample], setups: list[float]) -> tuple[dict, dict]:
+def end_to_end(
+    samples: list[Sample],
+    setups: list[tuple[float, float, HostSpeed]],
+    at_reference_speed: bool = True,
+) -> tuple[dict, dict]:
+    """End-to-end metrics, at reference host speed or as measured."""
+
+    def at_speed(wall_ms: float, cpu_ms: float, host: HostSpeed) -> float:
+        return host.adjust(wall_ms, cpu_ms) if at_reference_speed else wall_ms
+
     metrics, tails = {}, {}
     for config in CONFIGS:
-        ms = [s.ms for s in samples if s.config == config and s.ok]
+        ms = [at_speed(s.ms, s.cpu_ms, s.host) for s in samples if s.config == config and s.ok]
         pct = tail_pct(len(ms))
         tails[config] = {"percentile": pct, "samples": len(ms)}
         metrics[f"{config}.block_ms.p50"] = (percentile(ms, 50) if ms else math.nan, "ms")
         metrics[f"{config}.block_ms.tail"] = (percentile(ms, pct) if ms else math.nan, "ms")
-    timed_s = sum(s.ms for s in samples) / 1e3
-    metrics["throughput_tps"] = (sum(s.n for s in samples if s.ok) / timed_s, "1/s")
+    blocks: dict[int, list[Sample]] = {}
+    for s in samples:
+        blocks.setdefault(s.block, []).append(s)
+    metrics["throughput_tps"] = (
+        median(1e3 * sum(s.n for s in b if s.ok) / sum(at_speed(s.ms, s.cpu_ms, s.host) for s in b)
+               for b in blocks.values()),
+        "1/s",
+    )
     metrics["success_pct"] = (100.0 * sum(s.ok for s in samples) / len(samples), "%")
-    metrics["setup_s"] = (statistics.median(setups), "s")
+    metrics["setup_s"] = (
+        statistics.median(at_speed(wall * 1e3, cpu * 1e3, host) for wall, cpu, host in setups)
+        / 1e3,
+        "s",
+    )
     return metrics, tails
 
 
@@ -414,6 +532,7 @@ def per_layer(
     counts: dict,
     gens: list[float],
     oracle_s: float,
+    host: HostSpeed,
 ) -> dict:
     def span_ms(name: str) -> float:
         return median(tracer.durations_ms(name))
@@ -460,19 +579,25 @@ def per_layer(
         )
     m["check.oracle_ms"] = (oracle_s * 1e3, "ms")
     m["tracing.overhead_pct"] = (100.0 * (p50_sum(traced) / p50_sum(untraced) - 1.0), "%")
+    m["host.calibrate_ms"] = (host.wall_ms, "ms")
+    m["host.calibrate_cpu_ms"] = (host.cpu_ms, "ms")
     return m
 
 
-def environment(workload: Workload, seed: int, seconds: float, trace: bool) -> dict:
+def environment(
+    workload: Workload, seed: int, seconds: float, trace: bool, pinned_cpu: int | None
+) -> dict:
     gil = getattr(sys, "_is_gil_enabled", None)
     return {
         "python": platform.python_version(),
+        "pinned_cpu": pinned_cpu,
         "implementation": platform.python_implementation(),
         "gil_enabled": gil() if gil is not None else True,
         "cpu_count": os.cpu_count(),
         "threads": THREADS,
         "n_accounts": N_ACCOUNTS,
         "watchdog_secs": WATCHDOG_SECS,
+        "calib_ref_ms": CALIB_REF_MS,
         "seed": seed,
         "block_seeds": "block b is generated from seed + b",
         "seconds": seconds,
@@ -487,20 +612,25 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool, out_dir: Pat
     The traced run replays untraced for a third of ``seconds`` first, to
     measure the tracing overhead against it.
     """
-    env = environment(workload, seed, seconds, trace)
-    block0, setups, gens = setup(workload, seed)
+    env = environment(workload, seed, seconds, trace, pin_to_one_cpu())
+    calibrations: list[tuple[float, float]] = []
+    block0, setups, gens = setup(workload, seed, calibrations)
     tracer = Tracer() if trace else None
-    untraced = replay(workload, seed, seconds / 3 if trace else seconds, block0)
-    traced = replay(workload, seed, seconds * 2 / 3, block0, tracer) if trace else []
+    untraced = replay(workload, seed, seconds / 3 if trace else seconds, block0, calibrations)
+    traced = replay(workload, seed, seconds * 2 / 3, block0, calibrations, tracer) if trace else []
     checked = traced if trace else untraced
 
     counts, lower = traffic(block0)
     oracle_s = oracle_check(block0, lower, checked)
+    typical = HostSpeed(*(statistics.median(c) for c in zip(*calibrations)))  # recorded only
+    measured = {}
     if tracer is not None:
-        metrics = per_layer(untraced, traced, tracer, counts, gens, oracle_s)
+        metrics = per_layer(untraced, traced, tracer, counts, gens, oracle_s, typical)
         tails = {}
     else:
         metrics, tails = end_to_end(untraced, setups)
+        raw = end_to_end(untraced, setups, at_reference_speed=False)[0]
+        measured = {k: v for k, (v, _) in raw.items() if v != metrics[k][0]}
 
     samples = untraced + traced
     failures = [
@@ -519,7 +649,9 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool, out_dir: Pat
         "tail": tails,
         "blocks": len(samples) // len(CONFIGS),
         "traffic_block0": counts,
-        "setup_s_reps": setups,
+        "setup_s_reps": [[wall, cpu] for wall, cpu, _ in setups],
+        "calibrate_ms": {"wall": typical.wall_ms, "cpu": typical.cpu_ms},
+        "measured": measured,
         "environment": env,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -551,7 +683,10 @@ def main(
         print(f"# {config}: tail is p{tail['percentile']} of {tail['samples']} samples")
     for failure in record["failures"]:
         print("# failed", json.dumps(failure))
+    print(f"# calibrate_ms {json.dumps(record['calibrate_ms'])}, reference {CALIB_REF_MS}")
     for name, metric in record["metrics"].items():
         print(f"# {name} {metric['value']} {metric['unit']}")
+    for name, value in record["measured"].items():
+        print(f"# measured {name} {value}")
     print(json.dumps({key: record[key] for key in ("correct", "attempted", "failed", "metrics")}))
     return 0

@@ -88,3 +88,12 @@ def test_tail_percentile_keeps_ten_samples_beyond():
     for count in (20, 40, 50, 75, 100, 200, 1000):
         pct = replay.tail_pct(count)
         assert count - (pct * count + 99) // 100 >= replay.TAIL_MIN_BEYOND
+
+
+def test_host_speed_rescales_cpu_and_keeps_sleeps():
+    ref = replay.CALIB_REF_MS
+    # 30 ms of CPU and 40 ms of sleep, on a host that runs at half speed
+    assert replay.HostSpeed(2 * ref, 2 * ref).adjust(100.0, 60.0) == pytest.approx(70.0)
+    # the same span on a host that steals half the CPU time
+    assert replay.HostSpeed(2 * ref, ref).adjust(100.0, 30.0) == pytest.approx(70.0)
+    assert replay.HostSpeed(ref, ref).adjust(100.0, 30.0) == pytest.approx(100.0)
