@@ -35,13 +35,6 @@ class AtomicInt:
             self._value = old + delta
             return old
 
-    def add_clamped(self, delta: int, hi: int) -> int:
-        """Fetch-add that never raises the cell above ``hi``."""
-        with self._lock:
-            old = self._value
-            self._value = min(old + delta, hi)
-            return old
-
     def compare_and_set(self, expected: int, update: int) -> bool:
         with self._lock:
             if self._value == expected:

@@ -12,11 +12,13 @@ outcome.
 phase 1 completed behind a barrier, not crash tolerant.
 :func:`assign_bins_helper` never blocks: unassigned dependencies yield a
 NOT_READY result and the worker claims a fresh wraparound index instead,
-so abandoned work is eventually redone by peers.
+so abandoned work is eventually redone by peers. A helper leaves the phase
+only once the assignment's publish count reaches ``n``; as in phase 1, no
+fault site lies between a winning CAS and its increment.
 
-Per-bin membership snapshots are immutable sets installed by copy-on-write
-CAS: each retry builds a fresh copy, so readers never observe a partially
-built set and superseded snapshots stay readable until the phase ends.
+The publish-once ``initial_bin`` array is the only bin record. Bin
+membership is derived from it on demand, once the phase has ended, so no
+per-bin set is kept in step with it while workers run.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import threading
 import time
 from typing import Sequence
 
-from .atomics import AtomicInt, AtomicRef
+from .atomics import AtomicInt
 from .conflict import ConflictTable, SchedulerState, check_conflicts
 from .faults import Aborted, FaultPlan, Site, fault_site
 from .txn import Transaction
@@ -38,16 +40,11 @@ _SPIN_SLEEP_MAX = 1e-3
 
 
 class BinAssignment:
-    """Shared publish-once bin numbers plus per-bin membership snapshots.
-
-    ``bin_array`` is pre-sized to ``n`` slots (worst case one bin per
-    transaction) so bin addressing never needs resizing coordination.
-    """
+    """Shared publish-once bin number per transaction."""
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.initial_bin: list[AtomicInt] = [AtomicInt(UNASSIGNED) for _ in range(n)]
-        self.bin_array: list[AtomicRef[frozenset[int]]] = [AtomicRef() for _ in range(n)]
         self.successful_assignments = AtomicInt(0)
 
     def bin_of(self, i: int) -> int:
@@ -65,26 +62,6 @@ class BinAssignment:
             return True
         return False
 
-    def insert_member(self, bin_no: int, i: int, cas_retries: AtomicInt | None = None) -> None:
-        """Copy-on-write insert of ``i`` into a bin's membership snapshot.
-
-        Re-insertion is idempotent: finding ``i`` already present breaks out,
-        which makes lost CAS races and helper duplication harmless.
-        """
-        slot = self.bin_array[bin_no]
-        while True:
-            current = slot.load()
-            if current is None:
-                candidate = frozenset((i,))
-            else:
-                if i in current:
-                    break
-                candidate = current | {i}
-            if slot.compare_and_set(current, candidate):
-                break
-            if cas_retries is not None:
-                cas_retries.fetch_add(1)
-
     def is_complete(self) -> bool:
         return all(cell.load() != UNASSIGNED for cell in self.initial_bin)
 
@@ -92,19 +69,16 @@ class BinAssignment:
         return [cell.load() for cell in self.initial_bin]
 
     def num_bins(self) -> int:
-        bins = self.initial_bin_list()
-        if not bins:
-            return 0
-        top = max(bins)
-        return top + 1 if top != UNASSIGNED else 0
+        return max(self.initial_bin_list(), default=UNASSIGNED) + 1
 
     def bins(self) -> list[frozenset[int]]:
-        """Membership snapshots for the bins actually in use."""
-        out = []
-        for b in range(self.num_bins()):
-            members = self.bin_array[b].load()
-            out.append(members if members is not None else frozenset())
-        return out
+        """Members of each bin in use, derived from ``initial_bin``."""
+        initial = self.initial_bin_list()
+        members: list[set[int]] = [set() for _ in range(max(initial, default=UNASSIGNED) + 1)]
+        for i, b in enumerate(initial):
+            if b != UNASSIGNED:
+                members[b].add(i)
+        return [frozenset(m) for m in members]
 
 
 def calculate_bin(
@@ -135,9 +109,9 @@ def calculate_bin(
 def calculate_bin_helper(i: int, table: ConflictTable, bins: BinAssignment) -> int:
     """Non-blocking bin computation: NOT_READY while any dependency waits.
 
-    An unpublished conflict slot also reports NOT_READY: a lock-free worker
-    can reach phase 2 while a slow peer is still mid-publication, and the
-    slot will appear shortly.
+    An unpublished conflict slot also reports NOT_READY, so the call is safe
+    before phase 1 ends. The helper procedures never rely on this: a worker
+    leaves phase 1 only once every slot is published.
     """
     conflicts = table.get(i)
     if conflicts is None:
@@ -161,7 +135,6 @@ def assign_bins_standard(
     *,
     faults: FaultPlan | None = None,
     abort: threading.Event | None = None,
-    cas_retries: AtomicInt | None = None,
 ) -> None:
     """Exactly-once claiming with blocking dependency waits."""
     n = len(txns)
@@ -170,7 +143,6 @@ def assign_bins_standard(
         fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
         alloted = calculate_bin(i, table, bins, abort=abort)
         fault_site(faults, worker_id, Site.PHASE2_PRE_CAS, abort)
-        bins.insert_member(alloted, i, cas_retries)
         bins.assign(i, alloted)
         i = state.claim_counter_phase2.fetch_add(1)
 
@@ -189,36 +161,18 @@ def assign_bins_helper(
 ) -> None:
     """Wraparound claiming; skips unready work instead of blocking on it."""
     n = len(txns)
-    if n == 0:
-        return
-    local_count = 0
-    stuck = False
-    while state.processed_txns_done.load() < n:
+    while bins.successful_assignments.load() < n:
         i = state.claim_counter_phase2.fetch_add(1) % n
         fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
         if bins.bin_of(i) == UNASSIGNED:
-            local_count = 0
-            if stuck:
-                state.stuck_threads_phase2.fetch_add(-1)
-                stuck = False
             alloted = calculate_bin_helper(i, table, bins)
             if alloted == NOT_READY:
                 if not_ready_skips is not None:
                     not_ready_skips.fetch_add(1)
                 continue
             fault_site(faults, worker_id, Site.PHASE2_PRE_CAS, abort)
-            bins.insert_member(alloted, i, cas_retries)
-            if bins.try_assign(i, alloted):
-                state.processed_txns_done.add_clamped(1, n)
-            elif cas_retries is not None:
+            if not bins.try_assign(i, alloted) and cas_retries is not None:
                 cas_retries.fetch_add(1)
-        else:
-            local_count += 1
-            if local_count == n and not stuck:
-                stuck = True
-                state.stuck_threads_phase2.fetch_add(1)
-        if state.stuck_threads_phase2.load() == state.num_threads or local_count == n:
-            state.processed_txns_done.store(n)
 
 
 def bin_oracle(txns: Sequence[Transaction]) -> list[int]:

@@ -31,7 +31,6 @@ from .bench import (
     run_benchmark,
 )
 from .binning import bin_oracle
-from .conflict import run_conflict_phase
 from .executor import WalletState, execute_plan, execute_serial
 from .faults import CRASH_POINTS, Site, make_fault_plan
 from .scheduler import NonTermination, SchedulerConfigError, Variant, schedule_with_watchdog
@@ -141,8 +140,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         }
     )
     if args.dump_conflicts:
-        table = run_conflict_phase(txns, args.threads, use_helpers=variant.uses_helpers)
-        out["conflicts"] = table.to_lists()
+        out["conflicts"] = result.conflicts.to_lists()
     if args.dump_bins:
         out["bins"] = [sorted(members) for members in result.assignment.bins()]
         out["initial_bin"] = result.assignment.initial_bin_list()

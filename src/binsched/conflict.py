@@ -14,10 +14,10 @@ Two discovery procedures share that contract:
 * :func:`build_conflict_sets_helper` claims wraparound (``mod n``), so fast
   workers recompute slots abandoned by slow or stopped peers, and publishes
   via compare-and-swap from the unset sentinel so exactly one publisher
-  wins per slot. A worker that makes a full pass over already-published
-  slots registers as stuck; the phase terminates when every worker is stuck
-  or a worker's own full pass completes, at which point the done counter is
-  clamped to ``n`` so all workers exit promptly.
+  wins per slot. A worker leaves the phase only once the table's publish
+  count reaches ``n``. A slot adds to that count right after its winning
+  CAS, with no fault site in between, so a count of ``n`` means every slot
+  is published: no worker leaves while a slot is still unset.
 
 An unset slot is a distinct sentinel (``None``) from a published empty set:
 the first transaction always has an empty conflict set, and it still has to
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .atomics import AtomicInt, AtomicRef
-from .faults import FaultPlan, Site, WorkerCrashed, fault_site
+from .faults import FaultPlan, Site, fault_site
 from .txn import Address, Transaction
 
 
@@ -131,15 +131,10 @@ class ConflictTable:
 
 @dataclass
 class SchedulerState:
-    """Shared atomic counters coordinating one scheduling run."""
+    """Shared claim counters coordinating one scheduling run."""
 
-    num_threads: int
     claim_counter_phase1: AtomicInt = field(default_factory=AtomicInt)
     claim_counter_phase2: AtomicInt = field(default_factory=AtomicInt)
-    conflict_txns_done: AtomicInt = field(default_factory=AtomicInt)
-    processed_txns_done: AtomicInt = field(default_factory=AtomicInt)
-    stuck_threads_phase1: AtomicInt = field(default_factory=AtomicInt)
-    stuck_threads_phase2: AtomicInt = field(default_factory=AtomicInt)
 
 
 def build_conflict_sets_standard(
@@ -179,66 +174,13 @@ def build_conflict_sets_helper(
 ) -> None:
     """Wraparound claiming with CAS publication; tolerates stopped peers."""
     n = len(txns)
-    if n == 0:
-        return
     if index is None:
         index = ConflictIndex(txns)
-    local_count = 0
-    stuck = False
-    while state.conflict_txns_done.load() < n:
+    while table.successful_publishes.load() < n:
         i = state.claim_counter_phase1.fetch_add(1) % n
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
         if table.get(i) is None:
-            local_count = 0
-            if stuck:
-                state.stuck_threads_phase1.fetch_add(-1)
-                stuck = False
             lower = index.lower_conflicts(txns[i])
             fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
-            if table.try_publish(i, lower):
-                state.conflict_txns_done.add_clamped(1, n)
-            elif cas_retries is not None:
+            if not table.try_publish(i, lower) and cas_retries is not None:
                 cas_retries.fetch_add(1)
-        else:
-            local_count += 1
-            if local_count == n and not stuck:
-                stuck = True
-                state.stuck_threads_phase1.fetch_add(1)
-        if state.stuck_threads_phase1.load() == state.num_threads or local_count == n:
-            state.conflict_txns_done.store(n)
-
-
-def run_conflict_phase(
-    txns: Sequence[Transaction],
-    num_threads: int,
-    use_helpers: bool,
-    faults: FaultPlan | None = None,
-) -> ConflictTable:
-    """Convenience pool runner for phase 1 alone (tests, demos, dumps)."""
-    if num_threads < 1:
-        raise ValueError("num_threads must be >= 1")
-    table = ConflictTable(len(txns))
-    state = SchedulerState(num_threads=num_threads)
-    index = ConflictIndex(txns)
-    build = build_conflict_sets_helper if use_helpers else build_conflict_sets_standard
-    errors: list[BaseException] = []
-
-    def body(worker_id: int) -> None:
-        try:
-            build(txns, table, state, worker_id, index=index, faults=faults)
-        except WorkerCrashed:
-            pass
-        except BaseException as exc:  # surfaced after join
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=body, args=(w,), name=f"conflict-{w}", daemon=True)
-        for w in range(num_threads)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return table

@@ -1,8 +1,8 @@
 """Stage 3: dense bin-by-bin plan construction and wallet execution.
 
-The plan lays bins out as a ragged matrix walked by :func:`next_transaction`,
-a total lookup that returns ``None`` once a coordinate runs off the ready
-plan. Execution applies bins in ascending order with intra-bin parallelism:
+The plan lays bins out as a ragged matrix, one ascending row of transaction
+ids per bin; workers index a row directly and stop at its length. Execution
+applies bins in ascending order with intra-bin parallelism:
 bin-internal transactions are pairwise non-conflicting, so workers can apply
 them in any interleaving, and a rendezvous between consecutive bins preserves
 the conflict order. The final state always equals single-threaded index-order
@@ -32,49 +32,28 @@ class ExecutionPlan:
     """Ragged bin-by-bin layout: ``bin_matrix[b][k]`` is a transaction id."""
 
     bin_matrix: tuple[tuple[int, ...], ...]
-    total_trans_bin: tuple[int, ...]
-    glb_ptr: int
-    num_bins: int
+
+    @property
+    def num_bins(self) -> int:
+        return len(self.bin_matrix)
 
 
-EMPTY_PLAN = ExecutionPlan(bin_matrix=(), total_trans_bin=(), glb_ptr=-1, num_bins=0)
+EMPTY_PLAN = ExecutionPlan(bin_matrix=())
 
 
 def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
     """Materialize the per-bin rows from a complete assignment.
 
-    Rows are sorted ascending (normalization) and ``glb_ptr`` is set to the
-    last bin index, marking the whole plan ready.
+    Rows come out ascending because ids are visited in order.
     """
     initial = assignment.initial_bin_list()
     if any(b == UNASSIGNED for b in initial):
         missing = [i for i, b in enumerate(initial) if b == UNASSIGNED]
         raise ValueError(f"assignment incomplete: {len(missing)} unassigned (first: {missing[:5]})")
-    if not initial:
-        return EMPTY_PLAN
-    num_bins = max(initial) + 1
-    rows: list[list[int]] = [[] for _ in range(num_bins)]
+    rows: list[list[int]] = [[] for _ in range(max(initial, default=UNASSIGNED) + 1)]
     for txn_id, bin_no in enumerate(initial):
         rows[bin_no].append(txn_id)
-    bin_matrix = tuple(tuple(sorted(row)) for row in rows)
-    return ExecutionPlan(
-        bin_matrix=bin_matrix,
-        total_trans_bin=tuple(len(row) for row in bin_matrix),
-        glb_ptr=num_bins - 1,
-        num_bins=num_bins,
-    )
-
-
-def next_transaction(plan: ExecutionPlan, curr_bin: int, curr_trans: int) -> int | None:
-    """Plan lookup; ``None`` when the coordinate is outside the ready plan."""
-    if plan.glb_ptr >= 0:
-        if curr_bin > plan.glb_ptr:
-            return None
-        val = plan.total_trans_bin[curr_bin]
-        if curr_trans >= val:
-            return None
-        return plan.bin_matrix[curr_bin][curr_trans]
-    return None
+    return ExecutionPlan(bin_matrix=tuple(tuple(row) for row in rows))
 
 
 @dataclass
@@ -140,9 +119,9 @@ def execute_plan(
 ) -> WalletState:
     """Apply bins in order, each bin in parallel across ``num_threads``.
 
-    Workers pull positions within the current bin by fetch-and-add and look
-    the transaction id up through :func:`next_transaction`; a barrier between
-    bins keeps conflicting effects in index order.
+    Workers pull positions within the current bin's row by fetch-and-add
+    until the row runs out; a barrier between bins keeps conflicting effects
+    in index order.
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
@@ -159,13 +138,11 @@ def execute_plan(
         return WalletState(balances)
 
     if num_threads == 1:
-        for b in range(plan.num_bins):
-            k = 0
-            while (txn_id := next_transaction(plan, b, k)) is not None:
+        for row in plan.bin_matrix:
+            for txn_id in row:
                 if per_txn_work > 0:
                     time.sleep(per_txn_work)
                 _apply(balances, txns[txn_id])
-                k += 1
         return WalletState(balances)
 
     claims = [AtomicInt(0) for _ in range(plan.num_bins)]
@@ -174,15 +151,11 @@ def execute_plan(
 
     def body() -> None:
         try:
-            for b in range(plan.num_bins):
-                while True:
-                    k = claims[b].fetch_add(1)
-                    txn_id = next_transaction(plan, b, k)
-                    if txn_id is None:
-                        break
+            for claim, row in zip(claims, plan.bin_matrix):
+                while (k := claim.fetch_add(1)) < len(row):
                     if per_txn_work > 0:
                         time.sleep(per_txn_work)
-                    _apply(balances, txns[txn_id])
+                    _apply(balances, txns[row[k]])
                 rendezvous.wait()
         except threading.BrokenBarrierError:
             return

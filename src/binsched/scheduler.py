@@ -85,7 +85,12 @@ class PhaseTimings:
 
 @dataclass(frozen=True)
 class RetryStats:
-    """Redundant-work telemetry: lost CAS races and NOT_READY skips."""
+    """Redundant-work telemetry: lost CAS races and NOT_READY skips.
+
+    ``cas_retries`` counts the publication CASes lost by the helper
+    procedures in either phase. STANDARD claims each slot exactly once and
+    publishes without a CAS, so it always reads 0 there.
+    """
 
     cas_retries: int
     not_ready_skips: int
@@ -93,6 +98,7 @@ class RetryStats:
 
 @dataclass(frozen=True)
 class ScheduleResult:
+    conflicts: ConflictTable
     assignment: BinAssignment
     plan: ExecutionPlan
     timing: PhaseTimings
@@ -168,11 +174,13 @@ def _run_pool(
     n = len(txns)
     if n == 0:
         timing = PhaseTimings(0.0, 0.0, 0.0)
-        return ScheduleResult(BinAssignment(0), EMPTY_PLAN, timing, RetryStats(0, 0))
+        return ScheduleResult(
+            ConflictTable(0), BinAssignment(0), EMPTY_PLAN, timing, RetryStats(0, 0)
+        )
 
     table = ConflictTable(n)
     bins = BinAssignment(n)
-    state = SchedulerState(num_threads=num_threads)
+    state = SchedulerState()
     index = ConflictIndex(txns)
     abort = threading.Event()
     barrier = threading.Barrier(num_threads) if variant.uses_barrier else None
@@ -209,8 +217,7 @@ def _run_pool(
                 )
             else:
                 assign_bins_standard(
-                    txns, table, bins, state, wid,
-                    faults=faults, abort=abort, cas_retries=cas_retries,
+                    txns, table, bins, state, wid, faults=faults, abort=abort,
                 )
             t_phase2_end[wid] = time.perf_counter()
         except (WorkerCrashed, Aborted, threading.BrokenBarrierError):
@@ -258,4 +265,4 @@ def _run_pool(
         total_s=p2_end - p1_start,
     )
     retries = RetryStats(cas_retries.load(), not_ready.load())
-    return ScheduleResult(bins, build_execution_plan(bins), timing, retries)
+    return ScheduleResult(table, bins, build_execution_plan(bins), timing, retries)

@@ -29,7 +29,6 @@ from binsched import (
     execute_serial,
     generate_workload,
     run_benchmark,
-    run_conflict_phase,
     schedule,
     schedule_with_watchdog,
 )
@@ -92,8 +91,8 @@ def test_criterion_01_conflict_table_oracle_equivalence():
         for block, oracle in zip(blocks, oracles):
             expected = [sorted(s) for s in oracle]
             for num_threads in THREAD_COUNTS:
-                for use_helpers in (False, True):
-                    table = run_conflict_phase(block, num_threads, use_helpers)
+                for variant in (Variant.STANDARD, Variant.LOCKFREE):
+                    table = schedule(block, variant, num_threads).conflicts
                     assert table.to_lists() == expected
 
 

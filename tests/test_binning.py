@@ -16,10 +16,10 @@ from binsched import (
     NOT_READY,
     UNASSIGNED,
     Aborted,
-    AtomicInt,
     BinAssignment,
     ConflictTable,
     SchedulerState,
+    Site,
     assign_bins_helper,
     assign_bins_standard,
     bin_oracle,
@@ -40,7 +40,7 @@ def published_table(txns):
 def run_assignment(txns, num_threads, use_helpers):
     table = published_table(txns)
     bins = BinAssignment(len(txns))
-    state = SchedulerState(num_threads=num_threads)
+    state = SchedulerState()
     target = assign_bins_helper if use_helpers else assign_bins_standard
     workers = [
         threading.Thread(target=target, args=(txns, table, bins, state, w), daemon=True)
@@ -49,7 +49,8 @@ def run_assignment(txns, num_threads, use_helpers):
     for t in workers:
         t.start()
     for t in workers:
-        t.join()
+        t.join(30)
+        assert not t.is_alive()
     return bins
 
 
@@ -233,17 +234,7 @@ def test_oracle_equivalence_on_arbitrary_access_sets(txns):
     assert bins.initial_bin_list() == bin_oracle(txns)
 
 
-# --- publish-once and snapshot mechanics ---------------------------------------------
-
-
-def test_insert_member_is_idempotent():
-    bins = BinAssignment(4)
-    retries = AtomicInt(0)
-    bins.insert_member(0, 2, retries)
-    bins.insert_member(0, 2, retries)
-    bins.insert_member(0, 3, retries)
-    assert bins.bin_array[0].load() == frozenset({2, 3})
-    assert retries.load() == 0
+# --- publish-once mechanics ---------------------------------------------
 
 
 def test_try_assign_publishes_once():
@@ -266,3 +257,24 @@ def test_unassigned_sentinel_distinct_from_bin_zero():
     bins.assign(0, 0)
     assert bins.bin_of(0) == 0
     assert bins.bin_of(1) == UNASSIGNED
+
+
+def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
+    # A peer claims slot 1 each time round and never fills it, while this
+    # worker only ever claims the filled slot 0. The worker must not leave
+    # the phase on its run of filled claims: it has to fill slot 1 itself.
+    block = disjoint_block(2)
+    table = published_table(block)
+    bins = BinAssignment(2)
+    state = SchedulerState()
+    assert bins.try_assign(0, 0)
+    peer_claims = []
+
+    def peer_claims_next(faults, worker_id, site, abort=None):
+        if site is Site.PHASE2_POST_CLAIM and len(peer_claims) < 2:
+            peer_claims.append(state.claim_counter_phase2.fetch_add(1) % 2)
+
+    monkeypatch.setattr("binsched.binning.fault_site", peer_claims_next)
+    assign_bins_helper(block, table, bins, state, worker_id=0)
+    assert peer_claims == [1, 1]
+    assert bins.initial_bin_list() == [0, 0]

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from binsched import CSV_HEADER, load_workload, rows_from_csv
+from binsched import CSV_HEADER, conflict_sets_oracle, load_workload, rows_from_csv
 from binsched.cli import main, parse_config_file
 
 
@@ -46,7 +46,8 @@ def test_schedule_with_dumps_and_check(tmp_path, capsys):
     assert out["checked"] is True
     assert out["n_txns"] == 30
     assert len(out["initial_bin"]) == 30
-    assert len(out["conflicts"]) == 30
+    expected = conflict_sets_oracle(load_workload(block.read_text()))
+    assert out["conflicts"] == [sorted(s) for s in expected]
     assert sum(len(b) for b in out["bins"]) == 30
     assert sum(out["state"].values()) == 0
     assert out["num_bins"] == len(out["bins"])

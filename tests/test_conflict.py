@@ -12,18 +12,46 @@ from binsched import (
     Site,
     Transaction,
     TransferPayload,
+    Variant,
+    WorkerCrashed,
     build_conflict_sets_helper,
     build_conflict_sets_standard,
     check_conflicts,
     conflict_sets_oracle,
     make_fault_plan,
     make_transaction,
-    run_conflict_phase,
+    schedule,
 )
 
 
 def txn(i, reads, writes):
     return Transaction(id=i, read_set=frozenset(reads), write_set=frozenset(writes))
+
+
+def published_conflicts(txns, num_threads, use_helpers, faults=None):
+    """The conflict table a full scheduling run published."""
+    variant = Variant.LOCKFREE if use_helpers else Variant.STANDARD
+    return schedule(txns, variant, num_threads, faults=faults).conflicts
+
+
+def run_standard_phase1(txns, num_threads, faults):
+    """Phase 1 alone, for crash plans that ``schedule`` rejects on STANDARD."""
+    table = ConflictTable(len(txns))
+    state = SchedulerState()
+
+    def body(worker_id):
+        try:
+            build_conflict_sets_standard(txns, table, state, worker_id, faults=faults)
+        except WorkerCrashed:
+            pass
+
+    workers = [threading.Thread(target=body, args=(w,), daemon=True) for w in range(num_threads)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(30)
+        assert not t.is_alive()
+    return table
 
 
 # --- the pairwise predicate -------------------------------------------------
@@ -92,26 +120,26 @@ def test_oracle_on_worked_example():
 @pytest.mark.parametrize("use_helpers", [False, True])
 def test_worked_example_table(use_helpers):
     block = wallet_block([("A", "B"), ("C", "D"), ("B", "E")])
-    table = run_conflict_phase(block, num_threads=4, use_helpers=use_helpers)
+    table = published_conflicts(block, num_threads=4, use_helpers=use_helpers)
     assert table.to_lists() == [[], [], [0]]
 
 
 @pytest.mark.parametrize("use_helpers", [False, True])
 def test_single_transaction(use_helpers):
     block = wallet_block([("A", "B")])
-    table = run_conflict_phase(block, num_threads=2, use_helpers=use_helpers)
+    table = published_conflicts(block, num_threads=2, use_helpers=use_helpers)
     assert table.to_lists() == [[]]
 
 
 @pytest.mark.parametrize("use_helpers", [False, True])
 def test_write_write_pair(use_helpers):
     block = wallet_block([("A", "B"), ("A", "B")])
-    table = run_conflict_phase(block, num_threads=3, use_helpers=use_helpers)
+    table = published_conflicts(block, num_threads=3, use_helpers=use_helpers)
     assert table.to_lists() == [[], [0]]
 
 
 def test_empty_block_returns_immediately():
-    table = run_conflict_phase([], num_threads=4, use_helpers=True)
+    table = published_conflicts([], num_threads=4, use_helpers=True)
     assert table.to_lists() == []
 
 
@@ -120,13 +148,13 @@ def test_empty_block_returns_immediately():
 def test_schedule_independence_across_thread_counts(num_threads, use_helpers):
     block = random_wallet_block(seed=99, max_n=150)
     expected = [sorted(s) for s in conflict_sets_oracle(block)]
-    table = run_conflict_phase(block, num_threads, use_helpers)
+    table = published_conflicts(block, num_threads, use_helpers)
     assert table.to_lists() == expected
 
 
 def test_publish_once_accounting():
     block = random_wallet_block(seed=5, max_n=200)
-    table = run_conflict_phase(block, num_threads=8, use_helpers=True)
+    table = published_conflicts(block, num_threads=8, use_helpers=True)
     assert table.successful_publishes.load() == len(block)
 
 
@@ -138,7 +166,7 @@ def test_helper_variant_survives_crashes(crash_point, n_crashed):
         crashed_workers=frozenset(range(n_crashed)),
         crash_point=crash_point,
     )
-    table = run_conflict_phase(block, num_threads=8, use_helpers=True, faults=faults)
+    table = published_conflicts(block, num_threads=8, use_helpers=True, faults=faults)
     expected = [sorted(s) for s in conflict_sets_oracle(block)]
     assert table.to_lists() == expected
     assert table.successful_publishes.load() == len(block)
@@ -148,7 +176,7 @@ def test_standard_variant_leaves_crashed_slot_unset():
     # documented non-tolerance: the crashed worker's claim is never redone
     block = wallet_block([(f"u{i}", f"v{i}") for i in range(2000)])
     faults = FaultPlan(crashed_workers=frozenset({0}), crash_point=Site.PHASE1_POST_CLAIM)
-    table = run_conflict_phase(block, num_threads=2, use_helpers=False, faults=faults)
+    table = run_standard_phase1(block, num_threads=2, faults=faults)
     unset = [i for i, s in enumerate(table.to_lists()) if s is None]
     assert len(unset) == 1
 
@@ -156,7 +184,7 @@ def test_standard_variant_leaves_crashed_slot_unset():
 def test_delayed_workers_change_nothing_but_time():
     block = random_wallet_block(seed=77, max_n=80)
     faults = make_fault_plan(4, delayed_pct=50, delay=0.002, seed=3)
-    table = run_conflict_phase(block, num_threads=4, use_helpers=True, faults=faults)
+    table = published_conflicts(block, num_threads=4, use_helpers=True, faults=faults)
     expected = [sorted(s) for s in conflict_sets_oracle(block)]
     assert table.to_lists() == expected
 
@@ -164,20 +192,19 @@ def test_delayed_workers_change_nothing_but_time():
 def test_direct_worker_invocation_single_thread():
     block = wallet_block([("A", "B"), ("B", "C"), ("C", "D")])
     table = ConflictTable(len(block))
-    state = SchedulerState(num_threads=1)
+    state = SchedulerState()
     build_conflict_sets_standard(block, table, state, worker_id=0)
     assert table.to_lists() == [[], [0], [1]]
 
     table2 = ConflictTable(len(block))
-    state2 = SchedulerState(num_threads=1)
-    build_conflict_sets_helper(block, table2, state2, worker_id=0)
+    build_conflict_sets_helper(block, table2, SchedulerState(), worker_id=0)
     assert table2.to_lists() == [[], [0], [1]]
-    assert state2.conflict_txns_done.load() == len(block)
+    assert table2.successful_publishes.load() == len(block)
 
 
 def test_published_slots_are_immutable_snapshots():
     block = wallet_block([("A", "B"), ("B", "A")])
-    table = run_conflict_phase(block, num_threads=2, use_helpers=True)
+    table = published_conflicts(block, num_threads=2, use_helpers=True)
     snapshot = table.get(1)
     assert snapshot == frozenset({0})
     assert isinstance(snapshot, frozenset)
@@ -187,19 +214,40 @@ def test_published_slots_are_immutable_snapshots():
 
 
 def test_stuck_counters_stay_within_bounds():
+    """Six helpers on a small block: every slot published, the count stops at n."""
     block = random_wallet_block(seed=13, max_n=60)
-    n_threads = 6
     table = ConflictTable(len(block))
-    state = SchedulerState(num_threads=n_threads)
+    state = SchedulerState()
     workers = [
         threading.Thread(
             target=build_conflict_sets_helper, args=(block, table, state, w), daemon=True
         )
-        for w in range(n_threads)
+        for w in range(6)
     ]
     for t in workers:
         t.start()
     for t in workers:
-        t.join()
-    assert 0 <= state.stuck_threads_phase1.load() <= n_threads
-    assert state.conflict_txns_done.load() == len(block)
+        t.join(30)
+        assert not t.is_alive()
+    assert table.is_complete()
+    assert table.successful_publishes.load() == len(block)
+
+
+def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
+    # A peer claims slot 1 each time round and never fills it, while this
+    # worker only ever claims the filled slot 0. The worker must not leave
+    # the phase on its run of filled claims: it has to fill slot 1 itself.
+    block = wallet_block([("A", "B"), ("C", "D")])
+    table = ConflictTable(2)
+    state = SchedulerState()
+    assert table.try_publish(0, frozenset())
+    peer_claims = []
+
+    def peer_claims_next(faults, worker_id, site, abort=None):
+        if site is Site.PHASE1_POST_CLAIM and len(peer_claims) < 2:
+            peer_claims.append(state.claim_counter_phase1.fetch_add(1) % 2)
+
+    monkeypatch.setattr("binsched.conflict.fault_site", peer_claims_next)
+    build_conflict_sets_helper(block, table, state, worker_id=0)
+    assert peer_claims == [1, 1]
+    assert table.to_lists() == [[], []]

@@ -11,7 +11,6 @@ from binsched import (
     build_execution_plan,
     execute_plan,
     execute_serial,
-    next_transaction,
     schedule,
 )
 
@@ -30,15 +29,13 @@ def assignment_of(bins_by_txn):
 def test_build_plan_worked_example():
     plan = build_execution_plan(assignment_of([0, 0, 1]))
     assert plan.bin_matrix == ((0, 1), (2,))
-    assert plan.total_trans_bin == (2, 1)
-    assert plan.glb_ptr == 1
     assert plan.num_bins == 2
 
 
 def test_build_plan_empty_assignment():
     plan = build_execution_plan(BinAssignment(0))
     assert plan.num_bins == 0
-    assert plan.glb_ptr == -1
+    assert plan.bin_matrix == ()
 
 
 def test_build_plan_sorts_rows():
@@ -49,26 +46,6 @@ def test_build_plan_sorts_rows():
 def test_build_plan_rejects_incomplete_assignment():
     with pytest.raises(ValueError):
         build_execution_plan(assignment_of([0, None, 1]))
-
-
-# --- plan lookup -------------------------------------------------------------------
-
-
-def test_next_transaction_none_before_ready():
-    assert next_transaction(EMPTY_PLAN, 0, 0) is None
-
-
-def test_next_transaction_lookup_and_bounds():
-    plan = build_execution_plan(assignment_of([0, 0, 1]))
-    assert next_transaction(plan, 0, 1) == 1
-    assert next_transaction(plan, 0, 2) is None
-    assert next_transaction(plan, 1, 0) == 2
-    assert next_transaction(plan, 2, 0) is None
-
-
-def test_next_transaction_is_pure():
-    plan = build_execution_plan(assignment_of([0, 1]))
-    assert all(next_transaction(plan, 0, 0) == 0 for _ in range(5))
 
 
 # --- serial execution -----------------------------------------------------------------

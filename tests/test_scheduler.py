@@ -33,7 +33,7 @@ def test_empty_block():
     for variant in ALL_VARIANTS:
         result = schedule([], variant, num_threads=3)
         assert result.plan.num_bins == 0
-        assert result.plan.glb_ptr == -1
+        assert result.plan.bin_matrix == ()
         assert result.assignment.initial_bin_list() == []
 
 
