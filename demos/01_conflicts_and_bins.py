@@ -4,9 +4,13 @@ Two wallet transfers conflict when they touch a common account with at
 least one write involved; read-read overlap alone is harmless. Every
 transaction is then assigned the lowest bin strictly above all of its
 earlier conflicts, so a bin never holds two conflicting transactions.
+Phase 2 reads only each transaction's frontier: per account, the latest
+earlier writer (and, for a write, the readers since it). Bins rise along
+each account's access chain, so the frontier yields the same bin.
 """
 
 from binsched import (
+    ConflictIndex,
     TransferPayload,
     Variant,
     bin_oracle,
@@ -21,6 +25,7 @@ block = [
     make_transaction(1, TransferPayload("carol", "dave", 10)),
     make_transaction(2, TransferPayload("bob", "erin", 5)),
     make_transaction(3, TransferPayload("erin", "alice", 1)),
+    make_transaction(4, TransferPayload("bob", "alice", 2)),
 ]
 
 print("pairwise conflicts (write-involving overlap):")
@@ -30,11 +35,13 @@ for a in block:
             shared = (a.read_set | a.write_set) & (b.read_set | b.write_set)
             print(f"  T{a.id} ~ T{b.id}  (shared accounts: {sorted(shared)})")
 
-print("\nlower conflict sets (what phase 1 publishes):")
+print("\nlower conflict sets and frontiers (what phase 1 publishes):")
+index = ConflictIndex(block)
 for txn, conflicts in zip(block, conflict_sets_oracle(block)):
-    print(f"  T{txn.id}: {sorted(conflicts) or 'none'}")
+    frontier = sorted(index.frontier(txn))
+    print(f"  T{txn.id}: lower {sorted(conflicts) or 'none'}, frontier {frontier or 'none'}")
 
-print("\nbin rule: 1 + max(bin of earlier conflicts), empty set -> bin 0")
+print("\nbin rule: 1 + max(bin of frontier), empty frontier -> bin 0")
 print(f"  serial oracle says: {bin_oracle(block)}")
 
 result = schedule(block, Variant.LOCKFREE, num_threads=4)

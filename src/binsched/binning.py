@@ -7,6 +7,13 @@ pairwise non-conflicting transactions, so bins can execute internally in
 parallel and sequentially with each other while reproducing the serial
 outcome.
 
+Phase 2 reads only each slot's *frontier*, which phase 1 publishes beside
+the lower set: per address, the latest earlier writer and, for a write,
+the readers since it. The max over the frontier equals the max over the
+full set because bins rise along each address's access chain: any other
+earlier conflict on an address sits in a lower bin than a frontier member.
+A transaction therefore waits only on its frontier's bins.
+
 :func:`assign_bins_standard` claims each index exactly once and *blocks*
 (bounded-backoff spin) on dependencies that are still unassigned; safe when
 phase 1 completed behind a barrier, not crash tolerant.
@@ -88,12 +95,12 @@ def calculate_bin(
     *,
     abort: threading.Event | None = None,
 ) -> int:
-    """Blocking bin computation: spin until every dependency is assigned."""
-    conflicts = table.get(i)
-    if conflicts is None:
+    """Blocking bin computation: spin until every frontier member is assigned."""
+    frontier = table.frontier(i)
+    if frontier is None:
         raise RuntimeError(f"conflict slot {i} not published; phase 1 incomplete")
     current = -1
-    for dep in conflicts:
+    for dep in frontier:
         pause = _SPIN_SLEEP_MIN
         while bins.bin_of(dep) == UNASSIGNED:
             if abort is not None and abort.is_set():
@@ -107,17 +114,17 @@ def calculate_bin(
 
 
 def calculate_bin_helper(i: int, table: ConflictTable, bins: BinAssignment) -> int:
-    """Non-blocking bin computation: NOT_READY while any dependency waits.
+    """Non-blocking bin computation: NOT_READY while any frontier member waits.
 
     An unpublished conflict slot also reports NOT_READY, so the call is safe
     before phase 1 ends. The helper procedures never rely on this: a worker
     leaves phase 1 only once every slot is published.
     """
-    conflicts = table.get(i)
-    if conflicts is None:
+    frontier = table.frontier(i)
+    if frontier is None:
         return NOT_READY
     current = -1
-    for dep in conflicts:
+    for dep in frontier:
         dep_bin = bins.bin_of(dep)
         if dep_bin == UNASSIGNED:
             return NOT_READY

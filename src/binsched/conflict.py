@@ -3,8 +3,17 @@
 Two transactions conflict when their declared access sets overlap in any
 write-involving way: write/write, read/write, or write/read. Read/read
 overlap is not a conflict. For every transaction ``i`` the phase publishes
-the *lower conflict set*, the ids ``j < i`` it conflicts with, into a shared
-:class:`ConflictTable`.
+two sets into one slot of a shared :class:`ConflictTable`:
+
+* the *lower conflict set*, the ids ``j < i`` it conflicts with, which is
+  the paper's conflict table;
+* its *frontier*, the subset that phase 2 reads. For each address ``i``
+  touches, that is the latest earlier writer, plus, when ``i`` writes the
+  address, the readers since that writer.
+
+The frontier gives the same bin as the full set because bins rise along
+each address's access chain: every other earlier conflict on an address
+conflicts with, and so sits in a lower bin than, a frontier member.
 
 Two discovery procedures share that contract:
 
@@ -33,7 +42,7 @@ restatement used to cross-check it.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -97,26 +106,67 @@ class ConflictIndex:
                 out.update(self._below(self._writers[addr], i))
         return frozenset(out)
 
+    def _last_writer(self, addr: Address, i: int) -> int:
+        writers = self._writers.get(addr, ())
+        k = bisect_left(writers, i)
+        return writers[k - 1] if k else -1
+
+    def frontier(self, txn: Transaction) -> tuple[int, ...]:
+        """The lower conflicts that bound the transaction's bin.
+
+        Per address: the latest writer below ``txn.id`` and, if ``txn``
+        writes the address, the readers strictly between that writer and
+        ``txn.id``. A subset of :meth:`lower_conflicts`.
+        """
+        i = txn.id
+        out: set[int] = set()
+        for addr in txn.write_set:
+            last = self._last_writer(addr, i)
+            if last >= 0:
+                out.add(last)
+            if addr in self._readers:
+                readers = self._readers[addr]
+                out.update(readers[bisect_right(readers, last) : bisect_left(readers, i)])
+        for addr in txn.read_set - txn.write_set:
+            last = self._last_writer(addr, i)
+            if last >= 0:
+                out.add(last)
+        return tuple(out)
+
+
+_Slot = tuple[frozenset[int], tuple[int, ...]]
+
 
 class ConflictTable:
-    """Shared array of publish-once lower-conflict-set slots."""
+    """Shared array of publish-once slots, each a (lower set, frontier) pair.
+
+    One reference holds both sets, so one store or CAS publishes them
+    together and a reader never sees one without the other.
+    """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.slots: list[AtomicRef[frozenset[int]]] = [AtomicRef() for _ in range(n)]
+        self.slots: list[AtomicRef[_Slot]] = [AtomicRef() for _ in range(n)]
         self.successful_publishes = AtomicInt(0)
 
     def get(self, i: int) -> frozenset[int] | None:
-        return self.slots[i].load()
+        """The slot's full lower conflict set, None while unset."""
+        slot = self.slots[i].load()
+        return None if slot is None else slot[0]
 
-    def publish(self, i: int, conflicts: frozenset[int]) -> None:
+    def frontier(self, i: int) -> tuple[int, ...] | None:
+        """The slot's frontier, None while unset."""
+        slot = self.slots[i].load()
+        return None if slot is None else slot[1]
+
+    def publish(self, i: int, lower: frozenset[int], frontier: tuple[int, ...]) -> None:
         """Uncontended store, for the exactly-once claiming variant."""
-        self.slots[i].store(conflicts)
+        self.slots[i].store((lower, frontier))
         self.successful_publishes.fetch_add(1)
 
-    def try_publish(self, i: int, conflicts: frozenset[int]) -> bool:
-        """CAS from the unset sentinel; loser's candidate set is discarded."""
-        if self.slots[i].compare_and_set(None, conflicts):
+    def try_publish(self, i: int, lower: frozenset[int], frontier: tuple[int, ...]) -> bool:
+        """CAS from the unset sentinel; loser's candidate sets are discarded."""
+        if self.slots[i].compare_and_set(None, (lower, frontier)):
             self.successful_publishes.fetch_add(1)
             return True
         return False
@@ -125,8 +175,8 @@ class ConflictTable:
         return all(slot.load() is not None for slot in self.slots)
 
     def to_lists(self) -> list[list[int] | None]:
-        """Dump-friendly view: sorted lists, None for unset slots."""
-        return [sorted(s) if (s := slot.load()) is not None else None for slot in self.slots]
+        """Dump-friendly view of the lower sets: sorted lists, None for unset slots."""
+        return [sorted(s[0]) if (s := slot.load()) is not None else None for slot in self.slots]
 
 
 @dataclass
@@ -156,8 +206,9 @@ def build_conflict_sets_standard(
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
         if table.get(i) is None:
             lower = index.lower_conflicts(txns[i])
+            frontier = index.frontier(txns[i]) if lower else ()
             fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
-            table.publish(i, lower)
+            table.publish(i, lower, frontier)
         i = state.claim_counter_phase1.fetch_add(1)
 
 
@@ -181,6 +232,7 @@ def build_conflict_sets_helper(
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
         if table.get(i) is None:
             lower = index.lower_conflicts(txns[i])
+            frontier = index.frontier(txns[i]) if lower else ()
             fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
-            if not table.try_publish(i, lower) and cas_retries is not None:
+            if not table.try_publish(i, lower, frontier) and cas_retries is not None:
                 cas_retries.fetch_add(1)

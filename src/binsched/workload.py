@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .conflict import check_conflicts
+from .conflict import ConflictIndex
 from .txn import Transaction, TransferPayload, make_transaction
 
 
@@ -85,17 +85,22 @@ def generate_workload(spec: WorkloadSpec) -> list[Transaction]:
 
 
 def compute_conflict_params(txns: Sequence[Transaction]) -> ConflictParams:
-    """Measure cp1/cp2/cp3 by direct pairwise checks; empty input is all-zero."""
+    """Measure cp1/cp2/cp3 from conflict-index postings; empty input is all-zero.
+
+    Each conflicting pair appears once, in the lower set of its later member,
+    so the lower-set sizes sum to the pair count.
+    """
     n = len(txns)
     if n == 0:
         return ConflictParams(0.0, 0.0, 0.0)
-    dependent = [False] * n
+    index = ConflictIndex(txns)
+    dependent: set[int] = set()
     pair_count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if check_conflicts(txns[i], txns[j]):
-                pair_count += 1
-                dependent[i] = True
-                dependent[j] = True
-    cp1 = 100.0 * sum(dependent) / n
+    for txn in txns:
+        lower = index.lower_conflicts(txn)
+        if lower:
+            pair_count += len(lower)
+            dependent.add(txn.id)
+            dependent.update(lower)
+    cp1 = 100.0 * len(dependent) / n
     return ConflictParams(cp1=cp1, cp2=100.0 * pair_count / n, cp3=100.0 - cp1)

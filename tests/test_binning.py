@@ -17,6 +17,7 @@ from binsched import (
     UNASSIGNED,
     Aborted,
     BinAssignment,
+    ConflictIndex,
     ConflictTable,
     SchedulerState,
     Site,
@@ -32,8 +33,9 @@ from binsched import (
 
 def published_table(txns):
     table = ConflictTable(len(txns))
-    for i, conflicts in enumerate(conflict_sets_oracle(txns)):
-        table.publish(i, conflicts)
+    index = ConflictIndex(txns)
+    for t, conflicts in zip(txns, conflict_sets_oracle(txns)):
+        table.publish(t.id, conflicts, index.frontier(t))
     return table
 
 
@@ -59,13 +61,13 @@ def run_assignment(txns, num_threads, use_helpers):
 
 def test_calculate_bin_empty_conflicts():
     table = ConflictTable(1)
-    table.publish(0, frozenset())
+    table.publish(0, frozenset(), ())
     assert calculate_bin(0, table, BinAssignment(1)) == 0
 
 
 def test_calculate_bin_single_dependency():
     table = ConflictTable(2)
-    table.publish(1, frozenset({0}))
+    table.publish(1, frozenset({0}), (0,))
     bins = BinAssignment(2)
     bins.assign(0, 2)
     assert calculate_bin(1, table, bins) == 3
@@ -73,7 +75,7 @@ def test_calculate_bin_single_dependency():
 
 def test_calculate_bin_max_of_dependencies():
     table = ConflictTable(3)
-    table.publish(2, frozenset({0, 1}))
+    table.publish(2, frozenset({0, 1}), (0, 1))
     bins = BinAssignment(3)
     bins.assign(0, 0)
     bins.assign(1, 4)
@@ -87,7 +89,7 @@ def test_calculate_bin_requires_published_slot():
 
 def test_calculate_bin_abort_breaks_the_spin():
     table = ConflictTable(2)
-    table.publish(1, frozenset({0}))
+    table.publish(1, frozenset({0}), (0,))
     bins = BinAssignment(2)  # dependency 0 never assigned
     abort = threading.Event()
     abort.set()
@@ -97,7 +99,7 @@ def test_calculate_bin_abort_breaks_the_spin():
 
 def test_calculate_bin_helper_not_ready_on_unassigned_dependency():
     table = ConflictTable(2)
-    table.publish(1, frozenset({0}))
+    table.publish(1, frozenset({0}), (0,))
     assert calculate_bin_helper(1, table, BinAssignment(2)) == NOT_READY
 
 
@@ -107,17 +109,27 @@ def test_calculate_bin_helper_not_ready_on_unpublished_slot():
 
 def test_calculate_bin_helper_empty_conflicts():
     table = ConflictTable(1)
-    table.publish(0, frozenset())
+    table.publish(0, frozenset(), ())
     assert calculate_bin_helper(0, table, BinAssignment(1)) == 0
 
 
 def test_calculate_bin_helper_equal_dependencies():
     table = ConflictTable(3)
-    table.publish(2, frozenset({0, 1}))
+    table.publish(2, frozenset({0, 1}), (0, 1))
     bins = BinAssignment(3)
     bins.assign(0, 1)
     bins.assign(1, 1)
     assert calculate_bin_helper(2, table, bins) == 2
+
+
+def test_calculate_bin_helper_waits_only_on_the_frontier():
+    # 0 lies in slot 2's lower set but not in its frontier: phase 2 must
+    # not wait for it, since 1 already bounds 2's bin from below
+    table = ConflictTable(3)
+    table.publish(2, frozenset({0, 1}), (1,))
+    bins = BinAssignment(3)
+    bins.assign(1, 3)
+    assert calculate_bin_helper(2, table, bins) == 4
 
 
 # --- serial oracle --------------------------------------------------------------

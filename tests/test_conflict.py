@@ -14,6 +14,7 @@ from binsched import (
     TransferPayload,
     Variant,
     WorkerCrashed,
+    bin_oracle,
     build_conflict_sets_helper,
     build_conflict_sets_standard,
     check_conflicts,
@@ -107,6 +108,34 @@ def test_index_matches_pairwise_definition(txns):
     expected = conflict_sets_oracle(txns)
     for t in txns:
         assert index.lower_conflicts(t) == expected[t.id]
+
+
+@settings(max_examples=200)
+@given(access_set_blocks(max_n=10))
+def test_frontier_bounds_the_bin_like_the_full_set(txns):
+    index = ConflictIndex(txns)
+    lower = conflict_sets_oracle(txns)
+    bins = bin_oracle(txns)
+    for t in txns:
+        frontier = index.frontier(t)
+        assert set(frontier) <= lower[t.id]
+        assert 1 + max((bins[j] for j in frontier), default=-1) == bins[t.id]
+
+
+def test_frontier_keeps_the_readers_since_the_last_writer():
+    block = [
+        txn(0, set(), {"X"}),
+        txn(1, {"X"}, set()),
+        txn(2, set(), {"X"}),
+        txn(3, {"X"}, set()),
+        txn(4, {"X"}, set()),
+        txn(5, set(), {"X"}),
+        txn(6, {"X"}, set()),
+    ]
+    index = ConflictIndex(block)
+    assert sorted(index.frontier(block[5])) == [2, 3, 4]
+    assert index.frontier(block[6]) == (5,)
+    assert index.frontier(block[0]) == ()
 
 
 def test_oracle_on_worked_example():
@@ -209,8 +238,9 @@ def test_published_slots_are_immutable_snapshots():
     assert snapshot == frozenset({0})
     assert isinstance(snapshot, frozenset)
     # a second publish attempt must lose
-    assert not table.try_publish(1, frozenset())
+    assert not table.try_publish(1, frozenset(), ())
     assert table.get(1) == frozenset({0})
+    assert table.frontier(1) == (0,)
 
 
 def test_stuck_counters_stay_within_bounds():
@@ -240,7 +270,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
     block = wallet_block([("A", "B"), ("C", "D")])
     table = ConflictTable(2)
     state = SchedulerState()
-    assert table.try_publish(0, frozenset())
+    assert table.try_publish(0, frozenset(), ())
     peer_claims = []
 
     def peer_claims_next(faults, worker_id, site, abort=None):

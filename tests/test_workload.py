@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import wallet_block, wallet_blocks
+from _helpers import access_set_blocks, wallet_block, wallet_blocks
 from binsched import (
     WorkloadSpec,
     check_conflicts,
@@ -97,7 +97,7 @@ def test_rejects_invalid_specs():
 
 
 @settings(max_examples=40)
-@given(wallet_blocks(max_n=50))
+@given(st.one_of(wallet_blocks(max_n=50), access_set_blocks(max_n=10)))
 def test_cp_arithmetic_and_brute_force_agreement(txns):
     params = compute_conflict_params(txns)
     cp1, cp2, cp3 = brute_force_params(txns)
