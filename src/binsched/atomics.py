@@ -1,8 +1,16 @@
-"""Lock-backed atomic cells.
+"""Lock-backed atomics: a counter cell and a publish-once array.
 
 CPython has no public fetch-and-add or compare-and-swap, so these wrap a
-per-cell mutex. Reference CAS compares by identity, matching pointer-width
-CAS semantics: a superseded-but-equal snapshot must not win the race.
+mutex. :class:`AtomicInt` holds one counter behind its own lock.
+
+:class:`PublishOnceArray` holds the one value each transaction publishes in
+a scheduling phase, behind a single lock for the whole array. A slot is
+unset (:data:`UNASSIGNED`, ``None``) until published; a falsy value such as
+bin 0 or an empty set is a published value. Each publish writes its slot and
+increments the publish count inside one critical section, so the count
+always equals the number of set slots: ``published() == n`` means every slot
+is set, wherever a worker stops or crashes. The helper procedures rely on
+this to leave a phase on the count alone.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ import threading
 from typing import Generic, TypeVar
 
 T = TypeVar("T")
+
+UNASSIGNED = None
 
 
 class AtomicInt:
@@ -46,29 +56,47 @@ class AtomicInt:
         return f"AtomicInt({self.load()})"
 
 
-class AtomicRef(Generic[T]):
-    """Atomic reference cell; CAS succeeds only on the identical object."""
+class PublishOnceArray(Generic[T]):
+    """``n`` slots, each published once, plus the count of published slots."""
 
-    __slots__ = ("_lock", "_value")
+    __slots__ = ("n", "_lock", "_values", "_count")
 
-    def __init__(self, value: T | None = None) -> None:
+    def __init__(self, n: int) -> None:
+        self.n = n
         self._lock = threading.Lock()
-        self._value: T | None = value
+        self._values: list[T | None] = [UNASSIGNED] * n
+        self._count = 0
 
-    def load(self) -> T | None:
+    def get(self, i: int) -> T | None:
+        """The slot's value, :data:`UNASSIGNED` while unset."""
         with self._lock:
-            return self._value
+            return self._values[i]
 
-    def store(self, value: T | None) -> None:
+    def publish(self, i: int, value: T) -> None:
+        """Store into a slot the caller owns, for exactly-once claiming."""
         with self._lock:
-            self._value = value
+            if self._values[i] is UNASSIGNED:
+                self._count += 1
+            self._values[i] = value
 
-    def compare_and_set(self, expected: T | None, update: T | None) -> bool:
+    def try_publish(self, i: int, value: T) -> bool:
+        """Compare-and-set from unset; a loser's value is discarded."""
         with self._lock:
-            if self._value is expected:
-                self._value = update
-                return True
-            return False
+            if self._values[i] is not UNASSIGNED:
+                return False
+            self._values[i] = value
+            self._count += 1
+            return True
 
-    def __repr__(self) -> str:
-        return f"AtomicRef({self.load()!r})"
+    def published(self) -> int:
+        """How many slots are set."""
+        with self._lock:
+            return self._count
+
+    def is_complete(self) -> bool:
+        return self.published() == self.n
+
+    def snapshot(self) -> list[T | None]:
+        """A copy of every slot's value, :data:`UNASSIGNED` for unset ones."""
+        with self._lock:
+            return list(self._values)

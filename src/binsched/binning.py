@@ -20,12 +20,11 @@ phase 1 completed behind a barrier, not crash tolerant.
 :func:`assign_bins_helper` never blocks: unassigned dependencies yield a
 NOT_READY result and the worker claims a fresh wraparound index instead,
 so abandoned work is eventually redone by peers. A helper leaves the phase
-only once the assignment's publish count reaches ``n``; as in phase 1, no
-fault site lies between a winning CAS and its increment.
+only once the assignment's publish count reaches ``n``.
 
-The publish-once ``initial_bin`` array is the only bin record. Bin
-membership is derived from it on demand, once the phase has ended, so no
-per-bin set is kept in step with it while workers run.
+The publish-once :class:`BinAssignment` is the only bin record. Bin
+membership is derived from it once, by
+:func:`~binsched.executor.build_execution_plan`, after the phase has ended.
 """
 
 from __future__ import annotations
@@ -34,58 +33,24 @@ import threading
 import time
 from typing import Sequence
 
-from .atomics import AtomicInt
+from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
 from .conflict import ConflictTable, SchedulerState, check_conflicts
 from .faults import Aborted, FaultPlan, Site, fault_site
 from .txn import Transaction
 
-UNASSIGNED = -1
 NOT_READY = -1
 
 _SPIN_SLEEP_MIN = 10e-6
 _SPIN_SLEEP_MAX = 1e-3
 
 
-class BinAssignment:
-    """Shared publish-once bin number per transaction."""
+class BinAssignment(PublishOnceArray[int]):
+    """Phase 2's publish-once bin number per transaction."""
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.initial_bin: list[AtomicInt] = [AtomicInt(UNASSIGNED) for _ in range(n)]
-        self.successful_assignments = AtomicInt(0)
+    __slots__ = ()
 
-    def bin_of(self, i: int) -> int:
-        return self.initial_bin[i].load()
-
-    def assign(self, i: int, bin_no: int) -> None:
-        """Uncontended store, for the exactly-once claiming variant."""
-        self.initial_bin[i].store(bin_no)
-        self.successful_assignments.fetch_add(1)
-
-    def try_assign(self, i: int, bin_no: int) -> bool:
-        """CAS from UNASSIGNED so helper duplicates publish exactly once."""
-        if self.initial_bin[i].compare_and_set(UNASSIGNED, bin_no):
-            self.successful_assignments.fetch_add(1)
-            return True
-        return False
-
-    def is_complete(self) -> bool:
-        return all(cell.load() != UNASSIGNED for cell in self.initial_bin)
-
-    def initial_bin_list(self) -> list[int]:
-        return [cell.load() for cell in self.initial_bin]
-
-    def num_bins(self) -> int:
-        return max(self.initial_bin_list(), default=UNASSIGNED) + 1
-
-    def bins(self) -> list[frozenset[int]]:
-        """Members of each bin in use, derived from ``initial_bin``."""
-        initial = self.initial_bin_list()
-        members: list[set[int]] = [set() for _ in range(max(initial, default=UNASSIGNED) + 1)]
-        for i, b in enumerate(initial):
-            if b != UNASSIGNED:
-                members[b].add(i)
-        return [frozenset(m) for m in members]
+    bin_of = PublishOnceArray.get
+    initial_bin_list = PublishOnceArray.snapshot
 
 
 def calculate_bin(
@@ -102,12 +67,11 @@ def calculate_bin(
     current = -1
     for dep in frontier:
         pause = _SPIN_SLEEP_MIN
-        while bins.bin_of(dep) == UNASSIGNED:
+        while (dep_bin := bins.bin_of(dep)) is UNASSIGNED:
             if abort is not None and abort.is_set():
                 raise Aborted()
             time.sleep(pause)
             pause = min(pause * 2, _SPIN_SLEEP_MAX)
-        dep_bin = bins.bin_of(dep)
         if dep_bin > current:
             current = dep_bin
     return current + 1
@@ -126,7 +90,7 @@ def calculate_bin_helper(i: int, table: ConflictTable, bins: BinAssignment) -> i
     current = -1
     for dep in frontier:
         dep_bin = bins.bin_of(dep)
-        if dep_bin == UNASSIGNED:
+        if dep_bin is UNASSIGNED:
             return NOT_READY
         if dep_bin > current:
             current = dep_bin
@@ -150,7 +114,7 @@ def assign_bins_standard(
         fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
         alloted = calculate_bin(i, table, bins, abort=abort)
         fault_site(faults, worker_id, Site.PHASE2_PRE_CAS, abort)
-        bins.assign(i, alloted)
+        bins.publish(i, alloted)
         i = state.claim_counter_phase2.fetch_add(1)
 
 
@@ -168,17 +132,17 @@ def assign_bins_helper(
 ) -> None:
     """Wraparound claiming; skips unready work instead of blocking on it."""
     n = len(txns)
-    while bins.successful_assignments.load() < n:
+    while bins.published() < n:
         i = state.claim_counter_phase2.fetch_add(1) % n
         fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
-        if bins.bin_of(i) == UNASSIGNED:
+        if bins.bin_of(i) is UNASSIGNED:
             alloted = calculate_bin_helper(i, table, bins)
             if alloted == NOT_READY:
                 if not_ready_skips is not None:
                     not_ready_skips.fetch_add(1)
                 continue
             fault_site(faults, worker_id, Site.PHASE2_PRE_CAS, abort)
-            if not bins.try_assign(i, alloted) and cas_retries is not None:
+            if not bins.try_publish(i, alloted) and cas_retries is not None:
                 cas_retries.fetch_add(1)
 
 

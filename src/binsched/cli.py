@@ -142,7 +142,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     if args.dump_conflicts:
         out["conflicts"] = result.conflicts.to_lists()
     if args.dump_bins:
-        out["bins"] = [sorted(members) for members in result.assignment.bins()]
+        out["bins"] = [list(row) for row in result.plan.bin_matrix]
         out["initial_bin"] = result.assignment.initial_bin_list()
     if args.dump_state:
         out["state"] = {str(k): v for k, v in sorted(final.balances.items(), key=lambda kv: str(kv[0]))}

@@ -24,13 +24,8 @@ Two discovery procedures share that contract:
   workers recompute slots abandoned by slow or stopped peers, and publishes
   via compare-and-swap from the unset sentinel so exactly one publisher
   wins per slot. A worker leaves the phase only once the table's publish
-  count reaches ``n``. A slot adds to that count right after its winning
-  CAS, with no fault site in between, so a count of ``n`` means every slot
-  is published: no worker leaves while a slot is still unset.
-
-An unset slot is a distinct sentinel (``None``) from a published empty set:
-the first transaction always has an empty conflict set, and it still has to
-count as completed.
+  count reaches ``n``, which by :class:`~binsched.atomics.PublishOnceArray`'s
+  invariant means every slot is published.
 
 Per-slot scans use :class:`ConflictIndex`, an address-postings table built
 once from the immutable block; it enumerates exactly the set
@@ -46,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .atomics import AtomicInt, AtomicRef
+from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
 from .faults import FaultPlan, Site, fault_site
 from .txn import Address, Transaction
 
@@ -137,46 +132,28 @@ class ConflictIndex:
 _Slot = tuple[frozenset[int], tuple[int, ...]]
 
 
-class ConflictTable:
-    """Shared array of publish-once slots, each a (lower set, frontier) pair.
+class ConflictTable(PublishOnceArray[_Slot]):
+    """Phase 1's publish-once slots, each a (lower set, frontier) pair.
 
-    One reference holds both sets, so one store or CAS publishes them
-    together and a reader never sees one without the other.
+    One value holds both sets, so one publish stores them together and a
+    reader never sees one without the other.
     """
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.slots: list[AtomicRef[_Slot]] = [AtomicRef() for _ in range(n)]
-        self.successful_publishes = AtomicInt(0)
+    __slots__ = ()
 
-    def get(self, i: int) -> frozenset[int] | None:
+    def lower(self, i: int) -> frozenset[int] | None:
         """The slot's full lower conflict set, None while unset."""
-        slot = self.slots[i].load()
-        return None if slot is None else slot[0]
+        slot = self.get(i)
+        return None if slot is UNASSIGNED else slot[0]
 
     def frontier(self, i: int) -> tuple[int, ...] | None:
         """The slot's frontier, None while unset."""
-        slot = self.slots[i].load()
-        return None if slot is None else slot[1]
-
-    def publish(self, i: int, lower: frozenset[int], frontier: tuple[int, ...]) -> None:
-        """Uncontended store, for the exactly-once claiming variant."""
-        self.slots[i].store((lower, frontier))
-        self.successful_publishes.fetch_add(1)
-
-    def try_publish(self, i: int, lower: frozenset[int], frontier: tuple[int, ...]) -> bool:
-        """CAS from the unset sentinel; loser's candidate sets are discarded."""
-        if self.slots[i].compare_and_set(None, (lower, frontier)):
-            self.successful_publishes.fetch_add(1)
-            return True
-        return False
-
-    def is_complete(self) -> bool:
-        return all(slot.load() is not None for slot in self.slots)
+        slot = self.get(i)
+        return None if slot is UNASSIGNED else slot[1]
 
     def to_lists(self) -> list[list[int] | None]:
         """Dump-friendly view of the lower sets: sorted lists, None for unset slots."""
-        return [sorted(s[0]) if (s := slot.load()) is not None else None for slot in self.slots]
+        return [None if s is UNASSIGNED else sorted(s[0]) for s in self.snapshot()]
 
 
 @dataclass
@@ -204,11 +181,10 @@ def build_conflict_sets_standard(
     i = state.claim_counter_phase1.fetch_add(1)
     while i < n:
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
-        if table.get(i) is None:
-            lower = index.lower_conflicts(txns[i])
-            frontier = index.frontier(txns[i]) if lower else ()
-            fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
-            table.publish(i, lower, frontier)
+        lower = index.lower_conflicts(txns[i])
+        frontier = index.frontier(txns[i]) if lower else ()
+        fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
+        table.publish(i, (lower, frontier))
         i = state.claim_counter_phase1.fetch_add(1)
 
 
@@ -227,12 +203,12 @@ def build_conflict_sets_helper(
     n = len(txns)
     if index is None:
         index = ConflictIndex(txns)
-    while table.successful_publishes.load() < n:
+    while table.published() < n:
         i = state.claim_counter_phase1.fetch_add(1) % n
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
-        if table.get(i) is None:
+        if table.get(i) is UNASSIGNED:
             lower = index.lower_conflicts(txns[i])
             frontier = index.frontier(txns[i]) if lower else ()
             fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
-            if not table.try_publish(i, lower, frontier) and cas_retries is not None:
+            if not table.try_publish(i, (lower, frontier)) and cas_retries is not None:
                 cas_retries.fetch_add(1)

@@ -47,10 +47,10 @@ def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
     Rows come out ascending because ids are visited in order.
     """
     initial = assignment.initial_bin_list()
-    if any(b == UNASSIGNED for b in initial):
-        missing = [i for i, b in enumerate(initial) if b == UNASSIGNED]
+    if any(b is UNASSIGNED for b in initial):
+        missing = [i for i, b in enumerate(initial) if b is UNASSIGNED]
         raise ValueError(f"assignment incomplete: {len(missing)} unassigned (first: {missing[:5]})")
-    rows: list[list[int]] = [[] for _ in range(max(initial, default=UNASSIGNED) + 1)]
+    rows: list[list[int]] = [[] for _ in range(max(initial, default=-1) + 1)]
     for txn_id, bin_no in enumerate(initial):
         rows[bin_no].append(txn_id)
     return ExecutionPlan(bin_matrix=tuple(tuple(row) for row in rows))

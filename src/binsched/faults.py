@@ -80,10 +80,6 @@ class FaultPlan:
             raise ValueError(f"{self.crash_point} is not a crash point")
 
     @property
-    def delays_anyone(self) -> bool:
-        return bool(self.delayed_workers) and self.delay_per_claim > 0
-
-    @property
     def crashes_anyone(self) -> bool:
         return bool(self.crashed_workers)
 

@@ -23,6 +23,7 @@ from binsched import (
     WalletState,
     WorkloadSpec,
     bin_oracle,
+    build_execution_plan,
     compute_conflict_params,
     conflict_sets_oracle,
     execute_plan,
@@ -123,7 +124,7 @@ def test_criterion_03_bin_safety():
             for i, lower in enumerate(conflicts):
                 for j in lower:
                     assert bins[i] != bins[j], f"conflicting pair ({j},{i}) shares bin {bins[i]}"
-            members = assignment.bins()
+            members = build_execution_plan(assignment).bin_matrix
             assert sum(len(m) for m in members) == len(block)
             for b, bucket in enumerate(members):
                 for i in bucket:

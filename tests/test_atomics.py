@@ -1,0 +1,109 @@
+import sys
+import threading
+
+from binsched import UNASSIGNED, AtomicInt, BinAssignment, ConflictTable, PublishOnceArray
+
+
+def run_threads(target, num_threads):
+    workers = [threading.Thread(target=target, args=(w,), daemon=True) for w in range(num_threads)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+# --- AtomicInt ------------------------------------------------------------------
+
+
+def test_fetch_add_returns_the_prior_value():
+    cell = AtomicInt(5)
+    assert cell.fetch_add(3) == 5
+    assert cell.fetch_add() == 8
+    assert cell.load() == 9
+
+
+def test_compare_and_set_wins_only_on_the_expected_value():
+    cell = AtomicInt(1)
+    assert not cell.compare_and_set(0, 7)
+    assert cell.load() == 1
+    assert cell.compare_and_set(1, 7)
+    assert cell.load() == 7
+
+
+# --- PublishOnceArray -------------------------------------------------------------
+
+
+def test_published_falsy_values_are_distinct_from_unset():
+    bins = BinAssignment(2)
+    table = ConflictTable(2)
+    assert bins.try_publish(0, 0)
+    assert table.try_publish(0, (frozenset(), ()))
+    assert bins.bin_of(0) == 0 and bins.bin_of(0) is not UNASSIGNED
+    assert table.lower(0) == frozenset() and table.frontier(0) == ()
+    assert bins.bin_of(1) is UNASSIGNED and table.get(1) is UNASSIGNED
+    assert not bins.try_publish(0, 3)
+    assert bins.initial_bin_list() == [0, UNASSIGNED]
+    assert table.to_lists() == [[], None]
+
+
+def test_is_complete_exactly_when_every_slot_is_published():
+    array = PublishOnceArray(3)
+    for i, value in enumerate(["a", "b", "c"]):
+        assert not array.is_complete()
+        assert array.published() == i
+        array.publish(i, value)
+    assert array.is_complete()
+    assert array.published() == 3
+    assert array.snapshot() == ["a", "b", "c"]
+
+
+def test_empty_array_is_complete():
+    assert PublishOnceArray(0).is_complete()
+
+
+def test_republishing_a_slot_keeps_the_count():
+    array = PublishOnceArray(2)
+    array.publish(0, "a")
+    array.publish(0, "b")
+    assert array.published() == 1
+    assert array.get(0) == "b"
+    assert not array.is_complete()
+
+
+def test_racing_try_publish_has_exactly_one_winner():
+    for _ in range(50):
+        array = PublishOnceArray(1)
+        wins = []
+        start = threading.Barrier(8)
+
+        def race(w):
+            start.wait(30)
+            if array.try_publish(0, w):
+                wins.append(w)
+
+        run_threads(race, 8)
+        assert len(wins) == 1
+        assert array.published() == 1
+        assert array.get(0) == wins[0]
+
+
+def test_concurrent_publishes_are_all_counted():
+    # a lost count update would leave published() short of n
+    n, num_threads = 4000, 8
+    array = PublishOnceArray(n)
+
+    def fill(w):
+        for i in range(w, n, num_threads):
+            array.try_publish(i, i)
+            array.try_publish((i + 1) % n, i)
+
+    run_threads(fill, num_threads)
+    assert array.published() == n
+    assert array.is_complete()
+    assert all(v is not UNASSIGNED for v in array.snapshot())

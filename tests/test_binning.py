@@ -24,6 +24,7 @@ from binsched import (
     assign_bins_helper,
     assign_bins_standard,
     bin_oracle,
+    build_execution_plan,
     calculate_bin,
     calculate_bin_helper,
     check_conflicts,
@@ -35,7 +36,7 @@ def published_table(txns):
     table = ConflictTable(len(txns))
     index = ConflictIndex(txns)
     for t, conflicts in zip(txns, conflict_sets_oracle(txns)):
-        table.publish(t.id, conflicts, index.frontier(t))
+        table.publish(t.id, (conflicts, index.frontier(t)))
     return table
 
 
@@ -61,24 +62,24 @@ def run_assignment(txns, num_threads, use_helpers):
 
 def test_calculate_bin_empty_conflicts():
     table = ConflictTable(1)
-    table.publish(0, frozenset(), ())
+    table.publish(0, (frozenset(), ()))
     assert calculate_bin(0, table, BinAssignment(1)) == 0
 
 
 def test_calculate_bin_single_dependency():
     table = ConflictTable(2)
-    table.publish(1, frozenset({0}), (0,))
+    table.publish(1, (frozenset({0}), (0,)))
     bins = BinAssignment(2)
-    bins.assign(0, 2)
+    bins.publish(0, 2)
     assert calculate_bin(1, table, bins) == 3
 
 
 def test_calculate_bin_max_of_dependencies():
     table = ConflictTable(3)
-    table.publish(2, frozenset({0, 1}), (0, 1))
+    table.publish(2, (frozenset({0, 1}), (0, 1)))
     bins = BinAssignment(3)
-    bins.assign(0, 0)
-    bins.assign(1, 4)
+    bins.publish(0, 0)
+    bins.publish(1, 4)
     assert calculate_bin(2, table, bins) == 5
 
 
@@ -89,7 +90,7 @@ def test_calculate_bin_requires_published_slot():
 
 def test_calculate_bin_abort_breaks_the_spin():
     table = ConflictTable(2)
-    table.publish(1, frozenset({0}), (0,))
+    table.publish(1, (frozenset({0}), (0,)))
     bins = BinAssignment(2)  # dependency 0 never assigned
     abort = threading.Event()
     abort.set()
@@ -99,7 +100,7 @@ def test_calculate_bin_abort_breaks_the_spin():
 
 def test_calculate_bin_helper_not_ready_on_unassigned_dependency():
     table = ConflictTable(2)
-    table.publish(1, frozenset({0}), (0,))
+    table.publish(1, (frozenset({0}), (0,)))
     assert calculate_bin_helper(1, table, BinAssignment(2)) == NOT_READY
 
 
@@ -109,16 +110,16 @@ def test_calculate_bin_helper_not_ready_on_unpublished_slot():
 
 def test_calculate_bin_helper_empty_conflicts():
     table = ConflictTable(1)
-    table.publish(0, frozenset(), ())
+    table.publish(0, (frozenset(), ()))
     assert calculate_bin_helper(0, table, BinAssignment(1)) == 0
 
 
 def test_calculate_bin_helper_equal_dependencies():
     table = ConflictTable(3)
-    table.publish(2, frozenset({0, 1}), (0, 1))
+    table.publish(2, (frozenset({0, 1}), (0, 1)))
     bins = BinAssignment(3)
-    bins.assign(0, 1)
-    bins.assign(1, 1)
+    bins.publish(0, 1)
+    bins.publish(1, 1)
     assert calculate_bin_helper(2, table, bins) == 2
 
 
@@ -126,9 +127,9 @@ def test_calculate_bin_helper_waits_only_on_the_frontier():
     # 0 lies in slot 2's lower set but not in its frontier: phase 2 must
     # not wait for it, since 1 already bounds 2's bin from below
     table = ConflictTable(3)
-    table.publish(2, frozenset({0, 1}), (1,))
+    table.publish(2, (frozenset({0, 1}), (1,)))
     bins = BinAssignment(3)
-    bins.assign(1, 3)
+    bins.publish(1, 3)
     assert calculate_bin_helper(2, table, bins) == 4
 
 
@@ -160,7 +161,7 @@ def test_worked_example_assignment(use_helpers):
     block = wallet_block([("A", "B"), ("C", "D"), ("B", "E")])
     bins = run_assignment(block, num_threads=4, use_helpers=use_helpers)
     assert bins.initial_bin_list() == [0, 0, 1]
-    assert bins.bins() == [frozenset({0, 1}), frozenset({2})]
+    assert build_execution_plan(bins).bin_matrix == ((0, 1), (2,))
 
 
 @pytest.mark.parametrize("use_helpers", [False, True])
@@ -168,8 +169,9 @@ def test_disjoint_block_single_bin(use_helpers):
     block = disjoint_block(20)
     bins = run_assignment(block, num_threads=4, use_helpers=use_helpers)
     assert bins.initial_bin_list() == [0] * 20
-    assert bins.num_bins() == 1
-    assert bins.bins()[0] == frozenset(range(20))
+    plan = build_execution_plan(bins)
+    assert plan.num_bins == 1
+    assert plan.bin_matrix[0] == tuple(range(20))
 
 
 @pytest.mark.parametrize("use_helpers", [False, True])
@@ -197,7 +199,7 @@ def test_membership_snapshots_match_assignment(use_helpers):
     block = random_wallet_block(seed=23, max_n=120)
     bins = run_assignment(block, num_threads=6, use_helpers=use_helpers)
     initial = bins.initial_bin_list()
-    members = bins.bins()
+    members = build_execution_plan(bins).bin_matrix
     assert sum(len(m) for m in members) == len(block)
     for b, bucket in enumerate(members):
         for i in bucket:
@@ -208,7 +210,7 @@ def test_membership_snapshots_match_assignment(use_helpers):
 def test_no_bin_contains_a_conflicting_pair():
     block = random_wallet_block(seed=29, max_n=120)
     bins = run_assignment(block, num_threads=8, use_helpers=True)
-    for bucket in bins.bins():
+    for bucket in build_execution_plan(bins).bin_matrix:
         ordered = sorted(bucket)
         for x in range(len(ordered)):
             for y in range(x + 1, len(ordered)):
@@ -251,22 +253,22 @@ def test_oracle_equivalence_on_arbitrary_access_sets(txns):
 
 def test_try_assign_publishes_once():
     bins = BinAssignment(1)
-    assert bins.try_assign(0, 2)
-    assert not bins.try_assign(0, 5)
+    assert bins.try_publish(0, 2)
+    assert not bins.try_publish(0, 5)
     assert bins.bin_of(0) == 2
-    assert bins.successful_assignments.load() == 1
+    assert bins.published() == 1
 
 
 def test_assignment_publish_once_accounting():
     block = random_wallet_block(seed=43, max_n=150)
     bins = run_assignment(block, num_threads=8, use_helpers=True)
-    assert bins.successful_assignments.load() == len(block)
+    assert bins.published() == len(block)
 
 
 def test_unassigned_sentinel_distinct_from_bin_zero():
     bins = BinAssignment(2)
     assert bins.bin_of(0) == UNASSIGNED
-    bins.assign(0, 0)
+    bins.publish(0, 0)
     assert bins.bin_of(0) == 0
     assert bins.bin_of(1) == UNASSIGNED
 
@@ -279,7 +281,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
     table = published_table(block)
     bins = BinAssignment(2)
     state = SchedulerState()
-    assert bins.try_assign(0, 0)
+    assert bins.try_publish(0, 0)
     peer_claims = []
 
     def peer_claims_next(faults, worker_id, site, abort=None):

@@ -184,7 +184,7 @@ def test_schedule_independence_across_thread_counts(num_threads, use_helpers):
 def test_publish_once_accounting():
     block = random_wallet_block(seed=5, max_n=200)
     table = published_conflicts(block, num_threads=8, use_helpers=True)
-    assert table.successful_publishes.load() == len(block)
+    assert table.published() == len(block)
 
 
 @pytest.mark.parametrize("crash_point", [Site.PHASE1_POST_CLAIM, Site.PHASE1_PRE_PUBLISH])
@@ -198,7 +198,7 @@ def test_helper_variant_survives_crashes(crash_point, n_crashed):
     table = published_conflicts(block, num_threads=8, use_helpers=True, faults=faults)
     expected = [sorted(s) for s in conflict_sets_oracle(block)]
     assert table.to_lists() == expected
-    assert table.successful_publishes.load() == len(block)
+    assert table.published() == len(block)
 
 
 def test_standard_variant_leaves_crashed_slot_unset():
@@ -208,6 +208,8 @@ def test_standard_variant_leaves_crashed_slot_unset():
     table = run_standard_phase1(block, num_threads=2, faults=faults)
     unset = [i for i, s in enumerate(table.to_lists()) if s is None]
     assert len(unset) == 1
+    assert table.published() == len(block) - 1
+    assert not table.is_complete()
 
 
 def test_delayed_workers_change_nothing_but_time():
@@ -228,18 +230,18 @@ def test_direct_worker_invocation_single_thread():
     table2 = ConflictTable(len(block))
     build_conflict_sets_helper(block, table2, SchedulerState(), worker_id=0)
     assert table2.to_lists() == [[], [0], [1]]
-    assert table2.successful_publishes.load() == len(block)
+    assert table2.published() == len(block)
 
 
 def test_published_slots_are_immutable_snapshots():
     block = wallet_block([("A", "B"), ("B", "A")])
     table = published_conflicts(block, num_threads=2, use_helpers=True)
-    snapshot = table.get(1)
+    snapshot = table.lower(1)
     assert snapshot == frozenset({0})
     assert isinstance(snapshot, frozenset)
     # a second publish attempt must lose
-    assert not table.try_publish(1, frozenset(), ())
-    assert table.get(1) == frozenset({0})
+    assert not table.try_publish(1, (frozenset(), ()))
+    assert table.lower(1) == frozenset({0})
     assert table.frontier(1) == (0,)
 
 
@@ -260,7 +262,7 @@ def test_stuck_counters_stay_within_bounds():
         t.join(30)
         assert not t.is_alive()
     assert table.is_complete()
-    assert table.successful_publishes.load() == len(block)
+    assert table.published() == len(block)
 
 
 def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
@@ -270,7 +272,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
     block = wallet_block([("A", "B"), ("C", "D")])
     table = ConflictTable(2)
     state = SchedulerState()
-    assert table.try_publish(0, frozenset(), ())
+    assert table.try_publish(0, (frozenset(), ()))
     peer_claims = []
 
     def peer_claims_next(faults, worker_id, site, abort=None):

@@ -19,7 +19,7 @@ def assignment_of(bins_by_txn):
     bins = BinAssignment(len(bins_by_txn))
     for i, b in enumerate(bins_by_txn):
         if b is not None:
-            bins.assign(i, b)
+            bins.publish(i, b)
     return bins
 
 
