@@ -4,13 +4,14 @@ Two wallet transfers conflict when they touch a common account with at
 least one write involved; read-read overlap alone is harmless. Every
 transaction is then assigned the lowest bin strictly above all of its
 earlier conflicts, so a bin never holds two conflicting transactions.
-Phase 2 reads only each transaction's frontier: per account, the latest
-earlier writer (and, for a write, the readers since it). Bins rise along
-each account's access chain, so the frontier yields the same bin.
+Phase 1 publishes only each transaction's frontier: per account, the
+latest earlier writer (and, for a write, the readers since it). Phase 2
+reads it. Bins rise along each account's access chain, so the frontier
+yields the same bin as the full lower conflict set, which the run's table
+derives from the block only when asked.
 """
 
 from binsched import (
-    ConflictIndex,
     TransferPayload,
     Variant,
     bin_oracle,
@@ -35,16 +36,16 @@ for a in block:
             shared = (a.read_set | a.write_set) & (b.read_set | b.write_set)
             print(f"  T{a.id} ~ T{b.id}  (shared accounts: {sorted(shared)})")
 
-print("\nlower conflict sets and frontiers (what phase 1 publishes):")
-index = ConflictIndex(block)
+result = schedule(block, Variant.LOCKFREE, num_threads=4)
+table = result.conflicts
+print("\nfrontiers (what phase 1 publishes) and lower sets (derived on request):")
 for txn, conflicts in zip(block, conflict_sets_oracle(block)):
-    frontier = sorted(index.frontier(txn))
-    print(f"  T{txn.id}: lower {sorted(conflicts) or 'none'}, frontier {frontier or 'none'}")
+    frontier = sorted(table.frontier(txn.id))
+    assert table.lower(txn.id) == conflicts
+    print(f"  T{txn.id}: frontier {frontier or 'none'}, lower {sorted(conflicts) or 'none'}")
 
 print("\nbin rule: 1 + max(bin of frontier), empty frontier -> bin 0")
 print(f"  serial oracle says: {bin_oracle(block)}")
-
-result = schedule(block, Variant.LOCKFREE, num_threads=4)
 print(f"  4-thread lockfree run: {result.assignment.initial_bin_list()}")
 print("\nexecution plan (bins execute in order, each bin in parallel):")
 for b, row in enumerate(result.plan.bin_matrix):

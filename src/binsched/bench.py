@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .executor import WalletState, execute_plan, execute_serial
 from .faults import CRASH_POINTS, FaultPlan, Site, make_fault_plan
-from .scheduler import NonTermination, Variant, schedule_with_watchdog
+from .scheduler import NonTermination, Variant, resolve_watchdog_secs, schedule_with_watchdog
 from .workload import WorkloadSpec, compute_conflict_params, generate_workload
 
 CSV_HEADER = (
@@ -106,6 +106,7 @@ class BenchConfig:
             raise ValueError("num_threads must be >= 1")
         if self.crash_point not in CRASH_POINTS:
             raise ValueError(f"{self.crash_point} is not a crash point")
+        resolve_watchdog_secs(self.watchdog_secs)  # a bad budget fails before any row runs
         if self.experiment is Experiment.CRASH:
             allowed = {SchedulerKind.LOCKFREE, SchedulerKind.SERIAL}
             extra = set(self.schedulers) - allowed

@@ -1,19 +1,20 @@
-"""Phase 1: pairwise conflict predicate and concurrent conflict-set discovery.
+"""Phase 1: pairwise conflict predicate and concurrent frontier discovery.
 
 Two transactions conflict when their declared access sets overlap in any
 write-involving way: write/write, read/write, or write/read. Read/read
 overlap is not a conflict. For every transaction ``i`` the phase publishes
-two sets into one slot of a shared :class:`ConflictTable`:
+one value into a slot of a shared :class:`ConflictTable`: its *frontier*,
+the earlier conflicts that phase 2 reads. For each address ``i`` touches,
+that is the latest earlier writer, plus, when ``i`` writes the address, the
+readers since that writer.
 
-* the *lower conflict set*, the ids ``j < i`` it conflicts with, which is
-  the paper's conflict table;
-* its *frontier*, the subset that phase 2 reads. For each address ``i``
-  touches, that is the latest earlier writer, plus, when ``i`` writes the
-  address, the readers since that writer.
-
-The frontier gives the same bin as the full set because bins rise along
-each address's access chain: every other earlier conflict on an address
-conflicts with, and so sits in a lower bin than, a frontier member.
+The frontier gives the same bin as the full *lower conflict set*, the ids
+``j < i`` that ``i`` conflicts with, because bins rise along each address's
+access chain: every other earlier conflict on an address conflicts with,
+and so sits in a lower bin than, a frontier member. The lower sets, which
+are the paper's conflict table, are not built by the phase; the table
+derives them from the block's :class:`ConflictIndex` when a caller reads a
+published slot.
 
 Two discovery procedures share that contract:
 
@@ -27,9 +28,9 @@ Two discovery procedures share that contract:
   count reaches ``n``, which by :class:`~binsched.atomics.PublishOnceArray`'s
   invariant means every slot is published.
 
-Per-slot scans use :class:`ConflictIndex`, an address-postings table built
-once from the immutable block; it enumerates exactly the set
-``{j < i : check_conflicts(txn_i, txn_j)}`` without touching unrelated
+:class:`ConflictIndex` is an address-postings table built once from the
+immutable block; it enumerates a frontier, or exactly the set
+``{j < i : check_conflicts(txn_i, txn_j)}``, without touching unrelated
 transactions. :func:`conflict_sets_oracle` is the independent quadratic
 restatement used to cross-check it.
 """
@@ -68,12 +69,14 @@ class ConflictIndex:
 
     ``lower_conflicts(txn)`` unions the write-involving postings below the
     transaction's own id, which is exactly the pairwise definition; postings
-    are ascending because the block is scanned in id order.
+    are ascending because the block is scanned in id order. The index keeps
+    the block it was built from as ``txns``.
     """
 
-    __slots__ = ("_readers", "_writers")
+    __slots__ = ("txns", "_readers", "_writers")
 
     def __init__(self, txns: Sequence[Transaction]) -> None:
+        self.txns = txns
         writers: dict[Address, list[int]] = {}
         readers: dict[Address, list[int]] = {}
         for txn in txns:
@@ -129,31 +132,34 @@ class ConflictIndex:
         return tuple(out)
 
 
-_Slot = tuple[frozenset[int], tuple[int, ...]]
+class ConflictTable(PublishOnceArray[tuple[int, ...]]):
+    """Phase 1's publish-once frontiers over one block.
 
-
-class ConflictTable(PublishOnceArray[_Slot]):
-    """Phase 1's publish-once slots, each a (lower set, frontier) pair.
-
-    One value holds both sets, so one publish stores them together and a
-    reader never sees one without the other.
+    A slot's lower conflict set is derived from the block's index when it
+    is read, and only once the slot is published.
     """
 
-    __slots__ = ()
+    __slots__ = ("index",)
+
+    def __init__(self, index: ConflictIndex) -> None:
+        super().__init__(len(index.txns))
+        self.index = index
+
+    frontier = PublishOnceArray.get
 
     def lower(self, i: int) -> frozenset[int] | None:
         """The slot's full lower conflict set, None while unset."""
-        slot = self.get(i)
-        return None if slot is UNASSIGNED else slot[0]
-
-    def frontier(self, i: int) -> tuple[int, ...] | None:
-        """The slot's frontier, None while unset."""
-        slot = self.get(i)
-        return None if slot is UNASSIGNED else slot[1]
+        if self.get(i) is UNASSIGNED:
+            return None
+        return self.index.lower_conflicts(self.index.txns[i])
 
     def to_lists(self) -> list[list[int] | None]:
         """Dump-friendly view of the lower sets: sorted lists, None for unset slots."""
-        return [None if s is UNASSIGNED else sorted(s[0]) for s in self.snapshot()]
+        lower = self.index.lower_conflicts
+        return [
+            None if f is UNASSIGNED else sorted(lower(txn))
+            for txn, f in zip(self.index.txns, self.snapshot())
+        ]
 
 
 @dataclass
@@ -170,21 +176,18 @@ def build_conflict_sets_standard(
     state: SchedulerState,
     worker_id: int,
     *,
-    index: ConflictIndex | None = None,
     faults: FaultPlan | None = None,
     abort: threading.Event | None = None,
 ) -> None:
     """Exactly-once claiming: each index is computed by a single worker."""
     n = len(txns)
-    if index is None:
-        index = ConflictIndex(txns)
+    index = table.index
     i = state.claim_counter_phase1.fetch_add(1)
     while i < n:
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
-        lower = index.lower_conflicts(txns[i])
-        frontier = index.frontier(txns[i]) if lower else ()
+        frontier = index.frontier(txns[i])
         fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
-        table.publish(i, (lower, frontier))
+        table.publish(i, frontier)
         i = state.claim_counter_phase1.fetch_add(1)
 
 
@@ -194,21 +197,18 @@ def build_conflict_sets_helper(
     state: SchedulerState,
     worker_id: int,
     *,
-    index: ConflictIndex | None = None,
     faults: FaultPlan | None = None,
     abort: threading.Event | None = None,
     cas_retries: AtomicInt | None = None,
 ) -> None:
     """Wraparound claiming with CAS publication; tolerates stopped peers."""
     n = len(txns)
-    if index is None:
-        index = ConflictIndex(txns)
+    index = table.index
     while table.published() < n:
         i = state.claim_counter_phase1.fetch_add(1) % n
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
         if table.get(i) is UNASSIGNED:
-            lower = index.lower_conflicts(txns[i])
-            frontier = index.frontier(txns[i]) if lower else ()
+            frontier = index.frontier(txns[i])
             fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
-            if not table.try_publish(i, (lower, frontier)) and cas_retries is not None:
+            if not table.try_publish(i, frontier) and cas_retries is not None:
                 cas_retries.fetch_add(1)

@@ -103,10 +103,8 @@ def execute_serial(
 
 
 def _validate_plan(plan: ExecutionPlan, txns: Sequence[Transaction]) -> None:
-    seen: set[int] = set()
-    for row in plan.bin_matrix:
-        seen.update(row)
-    if len(seen) != len(txns) or (seen and (min(seen) < 0 or max(seen) >= len(txns))):
+    ids = [txn_id for row in plan.bin_matrix for txn_id in row]
+    if len(ids) != len(txns) or set(ids) != set(range(len(txns))):
         raise ValueError("plan does not partition the block's transaction ids")
 
 

@@ -22,6 +22,7 @@ demonstrate and contain that non-termination.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import threading
 import time
@@ -106,12 +107,13 @@ class ScheduleResult:
 
 
 def resolve_watchdog_secs(watchdog_secs: float | None) -> float:
-    if watchdog_secs is not None:
-        return watchdog_secs
-    env = os.environ.get(WATCHDOG_ENV_VAR)
-    if env:
-        return float(env)
-    return DEFAULT_WATCHDOG_SECS
+    """The argument, else the environment variable, else the default; finite and > 0."""
+    if watchdog_secs is None:
+        env = os.environ.get(WATCHDOG_ENV_VAR)
+        watchdog_secs = float(env) if env else DEFAULT_WATCHDOG_SECS
+    if not 0 < watchdog_secs < math.inf:
+        raise SchedulerConfigError(f"watchdog_secs must be finite and > 0, got {watchdog_secs}")
+    return watchdog_secs
 
 
 def _validate(
@@ -172,16 +174,13 @@ def _run_pool(
     watchdog_secs: float,
 ) -> ScheduleResult:
     n = len(txns)
+    table = ConflictTable(ConflictIndex(txns))
+    bins = BinAssignment(n)
     if n == 0:
         timing = PhaseTimings(0.0, 0.0, 0.0)
-        return ScheduleResult(
-            ConflictTable(0), BinAssignment(0), EMPTY_PLAN, timing, RetryStats(0, 0)
-        )
+        return ScheduleResult(table, bins, EMPTY_PLAN, timing, RetryStats(0, 0))
 
-    table = ConflictTable(n)
-    bins = BinAssignment(n)
     state = SchedulerState()
-    index = ConflictIndex(txns)
     abort = threading.Event()
     barrier = threading.Barrier(num_threads) if variant.uses_barrier else None
     cas_retries = AtomicInt(0)
@@ -197,13 +196,10 @@ def _run_pool(
         try:
             if variant.uses_helpers:
                 build_conflict_sets_helper(
-                    txns, table, state, wid,
-                    index=index, faults=faults, abort=abort, cas_retries=cas_retries,
+                    txns, table, state, wid, faults=faults, abort=abort, cas_retries=cas_retries,
                 )
             else:
-                build_conflict_sets_standard(
-                    txns, table, state, wid, index=index, faults=faults, abort=abort,
-                )
+                build_conflict_sets_standard(txns, table, state, wid, faults=faults, abort=abort)
             t_phase1_end[wid] = time.perf_counter()
             fault_site(faults, wid, Site.INTER_PHASE, abort)
             if barrier is not None:

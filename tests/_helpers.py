@@ -52,6 +52,27 @@ def random_wallet_block(seed, max_n=120):
     return generate_workload(spec)
 
 
+def frontier_oracle(txns):
+    """Serial O(n^2) restatement of each transaction's frontier, as sets.
+
+    For each address ``i`` touches, scan ``j = i-1 ... 0`` for the latest
+    writer; when ``i`` writes the address, also keep the readers passed on
+    the way to that writer.
+    """
+    out = []
+    for i, txn in enumerate(txns):
+        frontier = set()
+        for addr in txn.read_set | txn.write_set:
+            for j in range(i - 1, -1, -1):
+                if addr in txns[j].write_set:
+                    frontier.add(j)
+                    break
+                if addr in txn.write_set and addr in txns[j].read_set:
+                    frontier.add(j)
+        out.append(frontier)
+    return out
+
+
 _addresses = st.integers(min_value=0, max_value=10)
 
 

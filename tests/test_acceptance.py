@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from _helpers import frontier_oracle
 from binsched import (
     CRASH_POINTS,
     BenchConfig,
@@ -85,16 +86,24 @@ def corpus_conflicts():
     return _cache["conflicts"]
 
 
+def corpus_frontiers():
+    if "frontiers" not in _cache:
+        _cache["frontiers"] = [frontier_oracle(b) for b in corpus_blocks()]
+    return _cache["frontiers"]
+
+
 def test_criterion_01_conflict_table_oracle_equivalence():
     with criterion(1, "conflict-table oracle equivalence", budget_s=60):
         blocks = corpus_blocks()
         oracles = corpus_conflicts()
-        for block, oracle in zip(blocks, oracles):
+        for block, oracle, frontiers in zip(blocks, oracles, corpus_frontiers()):
             expected = [sorted(s) for s in oracle]
             for num_threads in THREAD_COUNTS:
                 for variant in (Variant.STANDARD, Variant.LOCKFREE):
                     table = schedule(block, variant, num_threads).conflicts
                     assert table.to_lists() == expected
+                    for i, frontier in enumerate(frontiers):
+                        assert set(table.frontier(i)) == frontier
 
 
 def test_criterion_02_bin_oracle_equivalence():

@@ -1,7 +1,15 @@
 import sys
 import threading
 
-from binsched import UNASSIGNED, AtomicInt, BinAssignment, ConflictTable, PublishOnceArray
+from _helpers import disjoint_block
+from binsched import (
+    UNASSIGNED,
+    AtomicInt,
+    BinAssignment,
+    ConflictIndex,
+    ConflictTable,
+    PublishOnceArray,
+)
 
 
 def run_threads(target, num_threads):
@@ -41,9 +49,9 @@ def test_compare_and_set_wins_only_on_the_expected_value():
 
 def test_published_falsy_values_are_distinct_from_unset():
     bins = BinAssignment(2)
-    table = ConflictTable(2)
+    table = ConflictTable(ConflictIndex(disjoint_block(2)))
     assert bins.try_publish(0, 0)
-    assert table.try_publish(0, (frozenset(), ()))
+    assert table.try_publish(0, ())
     assert bins.bin_of(0) == 0 and bins.bin_of(0) is not UNASSIGNED
     assert table.lower(0) == frozenset() and table.frontier(0) == ()
     assert bins.bin_of(1) is UNASSIGNED and table.get(1) is UNASSIGNED

@@ -8,6 +8,7 @@ from binsched import (
     BenchConfig,
     BenchRow,
     Experiment,
+    SchedulerConfigError,
     SchedulerKind,
     Site,
     aggregate_rows,
@@ -110,6 +111,12 @@ def test_throughput_times_exec_time_is_n():
 def test_crash_experiment_restricted_to_lockfree():
     with pytest.raises(ValueError):
         small_config(experiment=Experiment.CRASH, schedulers=(SchedulerKind.STANDARD,))
+
+
+@pytest.mark.parametrize("watchdog_secs", [0.0, -1.0])
+def test_non_positive_watchdog_rejected_before_any_row(watchdog_secs):
+    with pytest.raises(SchedulerConfigError):
+        small_config(watchdog_secs=watchdog_secs)
 
 
 def test_crash_experiment_runs_with_dead_threads_excluded():

@@ -28,16 +28,20 @@ from binsched import (
     calculate_bin,
     calculate_bin_helper,
     check_conflicts,
-    conflict_sets_oracle,
 )
 
 
 def published_table(txns):
-    table = ConflictTable(len(txns))
     index = ConflictIndex(txns)
-    for t, conflicts in zip(txns, conflict_sets_oracle(txns)):
-        table.publish(t.id, (conflicts, index.frontier(t)))
+    table = ConflictTable(index)
+    for t in txns:
+        table.publish(t.id, index.frontier(t))
     return table
+
+
+def table_over(pairs):
+    """An unpublished table over a wallet block of the given transfers."""
+    return ConflictTable(ConflictIndex(wallet_block(pairs)))
 
 
 def run_assignment(txns, num_threads, use_helpers):
@@ -61,22 +65,22 @@ def run_assignment(txns, num_threads, use_helpers):
 
 
 def test_calculate_bin_empty_conflicts():
-    table = ConflictTable(1)
-    table.publish(0, (frozenset(), ()))
+    table = table_over([("A", "B")])
+    table.publish(0, ())
     assert calculate_bin(0, table, BinAssignment(1)) == 0
 
 
 def test_calculate_bin_single_dependency():
-    table = ConflictTable(2)
-    table.publish(1, (frozenset({0}), (0,)))
+    table = table_over([("A", "B"), ("B", "C")])
+    table.publish(1, (0,))
     bins = BinAssignment(2)
     bins.publish(0, 2)
     assert calculate_bin(1, table, bins) == 3
 
 
 def test_calculate_bin_max_of_dependencies():
-    table = ConflictTable(3)
-    table.publish(2, (frozenset({0, 1}), (0, 1)))
+    table = table_over([("A", "B"), ("C", "D"), ("A", "C")])
+    table.publish(2, (0, 1))
     bins = BinAssignment(3)
     bins.publish(0, 0)
     bins.publish(1, 4)
@@ -85,12 +89,12 @@ def test_calculate_bin_max_of_dependencies():
 
 def test_calculate_bin_requires_published_slot():
     with pytest.raises(RuntimeError):
-        calculate_bin(0, ConflictTable(1), BinAssignment(1))
+        calculate_bin(0, table_over([("A", "B")]), BinAssignment(1))
 
 
 def test_calculate_bin_abort_breaks_the_spin():
-    table = ConflictTable(2)
-    table.publish(1, (frozenset({0}), (0,)))
+    table = table_over([("A", "B"), ("B", "C")])
+    table.publish(1, (0,))
     bins = BinAssignment(2)  # dependency 0 never assigned
     abort = threading.Event()
     abort.set()
@@ -99,24 +103,24 @@ def test_calculate_bin_abort_breaks_the_spin():
 
 
 def test_calculate_bin_helper_not_ready_on_unassigned_dependency():
-    table = ConflictTable(2)
-    table.publish(1, (frozenset({0}), (0,)))
+    table = table_over([("A", "B"), ("B", "C")])
+    table.publish(1, (0,))
     assert calculate_bin_helper(1, table, BinAssignment(2)) == NOT_READY
 
 
 def test_calculate_bin_helper_not_ready_on_unpublished_slot():
-    assert calculate_bin_helper(0, ConflictTable(1), BinAssignment(1)) == NOT_READY
+    assert calculate_bin_helper(0, table_over([("A", "B")]), BinAssignment(1)) == NOT_READY
 
 
 def test_calculate_bin_helper_empty_conflicts():
-    table = ConflictTable(1)
-    table.publish(0, (frozenset(), ()))
+    table = table_over([("A", "B")])
+    table.publish(0, ())
     assert calculate_bin_helper(0, table, BinAssignment(1)) == 0
 
 
 def test_calculate_bin_helper_equal_dependencies():
-    table = ConflictTable(3)
-    table.publish(2, (frozenset({0, 1}), (0, 1)))
+    table = table_over([("A", "B"), ("C", "D"), ("A", "C")])
+    table.publish(2, (0, 1))
     bins = BinAssignment(3)
     bins.publish(0, 1)
     bins.publish(1, 1)
@@ -126,8 +130,9 @@ def test_calculate_bin_helper_equal_dependencies():
 def test_calculate_bin_helper_waits_only_on_the_frontier():
     # 0 lies in slot 2's lower set but not in its frontier: phase 2 must
     # not wait for it, since 1 already bounds 2's bin from below
-    table = ConflictTable(3)
-    table.publish(2, (frozenset({0, 1}), (1,)))
+    table = table_over([("X", "Y")] * 3)
+    table.publish(2, (1,))
+    assert table.lower(2) == frozenset({0, 1})
     bins = BinAssignment(3)
     bins.publish(1, 3)
     assert calculate_bin_helper(2, table, bins) == 4

@@ -80,6 +80,17 @@ def test_schedule_env_watchdog(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["watchdog_secs"] == 0.4
 
 
+def test_schedule_rejects_a_zero_watchdog(tmp_path, capsys):
+    block = tmp_path / "block.json"
+    run_cli(["gen", "--n", "20", "--seed", "1", "-o", str(block)])
+    capsys.readouterr()
+    code = run_cli(["schedule", "-w", str(block), "--threads", "2", "--watchdog-secs", "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "watchdog_secs must be finite and > 0" in captured.err
+
+
 def test_schedule_check_detects_violation(tmp_path, capsys, monkeypatch):
     block = tmp_path / "block.json"
     run_cli(["gen", "--n", "10", "--seed", "4", "-o", str(block)])

@@ -3,7 +3,7 @@ import threading
 import pytest
 from hypothesis import given, settings
 
-from _helpers import access_set_blocks, random_wallet_block, wallet_block
+from _helpers import access_set_blocks, frontier_oracle, random_wallet_block, wallet_block
 from binsched import (
     ConflictIndex,
     ConflictTable,
@@ -35,9 +35,16 @@ def published_conflicts(txns, num_threads, use_helpers, faults=None):
     return schedule(txns, variant, num_threads, faults=faults).conflicts
 
 
+def assert_frontiers_match_oracle(table, txns):
+    """Every slot the run published holds exactly the oracle's frontier."""
+    expected = frontier_oracle(txns)
+    for i in range(len(txns)):
+        assert set(table.frontier(i)) == expected[i]
+
+
 def run_standard_phase1(txns, num_threads, faults):
     """Phase 1 alone, for crash plans that ``schedule`` rejects on STANDARD."""
-    table = ConflictTable(len(txns))
+    table = ConflictTable(ConflictIndex(txns))
     state = SchedulerState()
 
     def body(worker_id):
@@ -122,6 +129,15 @@ def test_frontier_bounds_the_bin_like_the_full_set(txns):
         assert 1 + max((bins[j] for j in frontier), default=-1) == bins[t.id]
 
 
+@settings(max_examples=200)
+@given(access_set_blocks(max_n=10))
+def test_index_frontier_matches_frontier_oracle(txns):
+    index = ConflictIndex(txns)
+    expected = frontier_oracle(txns)
+    for t in txns:
+        assert set(index.frontier(t)) == expected[t.id]
+
+
 def test_frontier_keeps_the_readers_since_the_last_writer():
     block = [
         txn(0, set(), {"X"}),
@@ -179,6 +195,19 @@ def test_schedule_independence_across_thread_counts(num_threads, use_helpers):
     expected = [sorted(s) for s in conflict_sets_oracle(block)]
     table = published_conflicts(block, num_threads, use_helpers)
     assert table.to_lists() == expected
+    assert_frontiers_match_oracle(table, block)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_schedule_never_builds_a_lower_set(variant, monkeypatch):
+    def fail(self, txn):
+        raise AssertionError(f"lower_conflicts called for T{txn.id}")
+
+    monkeypatch.setattr(ConflictIndex, "lower_conflicts", fail)
+    block = random_wallet_block(seed=21, max_n=150)
+    result = schedule(block, variant, num_threads=2)
+    assert result.assignment.initial_bin_list() == bin_oracle(block)
+    assert_frontiers_match_oracle(result.conflicts, block)
 
 
 def test_publish_once_accounting():
@@ -198,6 +227,7 @@ def test_helper_variant_survives_crashes(crash_point, n_crashed):
     table = published_conflicts(block, num_threads=8, use_helpers=True, faults=faults)
     expected = [sorted(s) for s in conflict_sets_oracle(block)]
     assert table.to_lists() == expected
+    assert_frontiers_match_oracle(table, block)
     assert table.published() == len(block)
 
 
@@ -218,18 +248,21 @@ def test_delayed_workers_change_nothing_but_time():
     table = published_conflicts(block, num_threads=4, use_helpers=True, faults=faults)
     expected = [sorted(s) for s in conflict_sets_oracle(block)]
     assert table.to_lists() == expected
+    assert_frontiers_match_oracle(table, block)
 
 
 def test_direct_worker_invocation_single_thread():
     block = wallet_block([("A", "B"), ("B", "C"), ("C", "D")])
-    table = ConflictTable(len(block))
+    table = ConflictTable(ConflictIndex(block))
     state = SchedulerState()
     build_conflict_sets_standard(block, table, state, worker_id=0)
     assert table.to_lists() == [[], [0], [1]]
+    assert_frontiers_match_oracle(table, block)
 
-    table2 = ConflictTable(len(block))
+    table2 = ConflictTable(ConflictIndex(block))
     build_conflict_sets_helper(block, table2, SchedulerState(), worker_id=0)
     assert table2.to_lists() == [[], [0], [1]]
+    assert_frontiers_match_oracle(table2, block)
     assert table2.published() == len(block)
 
 
@@ -240,7 +273,7 @@ def test_published_slots_are_immutable_snapshots():
     assert snapshot == frozenset({0})
     assert isinstance(snapshot, frozenset)
     # a second publish attempt must lose
-    assert not table.try_publish(1, (frozenset(), ()))
+    assert not table.try_publish(1, ())
     assert table.lower(1) == frozenset({0})
     assert table.frontier(1) == (0,)
 
@@ -248,7 +281,7 @@ def test_published_slots_are_immutable_snapshots():
 def test_stuck_counters_stay_within_bounds():
     """Six helpers on a small block: every slot published, the count stops at n."""
     block = random_wallet_block(seed=13, max_n=60)
-    table = ConflictTable(len(block))
+    table = ConflictTable(ConflictIndex(block))
     state = SchedulerState()
     workers = [
         threading.Thread(
@@ -270,9 +303,9 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
     # worker only ever claims the filled slot 0. The worker must not leave
     # the phase on its run of filled claims: it has to fill slot 1 itself.
     block = wallet_block([("A", "B"), ("C", "D")])
-    table = ConflictTable(2)
+    table = ConflictTable(ConflictIndex(block))
     state = SchedulerState()
-    assert table.try_publish(0, (frozenset(), ()))
+    assert table.try_publish(0, ())
     peer_claims = []
 
     def peer_claims_next(faults, worker_id, site, abort=None):

@@ -5,6 +5,7 @@ from _helpers import disjoint_block, random_wallet_block, wallet_block, wallet_b
 from binsched import (
     EMPTY_PLAN,
     BinAssignment,
+    ExecutionPlan,
     Transaction,
     Variant,
     WalletState,
@@ -103,6 +104,14 @@ def test_empty_plan_leaves_state_unchanged():
 def test_plan_must_cover_the_block():
     block = wallet_block([("A", "B"), ("C", "D")])
     plan = build_execution_plan(assignment_of([0]))
+    with pytest.raises(ValueError):
+        execute_plan(plan, block, WalletState(), num_threads=2)
+
+
+def test_plan_listing_an_id_twice_is_rejected():
+    # ids {0, 1} are all present, but transfer 0 would be applied twice
+    block = wallet_block([("a", "b", 5), ("c", "d", 5)])
+    plan = ExecutionPlan(bin_matrix=((0,), (0, 1)))
     with pytest.raises(ValueError):
         execute_plan(plan, block, WalletState(), num_threads=2)
 

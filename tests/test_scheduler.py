@@ -135,6 +135,20 @@ def test_watchdog_env_override(monkeypatch):
     assert time.perf_counter() - started < 15.0
 
 
+@pytest.mark.parametrize("watchdog_secs", [0, -1, float("nan"), float("inf")])
+def test_watchdog_must_be_finite_and_positive(watchdog_secs):
+    block = wallet_block([(f"u{i}", f"v{i}") for i in range(2000)])
+    with pytest.raises(SchedulerConfigError):
+        schedule(block, Variant.STANDARD, 2, watchdog_secs=watchdog_secs)
+
+
+@pytest.mark.parametrize("env", ["0", "-1"])
+def test_watchdog_env_must_be_positive(env, monkeypatch):
+    monkeypatch.setenv("MBPS_WATCHDOG_SECS", env)
+    with pytest.raises(SchedulerConfigError):
+        schedule(wallet_block([("A", "B")]), Variant.STANDARD, 2)
+
+
 def test_lockfree_with_watchdog_completes():
     block = random_wallet_block(seed=63, max_n=120)
     faults = FaultPlan(crashed_workers=frozenset({0, 1, 2}), crash_point=Site.PHASE2_PRE_CAS)
