@@ -1,11 +1,12 @@
 """Execute a scheduled plan in parallel and compare with serial replay.
 
-Bins run in ascending order with a rendezvous between them; transactions
-inside one bin touch disjoint accounts, so workers may apply them in any
-interleaving. The final wallet state therefore always equals plain
-index-order execution, and the total balance is conserved. With simulated
-per-transaction work the parallel executor also shows real speedup,
-because sleeping releases the interpreter lock.
+Bins run in ascending order, and a bin starts only once every transaction
+of the bin before it has been applied; transactions inside one bin touch
+disjoint accounts, so workers may apply them in any interleaving. The final
+wallet state therefore always equals plain index-order execution, and the
+total balance is conserved. With simulated per-transaction work the
+parallel executor also shows real speedup, because sleeping releases the
+interpreter lock.
 """
 
 import time

@@ -34,10 +34,6 @@ class AtomicInt:
         with self._lock:
             return self._value
 
-    def store(self, value: int) -> None:
-        with self._lock:
-            self._value = value
-
     def fetch_add(self, delta: int = 1) -> int:
         """Add ``delta`` and return the value held *before* the add."""
         with self._lock:

@@ -7,8 +7,8 @@ pairwise non-conflicting transactions, so bins can execute internally in
 parallel and sequentially with each other while reproducing the serial
 outcome.
 
-Phase 2 reads only each slot's *frontier*, which phase 1 publishes beside
-the lower set: per address, the latest earlier writer and, for a write,
+Phase 2 reads only each slot's *frontier*, the one set phase 1 publishes
+per slot: per address, the latest earlier writer and, for a write,
 the readers since it. The max over the frontier equals the max over the
 full set because bins rise along each address's access chain: any other
 earlier conflict on an address sits in a lower bin than a frontier member.

@@ -4,10 +4,12 @@ The plan lays bins out as a ragged matrix, one ascending row of transaction
 ids per bin; workers index a row directly and stop at its length. Execution
 applies bins in ascending order with intra-bin parallelism:
 bin-internal transactions are pairwise non-conflicting, so workers can apply
-them in any interleaving, and a rendezvous between consecutive bins preserves
-the conflict order. The final state always equals single-threaded index-order
-application (:func:`execute_serial`), which is the reference semantics for
-every equivalence test.
+them in any interleaving. A bin ends when every one of its transactions has
+been applied, and no transaction of the next bin starts before that, which
+preserves the conflict order; a worker waits only while a peer still holds an
+unfinished transaction of the bin, never for peers to arrive. The final state
+always equals single-threaded index-order application (:func:`execute_serial`),
+which is the reference semantics for every equivalence test.
 
 Transfers debit the sender and credit the receiver unconditionally on signed
 balances; accounts absent from the initial state materialize at balance 0 on
@@ -118,8 +120,12 @@ def execute_plan(
     """Apply bins in order, each bin in parallel across ``num_threads``.
 
     Workers pull positions within the current bin's row by fetch-and-add
-    until the row runs out; a barrier between bins keeps conflicting effects
-    in index order.
+    until the row runs out, then add the count they applied to the bin's
+    total. A worker moves to the next bin as soon as that total equals the
+    row length, and waits on a shared condition only while a peer still
+    applies one of the bin's transactions; whoever completes the bin wakes
+    the waiters. A worker that raises records the error and wakes every
+    waiter, so the peers stop and :func:`execute_plan` re-raises it.
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
@@ -144,22 +150,31 @@ def execute_plan(
         return WalletState(balances)
 
     claims = [AtomicInt(0) for _ in range(plan.num_bins)]
-    rendezvous = threading.Barrier(num_threads)
-    errors: list[BaseException] = []
+    applied = [0] * plan.num_bins  # guarded by ``latch``
+    latch = threading.Condition(threading.Lock())
+    errors: list[BaseException] = []  # guarded by ``latch``
 
     def body() -> None:
         try:
-            for claim, row in zip(claims, plan.bin_matrix):
+            for b, row in enumerate(plan.bin_matrix):
+                claim, done = claims[b], 0
                 while (k := claim.fetch_add(1)) < len(row):
                     if per_txn_work > 0:
                         time.sleep(per_txn_work)
                     _apply(balances, txns[row[k]])
-                rendezvous.wait()
-        except threading.BrokenBarrierError:
-            return
+                    done += 1
+                with latch:
+                    applied[b] += done
+                    if done and applied[b] == len(row):
+                        latch.notify_all()
+                    while applied[b] < len(row) and not errors:
+                        latch.wait()
+                    if errors:
+                        return
         except BaseException as exc:
-            errors.append(exc)
-            rendezvous.abort()
+            with latch:
+                errors.append(exc)
+                latch.notify_all()
 
     workers = [
         threading.Thread(target=body, name=f"exec-{w}", daemon=True) for w in range(num_threads)

@@ -40,12 +40,6 @@ CRASH_POINTS: tuple[Site, ...] = (
 _CLAIM_SITES: frozenset[Site] = frozenset({Site.PHASE1_POST_CLAIM, Site.PHASE2_POST_CLAIM})
 
 
-class FaultAction(enum.Enum):
-    CONTINUE = "continue"
-    SLEEP = "sleep"
-    TERMINATE_WORKER = "terminate_worker"
-
-
 class WorkerCrashed(Exception):
     """Raised inside a worker to simulate its permanent silent stop."""
 
@@ -131,31 +125,20 @@ def make_fault_plan(
     )
 
 
-def apply_fault(plan: FaultPlan, worker_id: int, site: Site) -> tuple[FaultAction, float]:
-    """Map (plan, worker, site) to the action the worker must take.
-
-    Pure lookup: the "crash once" latch is realized by the worker thread
-    itself, which stops permanently on the first TERMINATE_WORKER.
-    """
-    if worker_id in plan.crashed_workers and site is plan.crash_point:
-        return FaultAction.TERMINATE_WORKER, 0.0
-    if worker_id in plan.delayed_workers and site in _CLAIM_SITES and plan.delay_per_claim > 0:
-        return FaultAction.SLEEP, plan.delay_per_claim
-    return FaultAction.CONTINUE, 0.0
-
-
 def fault_site(plan: FaultPlan | None, worker_id: int, site: Site, abort=None) -> None:
     """Worker-side hook: honor the plan at one instrumented site.
 
-    Raises :class:`WorkerCrashed` to stop the worker, sleeps for delays,
-    and raises :class:`Aborted` when the run's abort event is set.
+    Raises :class:`WorkerCrashed` when a crashed worker reaches the crash
+    point, sleeps when a delayed worker reaches a claim site, and raises
+    :class:`Aborted` when the run's abort event is set. The "crash once"
+    latch is realized by the worker thread itself, which stops permanently
+    on the first :class:`WorkerCrashed`.
     """
     if abort is not None and abort.is_set():
         raise Aborted()
     if plan is None:
         return
-    action, delay = apply_fault(plan, worker_id, site)
-    if action is FaultAction.TERMINATE_WORKER:
+    if worker_id in plan.crashed_workers and site is plan.crash_point:
         raise WorkerCrashed(worker_id, site)
-    if action is FaultAction.SLEEP:
-        time.sleep(delay)
+    if worker_id in plan.delayed_workers and site in _CLAIM_SITES and plan.delay_per_claim > 0:
+        time.sleep(plan.delay_per_claim)

@@ -110,7 +110,12 @@ def resolve_watchdog_secs(watchdog_secs: float | None) -> float:
     """The argument, else the environment variable, else the default; finite and > 0."""
     if watchdog_secs is None:
         env = os.environ.get(WATCHDOG_ENV_VAR)
-        watchdog_secs = float(env) if env else DEFAULT_WATCHDOG_SECS
+        try:
+            watchdog_secs = float(env) if env else DEFAULT_WATCHDOG_SECS
+        except ValueError:
+            raise SchedulerConfigError(
+                f"{WATCHDOG_ENV_VAR} must be a number of seconds, got {env!r}"
+            ) from None
     if not 0 < watchdog_secs < math.inf:
         raise SchedulerConfigError(f"watchdog_secs must be finite and > 0, got {watchdog_secs}")
     return watchdog_secs

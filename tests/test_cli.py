@@ -91,6 +91,18 @@ def test_schedule_rejects_a_zero_watchdog(tmp_path, capsys):
     assert "watchdog_secs must be finite and > 0" in captured.err
 
 
+def test_schedule_rejects_a_non_numeric_env_watchdog(tmp_path, capsys, monkeypatch):
+    block = tmp_path / "block.json"
+    run_cli(["gen", "--n", "20", "--seed", "1", "-o", str(block)])
+    capsys.readouterr()
+    monkeypatch.setenv("MBPS_WATCHDOG_SECS", "abc")
+    code = run_cli(["schedule", "-w", str(block), "--threads", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MBPS_WATCHDOG_SECS" in captured.err
+
+
 def test_schedule_check_detects_violation(tmp_path, capsys, monkeypatch):
     block = tmp_path / "block.json"
     run_cli(["gen", "--n", "10", "--seed", "4", "-o", str(block)])

@@ -1,7 +1,12 @@
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import disjoint_block, random_wallet_block, wallet_block, wallet_blocks
+import binsched.executor
 from binsched import (
     EMPTY_PLAN,
     BinAssignment,
@@ -154,6 +159,68 @@ def test_simulated_work_changes_time_not_state():
     lazy = execute_plan(result.plan, block, WalletState(), num_threads=2, per_txn_work=0.002)
     fast = execute_plan(result.plan, block, WalletState(), num_threads=2)
     assert lazy.balances == fast.balances
+
+
+# Three bins over disjoint transfers: the executor's order, not conflicts,
+# is what keeps bin 1 after bin 0 here.
+LAYERED_PLAN = ExecutionPlan(bin_matrix=(tuple(range(8)), tuple(range(8, 14)), (14, 15)))
+
+
+def test_no_transaction_starts_before_the_previous_bin_is_applied(monkeypatch):
+    bin_of = {txn_id: b for b, row in enumerate(LAYERED_PLAN.bin_matrix) for txn_id in row}
+    applied_bins = []
+    real_apply = binsched.executor._apply
+
+    def slow_first_transfer(balances, txn):
+        if txn.id == 0:
+            time.sleep(0.05)  # peers run out of bin-0 claims meanwhile
+        real_apply(balances, txn)
+        applied_bins.append(bin_of[txn.id])
+
+    monkeypatch.setattr(binsched.executor, "_apply", slow_first_transfer)
+    block = disjoint_block(16)
+    final = execute_plan(LAYERED_PLAN, block, WalletState(), num_threads=4)
+    assert applied_bins == sorted(applied_bins)
+    assert final.balances == execute_serial(block, WalletState()).balances
+
+
+def test_a_worker_error_stops_every_worker_and_is_raised(monkeypatch):
+    real_apply = binsched.executor._apply
+
+    def failing_first_transfer(balances, txn):
+        if txn.id == 0:
+            time.sleep(0.05)  # peers finish bin 0 and wait for this transfer
+            raise RuntimeError("transfer 0 failed")
+        real_apply(balances, txn)
+
+    monkeypatch.setattr(binsched.executor, "_apply", failing_first_transfer)
+    raised = []
+
+    def run():
+        try:
+            execute_plan(LAYERED_PLAN, disjoint_block(16), WalletState(), num_threads=4)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive(), "execute_plan hung after a worker error"
+    assert [str(exc) for exc in raised] == ["transfer 0 failed"]
+    assert not [t for t in threading.enumerate() if t.name.startswith("exec-")]
+
+
+def test_parallel_equals_serial_under_fast_thread_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            block = random_wallet_block(seed=900 + seed, max_n=150)
+            plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+            final = execute_plan(plan, block, WalletState(), num_threads=8)
+            assert final.balances == execute_serial(block, WalletState()).balances
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @settings(max_examples=15, deadline=None)

@@ -2,15 +2,7 @@ import threading
 
 import pytest
 
-from binsched import (
-    Aborted,
-    FaultAction,
-    FaultPlan,
-    Site,
-    WorkerCrashed,
-    apply_fault,
-    make_fault_plan,
-)
+from binsched import Aborted, FaultPlan, Site, WorkerCrashed, make_fault_plan
 from binsched.faults import fault_site
 
 
@@ -70,33 +62,37 @@ def test_plan_invariants_enforced():
         FaultPlan(crash_point=Site.PHASE2_POST_CLAIM)
 
 
-def test_apply_fault_terminates_at_the_crash_point():
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The durations ``fault_site`` sleeps for, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr("binsched.faults.time.sleep", slept.append)
+    return slept
+
+
+def test_fault_site_raises_worker_crash(sleeps):
     plan = FaultPlan(crashed_workers=frozenset({2}), crash_point=Site.PHASE1_PRE_PUBLISH)
-    action, _ = apply_fault(plan, 2, Site.PHASE1_PRE_PUBLISH)
-    assert action is FaultAction.TERMINATE_WORKER
+    with pytest.raises(WorkerCrashed) as info:
+        fault_site(plan, 2, Site.PHASE1_PRE_PUBLISH)
+    assert (info.value.worker_id, info.value.site) == (2, Site.PHASE1_PRE_PUBLISH)
+    fault_site(plan, 2, Site.PHASE1_POST_CLAIM)  # other sites pass through
+    assert sleeps == []
 
 
-def test_apply_fault_continue_for_unaffected_workers():
+def test_fault_site_continues_for_unaffected_workers(sleeps):
     plan = FaultPlan(crashed_workers=frozenset({2}), crash_point=Site.PHASE1_PRE_PUBLISH)
     for site in Site:
-        action, _ = apply_fault(plan, 0, site)
-        assert action is FaultAction.CONTINUE
+        fault_site(plan, 0, site)
+    assert sleeps == []
 
 
-def test_apply_fault_sleeps_at_claim_sites():
+def test_fault_site_sleeps_at_claim_sites(sleeps):
     plan = FaultPlan(delayed_workers=frozenset({1}), delay_per_claim=0.005)
-    action, delay = apply_fault(plan, 1, Site.PHASE1_POST_CLAIM)
-    assert action is FaultAction.SLEEP
-    assert delay == 0.005
-    action, _ = apply_fault(plan, 1, Site.INTER_PHASE)
-    assert action is FaultAction.CONTINUE
-
-
-def test_fault_site_raises_worker_crash():
-    plan = FaultPlan(crashed_workers=frozenset({0}), crash_point=Site.INTER_PHASE)
-    with pytest.raises(WorkerCrashed):
-        fault_site(plan, 0, Site.INTER_PHASE)
-    fault_site(plan, 0, Site.PHASE1_POST_CLAIM)  # other sites pass through
+    fault_site(plan, 1, Site.PHASE1_POST_CLAIM)
+    assert sleeps == [0.005]
+    fault_site(plan, 1, Site.INTER_PHASE)
+    fault_site(plan, 0, Site.PHASE2_POST_CLAIM)
+    assert sleeps == [0.005]
 
 
 def test_fault_site_honors_abort():

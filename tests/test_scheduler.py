@@ -149,6 +149,12 @@ def test_watchdog_env_must_be_positive(env, monkeypatch):
         schedule(wallet_block([("A", "B")]), Variant.STANDARD, 2)
 
 
+def test_watchdog_env_must_be_a_number(monkeypatch):
+    monkeypatch.setenv("MBPS_WATCHDOG_SECS", "abc")
+    with pytest.raises(SchedulerConfigError, match="MBPS_WATCHDOG_SECS"):
+        schedule(wallet_block([("A", "B")]), Variant.STANDARD, 2)
+
+
 def test_lockfree_with_watchdog_completes():
     block = random_wallet_block(seed=63, max_n=120)
     faults = FaultPlan(crashed_workers=frozenset({0, 1, 2}), crash_point=Site.PHASE2_PRE_CAS)
