@@ -70,12 +70,19 @@ def sleeps(monkeypatch):
     return slept
 
 
-def test_fault_site_raises_worker_crash(sleeps):
+def test_fault_site_terminates_at_the_crash_point(sleeps):
     plan = FaultPlan(crashed_workers=frozenset({2}), crash_point=Site.PHASE1_PRE_PUBLISH)
     with pytest.raises(WorkerCrashed) as info:
         fault_site(plan, 2, Site.PHASE1_PRE_PUBLISH)
     assert (info.value.worker_id, info.value.site) == (2, Site.PHASE1_PRE_PUBLISH)
-    fault_site(plan, 2, Site.PHASE1_POST_CLAIM)  # other sites pass through
+    assert sleeps == []
+
+
+def test_fault_site_raises_worker_crash(sleeps):
+    plan = FaultPlan(crashed_workers=frozenset({0}), crash_point=Site.INTER_PHASE)
+    with pytest.raises(WorkerCrashed):
+        fault_site(plan, 0, Site.INTER_PHASE)
+    fault_site(plan, 0, Site.PHASE1_POST_CLAIM)  # other sites pass through
     assert sleeps == []
 
 
