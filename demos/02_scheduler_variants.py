@@ -24,7 +24,7 @@ for variant in Variant:
         f"phase2 {timing.phase2_s * 1e3:6.1f} ms   "
         f"total {timing.total_s * 1e3:6.1f} ms   "
         f"(cas retries {result.retries.cas_retries}, "
-        f"not-ready skips {result.retries.not_ready_skips})"
+        f"helped dependencies {result.retries.not_ready_skips})"
     )
 
 print("\nidentical assignments from every variant and thread count is the")

@@ -4,13 +4,15 @@ CPython has no public fetch-and-add or compare-and-swap, so these wrap a
 mutex. :class:`AtomicInt` holds one counter behind its own lock.
 
 :class:`PublishOnceArray` holds the one value each transaction publishes in
-a scheduling phase, behind a single lock for the whole array. A slot is
-unset (:data:`UNASSIGNED`, ``None``) until published; a falsy value such as
-bin 0 or an empty set is a published value. Each publish writes its slot and
-increments the publish count inside one critical section, so the count
-always equals the number of set slots: ``published() == n`` means every slot
-is set, wherever a worker stops or crashes. The helper procedures rely on
-this to leave a phase on the count alone.
+a scheduling phase. A slot is unset (:data:`UNASSIGNED`, ``None``) until
+published; a falsy value such as bin 0 or an empty set is a published value.
+Writes take the array's one lock; reads take none, since a slot changes
+once, from unset to its value, and loading a list item or an int is atomic
+in CPython. Each publish writes its slot and then increments the publish
+count inside one critical section, so the count never exceeds the number of
+set slots: ``published() == n`` means every slot is set, wherever a worker
+stops or crashes. The helper procedures rely on this to leave a phase on
+the count alone.
 """
 
 from __future__ import annotations
@@ -64,16 +66,15 @@ class PublishOnceArray(Generic[T]):
         self._count = 0
 
     def get(self, i: int) -> T | None:
-        """The slot's value, :data:`UNASSIGNED` while unset."""
-        with self._lock:
-            return self._values[i]
+        """The slot's value, :data:`UNASSIGNED` while unset; takes no lock."""
+        return self._values[i]
 
     def publish(self, i: int, value: T) -> None:
         """Store into a slot the caller owns, for exactly-once claiming."""
         with self._lock:
-            if self._values[i] is UNASSIGNED:
-                self._count += 1
+            fresh = self._values[i] is UNASSIGNED
             self._values[i] = value
+            self._count += fresh
 
     def try_publish(self, i: int, value: T) -> bool:
         """Compare-and-set from unset; a loser's value is discarded."""
@@ -85,9 +86,8 @@ class PublishOnceArray(Generic[T]):
             return True
 
     def published(self) -> int:
-        """How many slots are set."""
-        with self._lock:
-            return self._count
+        """How many slots are set; takes no lock."""
+        return self._count
 
     def is_complete(self) -> bool:
         return self.published() == self.n

@@ -211,6 +211,7 @@ def _measure(kind: SchedulerKind, block, base: BenchRow, config: BenchConfig) ->
             crash_point=config.crash_point,
             seed=config.fault_seed,
         )
+    t0 = time.perf_counter()
     try:
         result = schedule_with_watchdog(
             block, variant, config.num_threads, faults, config.watchdog_secs
@@ -223,12 +224,13 @@ def _measure(kind: SchedulerKind, block, base: BenchRow, config: BenchConfig) ->
             throughput_tps=_throughput(n, hang.watchdog_secs),
             flags=NON_TERMINATION_FLAG,
         )
+    schedule_s = time.perf_counter() - t0
     crashed = len(faults.crashed_workers) if faults is not None else 0
     live_threads = max(1, config.num_threads - crashed)
     t0 = time.perf_counter()
     execute_plan(result.plan, block, WalletState(), live_threads, config.per_txn_work)
     exec_stage = time.perf_counter() - t0
-    total = result.timing.total_s + exec_stage
+    total = schedule_s + exec_stage
     return replace(
         base,
         scheduler=kind.value,

@@ -17,10 +17,14 @@ A transaction therefore waits only on its frontier's bins.
 :func:`assign_bins_standard` claims each index exactly once and *blocks*
 (bounded-backoff spin) on dependencies that are still unassigned; safe when
 phase 1 completed behind a barrier, not crash tolerant.
-:func:`assign_bins_helper` never blocks: unassigned dependencies yield a
-NOT_READY result and the worker claims a fresh wraparound index instead,
-so abandoned work is eventually redone by peers. A helper leaves the phase
-only once the assignment's publish count reaches ``n``.
+:func:`assign_bins_helper` never blocks: it claims wraparound indices and
+*helps*, publishing the bins of unassigned frontier members itself, with an
+explicit stack since bin chains run hundreds deep, before the claimed one.
+It also publishes a frontier phase 1 has not (a scheduled run never meets
+one: a helper leaves phase 1 only at a full count). Frontiers and bins are
+pure functions of the block, so every publisher of a slot publishes the
+same value, and work a stopped peer abandoned is redone by whoever needs it
+next. A helper leaves the phase only once the publish count reaches ``n``.
 
 The publish-once :class:`BinAssignment` is the only bin record. Bin
 membership is derived from it once, by
@@ -37,8 +41,6 @@ from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
 from .conflict import ConflictTable, SchedulerState, check_conflicts
 from .faults import Aborted, FaultPlan, Site, fault_site
 from .txn import Transaction
-
-NOT_READY = -1
 
 _SPIN_SLEEP_MIN = 10e-6
 _SPIN_SLEEP_MAX = 1e-3
@@ -77,26 +79,6 @@ def calculate_bin(
     return current + 1
 
 
-def calculate_bin_helper(i: int, table: ConflictTable, bins: BinAssignment) -> int:
-    """Non-blocking bin computation: NOT_READY while any frontier member waits.
-
-    An unpublished conflict slot also reports NOT_READY, so the call is safe
-    before phase 1 ends. The helper procedures never rely on this: a worker
-    leaves phase 1 only once every slot is published.
-    """
-    frontier = table.frontier(i)
-    if frontier is None:
-        return NOT_READY
-    current = -1
-    for dep in frontier:
-        dep_bin = bins.bin_of(dep)
-        if dep_bin is UNASSIGNED:
-            return NOT_READY
-        if dep_bin > current:
-            current = dep_bin
-    return current + 1
-
-
 def assign_bins_standard(
     txns: Sequence[Transaction],
     table: ConflictTable,
@@ -130,20 +112,35 @@ def assign_bins_helper(
     cas_retries: AtomicInt | None = None,
     not_ready_skips: AtomicInt | None = None,
 ) -> None:
-    """Wraparound claiming; skips unready work instead of blocking on it."""
+    """Wraparound claiming; resolves unassigned dependencies instead of waiting."""
     n = len(txns)
     while bins.published() < n:
-        i = state.claim_counter_phase2.fetch_add(1) % n
+        stack = [state.claim_counter_phase2.fetch_add(1) % n]
         fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
-        if bins.bin_of(i) is UNASSIGNED:
-            alloted = calculate_bin_helper(i, table, bins)
-            if alloted == NOT_READY:
-                if not_ready_skips is not None:
-                    not_ready_skips.fetch_add(1)
+        while stack:
+            j = stack[-1]
+            if bins.bin_of(j) is not UNASSIGNED:
+                stack.pop()
                 continue
-            fault_site(faults, worker_id, Site.PHASE2_PRE_CAS, abort)
-            if not bins.try_publish(i, alloted) and cas_retries is not None:
-                cas_retries.fetch_add(1)
+            frontier = table.frontier(j)
+            if frontier is UNASSIGNED:
+                frontier = table.index.frontier(txns[j])
+                table.try_publish(j, frontier)
+            current = -1
+            for dep in frontier:
+                dep_bin = bins.bin_of(dep)
+                if dep_bin is UNASSIGNED:
+                    stack.append(dep)
+                    if not_ready_skips is not None:
+                        not_ready_skips.fetch_add(1)
+                    break
+                if dep_bin > current:
+                    current = dep_bin
+            else:
+                fault_site(faults, worker_id, Site.PHASE2_PRE_CAS, abort)
+                if not bins.try_publish(j, current + 1) and cas_retries is not None:
+                    cas_retries.fetch_add(1)
+                stack.pop()
 
 
 def bin_oracle(txns: Sequence[Transaction]) -> list[int]:

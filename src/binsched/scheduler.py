@@ -86,11 +86,14 @@ class PhaseTimings:
 
 @dataclass(frozen=True)
 class RetryStats:
-    """Redundant-work telemetry: lost CAS races and NOT_READY skips.
+    """Helper telemetry: lost CAS races and helped dependencies.
 
     ``cas_retries`` counts the publication CASes lost by the helper
     procedures in either phase. STANDARD claims each slot exactly once and
     publishes without a CAS, so it always reads 0 there.
+
+    ``not_ready_skips`` counts the frontier members a phase-2 helper found
+    unassigned and pushed to resolve itself; STANDARD waits instead.
     """
 
     cas_retries: int

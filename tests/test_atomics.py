@@ -84,6 +84,23 @@ def test_republishing_a_slot_keeps_the_count():
     assert not array.is_complete()
 
 
+def test_a_publish_sets_its_slot_before_counting_it():
+    # lock-free readers take published() == n to mean every slot is set, so
+    # the count may never run ahead of the slots, not even inside a publish
+    array = PublishOnceArray(2)
+
+    class CountCheckedSlots(list):
+        def __setitem__(self, i, value):
+            assert array._count == sum(v is not UNASSIGNED for v in self)
+            super().__setitem__(i, value)
+
+    array._values = CountCheckedSlots(array._values)
+    array.publish(0, "a")
+    array.publish(0, "b")
+    assert array.try_publish(1, "c")
+    assert array.published() == 2
+
+
 def test_racing_try_publish_has_exactly_one_winner():
     for _ in range(50):
         array = PublishOnceArray(1)
@@ -115,3 +132,47 @@ def test_concurrent_publishes_are_all_counted():
     assert array.published() == n
     assert array.is_complete()
     assert all(v is not UNASSIGNED for v in array.snapshot())
+
+
+def test_lock_free_reads_see_unset_or_final_values():
+    # readers poll get() and published() without the lock while writers race
+    n, num_writers, num_readers = 4000, 8, 2
+    array = PublishOnceArray(n)
+    start = threading.Barrier(num_writers + num_readers)
+    reads = [[] for _ in range(num_readers)]
+    counts = [[] for _ in range(num_readers)]
+    full_views = []
+
+    def write(w):
+        for i in range(w, n, num_writers):
+            array.try_publish(i, (i, w))
+            array.try_publish((i + 1) % n, ((i + 1) % n, w))
+
+    def read(r):
+        k = r
+        while True:
+            count = array.published()
+            counts[r].append(count)
+            if count == n:
+                full_views.append([array.get(i) for i in range(n)])
+                return
+            reads[r].append((k, array.get(k)))
+            k = (k + 7) % n
+
+    def body(w):
+        start.wait(30)
+        if w < num_writers:
+            write(w)
+        else:
+            read(w - num_writers)
+
+    run_threads(body, num_writers + num_readers)
+    final = array.snapshot()
+    assert all(v is not UNASSIGNED for v in final)
+    for seen in reads:
+        assert all(v is UNASSIGNED or v == final[i] for i, v in seen)
+    for seen in counts:
+        assert all(a <= b for a, b in zip(seen, seen[1:]))
+    assert any(0 < c < n for seen in counts for c in seen)  # the readers overlapped the writers
+    assert len(full_views) == num_readers
+    assert all(view == final for view in full_views)

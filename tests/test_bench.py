@@ -1,7 +1,9 @@
 import dataclasses
+import time
 
 import pytest
 
+import binsched.bench
 from binsched import (
     CSV_HEADER,
     NON_TERMINATION_FLAG,
@@ -106,6 +108,21 @@ def test_throughput_times_exec_time_is_n():
     rows = run_benchmark(small_config(n_txns_values=(30,), repetitions=1))
     for row in rows:
         assert row.throughput_tps * row.exec_time_s == pytest.approx(row.n_txns, rel=1e-9)
+
+
+def test_exec_time_covers_the_whole_schedule_call(monkeypatch):
+    # pool start-up, joins and plan building happen inside the call but
+    # outside the scheduler's phase timings; exec_time_s must include them
+    schedule = binsched.bench.schedule_with_watchdog
+
+    def slow_schedule(*args, **kwargs):
+        time.sleep(0.05)
+        return schedule(*args, **kwargs)
+
+    monkeypatch.setattr(binsched.bench, "schedule_with_watchdog", slow_schedule)
+    config = small_config(n_txns_values=(10,), schedulers=(SchedulerKind.LOCKFREE,), repetitions=1)
+    (row,) = run_benchmark(config)
+    assert row.exec_time_s >= 0.05
 
 
 def test_crash_experiment_restricted_to_lockfree():

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import networkx as nx
@@ -9,24 +10,25 @@ from _helpers import (
     chain_block,
     clique_block,
     disjoint_block,
+    frontier_oracle,
     random_wallet_block,
     wallet_block,
 )
 from binsched import (
-    NOT_READY,
     UNASSIGNED,
     Aborted,
+    AtomicInt,
     BinAssignment,
     ConflictIndex,
     ConflictTable,
     SchedulerState,
     Site,
+    WorkerCrashed,
     assign_bins_helper,
     assign_bins_standard,
     bin_oracle,
     build_execution_plan,
     calculate_bin,
-    calculate_bin_helper,
     check_conflicts,
 )
 
@@ -59,6 +61,21 @@ def run_assignment(txns, num_threads, use_helpers):
         t.join(30)
         assert not t.is_alive()
     return bins
+
+
+def claims_from(first_claim):
+    """Phase-2 claim state whose next claim is ``first_claim``."""
+    return SchedulerState(claim_counter_phase2=AtomicInt(first_claim))
+
+
+def run_helper(table, bins, state, worker_id=0):
+    """Run one phase-2 helper over the table's block to its exit.
+
+    Returns the helper's count of helped dependencies.
+    """
+    helped = AtomicInt(0)
+    assign_bins_helper(table.index.txns, table, bins, state, worker_id, not_ready_skips=helped)
+    return helped.load()
 
 
 # --- bin computation ----------------------------------------------------------
@@ -102,40 +119,115 @@ def test_calculate_bin_abort_breaks_the_spin():
         calculate_bin(1, table, bins, abort=abort)
 
 
-def test_calculate_bin_helper_not_ready_on_unassigned_dependency():
+def test_helper_resolves_an_unassigned_dependency():
     table = table_over([("A", "B"), ("B", "C")])
+    table.publish(0, ())
     table.publish(1, (0,))
-    assert calculate_bin_helper(1, table, BinAssignment(2)) == NOT_READY
+    bins = BinAssignment(2)
+    state = claims_from(1)
+    helped = run_helper(table, bins, state)
+    assert bins.initial_bin_list() == [0, 1]
+    assert helped == 1
+    assert state.claim_counter_phase2.load() == 2  # one claim did both slots
 
 
-def test_calculate_bin_helper_not_ready_on_unpublished_slot():
-    assert calculate_bin_helper(0, table_over([("A", "B")]), BinAssignment(1)) == NOT_READY
+def test_helper_computes_an_unpublished_slot():
+    table = table_over([("A", "B")])
+    bins = BinAssignment(1)
+    run_helper(table, bins, claims_from(0))
+    assert table.frontier(0) == ()
+    assert bins.initial_bin_list() == [0]
 
 
-def test_calculate_bin_helper_empty_conflicts():
+def test_helper_empty_conflicts():
     table = table_over([("A", "B")])
     table.publish(0, ())
-    assert calculate_bin_helper(0, table, BinAssignment(1)) == 0
+    bins = BinAssignment(1)
+    helped = run_helper(table, bins, claims_from(0))
+    assert bins.initial_bin_list() == [0]
+    assert helped == 0
 
 
-def test_calculate_bin_helper_equal_dependencies():
+def test_helper_equal_dependencies():
     table = table_over([("A", "B"), ("C", "D"), ("A", "C")])
     table.publish(2, (0, 1))
     bins = BinAssignment(3)
     bins.publish(0, 1)
     bins.publish(1, 1)
-    assert calculate_bin_helper(2, table, bins) == 2
+    helped = run_helper(table, bins, claims_from(2))
+    assert bins.bin_of(2) == 2
+    assert helped == 0
 
 
-def test_calculate_bin_helper_waits_only_on_the_frontier():
-    # 0 lies in slot 2's lower set but not in its frontier: phase 2 must
-    # not wait for it, since 1 already bounds 2's bin from below
+def test_helper_waits_only_on_the_frontier():
+    # 0 lies in slot 2's lower set but not in its frontier: the helper must
+    # not resolve it on slot 2's behalf, since 1 already bounds 2's bin
     table = table_over([("X", "Y")] * 3)
     table.publish(2, (1,))
     assert table.lower(2) == frozenset({0, 1})
     bins = BinAssignment(3)
     bins.publish(1, 3)
-    assert calculate_bin_helper(2, table, bins) == 4
+    helped = run_helper(table, bins, claims_from(2))
+    assert bins.initial_bin_list() == [0, 3, 4]  # 0 was filled by its own claim
+    assert helped == 0
+
+
+# --- helping ----------------------------------------------------------------------
+
+
+def test_one_claim_resolves_a_whole_unassigned_chain():
+    # the last slot of a chain block depends, link by link, on every other
+    block = chain_block(60)
+    bins = BinAssignment(60)
+    state = claims_from(59)
+    helped = run_helper(published_table(block), bins, state)
+    assert state.claim_counter_phase2.load() == 60
+    assert helped == 59
+    assert bins.initial_bin_list() == bin_oracle(block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(access_set_blocks(max_n=10))
+def test_helper_publishes_unpublished_frontiers(txns):
+    table = ConflictTable(ConflictIndex(txns))
+    bins = BinAssignment(len(txns))
+    run_helper(table, bins, claims_from(max(len(txns) - 1, 0)))
+    assert [set(table.frontier(i)) for i in range(len(txns))] == frontier_oracle(txns)
+    assert bins.initial_bin_list() == bin_oracle(txns)
+
+
+def test_crash_while_helping_a_dependency_leaves_the_rest_to_a_peer(monkeypatch):
+    # worker 0 claims the chain's last slot, publishes the bins of the two
+    # deepest links it helps, and crashes before publishing the third
+    block = chain_block(6)
+    table = published_table(block)
+    bins = BinAssignment(6)
+    state = claims_from(5)
+    pre_cas_calls = []
+
+    def crash_on_third_pre_cas(faults, worker_id, site, abort=None):
+        if worker_id == 0 and site is Site.PHASE2_PRE_CAS:
+            pre_cas_calls.append(site)
+            if len(pre_cas_calls) == 3:
+                raise WorkerCrashed(worker_id, site)
+
+    monkeypatch.setattr("binsched.binning.fault_site", crash_on_third_pre_cas)
+    with pytest.raises(WorkerCrashed):
+        run_helper(table, bins, state)
+    assert bins.initial_bin_list() == [0, 1, None, None, None, None]
+    assert state.claim_counter_phase2.load() == 6
+
+    run_helper(table, bins, state, worker_id=1)
+    assert bins.initial_bin_list() == bin_oracle(block)
+
+
+def test_a_long_chain_resolves_without_recursion():
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    block = chain_block(n)
+    bins = BinAssignment(n)
+    run_helper(ConflictTable(ConflictIndex(block)), bins, claims_from(n - 1))
+    assert bins.initial_bin_list() == list(range(n))  # a chain's bins, as in test_oracle_chain
 
 
 # --- serial oracle --------------------------------------------------------------
