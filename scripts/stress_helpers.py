@@ -1,10 +1,14 @@
-"""Stress the helper variants against the serial bin oracle.
+"""Stress the scheduler variants and the executor against the serial oracles.
 
 Generates ``--blocks`` wallet blocks (n <= 1000) from ``--seed`` and runs
-each through ASSISTED and LOCKFREE at 2 and 8 threads. Half of the LOCKFREE
-runs get a random crash plan: a random crash point and between 1 and
-``threads - 1`` crashed workers. Every run's bins are checked against
-``bin_oracle``. Exits 1 on any wrong bins or error, 0 otherwise.
+each through STANDARD, ASSISTED and LOCKFREE at 2 and 8 threads. Half of
+the LOCKFREE runs get a random crash plan: a random crash point and between
+1 and ``threads - 1`` crashed workers; the other variants run without one.
+Every run's bins are checked against ``bin_oracle``, and its plan, executed
+by ``execute_plan`` on the surviving threads, against ``execute_serial``'s
+final balances. Every other block runs at a thread switch interval of
+10 us, so claims and publishes interleave more finely. Exits 1 on any
+wrong bins, wrong balances or error, 0 otherwise.
 
     PYTHONPATH=src python scripts/stress_helpers.py --seed 7 --blocks 100
 """
@@ -20,8 +24,11 @@ import traceback
 from binsched import (
     CRASH_POINTS,
     Variant,
+    WalletState,
     WorkloadSpec,
     bin_oracle,
+    execute_plan,
+    execute_serial,
     generate_workload,
     make_fault_plan,
     schedule,
@@ -29,6 +36,24 @@ from binsched import (
 
 THREAD_COUNTS = (2, 8)
 MAX_N = 1000
+FINE_SWITCH_INTERVAL = 1e-5  # seconds, for every other block
+
+
+def check_run(block, variant, threads, faults, expected, expected_balances) -> list[str]:
+    """Schedule and execute one run; return what went wrong, if anything."""
+    try:
+        result = schedule(block, variant, threads, faults)
+        live_threads = threads - (len(faults.crashed_workers) if faults is not None else 0)
+        final = execute_plan(result.plan, block, WalletState(), live_threads)
+    except Exception as exc:  # report every failure, keep going
+        traceback.print_exc()
+        return [f"ERROR {exc!r}"]
+    problems = []
+    if result.assignment.initial_bin_list() != expected:
+        problems.append("WRONG BINS")
+    if final.balances != expected_balances:
+        problems.append("WRONG BALANCES")
+    return problems
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,39 +64,43 @@ def main(argv: list[str] | None = None) -> int:
 
     rng = random.Random(args.seed)
     runs = crashed_runs = failures = 0
+    default_interval = sys.getswitchinterval()
     started = time.perf_counter()
-    for b in range(args.blocks):
-        spec = WorkloadSpec(
-            n_txns=rng.randint(1, MAX_N),
-            n_accounts=rng.randint(2, 200),
-            dependency_pct=rng.choice([0, 10, 40, 70, 100]),
-            seed=rng.randrange(2**32),
-        )
-        block = generate_workload(spec)
-        expected = bin_oracle(block)
-        for variant in (Variant.ASSISTED, Variant.LOCKFREE):
-            for threads in THREAD_COUNTS:
-                faults = None
-                if variant is Variant.LOCKFREE and rng.random() < 0.5:
-                    faults = make_fault_plan(
-                        threads,
-                        crashed_pct=100 * rng.randint(1, threads - 1) / threads,
-                        crash_point=rng.choice(CRASH_POINTS),
-                        seed=rng.randrange(2**32),
-                    )
-                    crashed_runs += 1
-                runs += 1
-                label = f"block {b} ({spec}) {variant.value} threads={threads} faults={faults}"
-                try:
-                    result = schedule(block, variant, threads, faults)
-                except Exception as exc:  # report every failure, keep going
-                    failures += 1
-                    print(f"ERROR {label}: {exc!r}", flush=True)
-                    traceback.print_exc()
-                    continue
-                if result.assignment.initial_bin_list() != expected:
-                    failures += 1
-                    print(f"WRONG BINS {label}", flush=True)
+    try:
+        for b in range(args.blocks):
+            sys.setswitchinterval(FINE_SWITCH_INTERVAL if b % 2 else default_interval)
+            spec = WorkloadSpec(
+                n_txns=rng.randint(1, MAX_N),
+                n_accounts=rng.randint(2, 200),
+                dependency_pct=rng.choice([0, 10, 40, 70, 100]),
+                seed=rng.randrange(2**32),
+            )
+            block = generate_workload(spec)
+            expected = bin_oracle(block)
+            expected_balances = execute_serial(block, WalletState()).balances
+            for variant in (Variant.STANDARD, Variant.ASSISTED, Variant.LOCKFREE):
+                for threads in THREAD_COUNTS:
+                    faults = None
+                    if variant is Variant.LOCKFREE and rng.random() < 0.5:
+                        faults = make_fault_plan(
+                            threads,
+                            crashed_pct=100 * rng.randint(1, threads - 1) / threads,
+                            crash_point=rng.choice(CRASH_POINTS),
+                            seed=rng.randrange(2**32),
+                        )
+                        crashed_runs += 1
+                    runs += 1
+                    for problem in check_run(
+                        block, variant, threads, faults, expected, expected_balances
+                    ):
+                        failures += 1
+                        print(
+                            f"{problem}: block {b} ({spec}) {variant.value} threads={threads}"
+                            f" faults={faults} switch_interval={sys.getswitchinterval()}",
+                            flush=True,
+                        )
+    finally:
+        sys.setswitchinterval(default_interval)
     elapsed = time.perf_counter() - started
     print(
         f"{runs} runs ({crashed_runs} with crashes) over {args.blocks} blocks, "

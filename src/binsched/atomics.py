@@ -1,18 +1,21 @@
-"""Lock-backed atomics: a counter cell and a publish-once array.
+"""Lock-free claims and publishes, and a lock-backed telemetry counter.
 
-CPython has no public fetch-and-add or compare-and-swap, so these wrap a
-mutex. :class:`AtomicInt` holds one counter behind its own lock.
+Claims and publishes take no lock: each is a single C call that calls back
+into no Python code, which CPython's GIL runs as one atomic step. Nothing
+here is atomic on an interpreter without the GIL. A claim is ``next()`` on
+a shared :func:`itertools.count`, which hands every index out exactly once.
 
-:class:`PublishOnceArray` holds the one value each transaction publishes in
-a scheduling phase. A slot is unset (:data:`UNASSIGNED`, ``None``) until
-published; a falsy value such as bin 0 or an empty set is a published value.
-Writes take the array's one lock; reads take none, since a slot changes
-once, from unset to its value, and loading a list item or an int is atomic
-in CPython. Each publish writes its slot and then increments the publish
-count inside one critical section, so the count never exceeds the number of
-set slots: ``published() == n`` means every slot is set, wherever a worker
-stops or crashes. The helper procedures rely on this to leave a phase on
-the count alone.
+:class:`PublishOnceArray` keeps the one value each transaction publishes in
+a scheduling phase in a dict keyed by slot. A slot is unset
+(:data:`UNASSIGNED`, ``None``) until published; a falsy value such as bin 0
+or an empty set is a published value. A publish is one ``dict.setdefault``
+of the value boxed in a fresh 1-tuple, and only the call that stores its
+box gets that box back: exactly one publisher wins even when all pass the
+same object, such as the empty frontier ``()``. As ``published()`` counts
+the keys, ``published() == n`` means every slot is set, wherever a worker
+stops or crashes; the helper procedures leave a phase on that count.
+
+:class:`AtomicInt` keeps a lock and serves only the telemetry counters.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Generic, TypeVar
 T = TypeVar("T")
 
 UNASSIGNED = None
+_UNSET = (UNASSIGNED,)
 
 
 class AtomicInt:
@@ -55,44 +59,37 @@ class AtomicInt:
 
 
 class PublishOnceArray(Generic[T]):
-    """``n`` slots, each published once, plus the count of published slots."""
+    """``n`` slots, each published once, and the count of published slots."""
 
-    __slots__ = ("n", "_lock", "_values", "_count")
+    __slots__ = ("n", "_slots")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self._lock = threading.Lock()
-        self._values: list[T | None] = [UNASSIGNED] * n
-        self._count = 0
+        self._slots: dict[int, tuple[T]] = {}
 
     def get(self, i: int) -> T | None:
-        """The slot's value, :data:`UNASSIGNED` while unset; takes no lock."""
-        return self._values[i]
+        """The slot's value, :data:`UNASSIGNED` while unset."""
+        return self._slots.get(i, _UNSET)[0]
 
     def publish(self, i: int, value: T) -> None:
         """Store into a slot the caller owns, for exactly-once claiming."""
-        with self._lock:
-            fresh = self._values[i] is UNASSIGNED
-            self._values[i] = value
-            self._count += fresh
+        self._slots[i] = (value,)
 
     def try_publish(self, i: int, value: T) -> bool:
         """Compare-and-set from unset; a loser's value is discarded."""
-        with self._lock:
-            if self._values[i] is not UNASSIGNED:
-                return False
-            self._values[i] = value
-            self._count += 1
-            return True
+        box = (value,)
+        return self._slots.setdefault(i, box) is box
 
     def published(self) -> int:
-        """How many slots are set; takes no lock."""
-        return self._count
+        """How many slots are set."""
+        return len(self._slots)
 
     def is_complete(self) -> bool:
         return self.published() == self.n
 
     def snapshot(self) -> list[T | None]:
         """A copy of every slot's value, :data:`UNASSIGNED` for unset ones."""
-        with self._lock:
-            return list(self._values)
+        values: list[T | None] = [UNASSIGNED] * self.n
+        for i, (value,) in self._slots.copy().items():  # a copy, since publishes may race
+            values[i] = value
+        return values

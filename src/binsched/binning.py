@@ -91,13 +91,13 @@ def assign_bins_standard(
 ) -> None:
     """Exactly-once claiming with blocking dependency waits."""
     n = len(txns)
-    i = state.claim_counter_phase2.fetch_add(1)
+    i = next(state.claim_counter_phase2)
     while i < n:
         fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
         alloted = calculate_bin(i, table, bins, abort=abort)
         fault_site(faults, worker_id, Site.PHASE2_PRE_CAS, abort)
         bins.publish(i, alloted)
-        i = state.claim_counter_phase2.fetch_add(1)
+        i = next(state.claim_counter_phase2)
 
 
 def assign_bins_helper(
@@ -115,7 +115,7 @@ def assign_bins_helper(
     """Wraparound claiming; resolves unassigned dependencies instead of waiting."""
     n = len(txns)
     while bins.published() < n:
-        stack = [state.claim_counter_phase2.fetch_add(1) % n]
+        stack = [next(state.claim_counter_phase2) % n]
         fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
         while stack:
             j = stack[-1]

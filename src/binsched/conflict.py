@@ -19,8 +19,9 @@ published slot.
 Two discovery procedures share that contract:
 
 * :func:`build_conflict_sets_standard` hands each index to exactly one
-  worker via fetch-and-add and stores the result. A worker that stops mid
-  claim leaves its slot unset forever; this variant is not crash tolerant.
+  worker by ``next()`` on a shared counter and stores the result. A worker
+  that stops mid claim leaves its slot unset forever; this variant is not
+  crash tolerant.
 * :func:`build_conflict_sets_helper` claims wraparound (``mod n``), so fast
   workers recompute slots abandoned by slow or stopped peers, and publishes
   via compare-and-swap from the unset sentinel so exactly one publisher
@@ -37,10 +38,11 @@ restatement used to cross-check it.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
 from .faults import FaultPlan, Site, fault_site
@@ -164,10 +166,10 @@ class ConflictTable(PublishOnceArray[tuple[int, ...]]):
 
 @dataclass
 class SchedulerState:
-    """Shared claim counters coordinating one scheduling run."""
+    """One scheduling run's claim counters; a claim is ``next()`` on one."""
 
-    claim_counter_phase1: AtomicInt = field(default_factory=AtomicInt)
-    claim_counter_phase2: AtomicInt = field(default_factory=AtomicInt)
+    claim_counter_phase1: Iterator[int] = field(default_factory=itertools.count)
+    claim_counter_phase2: Iterator[int] = field(default_factory=itertools.count)
 
 
 def build_conflict_sets_standard(
@@ -182,13 +184,13 @@ def build_conflict_sets_standard(
     """Exactly-once claiming: each index is computed by a single worker."""
     n = len(txns)
     index = table.index
-    i = state.claim_counter_phase1.fetch_add(1)
+    i = next(state.claim_counter_phase1)
     while i < n:
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
         frontier = index.frontier(txns[i])
         fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
         table.publish(i, frontier)
-        i = state.claim_counter_phase1.fetch_add(1)
+        i = next(state.claim_counter_phase1)
 
 
 def build_conflict_sets_helper(
@@ -205,7 +207,7 @@ def build_conflict_sets_helper(
     n = len(txns)
     index = table.index
     while table.published() < n:
-        i = state.claim_counter_phase1.fetch_add(1) % n
+        i = next(state.claim_counter_phase1) % n
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
         if table.get(i) is UNASSIGNED:
             frontier = index.frontier(txns[i])

@@ -19,12 +19,12 @@ workers start, so the map structure itself is never mutated concurrently.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .atomics import AtomicInt
 from .binning import UNASSIGNED, BinAssignment
 from .txn import Address, Transaction
 
@@ -119,12 +119,12 @@ def execute_plan(
 ) -> WalletState:
     """Apply bins in order, each bin in parallel across ``num_threads``.
 
-    Workers pull positions within the current bin's row by fetch-and-add
-    until the row runs out, then add the count they applied to the bin's
-    total. A worker moves to the next bin as soon as that total equals the
-    row length, and waits on a shared condition only while a peer still
-    applies one of the bin's transactions; whoever completes the bin wakes
-    the waiters. A worker that raises records the error and wakes every
+    Workers pull positions within the current bin's row by ``next()`` on
+    the bin's shared :func:`itertools.count` until the row runs out, then
+    add the count they applied to the bin's total. A worker moves to the
+    next bin as soon as that total equals the row length, and waits on a
+    shared condition only while a peer still applies one of the bin's
+    transactions; whoever completes the bin wakes the waiters. A worker that raises records the error and wakes every
     waiter, so the peers stop and :func:`execute_plan` re-raises it.
     """
     if num_threads < 1:
@@ -149,7 +149,7 @@ def execute_plan(
                 _apply(balances, txns[txn_id])
         return WalletState(balances)
 
-    claims = [AtomicInt(0) for _ in range(plan.num_bins)]
+    claims = [itertools.count() for _ in range(plan.num_bins)]
     applied = [0] * plan.num_bins  # guarded by ``latch``
     latch = threading.Condition(threading.Lock())
     errors: list[BaseException] = []  # guarded by ``latch``
@@ -158,7 +158,7 @@ def execute_plan(
         try:
             for b, row in enumerate(plan.bin_matrix):
                 claim, done = claims[b], 0
-                while (k := claim.fetch_add(1)) < len(row):
+                while (k := next(claim)) < len(row):
                     if per_txn_work > 0:
                         time.sleep(per_txn_work)
                     _apply(balances, txns[row[k]])

@@ -9,6 +9,7 @@ from binsched import (
     ConflictIndex,
     ConflictTable,
     PublishOnceArray,
+    SchedulerState,
 )
 
 
@@ -42,6 +43,25 @@ def test_compare_and_set_wins_only_on_the_expected_value():
     assert cell.load() == 1
     assert cell.compare_and_set(1, 7)
     assert cell.load() == 7
+
+
+# --- claim counters ---------------------------------------------------------------
+
+
+def test_racing_claims_hand_out_every_index_exactly_once():
+    num_threads, per_thread = 8, 20_000
+    claims = SchedulerState().claim_counter_phase1
+    taken = [[] for _ in range(num_threads)]
+    start = threading.Barrier(num_threads)
+
+    def claim(w):
+        start.wait(30)
+        taken[w].extend(next(claims) for _ in range(per_thread))
+
+    run_threads(claim, num_threads)
+    assert sorted(k for seen in taken for k in seen) == list(range(num_threads * per_thread))
+    assert any(seen[-1] - seen[0] >= per_thread for seen in taken)  # the claims interleaved
+    assert next(claims) == num_threads * per_thread
 
 
 # --- PublishOnceArray -------------------------------------------------------------
@@ -84,21 +104,25 @@ def test_republishing_a_slot_keeps_the_count():
     assert not array.is_complete()
 
 
-def test_a_publish_sets_its_slot_before_counting_it():
+def test_published_counts_the_set_slots_after_every_publish():
     # lock-free readers take published() == n to mean every slot is set, so
-    # the count may never run ahead of the slots, not even inside a publish
-    array = PublishOnceArray(2)
+    # the count must equal the set slots after publishes, republishes and
+    # lost compare-and-sets alike
+    array = PublishOnceArray(3)
 
-    class CountCheckedSlots(list):
-        def __setitem__(self, i, value):
-            assert array._count == sum(v is not UNASSIGNED for v in self)
-            super().__setitem__(i, value)
+    def set_slots():
+        return sum(v is not UNASSIGNED for v in array.snapshot())
 
-    array._values = CountCheckedSlots(array._values)
     array.publish(0, "a")
+    assert array.published() == set_slots() == 1
     array.publish(0, "b")
+    assert array.published() == set_slots() == 1
     assert array.try_publish(1, "c")
-    assert array.published() == 2
+    assert array.published() == set_slots() == 2
+    assert not array.try_publish(1, "d")
+    assert not array.try_publish(0, "e")
+    assert array.published() == set_slots() == 2
+    assert array.snapshot() == ["b", "c", UNASSIGNED]
 
 
 def test_racing_try_publish_has_exactly_one_winner():
@@ -116,6 +140,25 @@ def test_racing_try_publish_has_exactly_one_winner():
         assert len(wins) == 1
         assert array.published() == 1
         assert array.get(0) == wins[0]
+
+
+def test_racing_publishes_of_one_shared_object_have_exactly_one_winner():
+    # the empty frontier () and small bin numbers are shared objects, so a
+    # publisher cannot tell its own win from a peer's by the stored value
+    for value in ((), 0):
+        for _ in range(300):
+            array = PublishOnceArray(1)
+            wins = []
+            start = threading.Barrier(8)
+
+            def race(w):
+                start.wait(30)
+                wins.append(array.try_publish(0, value))
+
+            run_threads(race, 8)
+            assert wins.count(True) == 1
+            assert array.published() == 1
+            assert array.get(0) is value
 
 
 def test_concurrent_publishes_are_all_counted():
@@ -176,3 +219,29 @@ def test_lock_free_reads_see_unset_or_final_values():
     assert any(0 < c < n for seen in counts for c in seen)  # the readers overlapped the writers
     assert len(full_views) == num_readers
     assert all(view == final for view in full_views)
+
+
+def test_snapshots_see_unset_or_final_values():
+    n, num_writers = 4000, 8
+    array = PublishOnceArray(n)
+    start = threading.Barrier(num_writers + 1)
+    snapshots = []
+
+    def body(w):
+        start.wait(30)
+        if w < num_writers:
+            for i in range(w, n, num_writers):
+                array.try_publish(i, (i, w))
+                array.try_publish((i + 1) % n, ((i + 1) % n, w))
+            return
+        while True:
+            snapshots.append(array.snapshot())
+            if snapshots[-1].count(UNASSIGNED) == 0:
+                return
+
+    run_threads(body, num_writers + 1)
+    final = array.snapshot()
+    assert all(v is not UNASSIGNED for v in final)
+    assert any(0 < view.count(UNASSIGNED) < n for view in snapshots)  # overlapped the writers
+    for view in snapshots:
+        assert all(v is UNASSIGNED or v == final[i] for i, v in enumerate(view))

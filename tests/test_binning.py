@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -65,7 +66,7 @@ def run_assignment(txns, num_threads, use_helpers):
 
 def claims_from(first_claim):
     """Phase-2 claim state whose next claim is ``first_claim``."""
-    return SchedulerState(claim_counter_phase2=AtomicInt(first_claim))
+    return SchedulerState(claim_counter_phase2=itertools.count(first_claim))
 
 
 def run_helper(table, bins, state, worker_id=0):
@@ -128,7 +129,7 @@ def test_helper_resolves_an_unassigned_dependency():
     helped = run_helper(table, bins, state)
     assert bins.initial_bin_list() == [0, 1]
     assert helped == 1
-    assert state.claim_counter_phase2.load() == 2  # one claim did both slots
+    assert next(state.claim_counter_phase2) == 2  # one claim did both slots
 
 
 def test_helper_computes_an_unpublished_slot():
@@ -181,7 +182,7 @@ def test_one_claim_resolves_a_whole_unassigned_chain():
     bins = BinAssignment(60)
     state = claims_from(59)
     helped = run_helper(published_table(block), bins, state)
-    assert state.claim_counter_phase2.load() == 60
+    assert next(state.claim_counter_phase2) == 60
     assert helped == 59
     assert bins.initial_bin_list() == bin_oracle(block)
 
@@ -215,7 +216,7 @@ def test_crash_while_helping_a_dependency_leaves_the_rest_to_a_peer(monkeypatch)
     with pytest.raises(WorkerCrashed):
         run_helper(table, bins, state)
     assert bins.initial_bin_list() == [0, 1, None, None, None, None]
-    assert state.claim_counter_phase2.load() == 6
+    assert next(state.claim_counter_phase2) == 6
 
     run_helper(table, bins, state, worker_id=1)
     assert bins.initial_bin_list() == bin_oracle(block)
@@ -383,7 +384,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
 
     def peer_claims_next(faults, worker_id, site, abort=None):
         if site is Site.PHASE2_POST_CLAIM and len(peer_claims) < 2:
-            peer_claims.append(state.claim_counter_phase2.fetch_add(1) % 2)
+            peer_claims.append(next(state.claim_counter_phase2) % 2)
 
     monkeypatch.setattr("binsched.binning.fault_site", peer_claims_next)
     assign_bins_helper(block, table, bins, state, worker_id=0)

@@ -310,7 +310,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
 
     def peer_claims_next(faults, worker_id, site, abort=None):
         if site is Site.PHASE1_POST_CLAIM and len(peer_claims) < 2:
-            peer_claims.append(state.claim_counter_phase1.fetch_add(1) % 2)
+            peer_claims.append(next(state.claim_counter_phase1) % 2)
 
     monkeypatch.setattr("binsched.conflict.fault_site", peer_claims_next)
     build_conflict_sets_helper(block, table, state, worker_id=0)
