@@ -34,7 +34,6 @@ from .binning import (
 from .conflict import (
     ConflictIndex,
     ConflictTable,
-    SchedulerState,
     build_conflict_sets_helper,
     build_conflict_sets_standard,
     check_conflicts,
@@ -50,7 +49,6 @@ from .executor import (
 )
 from .faults import (
     CRASH_POINTS,
-    NO_FAULTS,
     Aborted,
     FaultPlan,
     Site,
@@ -106,7 +104,6 @@ __all__ = [
     "ExecutionPlan",
     "FaultPlan",
     "NON_TERMINATION_FLAG",
-    "NO_FAULTS",
     "NonTermination",
     "PhaseTimings",
     "PublishOnceArray",
@@ -114,7 +111,6 @@ __all__ = [
     "ScheduleResult",
     "SchedulerConfigError",
     "SchedulerKind",
-    "SchedulerState",
     "Site",
     "Transaction",
     "TransferPayload",

@@ -14,6 +14,8 @@ full set because bins rise along each address's access chain: any other
 earlier conflict on an address sits in a lower bin than a frontier member.
 A transaction therefore waits only on its frontier's bins.
 
+Each procedure takes the conflict table, whose block it bins, the bin
+array it publishes into, and the claim counter it draws from.
 :func:`assign_bins_standard` claims each index exactly once and *blocks*
 (bounded-backoff spin) on dependencies that are still unassigned; safe when
 phase 1 completed behind a barrier, not crash tolerant.
@@ -35,10 +37,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
-from .conflict import ConflictTable, SchedulerState, check_conflicts
+from .conflict import ConflictTable, check_conflicts
 from .faults import Aborted, FaultPlan, Site, fault_site
 from .txn import Transaction
 
@@ -80,31 +82,29 @@ def calculate_bin(
 
 
 def assign_bins_standard(
-    txns: Sequence[Transaction],
     table: ConflictTable,
     bins: BinAssignment,
-    state: SchedulerState,
+    claims: Iterator[int],
     worker_id: int,
     *,
     faults: FaultPlan | None = None,
     abort: threading.Event | None = None,
 ) -> None:
-    """Exactly-once claiming with blocking dependency waits."""
-    n = len(txns)
-    i = next(state.claim_counter_phase2)
+    """Bins the table's block, each index claimed once from ``claims``; waits on deps."""
+    n = bins.n
+    i = next(claims)
     while i < n:
         fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
         alloted = calculate_bin(i, table, bins, abort=abort)
         fault_site(faults, worker_id, Site.PHASE2_PRE_CAS, abort)
         bins.publish(i, alloted)
-        i = next(state.claim_counter_phase2)
+        i = next(claims)
 
 
 def assign_bins_helper(
-    txns: Sequence[Transaction],
     table: ConflictTable,
     bins: BinAssignment,
-    state: SchedulerState,
+    claims: Iterator[int],
     worker_id: int,
     *,
     faults: FaultPlan | None = None,
@@ -112,10 +112,11 @@ def assign_bins_helper(
     cas_retries: AtomicInt | None = None,
     not_ready_skips: AtomicInt | None = None,
 ) -> None:
-    """Wraparound claiming; resolves unassigned dependencies instead of waiting."""
-    n = len(txns)
+    """Bins the table's block, claimed wraparound from ``claims``; helps unassigned deps."""
+    n = bins.n
+    index = table.index
     while bins.published() < n:
-        stack = [next(state.claim_counter_phase2) % n]
+        stack = [next(claims) % n]
         fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
         while stack:
             j = stack[-1]
@@ -124,7 +125,7 @@ def assign_bins_helper(
                 continue
             frontier = table.frontier(j)
             if frontier is UNASSIGNED:
-                frontier = table.index.frontier(txns[j])
+                frontier = index.frontier(index.txns[j])
                 table.try_publish(j, frontier)
             current = -1
             for dep in frontier:

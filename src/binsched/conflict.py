@@ -16,7 +16,8 @@ are the paper's conflict table, are not built by the phase; the table
 derives them from the block's :class:`ConflictIndex` when a caller reads a
 published slot.
 
-Two discovery procedures share that contract:
+Two discovery procedures share that contract. Each takes only the table,
+whose block it schedules, and the claim counter it draws from:
 
 * :func:`build_conflict_sets_standard` hands each index to exactly one
   worker by ``next()`` on a shared counter and stores the result. A worker
@@ -29,19 +30,17 @@ Two discovery procedures share that contract:
   count reaches ``n``, which by :class:`~binsched.atomics.PublishOnceArray`'s
   invariant means every slot is published.
 
-:class:`ConflictIndex` is an address-postings table built once from the
-immutable block; it enumerates a frontier, or exactly the set
-``{j < i : check_conflicts(txn_i, txn_j)}``, without touching unrelated
-transactions. :func:`conflict_sets_oracle` is the independent quadratic
-restatement used to cross-check it.
+:class:`ConflictIndex` is the address-postings table a :class:`ConflictTable`
+builds once from the immutable block; it enumerates a frontier, or exactly
+the set ``{j < i : check_conflicts(txn_i, txn_j)}``, without touching
+unrelated transactions. :func:`conflict_sets_oracle` is the independent
+quadratic restatement used to cross-check it.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
@@ -137,15 +136,17 @@ class ConflictIndex:
 class ConflictTable(PublishOnceArray[tuple[int, ...]]):
     """Phase 1's publish-once frontiers over one block.
 
-    A slot's lower conflict set is derived from the block's index when it
-    is read, and only once the slot is published.
+    The table builds the block's :class:`ConflictIndex` and owns it as
+    ``index``, so the block a phase procedure schedules is always the
+    table's own, ``index.txns``. A slot's lower conflict set is derived from
+    the index when it is read, and only once the slot is published.
     """
 
     __slots__ = ("index",)
 
-    def __init__(self, index: ConflictIndex) -> None:
-        super().__init__(len(index.txns))
-        self.index = index
+    def __init__(self, txns: Sequence[Transaction]) -> None:
+        super().__init__(len(txns))
+        self.index = ConflictIndex(txns)
 
     frontier = PublishOnceArray.get
 
@@ -164,50 +165,42 @@ class ConflictTable(PublishOnceArray[tuple[int, ...]]):
         ]
 
 
-@dataclass
-class SchedulerState:
-    """One scheduling run's claim counters; a claim is ``next()`` on one."""
-
-    claim_counter_phase1: Iterator[int] = field(default_factory=itertools.count)
-    claim_counter_phase2: Iterator[int] = field(default_factory=itertools.count)
-
-
 def build_conflict_sets_standard(
-    txns: Sequence[Transaction],
     table: ConflictTable,
-    state: SchedulerState,
+    claims: Iterator[int],
     worker_id: int,
     *,
     faults: FaultPlan | None = None,
     abort: threading.Event | None = None,
 ) -> None:
-    """Exactly-once claiming: each index is computed by a single worker."""
-    n = len(txns)
+    """The table's block's frontiers, each index claimed once from ``claims``."""
+    n = table.n
     index = table.index
-    i = next(state.claim_counter_phase1)
+    txns = index.txns
+    i = next(claims)
     while i < n:
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
         frontier = index.frontier(txns[i])
         fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
         table.publish(i, frontier)
-        i = next(state.claim_counter_phase1)
+        i = next(claims)
 
 
 def build_conflict_sets_helper(
-    txns: Sequence[Transaction],
     table: ConflictTable,
-    state: SchedulerState,
+    claims: Iterator[int],
     worker_id: int,
     *,
     faults: FaultPlan | None = None,
     abort: threading.Event | None = None,
     cas_retries: AtomicInt | None = None,
 ) -> None:
-    """Wraparound claiming with CAS publication; tolerates stopped peers."""
-    n = len(txns)
+    """The table's block's frontiers, claimed wraparound from ``claims``, CAS-published."""
+    n = table.n
     index = table.index
+    txns = index.txns
     while table.published() < n:
-        i = next(state.claim_counter_phase1) % n
+        i = next(claims) % n
         fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
         if table.get(i) is UNASSIGNED:
             frontier = index.frontier(txns[i])

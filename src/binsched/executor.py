@@ -64,14 +64,8 @@ class WalletState:
 
     balances: dict[Address, int] = field(default_factory=dict)
 
-    def copy(self) -> "WalletState":
-        return WalletState(dict(self.balances))
-
     def total(self) -> int:
         return sum(self.balances.values())
-
-    def balance(self, addr: Address) -> int:
-        return self.balances.get(addr, 0)
 
 
 def _apply(balances: dict[Address, int], txn: Transaction) -> None:

@@ -61,7 +61,6 @@ class FaultPlan:
     delay_per_claim: float = 0.0
     crashed_workers: frozenset[int] = frozenset()
     crash_point: Site = Site.PHASE1_PRE_PUBLISH
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delayed_workers", frozenset(self.delayed_workers))
@@ -76,9 +75,6 @@ class FaultPlan:
     @property
     def crashes_anyone(self) -> bool:
         return bool(self.crashed_workers)
-
-
-NO_FAULTS = FaultPlan()
 
 
 def make_fault_plan(
@@ -121,7 +117,6 @@ def make_fault_plan(
         delay_per_claim=delay,
         crashed_workers=crashed,
         crash_point=crash_point,
-        seed=seed,
     )
 
 

@@ -22,6 +22,7 @@ demonstrate and contain that non-termination.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 import threading
@@ -31,13 +32,7 @@ from typing import Sequence
 
 from .atomics import AtomicInt
 from .binning import BinAssignment, assign_bins_helper, assign_bins_standard
-from .conflict import (
-    ConflictIndex,
-    ConflictTable,
-    SchedulerState,
-    build_conflict_sets_helper,
-    build_conflict_sets_standard,
-)
+from .conflict import ConflictTable, build_conflict_sets_helper, build_conflict_sets_standard
 from .executor import EMPTY_PLAN, ExecutionPlan, build_execution_plan
 from .faults import Aborted, FaultPlan, Site, WorkerCrashed, fault_site
 from .txn import Transaction
@@ -182,13 +177,14 @@ def _run_pool(
     watchdog_secs: float,
 ) -> ScheduleResult:
     n = len(txns)
-    table = ConflictTable(ConflictIndex(txns))
+    table = ConflictTable(txns)
     bins = BinAssignment(n)
     if n == 0:
         timing = PhaseTimings(0.0, 0.0, 0.0)
         return ScheduleResult(table, bins, EMPTY_PLAN, timing, RetryStats(0, 0))
 
-    state = SchedulerState()
+    phase1_claims = itertools.count()
+    phase2_claims = itertools.count()
     abort = threading.Event()
     barrier = threading.Barrier(num_threads) if variant.uses_barrier else None
     cas_retries = AtomicInt(0)
@@ -204,10 +200,10 @@ def _run_pool(
         try:
             if variant.uses_helpers:
                 build_conflict_sets_helper(
-                    txns, table, state, wid, faults=faults, abort=abort, cas_retries=cas_retries,
+                    table, phase1_claims, wid, faults=faults, abort=abort, cas_retries=cas_retries,
                 )
             else:
-                build_conflict_sets_standard(txns, table, state, wid, faults=faults, abort=abort)
+                build_conflict_sets_standard(table, phase1_claims, wid, faults=faults, abort=abort)
             t_phase1_end[wid] = time.perf_counter()
             fault_site(faults, wid, Site.INTER_PHASE, abort)
             if barrier is not None:
@@ -215,14 +211,12 @@ def _run_pool(
             t_phase2_start[wid] = time.perf_counter()
             if variant.uses_helpers:
                 assign_bins_helper(
-                    txns, table, bins, state, wid,
+                    table, bins, phase2_claims, wid,
                     faults=faults, abort=abort,
                     cas_retries=cas_retries, not_ready_skips=not_ready,
                 )
             else:
-                assign_bins_standard(
-                    txns, table, bins, state, wid, faults=faults, abort=abort,
-                )
+                assign_bins_standard(table, bins, phase2_claims, wid, faults=faults, abort=abort)
             t_phase2_end[wid] = time.perf_counter()
         except (WorkerCrashed, Aborted, threading.BrokenBarrierError):
             return

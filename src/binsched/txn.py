@@ -72,9 +72,22 @@ def transaction_to_dict(txn: Transaction) -> dict:
     }
 
 
+# record key -> accepted JSON types; a bool is rejected, as True would collide with 1
+_RECORD_TYPES = {"id": (int,), "from": (str, int), "to": (str, int), "amount": (int,)}
+
+
 def transaction_from_dict(obj: dict) -> Transaction:
+    """A wallet transaction from its JSON record; ValueError names what is malformed."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object, got {type(obj).__name__}")
+    for key, types in _RECORD_TYPES.items():
+        if key not in obj:
+            raise ValueError(f"missing key {key!r}")
+        if isinstance(obj[key], bool) or not isinstance(obj[key], types):
+            names = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"{key!r} must be {names}, got {obj[key]!r}")
     payload = TransferPayload(from_addr=obj["from"], to_addr=obj["to"], amount=obj["amount"])
-    return make_transaction(int(obj["id"]), payload)
+    return make_transaction(obj["id"], payload)
 
 
 def dump_workload(txns: Iterable[Transaction]) -> str:
@@ -83,9 +96,17 @@ def dump_workload(txns: Iterable[Transaction]) -> str:
 
 
 def load_workload(text: str) -> list[Transaction]:
+    """Parse a block; a malformed record raises ValueError naming its position."""
     raw = json.loads(text)
-    txns = [transaction_from_dict(obj) for obj in raw]
-    for pos, txn in enumerate(txns):
+    if not isinstance(raw, list):
+        raise ValueError(f"workload must be a JSON list of transactions, got {type(raw).__name__}")
+    txns = []
+    for pos, obj in enumerate(raw):
+        try:
+            txn = transaction_from_dict(obj)
+        except ValueError as exc:
+            raise ValueError(f"workload record {pos}: {exc}") from None
         if txn.id != pos:
             raise ValueError(f"workload ids must equal positions: id {txn.id} at position {pos}")
+        txns.append(txn)
     return txns

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -6,10 +7,8 @@ from binsched import (
     UNASSIGNED,
     AtomicInt,
     BinAssignment,
-    ConflictIndex,
     ConflictTable,
     PublishOnceArray,
-    SchedulerState,
 )
 
 
@@ -50,7 +49,7 @@ def test_compare_and_set_wins_only_on_the_expected_value():
 
 def test_racing_claims_hand_out_every_index_exactly_once():
     num_threads, per_thread = 8, 20_000
-    claims = SchedulerState().claim_counter_phase1
+    claims = itertools.count()
     taken = [[] for _ in range(num_threads)]
     start = threading.Barrier(num_threads)
 
@@ -69,7 +68,7 @@ def test_racing_claims_hand_out_every_index_exactly_once():
 
 def test_published_falsy_values_are_distinct_from_unset():
     bins = BinAssignment(2)
-    table = ConflictTable(ConflictIndex(disjoint_block(2)))
+    table = ConflictTable(disjoint_block(2))
     assert bins.try_publish(0, 0)
     assert table.try_publish(0, ())
     assert bins.bin_of(0) == 0 and bins.bin_of(0) is not UNASSIGNED

@@ -20,9 +20,7 @@ from binsched import (
     Aborted,
     AtomicInt,
     BinAssignment,
-    ConflictIndex,
     ConflictTable,
-    SchedulerState,
     Site,
     WorkerCrashed,
     assign_bins_helper,
@@ -35,25 +33,24 @@ from binsched import (
 
 
 def published_table(txns):
-    index = ConflictIndex(txns)
-    table = ConflictTable(index)
+    table = ConflictTable(txns)
     for t in txns:
-        table.publish(t.id, index.frontier(t))
+        table.publish(t.id, table.index.frontier(t))
     return table
 
 
 def table_over(pairs):
     """An unpublished table over a wallet block of the given transfers."""
-    return ConflictTable(ConflictIndex(wallet_block(pairs)))
+    return ConflictTable(wallet_block(pairs))
 
 
 def run_assignment(txns, num_threads, use_helpers):
     table = published_table(txns)
     bins = BinAssignment(len(txns))
-    state = SchedulerState()
+    claims = itertools.count()
     target = assign_bins_helper if use_helpers else assign_bins_standard
     workers = [
-        threading.Thread(target=target, args=(txns, table, bins, state, w), daemon=True)
+        threading.Thread(target=target, args=(table, bins, claims, w), daemon=True)
         for w in range(num_threads)
     ]
     for t in workers:
@@ -64,18 +61,13 @@ def run_assignment(txns, num_threads, use_helpers):
     return bins
 
 
-def claims_from(first_claim):
-    """Phase-2 claim state whose next claim is ``first_claim``."""
-    return SchedulerState(claim_counter_phase2=itertools.count(first_claim))
-
-
-def run_helper(table, bins, state, worker_id=0):
+def run_helper(table, bins, claims, worker_id=0):
     """Run one phase-2 helper over the table's block to its exit.
 
     Returns the helper's count of helped dependencies.
     """
     helped = AtomicInt(0)
-    assign_bins_helper(table.index.txns, table, bins, state, worker_id, not_ready_skips=helped)
+    assign_bins_helper(table, bins, claims, worker_id, not_ready_skips=helped)
     return helped.load()
 
 
@@ -125,17 +117,17 @@ def test_helper_resolves_an_unassigned_dependency():
     table.publish(0, ())
     table.publish(1, (0,))
     bins = BinAssignment(2)
-    state = claims_from(1)
-    helped = run_helper(table, bins, state)
+    claims = itertools.count(1)
+    helped = run_helper(table, bins, claims)
     assert bins.initial_bin_list() == [0, 1]
     assert helped == 1
-    assert next(state.claim_counter_phase2) == 2  # one claim did both slots
+    assert next(claims) == 2  # one claim did both slots
 
 
 def test_helper_computes_an_unpublished_slot():
     table = table_over([("A", "B")])
     bins = BinAssignment(1)
-    run_helper(table, bins, claims_from(0))
+    run_helper(table, bins, itertools.count(0))
     assert table.frontier(0) == ()
     assert bins.initial_bin_list() == [0]
 
@@ -144,7 +136,7 @@ def test_helper_empty_conflicts():
     table = table_over([("A", "B")])
     table.publish(0, ())
     bins = BinAssignment(1)
-    helped = run_helper(table, bins, claims_from(0))
+    helped = run_helper(table, bins, itertools.count(0))
     assert bins.initial_bin_list() == [0]
     assert helped == 0
 
@@ -155,7 +147,7 @@ def test_helper_equal_dependencies():
     bins = BinAssignment(3)
     bins.publish(0, 1)
     bins.publish(1, 1)
-    helped = run_helper(table, bins, claims_from(2))
+    helped = run_helper(table, bins, itertools.count(2))
     assert bins.bin_of(2) == 2
     assert helped == 0
 
@@ -168,7 +160,7 @@ def test_helper_waits_only_on_the_frontier():
     assert table.lower(2) == frozenset({0, 1})
     bins = BinAssignment(3)
     bins.publish(1, 3)
-    helped = run_helper(table, bins, claims_from(2))
+    helped = run_helper(table, bins, itertools.count(2))
     assert bins.initial_bin_list() == [0, 3, 4]  # 0 was filled by its own claim
     assert helped == 0
 
@@ -180,9 +172,9 @@ def test_one_claim_resolves_a_whole_unassigned_chain():
     # the last slot of a chain block depends, link by link, on every other
     block = chain_block(60)
     bins = BinAssignment(60)
-    state = claims_from(59)
-    helped = run_helper(published_table(block), bins, state)
-    assert next(state.claim_counter_phase2) == 60
+    claims = itertools.count(59)
+    helped = run_helper(published_table(block), bins, claims)
+    assert next(claims) == 60
     assert helped == 59
     assert bins.initial_bin_list() == bin_oracle(block)
 
@@ -190,9 +182,9 @@ def test_one_claim_resolves_a_whole_unassigned_chain():
 @settings(max_examples=40, deadline=None)
 @given(access_set_blocks(max_n=10))
 def test_helper_publishes_unpublished_frontiers(txns):
-    table = ConflictTable(ConflictIndex(txns))
+    table = ConflictTable(txns)
     bins = BinAssignment(len(txns))
-    run_helper(table, bins, claims_from(max(len(txns) - 1, 0)))
+    run_helper(table, bins, itertools.count(max(len(txns) - 1, 0)))
     assert [set(table.frontier(i)) for i in range(len(txns))] == frontier_oracle(txns)
     assert bins.initial_bin_list() == bin_oracle(txns)
 
@@ -203,7 +195,7 @@ def test_crash_while_helping_a_dependency_leaves_the_rest_to_a_peer(monkeypatch)
     block = chain_block(6)
     table = published_table(block)
     bins = BinAssignment(6)
-    state = claims_from(5)
+    claims = itertools.count(5)
     pre_cas_calls = []
 
     def crash_on_third_pre_cas(faults, worker_id, site, abort=None):
@@ -214,11 +206,11 @@ def test_crash_while_helping_a_dependency_leaves_the_rest_to_a_peer(monkeypatch)
 
     monkeypatch.setattr("binsched.binning.fault_site", crash_on_third_pre_cas)
     with pytest.raises(WorkerCrashed):
-        run_helper(table, bins, state)
+        run_helper(table, bins, claims)
     assert bins.initial_bin_list() == [0, 1, None, None, None, None]
-    assert next(state.claim_counter_phase2) == 6
+    assert next(claims) == 6
 
-    run_helper(table, bins, state, worker_id=1)
+    run_helper(table, bins, claims, worker_id=1)
     assert bins.initial_bin_list() == bin_oracle(block)
 
 
@@ -227,7 +219,7 @@ def test_a_long_chain_resolves_without_recursion():
     assert n > sys.getrecursionlimit()
     block = chain_block(n)
     bins = BinAssignment(n)
-    run_helper(ConflictTable(ConflictIndex(block)), bins, claims_from(n - 1))
+    run_helper(ConflictTable(block), bins, itertools.count(n - 1))
     assert bins.initial_bin_list() == list(range(n))  # a chain's bins, as in test_oracle_chain
 
 
@@ -378,15 +370,15 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
     block = disjoint_block(2)
     table = published_table(block)
     bins = BinAssignment(2)
-    state = SchedulerState()
+    claims = itertools.count()
     assert bins.try_publish(0, 0)
     peer_claims = []
 
     def peer_claims_next(faults, worker_id, site, abort=None):
         if site is Site.PHASE2_POST_CLAIM and len(peer_claims) < 2:
-            peer_claims.append(next(state.claim_counter_phase2) % 2)
+            peer_claims.append(next(claims) % 2)
 
     monkeypatch.setattr("binsched.binning.fault_site", peer_claims_next)
-    assign_bins_helper(block, table, bins, state, worker_id=0)
+    assign_bins_helper(table, bins, claims, worker_id=0)
     assert peer_claims == [1, 1]
     assert bins.initial_bin_list() == [0, 0]

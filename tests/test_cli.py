@@ -113,6 +113,19 @@ def test_schedule_check_detects_violation(tmp_path, capsys, monkeypatch):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def test_schedule_rejects_a_malformed_workload_without_a_traceback(tmp_path):
+    block = tmp_path / "block.json"
+    block.write_text(json.dumps([{"id": 0, "from": "A", "to": "B", "amount": "5"}]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "binsched.cli", "schedule", "-w", str(block), "--threads", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: workload record 0: 'amount' must be int, got '5'\n"
+
+
 def test_unknown_crash_point_is_config_error(tmp_path, capsys):
     block = tmp_path / "block.json"
     run_cli(["gen", "--n", "5", "-o", str(block)])

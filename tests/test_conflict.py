@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import pytest
@@ -8,7 +9,6 @@ from binsched import (
     ConflictIndex,
     ConflictTable,
     FaultPlan,
-    SchedulerState,
     Site,
     Transaction,
     TransferPayload,
@@ -44,12 +44,12 @@ def assert_frontiers_match_oracle(table, txns):
 
 def run_standard_phase1(txns, num_threads, faults):
     """Phase 1 alone, for crash plans that ``schedule`` rejects on STANDARD."""
-    table = ConflictTable(ConflictIndex(txns))
-    state = SchedulerState()
+    table = ConflictTable(txns)
+    claims = itertools.count()
 
     def body(worker_id):
         try:
-            build_conflict_sets_standard(txns, table, state, worker_id, faults=faults)
+            build_conflict_sets_standard(table, claims, worker_id, faults=faults)
         except WorkerCrashed:
             pass
 
@@ -253,14 +253,13 @@ def test_delayed_workers_change_nothing_but_time():
 
 def test_direct_worker_invocation_single_thread():
     block = wallet_block([("A", "B"), ("B", "C"), ("C", "D")])
-    table = ConflictTable(ConflictIndex(block))
-    state = SchedulerState()
-    build_conflict_sets_standard(block, table, state, worker_id=0)
+    table = ConflictTable(block)
+    build_conflict_sets_standard(table, itertools.count(), worker_id=0)
     assert table.to_lists() == [[], [0], [1]]
     assert_frontiers_match_oracle(table, block)
 
-    table2 = ConflictTable(ConflictIndex(block))
-    build_conflict_sets_helper(block, table2, SchedulerState(), worker_id=0)
+    table2 = ConflictTable(block)
+    build_conflict_sets_helper(table2, itertools.count(), worker_id=0)
     assert table2.to_lists() == [[], [0], [1]]
     assert_frontiers_match_oracle(table2, block)
     assert table2.published() == len(block)
@@ -281,12 +280,10 @@ def test_published_slots_are_immutable_snapshots():
 def test_stuck_counters_stay_within_bounds():
     """Six helpers on a small block: every slot published, the count stops at n."""
     block = random_wallet_block(seed=13, max_n=60)
-    table = ConflictTable(ConflictIndex(block))
-    state = SchedulerState()
+    table = ConflictTable(block)
+    claims = itertools.count()
     workers = [
-        threading.Thread(
-            target=build_conflict_sets_helper, args=(block, table, state, w), daemon=True
-        )
+        threading.Thread(target=build_conflict_sets_helper, args=(table, claims, w), daemon=True)
         for w in range(6)
     ]
     for t in workers:
@@ -303,16 +300,16 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
     # worker only ever claims the filled slot 0. The worker must not leave
     # the phase on its run of filled claims: it has to fill slot 1 itself.
     block = wallet_block([("A", "B"), ("C", "D")])
-    table = ConflictTable(ConflictIndex(block))
-    state = SchedulerState()
+    table = ConflictTable(block)
+    claims = itertools.count()
     assert table.try_publish(0, ())
     peer_claims = []
 
     def peer_claims_next(faults, worker_id, site, abort=None):
         if site is Site.PHASE1_POST_CLAIM and len(peer_claims) < 2:
-            peer_claims.append(next(state.claim_counter_phase1) % 2)
+            peer_claims.append(next(claims) % 2)
 
     monkeypatch.setattr("binsched.conflict.fault_site", peer_claims_next)
-    build_conflict_sets_helper(block, table, state, worker_id=0)
+    build_conflict_sets_helper(table, claims, worker_id=0)
     assert peer_claims == [1, 1]
     assert table.to_lists() == [[], []]

@@ -1,3 +1,4 @@
+import itertools
 import threading
 import time
 
@@ -7,12 +8,18 @@ from hypothesis import given, settings, strategies as st
 from _helpers import random_wallet_block, wallet_block, wallet_blocks
 from binsched import (
     CRASH_POINTS,
+    AtomicInt,
+    BinAssignment,
+    ConflictTable,
     FaultPlan,
     NonTermination,
+    RetryStats,
     SchedulerConfigError,
     Site,
     Variant,
+    assign_bins_helper,
     bin_oracle,
+    build_conflict_sets_helper,
     make_fault_plan,
     schedule,
     schedule_with_watchdog,
@@ -181,6 +188,43 @@ def test_retry_stats_are_nonnegative():
     result = schedule(block, Variant.LOCKFREE, num_threads=8)
     assert result.retries.cas_retries >= 0
     assert result.retries.not_ready_skips >= 0
+
+
+def test_standard_reports_no_retries():
+    block = random_wallet_block(seed=72, max_n=150)
+    assert schedule(block, Variant.STANDARD, num_threads=4).retries == RetryStats(0, 0)
+
+
+def test_a_lost_phase1_publish_counts_one_cas_retry(monkeypatch):
+    # a peer publishes the claimed slot between the helper's compute and
+    # its publish, so the helper's compare-and-set loses
+    table = ConflictTable(wallet_block([("A", "B")]))
+    retries = AtomicInt(0)
+
+    def peer_publishes_first(faults, worker_id, site, abort=None):
+        if site is Site.PHASE1_PRE_PUBLISH:
+            assert table.try_publish(0, ())
+
+    monkeypatch.setattr("binsched.conflict.fault_site", peer_publishes_first)
+    build_conflict_sets_helper(table, itertools.count(), worker_id=0, cas_retries=retries)
+    assert retries.load() == 1
+    assert table.frontier(0) == ()
+
+
+def test_a_lost_phase2_publish_counts_one_cas_retry(monkeypatch):
+    table = ConflictTable(wallet_block([("A", "B")]))
+    table.publish(0, ())
+    bins = BinAssignment(1)
+    retries = AtomicInt(0)
+
+    def peer_publishes_first(faults, worker_id, site, abort=None):
+        if site is Site.PHASE2_PRE_CAS:
+            assert bins.try_publish(0, 0)
+
+    monkeypatch.setattr("binsched.binning.fault_site", peer_publishes_first)
+    assign_bins_helper(table, bins, itertools.count(), worker_id=0, cas_retries=retries)
+    assert retries.load() == 1
+    assert bins.initial_bin_list() == [0]
 
 
 def test_plan_consistent_with_assignment():

@@ -90,6 +90,47 @@ def test_workload_positions_must_match_ids():
         load_workload(text)
 
 
+def record(**overrides):
+    """A valid workload record with some fields replaced."""
+    return {"id": 0, "from": "A", "to": "B", "amount": 5, **overrides}
+
+
+def test_workload_must_be_a_list():
+    with pytest.raises(ValueError, match="JSON list"):
+        load_workload(json.dumps(record()))
+
+
+def test_workload_record_must_be_an_object():
+    with pytest.raises(ValueError, match="record 1: expected an object"):
+        load_workload(json.dumps([record(), [1, "A", "B", 5]]))
+
+
+@pytest.mark.parametrize("key", ["id", "from", "to", "amount"])
+def test_workload_record_missing_a_key_rejected(key):
+    obj = record()
+    del obj[key]
+    with pytest.raises(ValueError, match=f"record 0: missing key '{key}'"):
+        load_workload(json.dumps([obj]))
+
+
+@pytest.mark.parametrize("key", ["id", "amount"])
+@pytest.mark.parametrize("value", ["5", 5.5, 1.0, True, None])
+def test_workload_id_and_amount_must_be_integers(key, value):
+    with pytest.raises(ValueError, match=f"record 0: '{key}' must be int,"):
+        load_workload(json.dumps([record(**{key: value})]))
+
+
+@pytest.mark.parametrize("key", ["from", "to"])
+@pytest.mark.parametrize("value", [["A"], {"a": 1}, 1.5, False, None])
+def test_workload_addresses_must_be_strings_or_integers(key, value):
+    with pytest.raises(ValueError, match=f"record 0: '{key}' must be str or int,"):
+        load_workload(json.dumps([record(**{key: value})]))
+
+
+def test_integer_addresses_accepted():
+    assert load_workload(json.dumps([record(**{"from": 1, "to": 2})]))[0].write_set == {1, 2}
+
+
 def test_payloadless_transaction_not_serializable():
     txn = Transaction(id=0, read_set=frozenset({"X"}), write_set=frozenset({"X"}))
     with pytest.raises(ValueError):
