@@ -1,14 +1,18 @@
 """Stress the scheduler variants and the executor against the serial oracles.
 
-Generates ``--blocks`` wallet blocks (n <= 1000) from ``--seed`` and runs
-each through STANDARD, ASSISTED and LOCKFREE at 2 and 8 threads. Half of
-the LOCKFREE runs get a random crash plan: a random crash point and between
-1 and ``threads - 1`` crashed workers; the other variants run without one.
-Every run's bins are checked against ``bin_oracle``, and its plan, executed
-by ``execute_plan`` on the surviving threads, against ``execute_serial``'s
-final balances. Every other block runs at a thread switch interval of
-10 us, so claims and publishes interleave more finely. Exits 1 on any
-wrong bins, wrong balances or error, 0 otherwise.
+Generates ``--blocks`` blocks (n <= 1000) from ``--seed`` and runs each
+through STANDARD, ASSISTED and LOCKFREE at 2 and 8 threads. Every third
+block is an access-set block of read-only, write-only and mixed
+transactions over a few addresses, so frontiers hold runs of readers; the
+others are wallet blocks, whose read and write sets are equal. Half of the
+LOCKFREE runs get a random crash plan: a random crash point and between 1
+and ``threads - 1`` crashed workers; the other variants run without one.
+Every run's bins are checked against ``bin_oracle``. A wallet block's plan
+is also executed by ``execute_plan`` on the surviving threads and checked
+against ``execute_serial``'s final balances; access-set blocks carry no
+payload, so they are not executed. Every other block runs at a thread
+switch interval of 10 us, so claims and publishes interleave more finely.
+Exits 1 on any wrong bins, wrong balances or error, 0 otherwise.
 
     PYTHONPATH=src python scripts/stress_helpers.py --seed 7 --blocks 100
 """
@@ -23,6 +27,7 @@ import traceback
 
 from binsched import (
     CRASH_POINTS,
+    Transaction,
     Variant,
     WalletState,
     WorkloadSpec,
@@ -37,21 +42,36 @@ from binsched import (
 THREAD_COUNTS = (2, 8)
 MAX_N = 1000
 FINE_SWITCH_INTERVAL = 1e-5  # seconds, for every other block
+ACCESS_SET_EVERY = 3  # every third block is an access-set block
+
+
+def access_set_block(rng: random.Random) -> list[Transaction]:
+    """Read-only (60%), write-only (20%) and mixed (20%) transactions, no payloads."""
+    addrs = range(rng.randint(2, 60))
+    txns = []
+    for i in range(rng.randint(1, MAX_N)):
+        kind = rng.choices(("read", "write", "mixed"), weights=(3, 1, 1))[0]
+        reads = rng.sample(addrs, rng.randint(1, min(3, len(addrs)))) if kind != "write" else ()
+        writes = rng.sample(addrs, rng.randint(1, 2)) if kind != "read" else ()
+        txns.append(Transaction(id=i, read_set=frozenset(reads), write_set=frozenset(writes)))
+    return txns
 
 
 def check_run(block, variant, threads, faults, expected, expected_balances) -> list[str]:
-    """Schedule and execute one run; return what went wrong, if anything."""
+    """Schedule one run, and execute it unless ``expected_balances`` is None;
+    return what went wrong, if anything."""
     try:
         result = schedule(block, variant, threads, faults)
-        live_threads = threads - (len(faults.crashed_workers) if faults is not None else 0)
-        final = execute_plan(result.plan, block, WalletState(), live_threads)
+        if expected_balances is not None:
+            live_threads = threads - (len(faults.crashed_workers) if faults is not None else 0)
+            final = execute_plan(result.plan, block, WalletState(), live_threads)
     except Exception as exc:  # report every failure, keep going
         traceback.print_exc()
         return [f"ERROR {exc!r}"]
     problems = []
     if result.assignment.initial_bin_list() != expected:
         problems.append("WRONG BINS")
-    if final.balances != expected_balances:
+    if expected_balances is not None and final.balances != expected_balances:
         problems.append("WRONG BALANCES")
     return problems
 
@@ -69,15 +89,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for b in range(args.blocks):
             sys.setswitchinterval(FINE_SWITCH_INTERVAL if b % 2 else default_interval)
-            spec = WorkloadSpec(
-                n_txns=rng.randint(1, MAX_N),
-                n_accounts=rng.randint(2, 200),
-                dependency_pct=rng.choice([0, 10, 40, 70, 100]),
-                seed=rng.randrange(2**32),
-            )
-            block = generate_workload(spec)
+            if b % ACCESS_SET_EVERY == ACCESS_SET_EVERY - 1:
+                block = access_set_block(rng)
+                spec = f"access-set block, n={len(block)}"
+                expected_balances = None
+            else:
+                spec = WorkloadSpec(
+                    n_txns=rng.randint(1, MAX_N),
+                    n_accounts=rng.randint(2, 200),
+                    dependency_pct=rng.choice([0, 10, 40, 70, 100]),
+                    seed=rng.randrange(2**32),
+                )
+                block = generate_workload(spec)
+                expected_balances = execute_serial(block, WalletState()).balances
             expected = bin_oracle(block)
-            expected_balances = execute_serial(block, WalletState()).balances
             for variant in (Variant.STANDARD, Variant.ASSISTED, Variant.LOCKFREE):
                 for threads in THREAD_COUNTS:
                     faults = None

@@ -30,9 +30,11 @@ whose block it schedules, and the claim counter it draws from:
   count reaches ``n``, which by :class:`~binsched.atomics.PublishOnceArray`'s
   invariant means every slot is published.
 
-:class:`ConflictIndex` is the address-postings table a :class:`ConflictTable`
-builds once from the immutable block; it enumerates a frontier, or exactly
-the set ``{j < i : check_conflicts(txn_i, txn_j)}``, without touching
+:class:`ConflictIndex` holds each address's access chain, the ids that
+touch it in id order, which a :class:`ConflictTable` builds once from the
+immutable block. Every access records where it sits in its chain, so a
+frontier is read off the chain without a search, and exactly the set
+``{j < i : check_conflicts(txn_i, txn_j)}`` is enumerated without touching
 unrelated transactions. :func:`conflict_sets_oracle` is the independent
 quadratic restatement used to cross-check it.
 """
@@ -40,7 +42,6 @@ quadratic restatement used to cross-check it.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
 from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
@@ -66,49 +67,72 @@ def conflict_sets_oracle(txns: Sequence[Transaction]) -> list[frozenset[int]]:
 
 
 class ConflictIndex:
-    """Address -> accessing-transaction postings, built once per block.
+    """Per-address access chains, built once per block.
 
-    ``lower_conflicts(txn)`` unions the write-involving postings below the
-    transaction's own id, which is exactly the pairwise definition; postings
-    are ascending because the block is scanned in id order. The index keeps
-    the block it was built from as ``txns``.
+    One scan of the block in id order appends each transaction to the chain
+    of every address it touches, so a chain lists the address's accessors in
+    id order, and records each access as a span ``(addr, chain, start,
+    stop)``:
+
+    * a write access stops at the transaction's own chain position and
+      starts at the address's latest earlier writer, or at 0 when there is
+      none, so ``chain[start:stop]`` is that writer and the read-only
+      readers since: the walk back from the transaction to the first
+      writer, taken as one slice;
+    * a read-only access spans just its latest earlier writer, or nothing.
+
+    :meth:`frontier` therefore makes no search, and a read-only access no
+    walk. :meth:`lower_conflicts` takes the chain prefix below a write
+    access and the writers below a read-only one, which is exactly the
+    pairwise definition. The index keeps the block it was built from as
+    ``txns``; transaction ids are block positions.
     """
 
-    __slots__ = ("txns", "_readers", "_writers")
+    __slots__ = ("txns", "_spans")
 
     def __init__(self, txns: Sequence[Transaction]) -> None:
         self.txns = txns
-        writers: dict[Address, list[int]] = {}
-        readers: dict[Address, list[int]] = {}
+        chains: dict[Address, list[int]] = {}
+        last_writer: dict[Address, int] = {}  # chain position of the latest writer
+        spans: list[list[tuple[Address, list[int], int, int]]] = []
         for txn in txns:
+            own = []
             for addr in txn.write_set:
-                writers.setdefault(addr, []).append(txn.id)
+                chain = chains.setdefault(addr, [])
+                pos = len(chain)
+                own.append((addr, chain, last_writer.get(addr, 0), pos))
+                last_writer[addr] = pos
+                chain.append(txn.id)
             for addr in txn.read_set:
-                readers.setdefault(addr, []).append(txn.id)
-        self._writers = writers
-        self._readers = readers
-
-    @staticmethod
-    def _below(postings: list[int], i: int) -> list[int]:
-        return postings[: bisect_left(postings, i)]
+                if addr not in txn.write_set:
+                    chain = chains.setdefault(addr, [])
+                    w = last_writer.get(addr)
+                    own.append((addr, chain, 0, 0) if w is None else (addr, chain, w, w + 1))
+                    chain.append(txn.id)
+            spans.append(own)
+        self._spans = spans
 
     def lower_conflicts(self, txn: Transaction) -> frozenset[int]:
-        i = txn.id
         out: set[int] = set()
-        for addr in txn.write_set:
-            if addr in self._writers:
-                out.update(self._below(self._writers[addr], i))
-            if addr in self._readers:
-                out.update(self._below(self._readers[addr], i))
-        for addr in txn.read_set:
-            if addr in self._writers:
-                out.update(self._below(self._writers[addr], i))
+        for addr, chain, _, stop in self._spans[txn.id]:
+            if addr in txn.write_set:
+                out.update(chain[:stop])
+            else:
+                out.update(self._writers_through(addr, chain, stop - 1))
         return frozenset(out)
 
-    def _last_writer(self, addr: Address, i: int) -> int:
-        writers = self._writers.get(addr, ())
-        k = bisect_left(writers, i)
-        return writers[k - 1] if k else -1
+    def _writers_through(self, addr: Address, chain: list[int], pos: int) -> Iterator[int]:
+        """The writers of ``addr`` at or below ``chain[pos]``, itself a writer or -1.
+
+        Walks back writer to writer along each one's write span, so a run of
+        read-only readers between two writers costs nothing. A span with no
+        earlier writer starts at 0, on a reader or on the writer itself.
+        """
+        while pos >= 0:
+            j = chain[pos]
+            yield j
+            start = next(s for a, _, s, _ in self._spans[j] if a == addr)
+            pos = start if start < pos and addr in self.txns[chain[start]].write_set else -1
 
     def frontier(self, txn: Transaction) -> tuple[int, ...]:
         """The lower conflicts that bound the transaction's bin.
@@ -117,20 +141,10 @@ class ConflictIndex:
         writes the address, the readers strictly between that writer and
         ``txn.id``. A subset of :meth:`lower_conflicts`.
         """
-        i = txn.id
-        out: set[int] = set()
-        for addr in txn.write_set:
-            last = self._last_writer(addr, i)
-            if last >= 0:
-                out.add(last)
-            if addr in self._readers:
-                readers = self._readers[addr]
-                out.update(readers[bisect_right(readers, last) : bisect_left(readers, i)])
-        for addr in txn.read_set - txn.write_set:
-            last = self._last_writer(addr, i)
-            if last >= 0:
-                out.add(last)
-        return tuple(out)
+        out: list[int] = []
+        for _, chain, start, stop in self._spans[txn.id]:
+            out += chain[start:stop]
+        return tuple(set(out)) if len(out) > 1 else tuple(out)
 
 
 class ConflictTable(PublishOnceArray[tuple[int, ...]]):

@@ -96,8 +96,11 @@ def dump_workload(txns: Iterable[Transaction]) -> str:
 
 
 def load_workload(text: str) -> list[Transaction]:
-    """Parse a block; a malformed record raises ValueError naming its position."""
-    raw = json.loads(text)
+    """Parse a block; invalid JSON or a malformed record raises ValueError saying which."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"workload is not valid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise ValueError(f"workload must be a JSON list of transactions, got {type(raw).__name__}")
     txns = []

@@ -85,7 +85,7 @@ def generate_workload(spec: WorkloadSpec) -> list[Transaction]:
 
 
 def compute_conflict_params(txns: Sequence[Transaction]) -> ConflictParams:
-    """Measure cp1/cp2/cp3 from conflict-index postings; empty input is all-zero.
+    """Measure cp1/cp2/cp3 from the conflict index; empty input is all-zero.
 
     Each conflicting pair appears once, in the lower set of its later member,
     so the lower-set sizes sum to the pair count.

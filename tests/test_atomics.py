@@ -177,16 +177,23 @@ def test_concurrent_publishes_are_all_counted():
 
 
 def test_lock_free_reads_see_unset_or_final_values():
-    # readers poll get() and published() without the lock while writers race
+    # readers poll get() and published() without the lock while writers race;
+    # the writers publish half their slots, then wait until every reader has
+    # looked, so the readers are sure to see the array part filled
     n, num_writers, num_readers = 4000, 8, 2
     array = PublishOnceArray(n)
     start = threading.Barrier(num_writers + num_readers)
+    looked = [threading.Event() for _ in range(num_readers)]
     reads = [[] for _ in range(num_readers)]
     counts = [[] for _ in range(num_readers)]
     full_views = []
 
     def write(w):
-        for i in range(w, n, num_writers):
+        mine = range(w, n, num_writers)
+        for k, i in enumerate(mine):
+            if k == len(mine) // 2:
+                for event in looked:
+                    event.wait(30)
             array.try_publish(i, (i, w))
             array.try_publish((i + 1) % n, ((i + 1) % n, w))
 
@@ -200,6 +207,8 @@ def test_lock_free_reads_see_unset_or_final_values():
                 return
             reads[r].append((k, array.get(k)))
             k = (k + 7) % n
+            if count > 0:
+                looked[r].set()
 
     def body(w):
         start.wait(30)
@@ -221,15 +230,21 @@ def test_lock_free_reads_see_unset_or_final_values():
 
 
 def test_snapshots_see_unset_or_final_values():
+    # the writers publish half their slots, then wait until the reader has
+    # taken a snapshot of the part-filled array
     n, num_writers = 4000, 8
     array = PublishOnceArray(n)
     start = threading.Barrier(num_writers + 1)
+    looked = threading.Event()
     snapshots = []
 
     def body(w):
         start.wait(30)
         if w < num_writers:
-            for i in range(w, n, num_writers):
+            mine = range(w, n, num_writers)
+            for k, i in enumerate(mine):
+                if k == len(mine) // 2:
+                    looked.wait(30)
                 array.try_publish(i, (i, w))
                 array.try_publish((i + 1) % n, ((i + 1) % n, w))
             return
@@ -237,6 +252,8 @@ def test_snapshots_see_unset_or_final_values():
             snapshots.append(array.snapshot())
             if snapshots[-1].count(UNASSIGNED) == 0:
                 return
+            if snapshots[-1].count(UNASSIGNED) < n:
+                looked.set()
 
     run_threads(body, num_writers + 1)
     final = array.snapshot()

@@ -126,6 +126,21 @@ def test_schedule_rejects_a_malformed_workload_without_a_traceback(tmp_path):
     assert proc.stderr == "error: workload record 0: 'amount' must be int, got '5'\n"
 
 
+def test_schedule_rejects_a_workload_that_is_not_json(tmp_path):
+    block = tmp_path / "block.json"
+    block.write_text("nope")
+    proc = subprocess.run(
+        [sys.executable, "-m", "binsched.cli", "schedule", "-w", str(block), "--threads", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: workload is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
+    )
+
+
 def test_unknown_crash_point_is_config_error(tmp_path, capsys):
     block = tmp_path / "block.json"
     run_cli(["gen", "--n", "5", "-o", str(block)])

@@ -154,6 +154,50 @@ def test_frontier_keeps_the_readers_since_the_last_writer():
     assert index.frontier(block[0]) == ()
 
 
+def reader_run_block():
+    """Long runs on one address H: a writer, 200 read-only readers, a write-only
+    writer, 100 more readers, a read-write transaction and a last reader.
+    Each reader also writes its own record, so its H access alone is read-only."""
+    block = [txn(0, {"H"}, {"H"})]
+    block += [txn(i, {"H"}, {f"r{i}"}) for i in range(1, 201)]
+    block.append(txn(201, set(), {"H"}))
+    block += [txn(i, {"H"}, {f"r{i}"}) for i in range(202, 302)]
+    block.append(txn(302, {"H"}, {"H"}))
+    block.append(txn(303, {"H"}, {"r303"}))
+    return block
+
+
+def test_reader_runs_match_the_oracles():
+    block = reader_run_block()
+    index = ConflictIndex(block)
+    frontiers = frontier_oracle(block)
+    lower = conflict_sets_oracle(block)
+    for t in block:
+        assert set(index.frontier(t)) == frontiers[t.id]
+        assert index.lower_conflicts(t) == lower[t.id]
+    assert set(index.frontier(block[201])) == set(range(201))
+    assert set(index.frontier(block[302])) == set(range(201, 302))
+
+
+def test_a_read_only_access_has_only_its_last_writer_as_frontier():
+    block = reader_run_block()
+    index = ConflictIndex(block)
+    last_writer = 0
+    for t in block:
+        if "H" in t.write_set:
+            last_writer = t.id
+        else:
+            assert index.frontier(t) == (last_writer,)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_scheduled_reader_runs_match_the_oracles(variant):
+    block = reader_run_block()
+    result = schedule(block, variant, num_threads=4)
+    assert result.assignment.initial_bin_list() == bin_oracle(block)
+    assert_frontiers_match_oracle(result.conflicts, block)
+
+
 def test_oracle_on_worked_example():
     block = wallet_block([("A", "B"), ("C", "D"), ("B", "E")])
     assert conflict_sets_oracle(block) == [frozenset(), frozenset(), frozenset({0})]
