@@ -52,6 +52,7 @@ from .faults import (
     Aborted,
     FaultPlan,
     Site,
+    Worker,
     WorkerCrashed,
     make_fault_plan,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "Variant",
     "WATCHDOG_ENV_VAR",
     "WalletState",
+    "Worker",
     "WorkerCrashed",
     "WorkloadSpec",
     "aggregate_rows",

@@ -1,4 +1,4 @@
-"""Lock-free claims and publishes, and a lock-backed telemetry counter.
+"""Lock-free claims and publishes, and a lock-backed counter kept for the benchmark.
 
 Claims and publishes take no lock: each is a single C call that calls back
 into no Python code, which CPython's GIL runs as one atomic step. Nothing
@@ -15,7 +15,11 @@ same object, such as the empty frontier ``()``. As ``published()`` counts
 the keys, ``published() == n`` means every slot is set, wherever a worker
 stops or crashes; the helper procedures leave a phase on that count.
 
-:class:`AtomicInt` keeps a lock and serves only the telemetry counters.
+:class:`AtomicInt` keeps a lock and serves no library code: each
+scheduler worker counts its telemetry on its own
+:class:`~binsched.faults.Worker` record. It stays only because the
+``perfbench`` harness times it for its ``atomics_ns`` metrics, until the
+benchmark drops them (ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ earlier conflict on an address sits in a lower bin than a frontier member.
 A transaction therefore waits only on its frontier's bins.
 
 Each procedure takes the conflict table, whose block it bins, the bin
-array it publishes into, and the claim counter it draws from.
+array it publishes into, the claim counter it draws from, and the calling
+thread's :class:`~binsched.faults.Worker`, whose fault hook it calls at
+each instrumented site: ``assign_bins_standard(table, bins, claims,
+worker)`` and ``assign_bins_helper(table, bins, claims, worker)``.
 :func:`assign_bins_standard` claims each index exactly once and *blocks*
 (bounded-backoff spin) on dependencies that are still unassigned; safe when
 phase 1 completed behind a barrier, not crash tolerant.
@@ -27,6 +30,8 @@ one: a helper leaves phase 1 only at a full count). Frontiers and bins are
 pure functions of the block, so every publisher of a slot publishes the
 same value, and work a stopped peer abandoned is redone by whoever needs it
 next. A helper leaves the phase only once the publish count reaches ``n``.
+It counts each CAS it loses on ``worker.cas_retries`` and each unassigned
+frontier member it pushes to resolve on ``worker.helped``.
 
 The publish-once :class:`BinAssignment` is the only bin record. Bin
 membership is derived from it once, by
@@ -39,9 +44,9 @@ import threading
 import time
 from typing import Iterator, Sequence
 
-from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
+from .atomics import UNASSIGNED, PublishOnceArray
 from .conflict import ConflictTable, check_conflicts
-from .faults import Aborted, FaultPlan, Site, fault_site
+from .faults import Aborted, Site, Worker
 from .txn import Transaction
 
 _SPIN_SLEEP_MIN = 10e-6
@@ -82,42 +87,28 @@ def calculate_bin(
 
 
 def assign_bins_standard(
-    table: ConflictTable,
-    bins: BinAssignment,
-    claims: Iterator[int],
-    worker_id: int,
-    *,
-    faults: FaultPlan | None = None,
-    abort: threading.Event | None = None,
+    table: ConflictTable, bins: BinAssignment, claims: Iterator[int], worker: Worker
 ) -> None:
     """Bins the table's block, each index claimed once from ``claims``; waits on deps."""
     n = bins.n
     i = next(claims)
     while i < n:
-        fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
-        alloted = calculate_bin(i, table, bins, abort=abort)
-        fault_site(faults, worker_id, Site.PHASE2_PRE_CAS, abort)
+        worker.at(Site.PHASE2_POST_CLAIM)
+        alloted = calculate_bin(i, table, bins, abort=worker.abort)
+        worker.at(Site.PHASE2_PRE_CAS)
         bins.publish(i, alloted)
         i = next(claims)
 
 
 def assign_bins_helper(
-    table: ConflictTable,
-    bins: BinAssignment,
-    claims: Iterator[int],
-    worker_id: int,
-    *,
-    faults: FaultPlan | None = None,
-    abort: threading.Event | None = None,
-    cas_retries: AtomicInt | None = None,
-    not_ready_skips: AtomicInt | None = None,
+    table: ConflictTable, bins: BinAssignment, claims: Iterator[int], worker: Worker
 ) -> None:
     """Bins the table's block, claimed wraparound from ``claims``; helps unassigned deps."""
     n = bins.n
     index = table.index
     while bins.published() < n:
         stack = [next(claims) % n]
-        fault_site(faults, worker_id, Site.PHASE2_POST_CLAIM, abort)
+        worker.at(Site.PHASE2_POST_CLAIM)
         while stack:
             j = stack[-1]
             if bins.bin_of(j) is not UNASSIGNED:
@@ -132,15 +123,14 @@ def assign_bins_helper(
                 dep_bin = bins.bin_of(dep)
                 if dep_bin is UNASSIGNED:
                     stack.append(dep)
-                    if not_ready_skips is not None:
-                        not_ready_skips.fetch_add(1)
+                    worker.helped += 1
                     break
                 if dep_bin > current:
                     current = dep_bin
             else:
-                fault_site(faults, worker_id, Site.PHASE2_PRE_CAS, abort)
-                if not bins.try_publish(j, current + 1) and cas_retries is not None:
-                    cas_retries.fetch_add(1)
+                worker.at(Site.PHASE2_PRE_CAS)
+                if not bins.try_publish(j, current + 1):
+                    worker.cas_retries += 1
                 stack.pop()
 
 

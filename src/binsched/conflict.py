@@ -17,7 +17,10 @@ derives them from the block's :class:`ConflictIndex` when a caller reads a
 published slot.
 
 Two discovery procedures share that contract. Each takes only the table,
-whose block it schedules, and the claim counter it draws from:
+whose block it schedules, the claim counter it draws from, and the calling
+thread's :class:`~binsched.faults.Worker`, whose fault hook it calls at
+each instrumented site: ``build_conflict_sets_standard(table, claims,
+worker)`` and ``build_conflict_sets_helper(table, claims, worker)``.
 
 * :func:`build_conflict_sets_standard` hands each index to exactly one
   worker by ``next()`` on a shared counter and stores the result. A worker
@@ -28,7 +31,8 @@ whose block it schedules, and the claim counter it draws from:
   via compare-and-swap from the unset sentinel so exactly one publisher
   wins per slot. A worker leaves the phase only once the table's publish
   count reaches ``n``, which by :class:`~binsched.atomics.PublishOnceArray`'s
-  invariant means every slot is published.
+  invariant means every slot is published. Each CAS it loses counts one
+  on ``worker.cas_retries``.
 
 :class:`ConflictIndex` holds each address's access chain, the ids that
 touch it in id order, which a :class:`ConflictTable` builds once from the
@@ -41,11 +45,10 @@ quadratic restatement used to cross-check it.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator, Sequence
 
-from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
-from .faults import FaultPlan, Site, fault_site
+from .atomics import UNASSIGNED, PublishOnceArray
+from .faults import Site, Worker
 from .txn import Address, Transaction
 
 
@@ -180,12 +183,7 @@ class ConflictTable(PublishOnceArray[tuple[int, ...]]):
 
 
 def build_conflict_sets_standard(
-    table: ConflictTable,
-    claims: Iterator[int],
-    worker_id: int,
-    *,
-    faults: FaultPlan | None = None,
-    abort: threading.Event | None = None,
+    table: ConflictTable, claims: Iterator[int], worker: Worker
 ) -> None:
     """The table's block's frontiers, each index claimed once from ``claims``."""
     n = table.n
@@ -193,21 +191,15 @@ def build_conflict_sets_standard(
     txns = index.txns
     i = next(claims)
     while i < n:
-        fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
+        worker.at(Site.PHASE1_POST_CLAIM)
         frontier = index.frontier(txns[i])
-        fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
+        worker.at(Site.PHASE1_PRE_PUBLISH)
         table.publish(i, frontier)
         i = next(claims)
 
 
 def build_conflict_sets_helper(
-    table: ConflictTable,
-    claims: Iterator[int],
-    worker_id: int,
-    *,
-    faults: FaultPlan | None = None,
-    abort: threading.Event | None = None,
-    cas_retries: AtomicInt | None = None,
+    table: ConflictTable, claims: Iterator[int], worker: Worker
 ) -> None:
     """The table's block's frontiers, claimed wraparound from ``claims``, CAS-published."""
     n = table.n
@@ -215,9 +207,9 @@ def build_conflict_sets_helper(
     txns = index.txns
     while table.published() < n:
         i = next(claims) % n
-        fault_site(faults, worker_id, Site.PHASE1_POST_CLAIM, abort)
+        worker.at(Site.PHASE1_POST_CLAIM)
         if table.get(i) is UNASSIGNED:
             frontier = index.frontier(txns[i])
-            fault_site(faults, worker_id, Site.PHASE1_PRE_PUBLISH, abort)
-            if not table.try_publish(i, frontier) and cas_retries is not None:
-                cas_retries.fetch_add(1)
+            worker.at(Site.PHASE1_PRE_PUBLISH)
+            if not table.try_publish(i, frontier):
+                worker.cas_retries += 1

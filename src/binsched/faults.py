@@ -7,12 +7,19 @@ A crash is a cooperative stop at an instrumented site, never a process
 abort: it is reproducible and exercises exactly the recovery paths that an
 OS-level kill would (a kill after a successful CAS is indistinguishable
 from a stop).
+
+A :class:`FaultPlan` is shared read-only by the whole pool. Each worker
+thread gets its own :class:`Worker` record, which resolves the plan once,
+at pool start, into that worker's crash site and delay; the phase
+procedures call its :meth:`Worker.at` hook at each instrumented site and
+count their lost CASes and helped dependencies on it.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+import threading
 import time
 from dataclasses import dataclass
 
@@ -120,20 +127,49 @@ def make_fault_plan(
     )
 
 
-def fault_site(plan: FaultPlan | None, worker_id: int, site: Site, abort=None) -> None:
-    """Worker-side hook: honor the plan at one instrumented site.
+class Worker:
+    """One scheduler worker: its id, the run's abort event, its resolved
+    crash site (or None) and per-claim delay (or 0.0), and its telemetry.
 
-    Raises :class:`WorkerCrashed` when a crashed worker reaches the crash
-    point, sleeps when a delayed worker reaches a claim site, and raises
-    :class:`Aborted` when the run's abort event is set. The "crash once"
-    latch is realized by the worker thread itself, which stops permanently
-    on the first :class:`WorkerCrashed`.
+    Only the owning thread writes the counters and phase timestamps, and the
+    pool reads them after the join, so none takes a lock; a crashed worker's
+    counts outlive its thread.
     """
-    if abort is not None and abort.is_set():
-        raise Aborted()
-    if plan is None:
-        return
-    if worker_id in plan.crashed_workers and site is plan.crash_point:
-        raise WorkerCrashed(worker_id, site)
-    if worker_id in plan.delayed_workers and site in _CLAIM_SITES and plan.delay_per_claim > 0:
-        time.sleep(plan.delay_per_claim)
+
+    __slots__ = (
+        "id", "abort", "crash_site", "delay", "cas_retries", "helped",
+        "phase1_start", "phase1_end", "phase2_start", "phase2_end",
+    )
+
+    def __init__(
+        self,
+        id: int,
+        plan: FaultPlan = FaultPlan(),
+        abort: threading.Event | None = None,
+    ) -> None:
+        self.id = id
+        self.abort = abort if abort is not None else threading.Event()
+        self.crash_site = plan.crash_point if id in plan.crashed_workers else None
+        self.delay = plan.delay_per_claim if id in plan.delayed_workers else 0.0
+        self.cas_retries = 0  # publication CASes lost, in either phase
+        self.helped = 0  # unassigned frontier members a phase-2 helper resolved
+        self.phase1_start: float | None = None
+        self.phase1_end: float | None = None
+        self.phase2_start: float | None = None
+        self.phase2_end: float | None = None
+
+    def at(self, site: Site) -> None:
+        """Honor the plan at one instrumented site.
+
+        Raises :class:`Aborted` when the run's abort event is set, raises
+        :class:`WorkerCrashed` when the worker reaches its crash site, and
+        sleeps when a delayed worker reaches a claim site, in that order.
+        The "crash once" latch is realized by the worker thread itself,
+        which stops permanently on the first :class:`WorkerCrashed`.
+        """
+        if self.abort.is_set():
+            raise Aborted()
+        if site is self.crash_site:
+            raise WorkerCrashed(self.id, site)
+        if self.delay and site in _CLAIM_SITES:
+            time.sleep(self.delay)

@@ -25,16 +25,16 @@ import enum
 import itertools
 import math
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .atomics import AtomicInt
 from .binning import BinAssignment, assign_bins_helper, assign_bins_standard
 from .conflict import ConflictTable, build_conflict_sets_helper, build_conflict_sets_standard
 from .executor import EMPTY_PLAN, ExecutionPlan, build_execution_plan
-from .faults import Aborted, FaultPlan, Site, WorkerCrashed, fault_site
+from .faults import Aborted, FaultPlan, Site, Worker, WorkerCrashed
 from .txn import Transaction
 
 WATCHDOG_ENV_VAR = "MBPS_WATCHDOG_SECS"
@@ -125,6 +125,11 @@ def _validate(
     faults: FaultPlan,
     allow_crash_on_barrier: bool,
 ) -> None:
+    gil_enabled = getattr(sys, "_is_gil_enabled", None)
+    if gil_enabled is not None and not gil_enabled():
+        raise SchedulerConfigError(
+            "claims and publishes rely on the GIL; run binsched on an interpreter with it enabled"
+        )
     if num_threads < 1:
         raise SchedulerConfigError(f"num_threads must be >= 1, got {num_threads}")
     workers = faults.crashed_workers | faults.delayed_workers
@@ -183,41 +188,28 @@ def _run_pool(
         timing = PhaseTimings(0.0, 0.0, 0.0)
         return ScheduleResult(table, bins, EMPTY_PLAN, timing, RetryStats(0, 0))
 
+    if variant.uses_helpers:
+        phase1, phase2 = build_conflict_sets_helper, assign_bins_helper
+    else:
+        phase1, phase2 = build_conflict_sets_standard, assign_bins_standard
     phase1_claims = itertools.count()
     phase2_claims = itertools.count()
     abort = threading.Event()
     barrier = threading.Barrier(num_threads) if variant.uses_barrier else None
-    cas_retries = AtomicInt(0)
-    not_ready = AtomicInt(0)
-    t_start: list[float | None] = [None] * num_threads
-    t_phase1_end: list[float | None] = [None] * num_threads
-    t_phase2_start: list[float | None] = [None] * num_threads
-    t_phase2_end: list[float | None] = [None] * num_threads
+    records = [Worker(w, faults, abort) for w in range(num_threads)]
     errors: list[BaseException] = []
 
-    def body(wid: int) -> None:
-        t_start[wid] = time.perf_counter()
+    def body(worker: Worker) -> None:
+        worker.phase1_start = time.perf_counter()
         try:
-            if variant.uses_helpers:
-                build_conflict_sets_helper(
-                    table, phase1_claims, wid, faults=faults, abort=abort, cas_retries=cas_retries,
-                )
-            else:
-                build_conflict_sets_standard(table, phase1_claims, wid, faults=faults, abort=abort)
-            t_phase1_end[wid] = time.perf_counter()
-            fault_site(faults, wid, Site.INTER_PHASE, abort)
+            phase1(table, phase1_claims, worker)
+            worker.phase1_end = time.perf_counter()
+            worker.at(Site.INTER_PHASE)
             if barrier is not None:
                 barrier.wait()
-            t_phase2_start[wid] = time.perf_counter()
-            if variant.uses_helpers:
-                assign_bins_helper(
-                    table, bins, phase2_claims, wid,
-                    faults=faults, abort=abort,
-                    cas_retries=cas_retries, not_ready_skips=not_ready,
-                )
-            else:
-                assign_bins_standard(table, bins, phase2_claims, wid, faults=faults, abort=abort)
-            t_phase2_end[wid] = time.perf_counter()
+            worker.phase2_start = time.perf_counter()
+            phase2(table, bins, phase2_claims, worker)
+            worker.phase2_end = time.perf_counter()
         except (WorkerCrashed, Aborted, threading.BrokenBarrierError):
             return
         except BaseException as exc:
@@ -227,8 +219,8 @@ def _run_pool(
                 barrier.abort()
 
     workers = [
-        threading.Thread(target=body, args=(w,), name=f"sched-{w}", daemon=True)
-        for w in range(num_threads)
+        threading.Thread(target=body, args=(r,), name=f"sched-{r.id}", daemon=True)
+        for r in records
     ]
     started = time.perf_counter()
     for t in workers:
@@ -245,22 +237,24 @@ def _run_pool(
         raise NonTermination(variant, num_threads, watchdog_secs)
     if errors:
         raise errors[0]
-    if not bins.is_complete():
-        if faults.crashes_anyone:
-            # a dead worker's claim will never be redone in this variant, so
-            # the pipeline can never produce a plan: report it immediately
-            # instead of burning the whole watchdog budget
-            raise NonTermination(variant, num_threads, watchdog_secs)
-        raise RuntimeError("worker pool exited with an incomplete assignment")
+    if faults.crashes_anyone and not bins.is_complete():
+        # a dead worker's claim will never be redone in this variant, so
+        # the pipeline can never produce a plan: report it immediately
+        # instead of burning the whole watchdog budget
+        raise NonTermination(variant, num_threads, watchdog_secs)
+    try:
+        plan = build_execution_plan(bins)
+    except ValueError as exc:  # names the unassigned slots
+        raise RuntimeError(f"worker pool exited early: {exc}") from None
 
-    p1_start = min(v for v in t_start if v is not None)
-    p1_end = max(v for v in t_phase1_end if v is not None)
-    p2_start = min(v for v in t_phase2_start if v is not None)
-    p2_end = max(v for v in t_phase2_end if v is not None)
+    p1_start = min(r.phase1_start for r in records)
+    p1_end = max(r.phase1_end for r in records if r.phase1_end is not None)
+    p2_start = min(r.phase2_start for r in records if r.phase2_start is not None)
+    p2_end = max(r.phase2_end for r in records if r.phase2_end is not None)
     timing = PhaseTimings(
         phase1_s=p1_end - p1_start,
         phase2_s=p2_end - p2_start,
         total_s=p2_end - p1_start,
     )
-    retries = RetryStats(cas_retries.load(), not_ready.load())
-    return ScheduleResult(table, bins, build_execution_plan(bins), timing, retries)
+    retries = RetryStats(sum(r.cas_retries for r in records), sum(r.helped for r in records))
+    return ScheduleResult(table, bins, plan, timing, retries)

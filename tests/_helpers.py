@@ -1,4 +1,4 @@
-"""Shared test fixtures: block builders and hypothesis strategies."""
+"""Shared test fixtures: block builders, hypothesis strategies and a scripted worker."""
 
 from __future__ import annotations
 
@@ -9,10 +9,23 @@ from hypothesis import strategies as st
 from binsched import (
     Transaction,
     TransferPayload,
+    Worker,
     WorkloadSpec,
     generate_workload,
     make_transaction,
 )
+
+
+class StepWorker(Worker):
+    """A worker whose fault hook runs ``step(site)``, a peer's interleaved
+    step, in place of a fault plan."""
+
+    def __init__(self, step, wid=0):
+        super().__init__(wid)
+        self.step = step
+
+    def at(self, site):
+        self.step(site)
 
 
 def transfer(a, b, amount=10):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from _helpers import (
+    StepWorker,
     access_set_blocks,
     chain_block,
     clique_block,
@@ -18,10 +19,10 @@ from _helpers import (
 from binsched import (
     UNASSIGNED,
     Aborted,
-    AtomicInt,
     BinAssignment,
     ConflictTable,
     Site,
+    Worker,
     WorkerCrashed,
     assign_bins_helper,
     assign_bins_standard,
@@ -50,7 +51,7 @@ def run_assignment(txns, num_threads, use_helpers):
     claims = itertools.count()
     target = assign_bins_helper if use_helpers else assign_bins_standard
     workers = [
-        threading.Thread(target=target, args=(table, bins, claims, w), daemon=True)
+        threading.Thread(target=target, args=(table, bins, claims, Worker(w)), daemon=True)
         for w in range(num_threads)
     ]
     for t in workers:
@@ -61,14 +62,14 @@ def run_assignment(txns, num_threads, use_helpers):
     return bins
 
 
-def run_helper(table, bins, claims, worker_id=0):
+def run_helper(table, bins, claims, worker=None):
     """Run one phase-2 helper over the table's block to its exit.
 
     Returns the helper's count of helped dependencies.
     """
-    helped = AtomicInt(0)
-    assign_bins_helper(table, bins, claims, worker_id, not_ready_skips=helped)
-    return helped.load()
+    worker = Worker(0) if worker is None else worker
+    assign_bins_helper(table, bins, claims, worker)
+    return worker.helped
 
 
 # --- bin computation ----------------------------------------------------------
@@ -189,7 +190,7 @@ def test_helper_publishes_unpublished_frontiers(txns):
     assert bins.initial_bin_list() == bin_oracle(txns)
 
 
-def test_crash_while_helping_a_dependency_leaves_the_rest_to_a_peer(monkeypatch):
+def test_crash_while_helping_a_dependency_leaves_the_rest_to_a_peer():
     # worker 0 claims the chain's last slot, publishes the bins of the two
     # deepest links it helps, and crashes before publishing the third
     block = chain_block(6)
@@ -198,19 +199,18 @@ def test_crash_while_helping_a_dependency_leaves_the_rest_to_a_peer(monkeypatch)
     claims = itertools.count(5)
     pre_cas_calls = []
 
-    def crash_on_third_pre_cas(faults, worker_id, site, abort=None):
-        if worker_id == 0 and site is Site.PHASE2_PRE_CAS:
+    def crash_on_third_pre_cas(site):
+        if site is Site.PHASE2_PRE_CAS:
             pre_cas_calls.append(site)
             if len(pre_cas_calls) == 3:
-                raise WorkerCrashed(worker_id, site)
+                raise WorkerCrashed(0, site)
 
-    monkeypatch.setattr("binsched.binning.fault_site", crash_on_third_pre_cas)
     with pytest.raises(WorkerCrashed):
-        run_helper(table, bins, claims)
+        run_helper(table, bins, claims, StepWorker(crash_on_third_pre_cas))
     assert bins.initial_bin_list() == [0, 1, None, None, None, None]
     assert next(claims) == 6
 
-    run_helper(table, bins, claims, worker_id=1)
+    run_helper(table, bins, claims, Worker(1))
     assert bins.initial_bin_list() == bin_oracle(block)
 
 
@@ -363,7 +363,7 @@ def test_unassigned_sentinel_distinct_from_bin_zero():
     assert bins.bin_of(1) == UNASSIGNED
 
 
-def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
+def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
     # A peer claims slot 1 each time round and never fills it, while this
     # worker only ever claims the filled slot 0. The worker must not leave
     # the phase on its run of filled claims: it has to fill slot 1 itself.
@@ -374,11 +374,10 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
     assert bins.try_publish(0, 0)
     peer_claims = []
 
-    def peer_claims_next(faults, worker_id, site, abort=None):
+    def peer_claims_next(site):
         if site is Site.PHASE2_POST_CLAIM and len(peer_claims) < 2:
             peer_claims.append(next(claims) % 2)
 
-    monkeypatch.setattr("binsched.binning.fault_site", peer_claims_next)
-    assign_bins_helper(table, bins, claims, worker_id=0)
+    assign_bins_helper(table, bins, claims, StepWorker(peer_claims_next))
     assert peer_claims == [1, 1]
     assert bins.initial_bin_list() == [0, 0]

@@ -141,6 +141,19 @@ def test_schedule_rejects_a_workload_that_is_not_json(tmp_path):
     )
 
 
+def test_schedule_rejects_an_interpreter_without_the_gil(tmp_path, capsys, monkeypatch):
+    block = tmp_path / "block.json"
+    run_cli(["gen", "--n", "5", "--seed", "1", "-o", str(block)])
+    capsys.readouterr()
+    monkeypatch.setattr("sys._is_gil_enabled", lambda: False, raising=False)
+    code = run_cli(["schedule", "-w", str(block), "--threads", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "GIL" in captured.err
+
+
 def test_unknown_crash_point_is_config_error(tmp_path, capsys):
     block = tmp_path / "block.json"
     run_cli(["gen", "--n", "5", "-o", str(block)])

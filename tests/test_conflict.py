@@ -4,7 +4,13 @@ import threading
 import pytest
 from hypothesis import given, settings
 
-from _helpers import access_set_blocks, frontier_oracle, random_wallet_block, wallet_block
+from _helpers import (
+    StepWorker,
+    access_set_blocks,
+    frontier_oracle,
+    random_wallet_block,
+    wallet_block,
+)
 from binsched import (
     ConflictIndex,
     ConflictTable,
@@ -13,6 +19,7 @@ from binsched import (
     Transaction,
     TransferPayload,
     Variant,
+    Worker,
     WorkerCrashed,
     bin_oracle,
     build_conflict_sets_helper,
@@ -49,7 +56,7 @@ def run_standard_phase1(txns, num_threads, faults):
 
     def body(worker_id):
         try:
-            build_conflict_sets_standard(table, claims, worker_id, faults=faults)
+            build_conflict_sets_standard(table, claims, Worker(worker_id, faults))
         except WorkerCrashed:
             pass
 
@@ -298,12 +305,12 @@ def test_delayed_workers_change_nothing_but_time():
 def test_direct_worker_invocation_single_thread():
     block = wallet_block([("A", "B"), ("B", "C"), ("C", "D")])
     table = ConflictTable(block)
-    build_conflict_sets_standard(table, itertools.count(), worker_id=0)
+    build_conflict_sets_standard(table, itertools.count(), Worker(0))
     assert table.to_lists() == [[], [0], [1]]
     assert_frontiers_match_oracle(table, block)
 
     table2 = ConflictTable(block)
-    build_conflict_sets_helper(table2, itertools.count(), worker_id=0)
+    build_conflict_sets_helper(table2, itertools.count(), Worker(0))
     assert table2.to_lists() == [[], [0], [1]]
     assert_frontiers_match_oracle(table2, block)
     assert table2.published() == len(block)
@@ -327,7 +334,9 @@ def test_stuck_counters_stay_within_bounds():
     table = ConflictTable(block)
     claims = itertools.count()
     workers = [
-        threading.Thread(target=build_conflict_sets_helper, args=(table, claims, w), daemon=True)
+        threading.Thread(
+            target=build_conflict_sets_helper, args=(table, claims, Worker(w)), daemon=True
+        )
         for w in range(6)
     ]
     for t in workers:
@@ -339,7 +348,7 @@ def test_stuck_counters_stay_within_bounds():
     assert table.published() == len(block)
 
 
-def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
+def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
     # A peer claims slot 1 each time round and never fills it, while this
     # worker only ever claims the filled slot 0. The worker must not leave
     # the phase on its run of filled claims: it has to fill slot 1 itself.
@@ -349,11 +358,10 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped(monkeypatch):
     assert table.try_publish(0, ())
     peer_claims = []
 
-    def peer_claims_next(faults, worker_id, site, abort=None):
+    def peer_claims_next(site):
         if site is Site.PHASE1_POST_CLAIM and len(peer_claims) < 2:
             peer_claims.append(next(claims) % 2)
 
-    monkeypatch.setattr("binsched.conflict.fault_site", peer_claims_next)
-    build_conflict_sets_helper(table, claims, worker_id=0)
+    build_conflict_sets_helper(table, claims, StepWorker(peer_claims_next))
     assert peer_claims == [1, 1]
     assert table.to_lists() == [[], []]

@@ -2,8 +2,7 @@ import threading
 
 import pytest
 
-from binsched import Aborted, FaultPlan, Site, WorkerCrashed, make_fault_plan
-from binsched.faults import fault_site
+from binsched import Aborted, FaultPlan, Site, Worker, WorkerCrashed, make_fault_plan
 
 
 def test_one_third_of_nine_rounds_to_three():
@@ -64,7 +63,7 @@ def test_plan_invariants_enforced():
 
 @pytest.fixture
 def sleeps(monkeypatch):
-    """The durations ``fault_site`` sleeps for, recorded instead of slept."""
+    """The durations ``Worker.at`` sleeps for, recorded instead of slept."""
     slept = []
     monkeypatch.setattr("binsched.faults.time.sleep", slept.append)
     return slept
@@ -73,7 +72,7 @@ def sleeps(monkeypatch):
 def test_fault_site_terminates_at_the_crash_point(sleeps):
     plan = FaultPlan(crashed_workers=frozenset({2}), crash_point=Site.PHASE1_PRE_PUBLISH)
     with pytest.raises(WorkerCrashed) as info:
-        fault_site(plan, 2, Site.PHASE1_PRE_PUBLISH)
+        Worker(2, plan).at(Site.PHASE1_PRE_PUBLISH)
     assert (info.value.worker_id, info.value.site) == (2, Site.PHASE1_PRE_PUBLISH)
     assert sleeps == []
 
@@ -81,24 +80,24 @@ def test_fault_site_terminates_at_the_crash_point(sleeps):
 def test_fault_site_raises_worker_crash(sleeps):
     plan = FaultPlan(crashed_workers=frozenset({0}), crash_point=Site.INTER_PHASE)
     with pytest.raises(WorkerCrashed):
-        fault_site(plan, 0, Site.INTER_PHASE)
-    fault_site(plan, 0, Site.PHASE1_POST_CLAIM)  # other sites pass through
+        Worker(0, plan).at(Site.INTER_PHASE)
+    Worker(0, plan).at(Site.PHASE1_POST_CLAIM)  # other sites pass through
     assert sleeps == []
 
 
 def test_fault_site_continues_for_unaffected_workers(sleeps):
     plan = FaultPlan(crashed_workers=frozenset({2}), crash_point=Site.PHASE1_PRE_PUBLISH)
     for site in Site:
-        fault_site(plan, 0, site)
+        Worker(0, plan).at(site)
     assert sleeps == []
 
 
 def test_fault_site_sleeps_at_claim_sites(sleeps):
     plan = FaultPlan(delayed_workers=frozenset({1}), delay_per_claim=0.005)
-    fault_site(plan, 1, Site.PHASE1_POST_CLAIM)
+    Worker(1, plan).at(Site.PHASE1_POST_CLAIM)
     assert sleeps == [0.005]
-    fault_site(plan, 1, Site.INTER_PHASE)
-    fault_site(plan, 0, Site.PHASE2_POST_CLAIM)
+    Worker(1, plan).at(Site.INTER_PHASE)
+    Worker(0, plan).at(Site.PHASE2_POST_CLAIM)
     assert sleeps == [0.005]
 
 
@@ -106,4 +105,4 @@ def test_fault_site_honors_abort():
     abort = threading.Event()
     abort.set()
     with pytest.raises(Aborted):
-        fault_site(None, 0, Site.PHASE1_POST_CLAIM, abort)
+        Worker(0, FaultPlan(), abort).at(Site.PHASE1_POST_CLAIM)

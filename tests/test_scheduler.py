@@ -5,10 +5,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import random_wallet_block, wallet_block, wallet_blocks
+from _helpers import StepWorker, random_wallet_block, wallet_block, wallet_blocks
 from binsched import (
     CRASH_POINTS,
-    AtomicInt,
     BinAssignment,
     ConflictTable,
     FaultPlan,
@@ -17,6 +16,7 @@ from binsched import (
     SchedulerConfigError,
     Site,
     Variant,
+    WorkerCrashed,
     assign_bins_helper,
     bin_oracle,
     build_conflict_sets_helper,
@@ -195,36 +195,69 @@ def test_standard_reports_no_retries():
     assert schedule(block, Variant.STANDARD, num_threads=4).retries == RetryStats(0, 0)
 
 
-def test_a_lost_phase1_publish_counts_one_cas_retry(monkeypatch):
+def test_a_lost_phase1_publish_counts_one_cas_retry():
     # a peer publishes the claimed slot between the helper's compute and
     # its publish, so the helper's compare-and-set loses
     table = ConflictTable(wallet_block([("A", "B")]))
-    retries = AtomicInt(0)
 
-    def peer_publishes_first(faults, worker_id, site, abort=None):
+    def peer_publishes_first(site):
         if site is Site.PHASE1_PRE_PUBLISH:
             assert table.try_publish(0, ())
 
-    monkeypatch.setattr("binsched.conflict.fault_site", peer_publishes_first)
-    build_conflict_sets_helper(table, itertools.count(), worker_id=0, cas_retries=retries)
-    assert retries.load() == 1
+    worker = StepWorker(peer_publishes_first)
+    build_conflict_sets_helper(table, itertools.count(), worker)
+    assert worker.cas_retries == 1
     assert table.frontier(0) == ()
 
 
-def test_a_lost_phase2_publish_counts_one_cas_retry(monkeypatch):
+def test_a_lost_phase2_publish_counts_one_cas_retry():
     table = ConflictTable(wallet_block([("A", "B")]))
     table.publish(0, ())
     bins = BinAssignment(1)
-    retries = AtomicInt(0)
 
-    def peer_publishes_first(faults, worker_id, site, abort=None):
+    def peer_publishes_first(site):
         if site is Site.PHASE2_PRE_CAS:
             assert bins.try_publish(0, 0)
 
-    monkeypatch.setattr("binsched.binning.fault_site", peer_publishes_first)
-    assign_bins_helper(table, bins, itertools.count(), worker_id=0, cas_retries=retries)
-    assert retries.load() == 1
+    worker = StepWorker(peer_publishes_first)
+    assign_bins_helper(table, bins, itertools.count(), worker)
+    assert worker.cas_retries == 1
     assert bins.initial_bin_list() == [0]
+
+
+def test_a_crashed_workers_lost_cas_stays_counted():
+    # the worker's CAS on slot 0 loses to a peer, then it crashes at its
+    # next claim: the count it made before the crash stays on its record
+    table = ConflictTable(wallet_block([("A", "B"), ("C", "D")]))
+    claim_sites = []
+
+    def peer_publishes_then_crash(site):
+        if site is Site.PHASE1_PRE_PUBLISH:
+            assert table.try_publish(0, ())
+        elif site is Site.PHASE1_POST_CLAIM:
+            claim_sites.append(site)
+            if len(claim_sites) == 2:
+                raise WorkerCrashed(0, site)
+
+    worker = StepWorker(peer_publishes_then_crash)
+    with pytest.raises(WorkerCrashed):
+        build_conflict_sets_helper(table, itertools.count(), worker)
+    assert worker.cas_retries == 1
+    assert table.frontier(1) is None
+
+
+def test_an_incomplete_assignment_names_the_missing_slots(monkeypatch):
+    monkeypatch.setattr("binsched.scheduler.assign_bins_standard", lambda *args: None)
+    block = wallet_block([(f"u{i}", f"v{i}") for i in range(7)])
+    with pytest.raises(RuntimeError, match=r"7 unassigned \(first: \[0, 1, 2, 3, 4\]\)"):
+        schedule(block, Variant.STANDARD, num_threads=2)
+
+
+@pytest.mark.parametrize("entry", [schedule, schedule_with_watchdog])
+def test_an_interpreter_without_the_gil_is_rejected(entry, monkeypatch):
+    monkeypatch.setattr("sys._is_gil_enabled", lambda: False, raising=False)
+    with pytest.raises(SchedulerConfigError, match="GIL"):
+        entry(wallet_block([("A", "B")]), Variant.LOCKFREE, num_threads=2)
 
 
 def test_plan_consistent_with_assignment():
