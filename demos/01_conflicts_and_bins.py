@@ -47,6 +47,6 @@ for txn, conflicts in zip(block, conflict_sets_oracle(block)):
 print("\nbin rule: 1 + max(bin of frontier), empty frontier -> bin 0")
 print(f"  serial oracle says: {bin_oracle(block)}")
 print(f"  4-thread lockfree run: {result.assignment.initial_bin_list()}")
-print("\nexecution plan (bins execute in order, each bin in parallel):")
+print("\nexecution plan (bins are the schedule; each transaction waits for its frontier):")
 for b, row in enumerate(result.plan.bin_matrix):
     print(f"  bin {b}: transactions {list(row)}")

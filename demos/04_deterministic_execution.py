@@ -1,12 +1,13 @@
 """Execute a scheduled plan in parallel and compare with serial replay.
 
-Bins run in ascending order, and a bin starts only once every transaction
-of the bin before it has been applied; transactions inside one bin touch
-disjoint accounts, so workers may apply them in any interleaving. The final
-wallet state therefore always equals plain index-order execution, and the
-total balance is conserved. With simulated per-transaction work the
-parallel executor also shows real speedup, because sleeping releases the
-interpreter lock.
+Bins remain the schedule, and execution replays along phase 1's frontiers:
+a transaction starts once its frontier, the latest earlier transaction on
+each of its accounts, has been applied, not once its whole previous bin
+has. So on every account the transfers apply in index order, and the final
+wallet state always equals plain index-order execution; the total balance
+is conserved. A plan built without the conflict table keeps bin order.
+With simulated per-transaction work the parallel executor also shows real
+speedup, because sleeping releases the interpreter lock.
 """
 
 import time

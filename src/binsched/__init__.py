@@ -1,8 +1,9 @@
 """Multi-bin parallel transaction scheduling with deterministic replay.
 
 A block of read/write-annotated transactions is partitioned into bins of
-pairwise non-conflicting transactions; bins execute in order, internally in
-parallel, and the final state always matches single-threaded index-order
+pairwise non-conflicting transactions. Bins are the schedule; execution
+replays along each transaction's frontier, its earlier conflicts that bound
+its bin, and the final state always matches single-threaded index-order
 execution. Three scheduler variants trade synchronization for resilience,
 and a fault-injection harness reproduces latency and crash experiments.
 """

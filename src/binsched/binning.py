@@ -35,7 +35,8 @@ frontier member it pushes to resolve on ``worker.helped``.
 
 The publish-once :class:`BinAssignment` is the only bin record. Bin
 membership is derived from it once, by
-:func:`~binsched.executor.build_execution_plan`, after the phase has ended.
+:func:`~binsched.executor.build_execution_plan`, after the phase has ended,
+together with the frontiers that the plan's transactions wait for.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """Stage 3: dense bin-by-bin plan construction and wallet execution.
 
 The plan lays bins out as a ragged matrix, one ascending row of transaction
-ids per bin; workers index a row directly and stop at its length. Execution
-applies bins in ascending order with intra-bin parallelism:
-bin-internal transactions are pairwise non-conflicting, so workers can apply
-them in any interleaving. A bin ends when every one of its transactions has
-been applied, and no transaction of the next bin starts before that, which
-preserves the conflict order; a worker waits only while a peer still holds an
-unfinished transaction of the bin, never for peers to arrive. The final state
-always equals single-threaded index-order application (:func:`execute_serial`),
-which is the reference semantics for every equivalence test.
+ids per bin, and records what each transaction waits for: its frontier, the
+earlier conflicts phase 1 published into the conflict table. Bins remain the
+schedule; execution replays along the frontiers. Workers claim positions of
+the flattened rows in order, and a transaction starts once every member of
+its frontier has been applied, not once its whole previous bin has. Frontier
+members sit in lower bins, so they come earlier in plan order, and on every
+account the transfers apply in id order. A plan built without a table has no
+frontiers: each of its transactions waits for the whole previous bin, which
+is bin order. The final state always equals single-threaded index-order
+application (:func:`execute_serial`), which is the reference semantics for
+every equivalence test.
 
 Transfers debit the sender and credit the receiver unconditionally on signed
 balances; accounts absent from the initial state materialize at balance 0 on
@@ -26,14 +28,22 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .binning import UNASSIGNED, BinAssignment
+from .conflict import ConflictTable
 from .txn import Address, Transaction
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """Ragged bin-by-bin layout: ``bin_matrix[b][k]`` is a transaction id."""
+    """Ragged bin-by-bin layout and what each transaction waits for.
+
+    ``bin_matrix[b][k]`` is a transaction id. ``waits[t]`` holds the ids that
+    transaction ``t`` waits for, its frontier. ``waits`` is empty for a plan
+    built without a conflict table; each transaction then waits for the
+    whole previous bin.
+    """
 
     bin_matrix: tuple[tuple[int, ...], ...]
+    waits: tuple[tuple[int, ...], ...] = ()
 
     @property
     def num_bins(self) -> int:
@@ -43,10 +53,13 @@ class ExecutionPlan:
 EMPTY_PLAN = ExecutionPlan(bin_matrix=())
 
 
-def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
-    """Materialize the per-bin rows from a complete assignment.
+def build_execution_plan(
+    assignment: BinAssignment, table: ConflictTable | None = None
+) -> ExecutionPlan:
+    """Materialize the per-bin rows from a complete assignment, and the waits from ``table``.
 
-    Rows come out ascending because ids are visited in order.
+    Rows come out ascending because ids are visited in order. The waits are
+    the table's published frontiers; without a table the plan keeps bin order.
     """
     initial = assignment.initial_bin_list()
     if any(b is UNASSIGNED for b in initial):
@@ -55,7 +68,12 @@ def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
     rows: list[list[int]] = [[] for _ in range(max(initial, default=-1) + 1)]
     for txn_id, bin_no in enumerate(initial):
         rows[bin_no].append(txn_id)
-    return ExecutionPlan(bin_matrix=tuple(tuple(row) for row in rows))
+    bin_matrix = tuple(tuple(row) for row in rows)
+    if table is None:
+        return ExecutionPlan(bin_matrix)
+    if table.n != assignment.n or not table.is_complete():
+        raise ValueError("conflict table lacks a frontier for some transaction of the assignment")
+    return ExecutionPlan(bin_matrix, tuple(table.snapshot()))
 
 
 @dataclass
@@ -98,10 +116,25 @@ def execute_serial(
     return WalletState(balances)
 
 
-def _validate_plan(plan: ExecutionPlan, txns: Sequence[Transaction]) -> None:
-    ids = [txn_id for row in plan.bin_matrix for txn_id in row]
-    if len(ids) != len(txns) or set(ids) != set(range(len(txns))):
+def _validate_plan(plan: ExecutionPlan, txns: Sequence[Transaction]) -> list[int]:
+    """The plan's ids in plan order, once checked to partition the block."""
+    order = [txn_id for row in plan.bin_matrix for txn_id in row]
+    if len(order) != len(txns) or set(order) != set(range(len(txns))):
         raise ValueError("plan does not partition the block's transaction ids")
+    if plan.waits and len(plan.waits) != len(txns):
+        raise ValueError("plan's waits do not cover the block's transaction ids")
+    return order
+
+
+def _bin_order_waits(plan: ExecutionPlan, n: int) -> list[tuple[int, ...]]:
+    """Each transaction waits for the last non-empty row before its own."""
+    waits: list[tuple[int, ...]] = [()] * n
+    previous: tuple[int, ...] = ()
+    for row in plan.bin_matrix:
+        for txn_id in row:
+            waits[txn_id] = previous
+        previous = row or previous
+    return waits
 
 
 def execute_plan(
@@ -111,19 +144,25 @@ def execute_plan(
     num_threads: int = 1,
     per_txn_work: float = 0.0,
 ) -> WalletState:
-    """Apply bins in order, each bin in parallel across ``num_threads``.
+    """Apply the plan across ``num_threads``; a transaction starts once its waits are applied.
 
-    Workers pull positions within the current bin's row by ``next()`` on
-    the bin's shared :func:`itertools.count` until the row runs out, then
-    add the count they applied to the bin's total. A worker moves to the
-    next bin as soon as that total equals the row length, and waits on a
-    shared condition only while a peer still applies one of the bin's
-    transactions; whoever completes the bin wakes the waiters. A worker that raises records the error and wakes every
-    waiter, so the peers stop and :func:`execute_plan` re-raises it.
+    One thread applies the rows in order. With more, workers claim positions
+    of the flattened rows by ``next()`` on one shared :func:`itertools.count`
+    and apply the claimed transaction ``t`` once every member of
+    ``plan.waits[t]`` is marked in a ``done`` list indexed by id (for a plan
+    without waits, every member of the previous bin). A worker takes the
+    shared condition's lock only to sleep on an unapplied member, or, after
+    marking its transaction done, to wake sleepers when the waiter count is
+    not zero; a worker that applies the whole block alone takes no lock.
+    Members sit earlier in plan order, so the lowest unfinished claimed
+    position can always run. A worker about to sleep on a member that is not
+    earlier raises ``ValueError`` instead of hanging. A worker that raises
+    records the error and wakes every sleeper, so the peers stop and
+    :func:`execute_plan` re-raises it.
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
-    _validate_plan(plan, txns)
+    order = _validate_plan(plan, txns)
 
     balances = dict(initial.balances)
     for txn in txns:
@@ -136,39 +175,57 @@ def execute_plan(
         return WalletState(balances)
 
     if num_threads == 1:
-        for row in plan.bin_matrix:
-            for txn_id in row:
-                if per_txn_work > 0:
-                    time.sleep(per_txn_work)
-                _apply(balances, txns[txn_id])
+        for txn_id in order:
+            if per_txn_work > 0:
+                time.sleep(per_txn_work)
+            _apply(balances, txns[txn_id])
         return WalletState(balances)
 
-    claims = [itertools.count() for _ in range(plan.num_bins)]
-    applied = [0] * plan.num_bins  # guarded by ``latch``
-    latch = threading.Condition(threading.Lock())
-    errors: list[BaseException] = []  # guarded by ``latch``
+    n = len(order)
+    waits = plan.waits or _bin_order_waits(plan, n)
+    claims = itertools.count()
+    done = [False] * n
+    wake = threading.Condition(threading.Lock())
+    sleepers = 0  # changed under ``wake``; read without it after marking a transaction done
+    errors: list[BaseException] = []  # appended under ``wake``
+    position: list[int] = []  # plan position of each id, built under ``wake`` at the first sleep
+
+    def wait_for(dep: int, k: int) -> bool:
+        """Sleep until ``dep`` is applied; False when a worker failed meanwhile."""
+        nonlocal sleepers
+        with wake:
+            if not position:
+                position.extend(sorted(range(n), key=order.__getitem__))
+            if position[dep] >= k:
+                raise ValueError(
+                    f"transaction {order[k]} waits for {dep}, which is not earlier in plan order"
+                )
+            sleepers += 1
+            while not done[dep] and not errors:
+                wake.wait()
+            sleepers -= 1
+            return not errors
 
     def body() -> None:
         try:
-            for b, row in enumerate(plan.bin_matrix):
-                claim, done = claims[b], 0
-                while (k := next(claim)) < len(row):
-                    if per_txn_work > 0:
-                        time.sleep(per_txn_work)
-                    _apply(balances, txns[row[k]])
-                    done += 1
-                with latch:
-                    applied[b] += done
-                    if done and applied[b] == len(row):
-                        latch.notify_all()
-                    while applied[b] < len(row) and not errors:
-                        latch.wait()
-                    if errors:
-                        return
+            while (k := next(claims)) < n and not errors:
+                txn_id = order[k]
+                deps = waits[txn_id]
+                if deps:  # skips the loop's iterator for an empty frontier, as on cold blocks
+                    for dep in deps:
+                        if not done[dep] and not wait_for(dep, k):
+                            return
+                if per_txn_work > 0:
+                    time.sleep(per_txn_work)
+                _apply(balances, txns[txn_id])
+                done[txn_id] = True
+                if sleepers:
+                    with wake:
+                        wake.notify_all()
         except BaseException as exc:
-            with latch:
+            with wake:
                 errors.append(exc)
-                latch.notify_all()
+                wake.notify_all()
 
     workers = [
         threading.Thread(target=body, name=f"exec-{w}", daemon=True) for w in range(num_threads)

@@ -243,7 +243,7 @@ def _run_pool(
         # instead of burning the whole watchdog budget
         raise NonTermination(variant, num_threads, watchdog_secs)
     try:
-        plan = build_execution_plan(bins)
+        plan = build_execution_plan(bins, table)
     except ValueError as exc:  # names the unassigned slots
         raise RuntimeError(f"worker pool exited early: {exc}") from None
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import time
@@ -5,11 +6,18 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import disjoint_block, random_wallet_block, wallet_block, wallet_blocks
+from _helpers import (
+    disjoint_block,
+    frontier_oracle,
+    random_wallet_block,
+    wallet_block,
+    wallet_blocks,
+)
 import binsched.executor
 from binsched import (
     EMPTY_PLAN,
     BinAssignment,
+    ConflictTable,
     ExecutionPlan,
     Transaction,
     Variant,
@@ -52,6 +60,37 @@ def test_build_plan_sorts_rows():
 def test_build_plan_rejects_incomplete_assignment():
     with pytest.raises(ValueError):
         build_execution_plan(assignment_of([0, None, 1]))
+
+
+def test_plan_without_a_table_has_no_waits():
+    assert build_execution_plan(assignment_of([0, 0, 1])).waits == ()
+
+
+def test_scheduled_plan_waits_are_the_frontiers():
+    block = random_wallet_block(seed=305, max_n=200)
+    result = schedule(block, Variant.STANDARD, num_threads=2)
+    assert [set(w) for w in result.plan.waits] == frontier_oracle(block)
+    assert build_execution_plan(result.assignment, result.conflicts) == result.plan
+
+
+def test_build_plan_rejects_a_table_missing_a_frontier():
+    block = wallet_block([("A", "B"), ("B", "C")])
+    table = ConflictTable(block)
+    table.publish(0, ())
+    with pytest.raises(ValueError):
+        build_execution_plan(assignment_of([0, 1]), table)
+
+
+def test_plans_stay_frozen_and_hashable():
+    table = ConflictTable(wallet_block([("A", "B")] * 2))
+    table.publish(0, ())
+    table.publish(1, (0,))
+    plan = build_execution_plan(assignment_of([0, 1]), table)
+    assert plan.waits == ((), (0,))
+    assert hash(plan) == hash(ExecutionPlan(plan.bin_matrix, plan.waits))
+    assert hash(EMPTY_PLAN) == hash(ExecutionPlan(bin_matrix=()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.waits = ()
 
 
 # --- serial execution -----------------------------------------------------------------
@@ -208,6 +247,118 @@ def test_a_worker_error_stops_every_worker_and_is_raised(monkeypatch):
     assert not caller.is_alive(), "execute_plan hung after a worker error"
     assert [str(exc) for exc in raised] == ["transfer 0 failed"]
     assert not [t for t in threading.enumerate() if t.name.startswith("exec-")]
+
+
+def run_with_timeout(fn, timeout=30):
+    """Run ``fn`` on a daemon thread; returns what it raised, failing if it hangs."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except Exception as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=timeout)
+    assert not caller.is_alive(), "execute_plan hung"
+    assert not [t for t in threading.enumerate() if t.name.startswith("exec-")]
+    return raised
+
+
+def test_a_transfer_waits_for_its_frontier_not_its_previous_bin(monkeypatch):
+    # bins {0, 1} and {2}; transfer 2 conflicts only with transfer 1
+    block = wallet_block([("A", "B"), ("C", "D"), ("D", "C")])
+    plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+    assert plan.bin_matrix == ((0, 1), (2,))
+    assert plan.waits[2] == (1,)
+    real_apply = binsched.executor._apply
+    transfer_2_applied = threading.Event()
+    overlapped = []
+
+    def slow_first_transfer(balances, txn):
+        if txn.id == 0:  # runs until transfer 2 is applied, or gives up
+            overlapped.append(transfer_2_applied.wait(timeout=5))
+        real_apply(balances, txn)
+        if txn.id == 2:
+            transfer_2_applied.set()
+
+    monkeypatch.setattr(binsched.executor, "_apply", slow_first_transfer)
+    final = execute_plan(plan, block, WalletState(), num_threads=2)
+    assert overlapped == [True]
+    assert final.balances == execute_serial(block, WalletState()).balances
+
+
+@pytest.mark.parametrize("num_threads", [2, 8])
+def test_every_transfer_starts_after_its_frontier_is_applied(monkeypatch, num_threads):
+    real_apply = binsched.executor._apply
+    events = []  # ("start" | "end", id) in the order they happened
+
+    def traced_apply(balances, txn):
+        events.append(("start", txn.id))
+        real_apply(balances, txn)
+        events.append(("end", txn.id))
+
+    monkeypatch.setattr(binsched.executor, "_apply", traced_apply)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            block = random_wallet_block(seed=700 + seed, max_n=120)
+            plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+            events.clear()
+            final = execute_plan(plan, block, WalletState(), num_threads, per_txn_work=1e-5)
+            at = {event: k for k, event in enumerate(events)}
+            for txn_id, frontier in enumerate(frontier_oracle(block)):
+                for dep in frontier:
+                    assert at[("end", dep)] < at[("start", txn_id)], (seed, txn_id, dep)
+            assert final.balances == execute_serial(block, WalletState()).balances
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_error_wakes_a_peer_sleeping_on_the_failed_transfer(monkeypatch):
+    # transfer 1 waits for transfer 0, which fails while the peer sleeps on it
+    block = wallet_block([("A", "B"), ("B", "C")])
+    plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+    assert plan.waits[1] == (0,)
+    real_apply = binsched.executor._apply
+    applied = []
+
+    def failing_first_transfer(balances, txn):
+        if txn.id == 0:
+            time.sleep(0.05)  # the peer claims transfer 1 and sleeps on this one
+            raise RuntimeError("transfer 0 failed")
+        real_apply(balances, txn)
+        applied.append(txn.id)
+
+    monkeypatch.setattr(binsched.executor, "_apply", failing_first_transfer)
+    raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), num_threads=2))
+    assert [str(exc) for exc in raised] == ["transfer 0 failed"]
+    assert applied == []
+
+
+def test_waits_on_a_later_transaction_are_rejected_not_hung():
+    # transfers 0 and 1 wait for each other: 0 would sleep on a later position
+    block = disjoint_block(2)
+    plan = ExecutionPlan(bin_matrix=((0,), (1,)), waits=((1,), (0,)))
+    raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), num_threads=2))
+    assert len(raised) == 1 and isinstance(raised[0], ValueError)
+    assert "not earlier in plan order" in str(raised[0])
+
+
+def test_waits_must_cover_the_block():
+    plan = ExecutionPlan(bin_matrix=((0, 1),), waits=((),))
+    with pytest.raises(ValueError):
+        execute_plan(plan, disjoint_block(2), WalletState(), num_threads=2)
+
+
+def test_a_plan_without_waits_skips_empty_bins():
+    block = wallet_block([("A", "B"), ("B", "A"), ("A", "B")])
+    plan = ExecutionPlan(bin_matrix=((0,), (), (1,), (), (2,)))
+    final = execute_plan(plan, block, WalletState(), num_threads=4)
+    assert final.balances == execute_serial(block, WalletState()).balances
 
 
 def test_parallel_equals_serial_under_fast_thread_switching():
