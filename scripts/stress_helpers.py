@@ -6,12 +6,15 @@ block is an access-set block of read-only, write-only and mixed
 transactions over a few addresses, so frontiers hold runs of readers; the
 others are wallet blocks, whose read and write sets are equal. Half of the
 LOCKFREE runs get a random crash plan: a random crash point and between 1
-and ``threads - 1`` crashed workers; the other variants run without one.
-Every run's bins are checked against ``bin_oracle``. A wallet block's plan
-is also executed by ``execute_plan`` on the surviving threads and checked
-against ``execute_serial``'s final balances; access-set blocks carry no
-payload, so they are not executed. Every other block runs at a thread
-switch interval of 10 us, so claims and publishes interleave more finely.
+and ``threads - 1`` crashed workers. Half of the other runs, under every
+variant, get a delay plan: half the workers sleep 10 us at every claim. The
+delay choices come from a second generator, so a seed's blocks and crash
+plans do not depend on them. Every run's bins are checked against
+``bin_oracle``. A wallet block's plan is also executed by ``execute_plan``
+on the surviving threads and checked against ``execute_serial``'s final
+balances; access-set blocks carry no payload, so they are not executed.
+Every other block runs at a thread switch interval of 10 us, so claims and
+publishes interleave more finely.
 Exits 1 on any wrong bins, wrong balances or error, 0 otherwise.
 
     PYTHONPATH=src python scripts/stress_helpers.py --seed 7 --blocks 100
@@ -43,6 +46,7 @@ THREAD_COUNTS = (2, 8)
 MAX_N = 1000
 FINE_SWITCH_INTERVAL = 1e-5  # seconds, for every other block
 ACCESS_SET_EVERY = 3  # every third block is an access-set block
+CLAIM_DELAY = 10e-6  # seconds a delayed worker sleeps per claim
 
 
 def access_set_block(rng: random.Random) -> list[Transaction]:
@@ -83,7 +87,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
-    runs = crashed_runs = failures = 0
+    delay_rng = random.Random(f"delays-{args.seed}")
+    runs = crashed_runs = delayed_runs = failures = 0
     default_interval = sys.getswitchinterval()
     started = time.perf_counter()
     try:
@@ -114,6 +119,14 @@ def main(argv: list[str] | None = None) -> int:
                             seed=rng.randrange(2**32),
                         )
                         crashed_runs += 1
+                    elif delay_rng.random() < 0.5:
+                        faults = make_fault_plan(
+                            threads,
+                            delayed_pct=50,
+                            delay=CLAIM_DELAY,
+                            seed=delay_rng.randrange(2**32),
+                        )
+                        delayed_runs += 1
                     runs += 1
                     for problem in check_run(
                         block, variant, threads, faults, expected, expected_balances
@@ -128,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.setswitchinterval(default_interval)
     elapsed = time.perf_counter() - started
     print(
-        f"{runs} runs ({crashed_runs} with crashes) over {args.blocks} blocks, "
+        f"{runs} runs ({crashed_runs} with crashes, {delayed_runs} with delays)"
+        f" over {args.blocks} blocks, "
         f"{failures} failed, {elapsed:.1f} s"
     )
     return 1 if failures else 0

@@ -50,6 +50,10 @@ from .conflict import ConflictTable, check_conflicts
 from .faults import Aborted, Site, Worker
 from .txn import Transaction
 
+# Bound once: ``Site.X`` goes through the enum's Python-level descriptor on every read.
+_PHASE2_POST_CLAIM = Site.PHASE2_POST_CLAIM
+_PHASE2_PRE_CAS = Site.PHASE2_PRE_CAS
+
 _SPIN_SLEEP_MIN = 10e-6
 _SPIN_SLEEP_MAX = 1e-3
 
@@ -94,9 +98,9 @@ def assign_bins_standard(
     n = bins.n
     i = next(claims)
     while i < n:
-        worker.at(Site.PHASE2_POST_CLAIM)
+        worker.at(_PHASE2_POST_CLAIM)
         alloted = calculate_bin(i, table, bins, abort=worker.abort)
-        worker.at(Site.PHASE2_PRE_CAS)
+        worker.at(_PHASE2_PRE_CAS)
         bins.publish(i, alloted)
         i = next(claims)
 
@@ -109,7 +113,7 @@ def assign_bins_helper(
     index = table.index
     while bins.published() < n:
         stack = [next(claims) % n]
-        worker.at(Site.PHASE2_POST_CLAIM)
+        worker.at(_PHASE2_POST_CLAIM)
         while stack:
             j = stack[-1]
             if bins.bin_of(j) is not UNASSIGNED:
@@ -129,7 +133,7 @@ def assign_bins_helper(
                 if dep_bin > current:
                     current = dep_bin
             else:
-                worker.at(Site.PHASE2_PRE_CAS)
+                worker.at(_PHASE2_PRE_CAS)
                 if not bins.try_publish(j, current + 1):
                     worker.cas_retries += 1
                 stack.pop()

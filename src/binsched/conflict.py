@@ -51,6 +51,10 @@ from .atomics import UNASSIGNED, PublishOnceArray
 from .faults import Site, Worker
 from .txn import Address, Transaction
 
+# Bound once: ``Site.X`` goes through the enum's Python-level descriptor on every read.
+_PHASE1_POST_CLAIM = Site.PHASE1_POST_CLAIM
+_PHASE1_PRE_PUBLISH = Site.PHASE1_PRE_PUBLISH
+
 
 def check_conflicts(a: Transaction, b: Transaction) -> bool:
     """True iff the two transactions overlap on any write-involving pair."""
@@ -191,9 +195,9 @@ def build_conflict_sets_standard(
     txns = index.txns
     i = next(claims)
     while i < n:
-        worker.at(Site.PHASE1_POST_CLAIM)
+        worker.at(_PHASE1_POST_CLAIM)
         frontier = index.frontier(txns[i])
-        worker.at(Site.PHASE1_PRE_PUBLISH)
+        worker.at(_PHASE1_PRE_PUBLISH)
         table.publish(i, frontier)
         i = next(claims)
 
@@ -207,9 +211,9 @@ def build_conflict_sets_helper(
     txns = index.txns
     while table.published() < n:
         i = next(claims) % n
-        worker.at(Site.PHASE1_POST_CLAIM)
+        worker.at(_PHASE1_POST_CLAIM)
         if table.get(i) is UNASSIGNED:
             frontier = index.frontier(txns[i])
-            worker.at(Site.PHASE1_PRE_PUBLISH)
+            worker.at(_PHASE1_PRE_PUBLISH)
             if not table.try_publish(i, frontier):
                 worker.cas_retries += 1
