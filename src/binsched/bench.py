@@ -25,8 +25,14 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .executor import WalletState, execute_plan, execute_serial
-from .faults import CRASH_POINTS, FaultPlan, Site, make_fault_plan
-from .scheduler import NonTermination, Variant, resolve_watchdog_secs, schedule_with_watchdog
+from .faults import FaultPlan, Site, make_fault_plan
+from .scheduler import (
+    NonTermination,
+    ScheduleResult,
+    Variant,
+    resolve_watchdog_secs,
+    schedule_with_watchdog,
+)
 from .workload import WorkloadSpec, compute_conflict_params, generate_workload
 
 CSV_HEADER = (
@@ -104,9 +110,9 @@ class BenchConfig:
             raise ValueError("repetitions must be >= 1")
         if self.num_threads < 1:
             raise ValueError("num_threads must be >= 1")
-        if self.crash_point not in CRASH_POINTS:
-            raise ValueError(f"{self.crash_point} is not a crash point")
-        resolve_watchdog_secs(self.watchdog_secs)  # a bad budget fails before any row runs
+        # a bad crash point, delay or budget fails before any row runs
+        FaultPlan(delay_per_claim=self.delay_s, crash_point=self.crash_point)
+        resolve_watchdog_secs(self.watchdog_secs)
         if self.experiment is Experiment.CRASH:
             allowed = {SchedulerKind.LOCKFREE, SchedulerKind.SERIAL}
             extra = set(self.schedulers) - allowed
@@ -129,12 +135,6 @@ def sweep_points(config: BenchConfig) -> list[tuple[int, float, float, float]]:
             else:
                 points.append((n, dep, 0.0, 0.0))
     return points
-
-
-def _measure_serial(block, per_txn_work: float) -> tuple[float, WalletState]:
-    t0 = time.perf_counter()
-    final = execute_serial(block, WalletState(), per_txn_work)
-    return time.perf_counter() - t0, final
 
 
 def run_benchmark(
@@ -189,7 +189,9 @@ def run_benchmark(
 def _measure(kind: SchedulerKind, block, base: BenchRow, config: BenchConfig) -> BenchRow:
     n = len(block)
     if kind is SchedulerKind.SERIAL:
-        elapsed, _ = _measure_serial(block, config.per_txn_work)
+        t0 = time.perf_counter()
+        execute_serial(block, WalletState(), config.per_txn_work)
+        elapsed = time.perf_counter() - t0
         return replace(
             base,
             scheduler=kind.value,
@@ -201,20 +203,17 @@ def _measure(kind: SchedulerKind, block, base: BenchRow, config: BenchConfig) ->
 
     variant = kind.variant
     assert variant is not None
-    faults: FaultPlan | None = None
-    if base.delayed_pct > 0 or base.crashed_pct > 0:
-        faults = make_fault_plan(
-            config.num_threads,
-            delayed_pct=base.delayed_pct,
-            delay=config.delay_s,
-            crashed_pct=base.crashed_pct,
-            crash_point=config.crash_point,
-            seed=config.fault_seed,
-        )
-    t0 = time.perf_counter()
+    faults = make_fault_plan(
+        config.num_threads,
+        delayed_pct=base.delayed_pct,
+        delay=config.delay_s,
+        crashed_pct=base.crashed_pct,
+        crash_point=config.crash_point,
+        seed=config.fault_seed,
+    )
     try:
-        result = schedule_with_watchdog(
-            block, variant, config.num_threads, faults, config.watchdog_secs
+        result, _, schedule_s, exec_stage = run_block(
+            block, variant, config.num_threads, faults, config.per_txn_work, config.watchdog_secs
         )
     except NonTermination as hang:
         return replace(
@@ -224,12 +223,6 @@ def _measure(kind: SchedulerKind, block, base: BenchRow, config: BenchConfig) ->
             throughput_tps=_throughput(n, hang.watchdog_secs),
             flags=NON_TERMINATION_FLAG,
         )
-    schedule_s = time.perf_counter() - t0
-    crashed = len(faults.crashed_workers) if faults is not None else 0
-    live_threads = max(1, config.num_threads - crashed)
-    t0 = time.perf_counter()
-    execute_plan(result.plan, block, WalletState(), live_threads, config.per_txn_work)
-    exec_stage = time.perf_counter() - t0
     total = schedule_s + exec_stage
     return replace(
         base,
@@ -241,6 +234,27 @@ def _measure(kind: SchedulerKind, block, base: BenchRow, config: BenchConfig) ->
         phase2_s=result.timing.phase2_s,
         exec_stage_s=exec_stage,
     )
+
+
+def run_block(
+    block,
+    variant: Variant,
+    num_threads: int,
+    faults: FaultPlan,
+    per_txn_work: float,
+    watchdog_secs: float | None,
+) -> tuple[ScheduleResult, WalletState, float, float]:
+    """Schedule ``block`` under the watchdog, then execute it on the threads ``faults`` spares.
+
+    Returns the result, the final state and the wall times of both stages.
+    """
+    t0 = time.perf_counter()
+    result = schedule_with_watchdog(block, variant, num_threads, faults, watchdog_secs)
+    schedule_s = time.perf_counter() - t0
+    live_threads = max(1, num_threads - len(faults.crashed_workers))
+    t0 = time.perf_counter()
+    final = execute_plan(result.plan, block, WalletState(), live_threads, per_txn_work)
+    return result, final, schedule_s, time.perf_counter() - t0
 
 
 def _throughput(n: int, elapsed: float) -> float:

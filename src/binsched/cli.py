@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Sequence
 
@@ -24,16 +23,16 @@ from .bench import (
     BenchConfig,
     Experiment,
     SchedulerKind,
-    aggregate_rows,
-    render_rows,
+    report,
     rows_from_csv,
     rows_to_csv,
     run_benchmark,
+    run_block,
 )
 from .binning import bin_oracle
-from .executor import WalletState, execute_plan, execute_serial
-from .faults import CRASH_POINTS, Site, make_fault_plan
-from .scheduler import NonTermination, SchedulerConfigError, Variant, schedule_with_watchdog
+from .executor import WalletState, execute_serial
+from .faults import Site, make_fault_plan
+from .scheduler import NonTermination, SchedulerConfigError, Variant
 from .txn import dump_workload, load_workload
 from .workload import WorkloadSpec, generate_workload
 
@@ -55,12 +54,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _crash_point(name: str) -> Site:
     try:
-        site = Site(name.lower())
+        return Site(name.lower())
     except ValueError:
         raise ValueError(f"unknown crash point: {name!r}")
-    if site not in CRASH_POINTS:
-        raise ValueError(f"{name!r} is not a crash point")
-    return site
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -90,43 +86,31 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # --- schedule ---------------------------------------------------------------
 
 
-def _build_faults(args: argparse.Namespace, num_threads: int):
-    if args.delayed_pct == 0 and args.crashed_pct == 0:
-        return None
-    return make_fault_plan(
-        num_threads,
+def _cmd_schedule(args: argparse.Namespace) -> int:
+    txns = load_workload(Path(args.workload).read_text())
+    variant = Variant(args.variant)
+    faults = make_fault_plan(
+        args.threads,
         delayed_pct=args.delayed_pct,
         delay=args.delay_ms / 1000.0,
         crashed_pct=args.crashed_pct,
         crash_point=_crash_point(args.crash_point),
         seed=args.fault_seed,
     )
-
-
-def _cmd_schedule(args: argparse.Namespace) -> int:
-    txns = load_workload(Path(args.workload).read_text())
-    variant = Variant(args.variant)
-    faults = _build_faults(args, args.threads)
     out: dict = {
         "variant": variant.value,
         "n_txns": len(txns),
         "num_threads": args.threads,
     }
     try:
-        result = schedule_with_watchdog(txns, variant, args.threads, faults, args.watchdog_secs)
+        result, final, _, exec_stage = run_block(
+            txns, variant, args.threads, faults, args.per_txn_work_ms / 1000.0, args.watchdog_secs
+        )
     except NonTermination as hang:
         out["flags"] = "NON_TERMINATION"
         out["watchdog_secs"] = hang.watchdog_secs
         print(json.dumps(out, indent=2))
         return EXIT_OK
-
-    crashed = len(faults.crashed_workers) if faults is not None else 0
-    live_threads = max(1, args.threads - crashed)
-    t0 = time.perf_counter()
-    final = execute_plan(
-        result.plan, txns, WalletState(), live_threads, args.per_txn_work_ms / 1000.0
-    )
-    exec_stage = time.perf_counter() - t0
 
     out.update(
         {
@@ -168,9 +152,6 @@ def _check_run(txns, result, final: WalletState) -> None:
 # --- run ---------------------------------------------------------------------
 
 
-_LIST_KEYS = {"n_txns", "dependency_pct", "schedulers", "delayed_pct", "crashed_pct"}
-
-
 def parse_config_file(text: str) -> dict[str, str]:
     """`key = value` per line; '#' starts a comment; lists are comma-separated."""
     values: dict[str, str] = {}
@@ -185,69 +166,39 @@ def parse_config_file(text: str) -> dict[str, str]:
     return values
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
+def _numbers(text: str, kind: type) -> tuple:
+    return tuple(kind(v.strip()) for v in text.split(",") if v.strip())
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
+def config_keys(run: argparse.ArgumentParser) -> set[str]:
+    """The keys a ``run --config`` file may set: its flags' dests (``func`` is its handler)."""
+    return set(vars(run.parse_args([]))) - {"config", "output", "func"}
 
 
-def _config_from_sources(args: argparse.Namespace) -> BenchConfig:
-    file_values: dict[str, str] = {}
-    if args.config is not None:
-        file_values = parse_config_file(Path(args.config).read_text())
-    known = {
-        "experiment", "n_txns", "dependency_pct", "schedulers", "num_threads",
-        "delayed_pct", "crashed_pct", "delay_ms", "crash_point", "repetitions",
-        "per_txn_work_ms", "n_accounts", "amount_min", "amount_max", "seed",
-        "fault_seed", "watchdog_secs",
-    }
-    unknown = set(file_values) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(flag_value, key: str, parse, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return parse(file_values[key])
-        return default
-
-    experiment = Experiment(pick(args.experiment, "experiment", str, "baseline").lower())
-    schedulers_raw = pick(args.schedulers, "schedulers", str, "serial,lockfree")
-    schedulers = tuple(SchedulerKind(v.strip().lower()) for v in schedulers_raw.split(","))
+def bench_config(args: argparse.Namespace) -> BenchConfig:
+    """The sweep a parsed ``run`` command line asks for."""
     return BenchConfig(
-        experiment=experiment,
-        n_txns_values=pick(args.n_txns and _ints(args.n_txns), "n_txns", _ints, (600,)),
-        dependency_pct_values=pick(
-            args.dependency_pct and _floats(args.dependency_pct), "dependency_pct", _floats, (40.0,)
-        ),
-        schedulers=schedulers,
-        num_threads=pick(args.threads, "num_threads", int, 8),
-        delayed_pct_values=pick(
-            args.delayed_pct and _floats(args.delayed_pct), "delayed_pct", _floats, (0.0,)
-        ),
-        crashed_pct_values=pick(
-            args.crashed_pct and _floats(args.crashed_pct), "crashed_pct", _floats, (0.0,)
-        ),
-        delay_s=pick(args.delay_ms, "delay_ms", float, 5.0) / 1000.0,
-        crash_point=_crash_point(pick(args.crash_point, "crash_point", str, "phase1_pre_publish")),
-        repetitions=pick(args.reps, "repetitions", int, 5),
-        per_txn_work=pick(args.per_txn_work_ms, "per_txn_work_ms", float, 0.0) / 1000.0,
-        n_accounts=pick(args.accounts, "n_accounts", int, 100),
-        amount_range=(
-            pick(args.amount_min, "amount_min", int, 1),
-            pick(args.amount_max, "amount_max", int, 100),
-        ),
-        base_seed=pick(args.seed, "seed", int, 1),
-        fault_seed=pick(args.fault_seed, "fault_seed", int, 0),
-        watchdog_secs=pick(args.watchdog_secs, "watchdog_secs", float, None),
+        experiment=Experiment(args.experiment.lower()),
+        n_txns_values=_numbers(args.n_txns, int),
+        dependency_pct_values=_numbers(args.dependency_pct, float),
+        schedulers=tuple(SchedulerKind(v.strip().lower()) for v in args.schedulers.split(",")),
+        num_threads=args.num_threads,
+        delayed_pct_values=_numbers(args.delayed_pct, float),
+        crashed_pct_values=_numbers(args.crashed_pct, float),
+        delay_s=args.delay_ms / 1000.0,
+        crash_point=_crash_point(args.crash_point),
+        repetitions=args.repetitions,
+        per_txn_work=args.per_txn_work_ms / 1000.0,
+        n_accounts=args.n_accounts,
+        amount_range=(args.amount_min, args.amount_max),
+        base_seed=args.seed,
+        fault_seed=args.fault_seed,
+        watchdog_secs=args.watchdog_secs,
     )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_sources(args)
+    config = bench_config(args)
     sink = sys.stdout if args.output in (None, "-") else open(args.output, "w")
     try:
         sink.write(rows_to_csv([]))
@@ -268,15 +219,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    rows = rows_from_csv(Path(args.rows).read_text())
-    _write_output(render_rows(aggregate_rows(rows), args.format), args.output)
+    _write_output(report(rows_from_csv(Path(args.rows).read_text()), args.format), args.output)
     return EXIT_OK
 
 
 # --- wiring --------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The ``binsched`` parser and its ``run`` subparser, whose dests are the config keys."""
     parser = _Parser(prog="binsched", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -309,22 +260,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a benchmark sweep")
     run.add_argument("--config", default=None, help="key = value config file")
-    run.add_argument("--experiment", choices=[e.value for e in Experiment], default=None)
-    run.add_argument("--n-txns", dest="n_txns", default=None, help="comma list")
-    run.add_argument("--dependency-pct", dest="dependency_pct", default=None, help="comma list")
-    run.add_argument("--schedulers", default=None, help="comma list")
-    run.add_argument("--threads", type=int, default=None)
-    run.add_argument("--delayed-pct", dest="delayed_pct", default=None, help="comma list")
-    run.add_argument("--crashed-pct", dest="crashed_pct", default=None, help="comma list")
-    run.add_argument("--delay-ms", type=float, default=None)
-    run.add_argument("--crash-point", default=None)
-    run.add_argument("--reps", type=int, default=None)
-    run.add_argument("--per-txn-work-ms", type=float, default=None)
-    run.add_argument("--accounts", type=int, default=None)
-    run.add_argument("--amount-min", type=int, default=None)
-    run.add_argument("--amount-max", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--fault-seed", type=int, default=None)
+    run.add_argument("--experiment", choices=[e.value for e in Experiment], default="baseline")
+    run.add_argument("--n-txns", default="600", help="comma list")
+    run.add_argument("--dependency-pct", default="40", help="comma list")
+    run.add_argument("--schedulers", default="serial,lockfree", help="comma list")
+    run.add_argument("--threads", dest="num_threads", type=int, default=8)
+    run.add_argument("--delayed-pct", default="0", help="comma list")
+    run.add_argument("--crashed-pct", default="0", help="comma list")
+    run.add_argument("--delay-ms", type=float, default=5.0)
+    run.add_argument("--crash-point", default="phase1_pre_publish")
+    run.add_argument("--reps", dest="repetitions", type=int, default=5)
+    run.add_argument("--per-txn-work-ms", type=float, default=0.0)
+    run.add_argument("--accounts", dest="n_accounts", type=int, default=100)
+    run.add_argument("--amount-min", type=int, default=1)
+    run.add_argument("--amount-max", type=int, default=100)
+    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--fault-seed", type=int, default=0)
     run.add_argument("--watchdog-secs", type=float, default=None)
     run.add_argument("-o", "--output", default=None)
     run.set_defaults(func=_cmd_run)
@@ -334,13 +285,26 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--format", choices=["csv", "json", "gnuplot"], default="csv")
     rep.add_argument("-o", "--output", default=None)
     rep.set_defaults(func=_cmd_report)
-    return parser
+    return parser, run
+
+
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse ``argv``; a ``run --config`` file's values become the ``run`` flags' defaults."""
+    parser, run = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.config is not None:
+        values = parse_config_file(Path(args.config).read_text())
+        unknown = set(values) - config_keys(run)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        run.set_defaults(**values)
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

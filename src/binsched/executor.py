@@ -146,9 +146,10 @@ def execute_plan(
 ) -> WalletState:
     """Apply the plan across ``num_threads``; a transaction starts once its waits are applied.
 
-    One thread applies the rows in order. With more, workers claim positions
-    of the flattened rows by ``next()`` on one shared :func:`itertools.count`
-    and apply the claimed transaction ``t`` once every member of
+    One thread applies the rows in order. With more, the calling thread and
+    ``num_threads - 1`` started peers claim positions of the flattened rows
+    by ``next()`` on one shared :func:`itertools.count` and apply the
+    claimed transaction ``t`` once every member of
     ``plan.waits[t]`` is marked in a ``done`` list indexed by id (for a plan
     without waits, every member of the previous bin). A worker takes the
     shared condition's lock only to sleep on an unapplied member, or, after
@@ -227,12 +228,13 @@ def execute_plan(
                 errors.append(exc)
                 wake.notify_all()
 
-    workers = [
-        threading.Thread(target=body, name=f"exec-{w}", daemon=True) for w in range(num_threads)
+    peers = [
+        threading.Thread(target=body, name=f"exec-{w}", daemon=True) for w in range(1, num_threads)
     ]
-    for t in workers:
+    for t in peers:
         t.start()
-    for t in workers:
+    body()  # the calling thread is worker 0
+    for t in peers:
         t.join()
     if errors:
         raise errors[0]

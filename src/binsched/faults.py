@@ -77,7 +77,7 @@ class FaultPlan:
         if self.delay_per_claim < 0:
             raise ValueError("delay_per_claim must be >= 0")
         if self.crash_point not in CRASH_POINTS:
-            raise ValueError(f"{self.crash_point} is not a crash point")
+            raise ValueError(f"{self.crash_point.value!r} is not a crash point")
 
     @property
     def crashes_anyone(self) -> bool:
@@ -99,7 +99,7 @@ def make_fault_plan(
     ``num_threads - 1`` so at least one worker always survives.
     """
     if num_threads < 1:
-        raise ValueError("num_threads must be >= 1")
+        raise ValueError(f"num_threads must be >= 1, got {num_threads}")
     if not 0 <= delayed_pct <= 100 or not 0 <= crashed_pct <= 100:
         raise ValueError("percentages must lie in [0, 100]")
 

@@ -136,6 +136,11 @@ def test_non_positive_watchdog_rejected_before_any_row(watchdog_secs):
         small_config(watchdog_secs=watchdog_secs)
 
 
+def test_negative_delay_rejected_before_any_row():
+    with pytest.raises(ValueError, match="delay_per_claim must be >= 0"):
+        small_config(delay_s=-0.001)
+
+
 def test_crash_experiment_runs_with_dead_threads_excluded():
     config = small_config(
         experiment=Experiment.CRASH,

@@ -1,9 +1,19 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
+import pytest
+
 from binsched import CSV_HEADER, conflict_sets_oracle, load_workload, rows_from_csv
-from binsched.cli import main, parse_config_file
+from binsched.cli import (
+    bench_config,
+    build_parser,
+    config_keys,
+    main,
+    parse_args,
+    parse_config_file,
+)
 
 
 def run_cli(argv):
@@ -161,6 +171,24 @@ def test_unknown_crash_point_is_config_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--crash-point", "bogus"], "error: unknown crash point: 'bogus'\n"),
+        (["--delay-ms", "-1"], "error: delay_per_claim must be >= 0\n"),
+    ],
+    ids=["crash-point", "delay-ms"],
+)
+def test_schedule_validates_fault_flags_without_fault_percentages(tmp_path, capsys, flags, message):
+    block = tmp_path / "block.json"
+    run_cli(["gen", "--n", "5", "-o", str(block)])
+    capsys.readouterr()
+    assert run_cli(["schedule", "-w", str(block), "--threads", "2", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_run_and_report_round_trip(tmp_path, capsys):
     rows_path = tmp_path / "rows.csv"
     code = run_cli(
@@ -244,3 +272,48 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert len(load_workload(out.read_text())) == 5
+
+
+RUN_SETTINGS = {
+    "experiment", "n_txns", "dependency_pct", "schedulers", "num_threads", "delayed_pct",
+    "crashed_pct", "delay_ms", "crash_point", "repetitions", "per_txn_work_ms", "n_accounts",
+    "amount_min", "amount_max", "seed", "fault_seed", "watchdog_secs",
+}
+
+
+def test_config_keys_are_the_run_flags_dests():
+    parser, run = build_parser()
+    dests = set(vars(parser.parse_args(["run"]))) - {"command", "func", "config", "output"}
+    assert config_keys(run) == dests == RUN_SETTINGS
+
+
+def test_config_file_and_flags_build_equal_configs(tmp_path):
+    settings = {
+        "experiment": ("crash", "--experiment", "crash"),
+        "n_txns": ("12, 24", "--n-txns", "12,24"),
+        "dependency_pct": ("10, 90", "--dependency-pct", "10,90"),
+        "schedulers": ("lockfree, serial", "--schedulers", "lockfree,serial"),
+        "num_threads": ("3", "--threads", "3"),
+        "delayed_pct": ("5", "--delayed-pct", "5"),
+        "crashed_pct": ("0, 50", "--crashed-pct", "0,50"),
+        "delay_ms": ("2", "--delay-ms", "2"),
+        "crash_point": ("inter_phase", "--crash-point", "inter_phase"),
+        "repetitions": ("2", "--reps", "2"),
+        "per_txn_work_ms": ("0.5", "--per-txn-work-ms", "0.5"),
+        "n_accounts": ("50", "--accounts", "50"),
+        "amount_min": ("2", "--amount-min", "2"),
+        "amount_max": ("9", "--amount-max", "9"),
+        "seed": ("4", "--seed", "4"),
+        "fault_seed": ("6", "--fault-seed", "6"),
+        "watchdog_secs": ("7", "--watchdog-secs", "7"),
+    }
+    assert set(settings) == RUN_SETTINGS
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, (value, _, _) in settings.items()))
+    flags = [part for _, flag, value in settings.values() for part in (flag, value)]
+
+    from_file = bench_config(parse_args(["run", "--config", str(cfg)]))
+    assert from_file == bench_config(parse_args(["run", *flags]))
+    default = bench_config(parse_args(["run"]))
+    for field in dataclasses.fields(default):
+        assert getattr(from_file, field.name) != getattr(default, field.name), field.name
