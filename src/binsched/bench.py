@@ -110,8 +110,9 @@ class BenchConfig:
             raise ValueError("repetitions must be >= 1")
         if self.num_threads < 1:
             raise ValueError("num_threads must be >= 1")
-        # a bad crash point, delay or budget fails before any row runs
-        FaultPlan(delay_per_claim=self.delay_s, crash_point=self.crash_point)
+        # a bad percentage, crash point, delay or budget fails before any row runs
+        for delayed_pct, crashed_pct in {(d, c) for _, _, d, c in sweep_points(self)}:
+            self.fault_plan(delayed_pct, crashed_pct)
         resolve_watchdog_secs(self.watchdog_secs)
         if self.experiment is Experiment.CRASH:
             allowed = {SchedulerKind.LOCKFREE, SchedulerKind.SERIAL}
@@ -121,6 +122,17 @@ class BenchConfig:
                     "crash experiments run on the lockfree scheduler "
                     f"(plus serial reference); got {sorted(k.value for k in extra)}"
                 )
+
+    def fault_plan(self, delayed_pct: float, crashed_pct: float) -> FaultPlan:
+        """The fault plan of a sweep point with these delayed and crashed percentages."""
+        return make_fault_plan(
+            self.num_threads,
+            delayed_pct=delayed_pct,
+            delay=self.delay_s,
+            crashed_pct=crashed_pct,
+            crash_point=self.crash_point,
+            seed=self.fault_seed,
+        )
 
 
 def sweep_points(config: BenchConfig) -> list[tuple[int, float, float, float]]:
@@ -203,14 +215,7 @@ def _measure(kind: SchedulerKind, block, base: BenchRow, config: BenchConfig) ->
 
     variant = kind.variant
     assert variant is not None
-    faults = make_fault_plan(
-        config.num_threads,
-        delayed_pct=base.delayed_pct,
-        delay=config.delay_s,
-        crashed_pct=base.crashed_pct,
-        crash_point=config.crash_point,
-        seed=config.fault_seed,
-    )
+    faults = config.fault_plan(base.delayed_pct, base.crashed_pct)
     try:
         result, _, schedule_s, exec_stage = run_block(
             block, variant, config.num_threads, faults, config.per_txn_work, config.watchdog_secs

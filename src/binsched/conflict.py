@@ -36,11 +36,15 @@ worker)`` and ``build_conflict_sets_helper(table, claims, worker)``.
 
 :class:`ConflictIndex` holds each address's access chain, the ids that
 touch it in id order, which a :class:`ConflictTable` builds once from the
-immutable block. Every access records where it sits in its chain, so a
-frontier is read off the chain without a search, and exactly the set
+immutable block. A chain list is made on an address's second access; until
+then the address maps to its lone accessor's id. An access with something
+before it on its address records where it sits in its chain, so a frontier
+is read off the chain without a search, and exactly the set
 ``{j < i : check_conflicts(txn_i, txn_j)}`` is enumerated without touching
-unrelated transactions. :func:`conflict_sets_oracle` is the independent
-quadratic restatement used to cross-check it.
+unrelated transactions. An access with nothing before it records nothing,
+so a conflict-free block's index holds no chain list and no span.
+:func:`conflict_sets_oracle` is the independent quadratic restatement used
+to cross-check it.
 """
 
 from __future__ import annotations
@@ -78,45 +82,86 @@ class ConflictIndex:
 
     One scan of the block in id order appends each transaction to the chain
     of every address it touches, so a chain lists the address's accessors in
-    id order, and records each access as a span ``(addr, chain, start,
-    stop)``:
+    id order. An address touched once has no chain list: its entry in
+    ``chains`` is the lone accessor's id, and the list is made on the second
+    access. The scan records an access as a span ``(addr, chain, start,
+    stop)`` only when something sits before it:
 
     * a write access stops at the transaction's own chain position and
       starts at the address's latest earlier writer, or at 0 when there is
       none, so ``chain[start:stop]`` is that writer and the read-only
       readers since: the walk back from the transaction to the first
-      writer, taken as one slice;
-    * a read-only access spans just its latest earlier writer, or nothing.
+      writer, taken as one slice. A write at chain position 0 keeps no span;
+    * a read-only access spans just its latest earlier writer, and keeps no
+      span when there is none.
 
-    :meth:`frontier` therefore makes no search, and a read-only access no
-    walk. :meth:`lower_conflicts` takes the chain prefix below a write
-    access and the writers below a read-only one, which is exactly the
-    pairwise definition. The index keeps the block it was built from as
-    ``txns``; transaction ids are block positions.
+    A transaction with no kept span shares the empty tuple. :meth:`frontier`
+    therefore makes no search, a read-only access no walk, and a
+    transaction with nothing before it no work. :meth:`lower_conflicts`
+    takes the chain prefix below a write access and the writers below a
+    read-only one, which is exactly the pairwise definition; an access
+    without a span has no lower conflict on its address. The index keeps
+    the block it was built from as ``txns``; transaction ids are block
+    positions.
     """
 
     __slots__ = ("txns", "_spans")
 
     def __init__(self, txns: Sequence[Transaction]) -> None:
         self.txns = txns
-        chains: dict[Address, list[int]] = {}
-        last_writer: dict[Address, int] = {}  # chain position of the latest writer
-        spans: list[list[tuple[Address, list[int], int, int]]] = []
+        # an address's accessor ids in id order; the lone accessor's id until a second access
+        chains: dict[Address, int | list[int]] = {}
+        # chain position of the latest writer, for addresses with a chain list
+        last_writer: dict[Address, int] = {}
+        chain_of = chains.get
+        own: list[tuple[Address, list[int], int, int]] = []  # the current transaction's spans
+        keep = own.append
+        spans: list[Sequence[tuple[Address, list[int], int, int]]] = []
         for txn in txns:
-            own = []
-            for addr in txn.write_set:
-                chain = chains.setdefault(addr, [])
-                pos = len(chain)
-                own.append((addr, chain, last_writer.get(addr, 0), pos))
-                last_writer[addr] = pos
-                chain.append(txn.id)
-            for addr in txn.read_set:
-                if addr not in txn.write_set:
-                    chain = chains.setdefault(addr, [])
-                    w = last_writer.get(addr)
-                    own.append((addr, chain, 0, 0) if w is None else (addr, chain, w, w + 1))
-                    chain.append(txn.id)
-            spans.append(own)
+            tid = txn.id
+            writes = txn.write_set
+            for addr in writes:
+                chain = chain_of(addr)
+                if chain.__class__ is list:
+                    pos = len(chain)
+                    span = (addr, chain, last_writer.get(addr, 0), pos)
+                    last_writer[addr] = pos
+                    chain.append(tid)
+                elif chain is None:
+                    chains[addr] = tid
+                    continue
+                else:
+                    chains[addr] = chain = [chain, tid]
+                    span = (addr, chain, 0, 1)
+                    last_writer[addr] = 1
+                keep(span)
+            reads = txn.read_set
+            if reads is not writes:  # a wallet transfer's sets are one object
+                for addr in reads:
+                    if addr in writes:
+                        continue
+                    chain = chain_of(addr)
+                    if chain.__class__ is list:
+                        w = last_writer.get(addr)
+                        chain.append(tid)
+                        if w is None:
+                            continue
+                        span = (addr, chain, w, w + 1)
+                    elif chain is None:
+                        chains[addr] = tid
+                        continue
+                    else:
+                        chains[addr] = chain = [chain, tid]
+                        if addr not in txns[chain[0]].write_set:
+                            continue
+                        last_writer[addr] = 0
+                        span = (addr, chain, 0, 1)
+                    keep(span)
+            if own:
+                spans.append(tuple(own))
+                own.clear()
+            else:
+                spans.append(())
         self._spans = spans
 
     def lower_conflicts(self, txn: Transaction) -> frozenset[int]:
@@ -129,17 +174,21 @@ class ConflictIndex:
         return frozenset(out)
 
     def _writers_through(self, addr: Address, chain: list[int], pos: int) -> Iterator[int]:
-        """The writers of ``addr`` at or below ``chain[pos]``, itself a writer or -1.
+        """The writers of ``addr`` at or below ``chain[pos]``, itself a writer.
 
         Walks back writer to writer along each one's write span, so a run of
-        read-only readers between two writers costs nothing. A span with no
-        earlier writer starts at 0, on a reader or on the writer itself.
+        read-only readers between two writers costs nothing. The walk ends
+        at a writer with no earlier writer: its span starts at 0, on a
+        reader, or it keeps no span, being the address's first accessor.
         """
-        while pos >= 0:
+        while True:
             j = chain[pos]
             yield j
-            start = next(s for a, _, s, _ in self._spans[j] if a == addr)
-            pos = start if start < pos and addr in self.txns[chain[start]].write_set else -1
+            if pos == 0:
+                return
+            pos = next(s for a, _, s, _ in self._spans[j] if a == addr)
+            if addr not in self.txns[chain[pos]].write_set:
+                return
 
     def frontier(self, txn: Transaction) -> tuple[int, ...]:
         """The lower conflicts that bound the transaction's bin.
@@ -148,8 +197,11 @@ class ConflictIndex:
         writes the address, the readers strictly between that writer and
         ``txn.id``. A subset of :meth:`lower_conflicts`.
         """
+        spans = self._spans[txn.id]
+        if not spans:
+            return ()
         out: list[int] = []
-        for _, chain, start, stop in self._spans[txn.id]:
+        for _, chain, start, stop in spans:
             out += chain[start:stop]
         return tuple(set(out)) if len(out) > 1 else tuple(out)
 

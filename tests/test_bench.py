@@ -141,6 +141,24 @@ def test_negative_delay_rejected_before_any_row():
         small_config(delay_s=-0.001)
 
 
+@pytest.mark.parametrize(
+    "experiment, axis, scheduler",
+    [
+        (Experiment.LATENCY, "delayed_pct_values", SchedulerKind.STANDARD),
+        (Experiment.CRASH, "crashed_pct_values", SchedulerKind.LOCKFREE),
+    ],
+    ids=["delayed", "crashed"],
+)
+def test_out_of_range_fault_pct_rejected_before_any_row(experiment, axis, scheduler):
+    # the in-range point comes first in the sweep, so a check at run time would emit its rows
+    with pytest.raises(ValueError, match=r"percentages must lie in \[0, 100\]"):
+        small_config(
+            experiment=experiment,
+            schedulers=(SchedulerKind.SERIAL, scheduler),
+            **{axis: (0.0, 150.0)},
+        )
+
+
 def test_crash_experiment_runs_with_dead_threads_excluded():
     config = small_config(
         experiment=Experiment.CRASH,

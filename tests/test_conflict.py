@@ -21,11 +21,13 @@ from binsched import (
     Variant,
     Worker,
     WorkerCrashed,
+    WorkloadSpec,
     bin_oracle,
     build_conflict_sets_helper,
     build_conflict_sets_standard,
     check_conflicts,
     conflict_sets_oracle,
+    generate_workload,
     make_fault_plan,
     make_transaction,
     schedule,
@@ -195,6 +197,68 @@ def test_a_read_only_access_has_only_its_last_writer_as_frontier():
             last_writer = t.id
         else:
             assert index.frontier(t) == (last_writer,)
+
+
+def assert_index_matches_oracles(block):
+    """The index's frontiers and lower sets equal both serial oracles' on every transaction."""
+    index = ConflictIndex(block)
+    frontiers = frontier_oracle(block)
+    lower = conflict_sets_oracle(block)
+    for t in block:
+        assert set(index.frontier(t)) == frontiers[t.id]
+        assert index.lower_conflicts(t) == lower[t.id]
+    return index
+
+
+def test_read_only_walk_reaches_a_writer_that_was_the_first_accessor():
+    # T0 writes X first and keeps no span; T3's walk goes T2 -> T0 and must stop there
+    block = [
+        txn(0, set(), {"X"}),
+        txn(1, {"X"}, {"a"}),
+        txn(2, {"X"}, {"X"}),
+        txn(3, {"X"}, {"b"}),
+    ]
+    index = assert_index_matches_oracles(block)
+    assert index.lower_conflicts(block[3]) == {0, 2}
+    assert index.lower_conflicts(block[1]) == {0}
+    assert index.frontier(block[0]) == ()
+
+
+def test_read_only_first_accesses_then_a_writer():
+    block = [
+        txn(0, {"X"}, set()),
+        txn(1, {"Y"}, set()),
+        txn(2, {"Y"}, set()),
+        txn(3, set(), {"X"}),
+        txn(4, set(), {"Y"}),
+        txn(5, {"X", "Y"}, set()),
+    ]
+    index = assert_index_matches_oracles(block)
+    assert index.frontier(block[3]) == (0,)
+    assert sorted(index.frontier(block[4])) == [1, 2]
+    assert index.lower_conflicts(block[5]) == {3, 4}
+    assert all(index.frontier(t) == () for t in block[:3])
+
+
+def test_an_address_touched_once_has_no_conflicts():
+    block = [
+        txn(0, set(), {"A"}),
+        txn(1, {"B"}, set()),
+        txn(2, {"C"}, {"C"}),
+        txn(3, {"A"}, {"D"}),
+    ]
+    index = assert_index_matches_oracles(block)
+    for t in block[:3]:
+        assert index.frontier(t) == () and index.lower_conflicts(t) == frozenset()
+    assert index.frontier(block[3]) == (0,)
+
+
+def test_a_conflict_free_block_keeps_no_span():
+    block = generate_workload(
+        WorkloadSpec(n_txns=300, n_accounts=100, dependency_pct=0, seed=3)
+    )
+    index = assert_index_matches_oracles(block)
+    assert all(spans == () for spans in index._spans)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
