@@ -20,8 +20,9 @@ thread's :class:`~binsched.faults.Worker`, whose fault hook it calls at
 each instrumented site: ``assign_bins_standard(table, bins, claims,
 worker)`` and ``assign_bins_helper(table, bins, claims, worker)``.
 :func:`assign_bins_standard` claims each index exactly once and *blocks*
-(bounded-backoff spin) on dependencies that are still unassigned; safe when
-phase 1 completed behind a barrier, not crash tolerant.
+(bounded-backoff spin, up to the worker's deadline) on dependencies that
+are still unassigned; safe when phase 1 completed behind a barrier, not
+crash tolerant.
 :func:`assign_bins_helper` never blocks: it claims wraparound indices and
 *helps*, publishing the bins of unassigned frontier members itself, with an
 explicit stack since bin chains run hundreds deep, before the claimed one.
@@ -41,6 +42,7 @@ together with the frontiers that the plan's transactions wait for.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Iterator, Sequence
@@ -73,8 +75,13 @@ def calculate_bin(
     bins: BinAssignment,
     *,
     abort: threading.Event | None = None,
+    deadline: float = math.inf,
 ) -> int:
-    """Blocking bin computation: spin until every frontier member is assigned."""
+    """Blocking bin computation: spin until every frontier member is assigned.
+
+    Raises :class:`~binsched.faults.Aborted` once ``abort`` is set or the
+    ``deadline``, a :func:`time.perf_counter` time, passed; sets ``abort``.
+    """
     frontier = table.frontier(i)
     if frontier is None:
         raise RuntimeError(f"conflict slot {i} not published; phase 1 incomplete")
@@ -82,7 +89,9 @@ def calculate_bin(
     for dep in frontier:
         pause = _SPIN_SLEEP_MIN
         while (dep_bin := bins.bin_of(dep)) is UNASSIGNED:
-            if abort is not None and abort.is_set():
+            if (abort is not None and abort.is_set()) or time.perf_counter() >= deadline:
+                if abort is not None:
+                    abort.set()  # a passed deadline stops the run's peers too
                 raise Aborted()
             time.sleep(pause)
             pause = min(pause * 2, _SPIN_SLEEP_MAX)
@@ -99,7 +108,7 @@ def assign_bins_standard(
     i = next(claims)
     while i < n:
         worker.at(_PHASE2_POST_CLAIM)
-        alloted = calculate_bin(i, table, bins, abort=worker.abort)
+        alloted = calculate_bin(i, table, bins, abort=worker.abort, deadline=worker.deadline)
         worker.at(_PHASE2_PRE_CAS)
         bins.publish(i, alloted)
         i = next(claims)

@@ -36,15 +36,9 @@ worker)`` and ``build_conflict_sets_helper(table, claims, worker)``.
 
 :class:`ConflictIndex` holds each address's access chain, the ids that
 touch it in id order, which a :class:`ConflictTable` builds once from the
-immutable block. A chain list is made on an address's second access; until
-then the address maps to its lone accessor's id. An access with something
-before it on its address records where it sits in its chain, so a frontier
-is read off the chain without a search, and exactly the set
-``{j < i : check_conflicts(txn_i, txn_j)}`` is enumerated without touching
-unrelated transactions. An access with nothing before it records nothing,
-so a conflict-free block's index holds no chain list and no span.
-:func:`conflict_sets_oracle` is the independent quadratic restatement used
-to cross-check it.
+immutable block; a frontier is read off the chains without a search or a
+look at unrelated transactions. :func:`conflict_sets_oracle` is the
+independent quadratic restatement used to cross-check it.
 """
 
 from __future__ import annotations

@@ -7,11 +7,9 @@ schedule; execution replays along the frontiers. Workers claim positions of
 the flattened rows in order, and a transaction starts once every member of
 its frontier has been applied, not once its whole previous bin has. Frontier
 members sit in lower bins, so they come earlier in plan order, and on every
-account the transfers apply in id order. A plan built without a table has no
-frontiers: each of its transactions waits for the whole previous bin, which
-is bin order. The final state always equals single-threaded index-order
-application (:func:`execute_serial`), which is the reference semantics for
-every equivalence test.
+account the transfers apply in id order. The final state always equals
+single-threaded index-order application (:func:`execute_serial`), which is
+the reference semantics for every equivalence test.
 
 Transfers debit the sender and credit the receiver unconditionally on signed
 balances; accounts absent from the initial state materialize at balance 0 on
@@ -29,6 +27,7 @@ from typing import Sequence
 
 from .binning import UNASSIGNED, BinAssignment
 from .conflict import ConflictTable
+from .faults import run_workers
 from .txn import Address, Transaction
 
 
@@ -146,20 +145,18 @@ def execute_plan(
 ) -> WalletState:
     """Apply the plan across ``num_threads``; a transaction starts once its waits are applied.
 
-    One thread applies the rows in order. With more, the calling thread and
-    ``num_threads - 1`` started peers claim positions of the flattened rows
-    by ``next()`` on one shared :func:`itertools.count` and apply the
-    claimed transaction ``t`` once every member of
-    ``plan.waits[t]`` is marked in a ``done`` list indexed by id (for a plan
-    without waits, every member of the previous bin). A worker takes the
-    shared condition's lock only to sleep on an unapplied member, or, after
-    marking its transaction done, to wake sleepers when the waiter count is
-    not zero; a worker that applies the whole block alone takes no lock.
-    Members sit earlier in plan order, so the lowest unfinished claimed
-    position can always run. A worker about to sleep on a member that is not
-    earlier raises ``ValueError`` instead of hanging. A worker that raises
-    records the error and wakes every sleeper, so the peers stop and
-    :func:`execute_plan` re-raises it.
+    One thread applies the rows in order. With more, the workers of
+    :func:`~binsched.faults.run_workers`, the calling thread among them,
+    claim positions of the flattened rows from one shared
+    :func:`itertools.count` and apply the claimed transaction ``t`` once
+    every member of ``plan.waits[t]`` (of the previous bin, for a plan
+    without waits) is marked done. A worker takes the shared condition's
+    lock only to sleep on an unapplied member, or to wake sleepers, if any,
+    after marking its transaction done. Members sit earlier in plan order,
+    so the lowest unfinished claimed position can always run; a worker about
+    to sleep on a member that is not earlier raises ``ValueError`` instead
+    of hanging. A worker that raises records the error and wakes every
+    sleeper, so the peers stop and :func:`execute_plan` re-raises it.
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
@@ -207,7 +204,7 @@ def execute_plan(
             sleepers -= 1
             return not errors
 
-    def body() -> None:
+    def body(_worker: int) -> None:
         try:
             while (k := next(claims)) < n and not errors:
                 txn_id = order[k]
@@ -228,14 +225,7 @@ def execute_plan(
                 errors.append(exc)
                 wake.notify_all()
 
-    peers = [
-        threading.Thread(target=body, name=f"exec-{w}", daemon=True) for w in range(1, num_threads)
-    ]
-    for t in peers:
-        t.start()
-    body()  # the calling thread is worker 0
-    for t in peers:
-        t.join()
+    run_workers(body, num_threads, "exec")
     if errors:
         raise errors[0]
     return WalletState(balances)

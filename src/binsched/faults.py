@@ -1,27 +1,27 @@
-"""Deterministic fault injection for scheduler workers.
+"""Deterministic fault injection for scheduler workers, and the worker runner.
 
 Two fault families mirror the latency and crash experiments: delayed workers
-sleep a fixed duration on every claim-loop iteration, and crashed workers
-permanently stop the first time they reach their configured crash point.
-A crash is a cooperative stop at an instrumented site, never a process
-abort: it is reproducible and exercises exactly the recovery paths that an
-OS-level kill would (a kill after a successful CAS is indistinguishable
-from a stop).
+sleep a fixed duration on every claim, and crashed workers permanently stop
+the first time they reach their configured crash point. A crash is a
+cooperative stop at an instrumented site, never a process abort: it is
+reproducible and exercises exactly the recovery paths that an OS-level kill
+would (a kill after a successful CAS is indistinguishable from a stop).
 
-A :class:`FaultPlan` is shared read-only by the whole pool. Each worker
-thread gets its own :class:`Worker` record, which resolves the plan once,
-at pool start, into that worker's crash site and delay; the phase
-procedures call its :meth:`Worker.at` hook at each instrumented site and
-count their lost CASes and helped dependencies on it.
+A :class:`FaultPlan` names workers by id; :func:`run_workers` runs the last
+id on the calling thread and the others on peers started in id order. Each
+worker's :class:`Worker` record resolves the plan once into its crash site
+and delay, and carries the run's abort event and deadline.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
 import threading
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 
 class Site(enum.Enum):
@@ -57,7 +57,7 @@ class WorkerCrashed(Exception):
 
 
 class Aborted(Exception):
-    """Raised inside a worker when the run's watchdog fired."""
+    """Raised inside a worker when the run was aborted or its deadline passed."""
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,14 @@ def make_fault_plan(
 
 
 class Worker:
-    """One scheduler worker: its id, the run's abort event, its resolved
-    crash site (or None) and per-claim delay (or 0.0), and its telemetry.
-
-    Only the owning thread writes the counters and phase timestamps, and the
-    pool reads them after the join, so none takes a lock; a crashed worker's
-    counts outlive its thread.
+    """One scheduler worker: its id, the run's abort event and deadline (a
+    :func:`time.perf_counter` time), its crash site (or None) and per-claim
+    delay (or 0.0), and the telemetry only its own thread writes, read after
+    the join without a lock; a crashed worker's counts outlive its thread.
     """
 
     __slots__ = (
-        "id", "abort", "crash_site", "delay", "cas_retries", "helped",
+        "id", "abort", "deadline", "crash_site", "delay", "cas_retries", "helped",
         "phase1_start", "phase1_end", "phase2_start", "phase2_end",
     )
 
@@ -146,9 +144,11 @@ class Worker:
         id: int,
         plan: FaultPlan = FaultPlan(),
         abort: threading.Event | None = None,
+        deadline: float = math.inf,
     ) -> None:
         self.id = id
         self.abort = abort if abort is not None else threading.Event()
+        self.deadline = deadline
         self.crash_site = plan.crash_point if id in plan.crashed_workers else None
         self.delay = plan.delay_per_claim if id in plan.delayed_workers else 0.0
         self.cas_retries = 0  # publication CASes lost, in either phase
@@ -162,14 +162,39 @@ class Worker:
         """Honor the plan at one instrumented site.
 
         Raises :class:`Aborted` when the run's abort event is set, raises
-        :class:`WorkerCrashed` when the worker reaches its crash site, and
-        sleeps when a delayed worker reaches a claim site, in that order.
-        The "crash once" latch is realized by the worker thread itself,
-        which stops permanently on the first :class:`WorkerCrashed`.
+        :class:`WorkerCrashed`, which stops the worker's thread for good, at
+        its crash site, and sleeps when a delayed worker reaches a claim
+        site, in that order; a sleep that reaches the deadline ends there,
+        sets the abort event and raises :class:`Aborted`.
         """
         if self.abort.is_set():
             raise Aborted()
         if site is self.crash_site:
             raise WorkerCrashed(self.id, site)
         if self.delay and site in _CLAIM_SITES:
-            time.sleep(self.delay)
+            left = self.deadline - time.perf_counter()
+            time.sleep(max(0.0, min(self.delay, left)))
+            if left <= self.delay:
+                self.abort.set()
+                raise Aborted()
+
+
+def run_workers(
+    body: Callable[[int], None], num_threads: int, name: str, until: float = math.inf
+) -> list[threading.Thread]:
+    """Run ``body(w)``, which must not raise, for each worker id ``w < num_threads``.
+
+    The last id runs on the calling thread; the others on daemon threads
+    ``{name}-{w}`` started in id order. Returns the peers still alive when
+    joined until ``until``, a :func:`time.perf_counter` time.
+    """
+    peers = [
+        threading.Thread(target=body, args=(w,), name=f"{name}-{w}", daemon=True)
+        for w in range(num_threads - 1)
+    ]
+    for t in peers:
+        t.start()
+    body(num_threads - 1)
+    for t in peers:
+        t.join(None if until == math.inf else max(0.0, until - time.perf_counter()))
+    return [t for t in peers if t.is_alive()]

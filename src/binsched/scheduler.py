@@ -1,4 +1,4 @@
-"""End-to-end variant orchestration over a fixed worker pool.
+"""End-to-end variant orchestration: one block on ``num_threads`` workers.
 
 Three variants combine the phase procedures differently:
 
@@ -10,13 +10,15 @@ Three variants combine the phase procedures differently:
   assignment as soon as its own conflict loop terminates, so delayed or
   stopped peers never gate progress.
 
-All three produce the same bin assignment for the same block. The barrier
-variants hang if a worker stops before the rendezvous, so every run is
-wrapped in a watchdog that aborts the pool and reports
-:class:`NonTermination` instead of hanging the caller. :func:`schedule`
-rejects crash plans on barrier variants up front;
-:func:`schedule_with_watchdog` admits them, existing precisely to
-demonstrate and contain that non-termination.
+All three produce the same bin assignment for the same block, on the
+workers of :func:`~binsched.faults.run_workers`, the calling thread among
+them. A run has a deadline, ``watchdog_secs`` after its start, at which the
+only places a worker blocks end: the barrier, phase 2's wait for a
+dependency and a delayed claim's sleep. The worker that sees it sets the
+run's abort event, which stops its peers at their next site, so a barrier
+variant whose worker stopped reports :class:`NonTermination` instead of
+hanging. :func:`schedule` rejects crash plans on barrier variants up front;
+:func:`schedule_with_watchdog` admits them, to show and contain that hang.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from typing import Sequence
 from .binning import BinAssignment, assign_bins_helper, assign_bins_standard
 from .conflict import ConflictTable, build_conflict_sets_helper, build_conflict_sets_standard
 from .executor import EMPTY_PLAN, ExecutionPlan, build_execution_plan
-from .faults import Aborted, FaultPlan, Site, Worker, WorkerCrashed
+from .faults import Aborted, FaultPlan, Site, Worker, WorkerCrashed, run_workers
 from .txn import Transaction
 
 WATCHDOG_ENV_VAR = "MBPS_WATCHDOG_SECS"
 DEFAULT_WATCHDOG_SECS = 30.0
+_GRACE_SECS = 1.0  # past the deadline, the longest the run waits for a peer to stop
 
 
 class Variant(enum.Enum):
@@ -60,7 +63,7 @@ class SchedulerConfigError(ValueError):
 
 
 class NonTermination(RuntimeError):
-    """The watchdog fired: the run did not finish within its budget."""
+    """A crash or the deadline left the assignment incomplete, or a worker outran the deadline."""
 
     def __init__(self, variant: Variant, num_threads: int, watchdog_secs: float) -> None:
         super().__init__(
@@ -119,31 +122,6 @@ def resolve_watchdog_secs(watchdog_secs: float | None) -> float:
     return watchdog_secs
 
 
-def _validate(
-    variant: Variant,
-    num_threads: int,
-    faults: FaultPlan,
-    allow_crash_on_barrier: bool,
-) -> None:
-    gil_enabled = getattr(sys, "_is_gil_enabled", None)
-    if gil_enabled is not None and not gil_enabled():
-        raise SchedulerConfigError(
-            "claims and publishes rely on the GIL; run binsched on an interpreter with it enabled"
-        )
-    if num_threads < 1:
-        raise SchedulerConfigError(f"num_threads must be >= 1, got {num_threads}")
-    workers = faults.crashed_workers | faults.delayed_workers
-    if workers and (min(workers) < 0 or max(workers) >= num_threads):
-        raise SchedulerConfigError("fault plan names worker ids outside the pool")
-    if faults.crashes_anyone and variant.uses_barrier and not allow_crash_on_barrier:
-        raise SchedulerConfigError(
-            f"{variant.value} is not crash tolerant; crash plans require the "
-            "watchdog entry point"
-        )
-    if variant is Variant.LOCKFREE and len(faults.crashed_workers) >= num_threads:
-        raise SchedulerConfigError("lockfree runs need at least one surviving worker")
-
-
 def schedule(
     txns: Sequence[Transaction],
     variant: Variant,
@@ -152,9 +130,7 @@ def schedule(
     watchdog_secs: float | None = None,
 ) -> ScheduleResult:
     """Run one block through a variant; strict about hazardous configs."""
-    plan = faults if faults is not None else FaultPlan()
-    _validate(variant, num_threads, plan, allow_crash_on_barrier=False)
-    return _run_pool(txns, variant, num_threads, plan, resolve_watchdog_secs(watchdog_secs))
+    return _run_pool(txns, variant, num_threads, faults, watchdog_secs, False)
 
 
 def schedule_with_watchdog(
@@ -166,21 +142,40 @@ def schedule_with_watchdog(
 ) -> ScheduleResult:
     """Like :func:`schedule` but admits crash plans on barrier variants.
 
-    Such runs cannot finish; the watchdog aborts the pool and raises
-    :class:`NonTermination` so harnesses can record the outcome.
+    Such runs cannot finish: once a crash or the deadline stops them short
+    of a full assignment they raise :class:`NonTermination`, so harnesses
+    can record the outcome.
     """
-    plan = faults if faults is not None else FaultPlan()
-    _validate(variant, num_threads, plan, allow_crash_on_barrier=True)
-    return _run_pool(txns, variant, num_threads, plan, resolve_watchdog_secs(watchdog_secs))
+    return _run_pool(txns, variant, num_threads, faults, watchdog_secs, True)
 
 
 def _run_pool(
     txns: Sequence[Transaction],
     variant: Variant,
     num_threads: int,
-    faults: FaultPlan,
-    watchdog_secs: float,
+    faults: FaultPlan | None,
+    watchdog_secs: float | None,
+    allow_crash_on_barrier: bool,
 ) -> ScheduleResult:
+    if not getattr(sys, "_is_gil_enabled", lambda: True)():
+        raise SchedulerConfigError(
+            "claims and publishes rely on the GIL; run binsched on an interpreter with it enabled"
+        )
+    if num_threads < 1:
+        raise SchedulerConfigError(f"num_threads must be >= 1, got {num_threads}")
+    faults = faults if faults is not None else FaultPlan()
+    workers = faults.crashed_workers | faults.delayed_workers
+    if workers and (min(workers) < 0 or max(workers) >= num_threads):
+        raise SchedulerConfigError("fault plan names worker ids outside the pool")
+    if faults.crashes_anyone and variant.uses_barrier and not allow_crash_on_barrier:
+        raise SchedulerConfigError(
+            f"{variant.value} is not crash tolerant; crash plans require the "
+            "watchdog entry point"
+        )
+    if variant is Variant.LOCKFREE and len(faults.crashed_workers) >= num_threads:
+        raise SchedulerConfigError("lockfree runs need at least one surviving worker")
+    watchdog_secs = resolve_watchdog_secs(watchdog_secs)
+
     n = len(txns)
     table = ConflictTable(txns)
     bins = BinAssignment(n)
@@ -196,51 +191,42 @@ def _run_pool(
     phase2_claims = itertools.count()
     abort = threading.Event()
     barrier = threading.Barrier(num_threads) if variant.uses_barrier else None
-    records = [Worker(w, faults, abort) for w in range(num_threads)]
+    deadline = time.perf_counter() + watchdog_secs
+    records = [Worker(w, faults, abort, deadline) for w in range(num_threads)]
     errors: list[BaseException] = []
 
-    def body(worker: Worker) -> None:
+    def body(w: int) -> None:
+        worker = records[w]
         worker.phase1_start = time.perf_counter()
         try:
             phase1(table, phase1_claims, worker)
             worker.phase1_end = time.perf_counter()
             worker.at(Site.INTER_PHASE)
             if barrier is not None:
-                barrier.wait()
+                barrier.wait(max(0.0, deadline - time.perf_counter()))
             worker.phase2_start = time.perf_counter()
             phase2(table, bins, phase2_claims, worker)
             worker.phase2_end = time.perf_counter()
-        except (WorkerCrashed, Aborted, threading.BrokenBarrierError):
+        except (WorkerCrashed, Aborted):
             return
+        except threading.BrokenBarrierError:
+            abort.set()  # the deadline passed at the rendezvous, or a peer failed
         except BaseException as exc:
             errors.append(exc)
             abort.set()
             if barrier is not None:
                 barrier.abort()
 
-    workers = [
-        threading.Thread(target=body, args=(r,), name=f"sched-{r.id}", daemon=True)
-        for r in records
-    ]
-    started = time.perf_counter()
-    for t in workers:
-        t.start()
-    deadline = started + watchdog_secs
-    for t in workers:
-        t.join(max(0.0, deadline - time.perf_counter()))
-    if any(t.is_alive() for t in workers):
+    if run_workers(body, num_threads, "sched", until=deadline + _GRACE_SECS):
         abort.set()
         if barrier is not None:
             barrier.abort()
-        for t in workers:
-            t.join(5.0)
         raise NonTermination(variant, num_threads, watchdog_secs)
     if errors:
         raise errors[0]
-    if faults.crashes_anyone and not bins.is_complete():
-        # a dead worker's claim will never be redone in this variant, so
-        # the pipeline can never produce a plan: report it immediately
-        # instead of burning the whole watchdog budget
+    if not bins.is_complete() and (faults.crashes_anyone or abort.is_set()):
+        # a dead worker's claim is never redone in this variant, and an
+        # aborted run stopped short: neither can produce a plan
         raise NonTermination(variant, num_threads, watchdog_secs)
     try:
         plan = build_execution_plan(bins, table)
@@ -251,10 +237,6 @@ def _run_pool(
     p1_end = max(r.phase1_end for r in records if r.phase1_end is not None)
     p2_start = min(r.phase2_start for r in records if r.phase2_start is not None)
     p2_end = max(r.phase2_end for r in records if r.phase2_end is not None)
-    timing = PhaseTimings(
-        phase1_s=p1_end - p1_start,
-        phase2_s=p2_end - p2_start,
-        total_s=p2_end - p1_start,
-    )
+    timing = PhaseTimings(p1_end - p1_start, p2_end - p2_start, p2_end - p1_start)
     retries = RetryStats(sum(r.cas_retries for r in records), sum(r.helped for r in records))
     return ScheduleResult(table, bins, plan, timing, retries)

@@ -2,6 +2,7 @@ import dis
 import itertools
 import sys
 import threading
+import time
 
 import networkx as nx
 import pytest
@@ -111,8 +112,10 @@ def test_calculate_bin_abort_breaks_the_spin():
     table.publish(1, (0,))
     bins = BinAssignment(2)  # dependency 0 never assigned
     abort = threading.Event()
-    abort.set()
-    with pytest.raises(Aborted):
+    with pytest.raises(Aborted):  # a passed deadline stops the spin and the run
+        calculate_bin(1, table, bins, abort=abort, deadline=time.perf_counter() - 1)
+    assert abort.is_set()
+    with pytest.raises(Aborted):  # so does the abort a peer set, without a deadline
         calculate_bin(1, table, bins, abort=abort)
 
 

@@ -1,8 +1,10 @@
 import threading
+import time
 
 import pytest
 
 from binsched import Aborted, FaultPlan, Site, Worker, WorkerCrashed, make_fault_plan
+from binsched.faults import run_workers
 
 
 def test_one_third_of_nine_rounds_to_three():
@@ -106,3 +108,33 @@ def test_fault_site_honors_abort():
     abort.set()
     with pytest.raises(Aborted):
         Worker(0, FaultPlan(), abort).at(Site.PHASE1_POST_CLAIM)
+
+
+def test_a_delayed_claim_sleeps_at_most_to_the_deadline(sleeps):
+    plan = FaultPlan(delayed_workers=frozenset({1}), delay_per_claim=60.0)
+    worker = Worker(1, plan, deadline=time.perf_counter() + 0.5)
+    with pytest.raises(Aborted):
+        worker.at(Site.PHASE2_POST_CLAIM)
+    assert len(sleeps) == 1 and 0 < sleeps[0] <= 0.5
+    assert worker.abort.is_set()  # so the worker's peers stop too
+
+
+def test_run_workers_runs_the_last_id_on_the_calling_thread():
+    ran_on = {}
+
+    def body(w):
+        ran_on[w] = threading.current_thread()
+
+    assert run_workers(body, 3, "t") == []
+    assert ran_on[2] is threading.current_thread()
+    assert [ran_on[w].name for w in (0, 1)] == ["t-0", "t-1"]
+    assert not ran_on[0].is_alive() and not ran_on[1].is_alive()
+
+
+def test_run_workers_returns_the_peers_alive_past_until():
+    release = threading.Event()
+    stuck = run_workers(lambda w: w == 0 and release.wait(5), 2, "t", until=time.perf_counter())
+    assert [t.name for t in stuck] == ["t-0"]
+    release.set()
+    stuck[0].join(5)
+    assert not stuck[0].is_alive()

@@ -5,7 +5,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import StepWorker, random_wallet_block, wallet_block, wallet_blocks
+from _helpers import StepWorker, chain_block, random_wallet_block, wallet_block, wallet_blocks
+import binsched.faults
 from binsched import (
     CRASH_POINTS,
     BinAssignment,
@@ -16,10 +17,12 @@ from binsched import (
     SchedulerConfigError,
     Site,
     Variant,
+    WalletState,
     WorkerCrashed,
     assign_bins_helper,
     bin_oracle,
     build_conflict_sets_helper,
+    execute_plan,
     make_fault_plan,
     schedule,
     schedule_with_watchdog,
@@ -169,6 +172,118 @@ def test_lockfree_with_watchdog_completes():
         block, Variant.LOCKFREE, num_threads=4, faults=faults, watchdog_secs=10.0
     )
     assert result.assignment.initial_bin_list() == bin_oracle(block)
+
+
+# --- the worker threads and the calling thread -------------------------------------
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Names of the threads the worker runner starts, in start order."""
+    names = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(binsched.faults.threading, "Thread", Recorded)
+    return names
+
+
+@pytest.fixture
+def crashed_on(monkeypatch):
+    """The threads on which a worker crashed, in crash order."""
+    threads = []
+
+    class Recorded(WorkerCrashed):
+        def __init__(self, worker_id, site):
+            super().__init__(worker_id, site)
+            threads.append(threading.current_thread())
+
+    monkeypatch.setattr(binsched.faults, "WorkerCrashed", Recorded)
+    return threads
+
+
+def live_workers():
+    return [t.name for t in threading.enumerate() if t.name.startswith(("sched-", "exec-"))]
+
+
+def test_no_worker_thread_outlives_its_run():
+    block = random_wallet_block(seed=91, max_n=120)
+    for variant in ALL_VARIANTS:
+        result = schedule(block, variant, num_threads=4)
+        assert live_workers() == []
+        execute_plan(result.plan, block, WalletState(), num_threads=4)
+        assert live_workers() == []
+    faults = FaultPlan(crashed_workers=frozenset({1}), crash_point=Site.INTER_PHASE)
+    with pytest.raises(NonTermination):
+        schedule_with_watchdog(block, Variant.STANDARD, 4, faults=faults, watchdog_secs=0.3)
+    assert live_workers() == []
+
+
+def test_the_calling_thread_is_one_of_the_workers(started_threads):
+    block = random_wallet_block(seed=92, max_n=60)
+    result = schedule(block, Variant.STANDARD, num_threads=1)
+    execute_plan(result.plan, block, WalletState(), num_threads=1)
+    assert started_threads == []
+    schedule(block, Variant.STANDARD, num_threads=4)
+    assert started_threads == ["sched-0", "sched-1", "sched-2"]
+
+
+@pytest.mark.parametrize("crash_point", CRASH_POINTS)
+@pytest.mark.parametrize("num_threads", [2, 4])
+def test_lockfree_survives_a_crashed_calling_thread(crash_point, num_threads, crashed_on):
+    # the calling thread runs the last id; its peers sleep on every claim,
+    # so it reaches its crash point before they finish the block
+    block = random_wallet_block(seed=58, max_n=200)  # 149 transfers
+    faults = FaultPlan(
+        delayed_workers=frozenset(range(num_threads - 1)),
+        delay_per_claim=0.001,
+        crashed_workers=frozenset({num_threads - 1}),
+        crash_point=crash_point,
+    )
+    result = schedule(block, Variant.LOCKFREE, num_threads, faults=faults)
+    assert result.assignment.initial_bin_list() == bin_oracle(block)
+    assert crashed_on == [threading.current_thread()]
+
+
+def test_standard_stops_at_the_deadline_when_a_peer_waits_on_the_crashed_calling_thread(
+    crashed_on,
+):
+    # each transfer's frontier is the one before it. The peer sleeps on
+    # every claim, so the calling thread claims a phase-2 slot, crashes
+    # before publishing it, and the peer waits on that slot in
+    # calculate_bin until the deadline
+    watchdog = 0.5
+    faults = FaultPlan(
+        delayed_workers=frozenset({0}),
+        delay_per_claim=0.005,
+        crashed_workers=frozenset({1}),
+        crash_point=Site.PHASE2_PRE_CAS,
+    )
+    started = time.perf_counter()
+    with pytest.raises(NonTermination):
+        schedule_with_watchdog(
+            chain_block(40), Variant.STANDARD, 2, faults=faults, watchdog_secs=watchdog
+        )
+    assert watchdog <= time.perf_counter() - started < watchdog + 2
+    assert crashed_on == [threading.current_thread()]
+
+
+@pytest.mark.parametrize("num_threads", [1, 2])
+def test_a_delayed_calling_thread_sleeps_only_until_the_deadline(num_threads):
+    # every worker, the calling thread included, would sleep a minute on
+    # its first claim: no thread but the workers is left to stop them
+    watchdog = 0.5
+    faults = FaultPlan(delayed_workers=frozenset(range(num_threads)), delay_per_claim=60.0)
+    started = time.perf_counter()
+    with pytest.raises(NonTermination):
+        schedule(
+            chain_block(20), Variant.STANDARD, num_threads, faults=faults, watchdog_secs=watchdog
+        )
+    assert time.perf_counter() - started < watchdog + 2
+    assert live_workers() == []
 
 
 # --- result metadata ---------------------------------------------------------------
