@@ -37,7 +37,7 @@ for a in block:
             print(f"  T{a.id} ~ T{b.id}  (shared accounts: {sorted(shared)})")
 
 result = schedule(block, Variant.LOCKFREE, num_threads=4)
-table = result.conflicts
+table = result.assignment.table  # the conflict table the bins came from
 print("\nfrontiers (what phase 1 publishes) and lower sets (derived on request):")
 for txn, conflicts in zip(block, conflict_sets_oracle(block)):
     frontier = sorted(table.frontier(txn.id))

@@ -5,9 +5,10 @@ a transaction starts once its frontier, the latest earlier transaction on
 each of its accounts, has been applied, not once its whole previous bin
 has. So on every account the transfers apply in index order, and the final
 wallet state always equals plain index-order execution; the total balance
-is conserved. A plan built without the conflict table keeps bin order.
-With simulated per-transaction work the parallel executor also shows real
-speedup, because sleeping releases the interpreter lock.
+is conserved. The plan takes the frontiers from the conflict table that
+the bin assignment owns. With simulated per-transaction work the parallel
+executor also shows real speedup, because sleeping releases the
+interpreter lock.
 """
 
 import time

@@ -9,13 +9,17 @@ LOCKFREE runs get a random crash plan: a random crash point and between 1
 and ``threads - 1`` crashed workers. Half of the other runs, under every
 variant, get a delay plan: half the workers sleep 10 us at every claim. The
 delay choices come from a second generator, so a seed's blocks and crash
-plans do not depend on them. Every run's bins are checked against
-``bin_oracle``. A wallet block's plan is also executed by ``execute_plan``
-on the surviving threads and checked against ``execute_serial``'s final
-balances; access-set blocks carry no payload, so they are not executed.
+plans do not depend on them. A delayed worker that finds no slot left to
+claim never sleeps, so the script counts, through a stand-in for
+``binsched.faults``' ``time`` module, the delayed runs that slept at least
+once. Every run's bins are checked against ``bin_oracle``. A wallet
+block's plan is also executed by ``execute_plan`` on the surviving threads
+and checked against ``execute_serial``'s final balances; access-set blocks
+carry no payload, so they are not executed.
 Every other block runs at a thread switch interval of 10 us, so claims and
 publishes interleave more finely.
-Exits 1 on any wrong bins, wrong balances or error, 0 otherwise.
+Exits 1 on any wrong bins, wrong balances or error, or when no delayed run
+slept; 0 otherwise.
 
     PYTHONPATH=src python scripts/stress_helpers.py --seed 7 --blocks 100
 """
@@ -28,6 +32,7 @@ import sys
 import time
 import traceback
 
+import binsched.faults
 from binsched import (
     CRASH_POINTS,
     Transaction,
@@ -47,6 +52,20 @@ MAX_N = 1000
 FINE_SWITCH_INTERVAL = 1e-5  # seconds, for every other block
 ACCESS_SET_EVERY = 3  # every third block is an access-set block
 CLAIM_DELAY = 10e-6  # seconds a delayed worker sleeps per claim
+
+
+class SleepCounter:
+    """Stands in for the ``time`` module of :mod:`binsched.faults`, whose only
+    sleep is a delayed worker's at a claim site, and counts those sleeps."""
+
+    perf_counter = staticmethod(time.perf_counter)
+
+    def __init__(self) -> None:
+        self.sleeps = 0
+
+    def sleep(self, secs: float) -> None:
+        self.sleeps += 1  # a lost update between threads still leaves it above 0
+        time.sleep(secs)
 
 
 def access_set_block(rng: random.Random) -> list[Transaction]:
@@ -88,7 +107,9 @@ def main(argv: list[str] | None = None) -> int:
 
     rng = random.Random(args.seed)
     delay_rng = random.Random(f"delays-{args.seed}")
-    runs = crashed_runs = delayed_runs = failures = 0
+    runs = crashed_runs = delayed_runs = slept_runs = failures = 0
+    counter = SleepCounter()
+    binsched.faults.time = counter
     default_interval = sys.getswitchinterval()
     started = time.perf_counter()
     try:
@@ -128,9 +149,13 @@ def main(argv: list[str] | None = None) -> int:
                         )
                         delayed_runs += 1
                     runs += 1
-                    for problem in check_run(
+                    sleeps_before = counter.sleeps
+                    problems = check_run(
                         block, variant, threads, faults, expected, expected_balances
-                    ):
+                    )
+                    if counter.sleeps > sleeps_before:  # only a delay plan sleeps
+                        slept_runs += 1
+                    for problem in problems:
                         failures += 1
                         print(
                             f"{problem}: block {b} ({spec}) {variant.value} threads={threads}"
@@ -139,12 +164,16 @@ def main(argv: list[str] | None = None) -> int:
                         )
     finally:
         sys.setswitchinterval(default_interval)
+        binsched.faults.time = time
     elapsed = time.perf_counter() - started
     print(
-        f"{runs} runs ({crashed_runs} with crashes, {delayed_runs} with delays)"
-        f" over {args.blocks} blocks, "
+        f"{runs} runs ({crashed_runs} with crashes, {delayed_runs} with delays,"
+        f" {slept_runs} of which slept) over {args.blocks} blocks, "
         f"{failures} failed, {elapsed:.1f} s"
     )
+    if not slept_runs:
+        print("no delayed run slept, so no delay plan was exercised")
+        return 1
     return 1 if failures else 0
 
 

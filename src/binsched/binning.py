@@ -14,11 +14,12 @@ full set because bins rise along each address's access chain: any other
 earlier conflict on an address sits in a lower bin than a frontier member.
 A transaction therefore waits only on its frontier's bins.
 
-Each procedure takes the conflict table, whose block it bins, the bin
-array it publishes into, the claim counter it draws from, and the calling
-thread's :class:`~binsched.faults.Worker`, whose fault hook it calls at
-each instrumented site: ``assign_bins_standard(table, bins, claims,
-worker)`` and ``assign_bins_helper(table, bins, claims, worker)``.
+Each procedure takes the bin assignment it publishes into, whose ``table``
+is the conflict table of the block it bins, the claim counter it draws
+from, and the calling thread's :class:`~binsched.faults.Worker`, whose
+fault hook it calls at each instrumented site: ``assign_bins_standard(bins,
+claims, worker)`` and ``assign_bins_helper(bins, claims, worker)``, the
+shape of phase 1's ``(table, claims, worker)``.
 :func:`assign_bins_standard` claims each index exactly once and *blocks*
 (bounded-backoff spin, up to the worker's deadline) on dependencies that
 are still unassigned; safe when phase 1 completed behind a barrier, not
@@ -37,13 +38,12 @@ frontier member it pushes to resolve on ``worker.helped``.
 The publish-once :class:`BinAssignment` is the only bin record. Bin
 membership is derived from it once, by
 :func:`~binsched.executor.build_execution_plan`, after the phase has ended,
-together with the frontiers that the plan's transactions wait for.
+together with the frontiers of its table that the plan's transactions wait
+for.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 import time
 from typing import Iterator, Sequence
 
@@ -61,37 +61,37 @@ _SPIN_SLEEP_MAX = 1e-3
 
 
 class BinAssignment(PublishOnceArray[int]):
-    """Phase 2's publish-once bin number per transaction."""
+    """Phase 2's publish-once bin number per transaction of ``table``'s block.
 
-    __slots__ = ()
+    The assignment owns the :class:`~binsched.conflict.ConflictTable` whose
+    frontiers phase 2 bins by, as ``table``.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: ConflictTable) -> None:
+        super().__init__(table.n)
+        self.table = table
 
     bin_of = PublishOnceArray.get
     initial_bin_list = PublishOnceArray.snapshot
 
 
-def calculate_bin(
-    i: int,
-    table: ConflictTable,
-    bins: BinAssignment,
-    *,
-    abort: threading.Event | None = None,
-    deadline: float = math.inf,
-) -> int:
+def calculate_bin(i: int, bins: BinAssignment, worker: Worker) -> int:
     """Blocking bin computation: spin until every frontier member is assigned.
 
-    Raises :class:`~binsched.faults.Aborted` once ``abort`` is set or the
-    ``deadline``, a :func:`time.perf_counter` time, passed; sets ``abort``.
+    Raises :class:`~binsched.faults.Aborted` once the worker's abort event is
+    set or its deadline passed; sets the abort event.
     """
-    frontier = table.frontier(i)
+    frontier = bins.table.frontier(i)
     if frontier is None:
         raise RuntimeError(f"conflict slot {i} not published; phase 1 incomplete")
     current = -1
     for dep in frontier:
         pause = _SPIN_SLEEP_MIN
         while (dep_bin := bins.bin_of(dep)) is UNASSIGNED:
-            if (abort is not None and abort.is_set()) or time.perf_counter() >= deadline:
-                if abort is not None:
-                    abort.set()  # a passed deadline stops the run's peers too
+            if worker.abort.is_set() or time.perf_counter() >= worker.deadline:
+                worker.abort.set()  # a passed deadline stops the run's peers too
                 raise Aborted()
             time.sleep(pause)
             pause = min(pause * 2, _SPIN_SLEEP_MAX)
@@ -100,25 +100,22 @@ def calculate_bin(
     return current + 1
 
 
-def assign_bins_standard(
-    table: ConflictTable, bins: BinAssignment, claims: Iterator[int], worker: Worker
-) -> None:
+def assign_bins_standard(bins: BinAssignment, claims: Iterator[int], worker: Worker) -> None:
     """Bins the table's block, each index claimed once from ``claims``; waits on deps."""
     n = bins.n
     i = next(claims)
     while i < n:
         worker.at(_PHASE2_POST_CLAIM)
-        alloted = calculate_bin(i, table, bins, abort=worker.abort, deadline=worker.deadline)
+        alloted = calculate_bin(i, bins, worker)
         worker.at(_PHASE2_PRE_CAS)
         bins.publish(i, alloted)
         i = next(claims)
 
 
-def assign_bins_helper(
-    table: ConflictTable, bins: BinAssignment, claims: Iterator[int], worker: Worker
-) -> None:
+def assign_bins_helper(bins: BinAssignment, claims: Iterator[int], worker: Worker) -> None:
     """Bins the table's block, claimed wraparound from ``claims``; helps unassigned deps."""
     n = bins.n
+    table = bins.table
     index = table.index
     while bins.published() < n:
         stack = [next(claims) % n]

@@ -124,7 +124,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         }
     )
     if args.dump_conflicts:
-        out["conflicts"] = result.conflicts.to_lists()
+        out["conflicts"] = result.assignment.table.to_lists()
     if args.dump_bins:
         out["bins"] = [list(row) for row in result.plan.bin_matrix]
         out["initial_bin"] = result.assignment.initial_bin_list()

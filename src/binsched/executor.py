@@ -2,12 +2,13 @@
 
 The plan lays bins out as a ragged matrix, one ascending row of transaction
 ids per bin, and records what each transaction waits for: its frontier, the
-earlier conflicts phase 1 published into the conflict table. Bins remain the
-schedule; execution replays along the frontiers. Workers claim positions of
-the flattened rows in order, and a transaction starts once every member of
-its frontier has been applied, not once its whole previous bin has. Frontier
-members sit in lower bins, so they come earlier in plan order, and on every
-account the transfers apply in id order. The final state always equals
+earlier conflicts phase 1 published into the conflict table that the bin
+assignment owns, so ``build_execution_plan(assignment)`` needs nothing else.
+Bins remain the schedule; execution replays along the frontiers. Workers
+claim positions of the flattened rows in order, and a transaction starts
+once every member of its frontier has been applied, not once its whole
+previous bin has. Frontier members sit in lower bins, so they come earlier
+in plan order, and on every account the transfers apply in id order. The final state always equals
 single-threaded index-order application (:func:`execute_serial`), which is
 the reference semantics for every equivalence test.
 
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .binning import UNASSIGNED, BinAssignment
-from .conflict import ConflictTable
 from .faults import run_workers
 from .txn import Address, Transaction
 
@@ -36,29 +36,25 @@ class ExecutionPlan:
     """Ragged bin-by-bin layout and what each transaction waits for.
 
     ``bin_matrix[b][k]`` is a transaction id. ``waits[t]`` holds the ids that
-    transaction ``t`` waits for, its frontier. ``waits`` is empty for a plan
-    built without a conflict table; each transaction then waits for the
-    whole previous bin.
+    transaction ``t`` waits for, its frontier.
     """
 
     bin_matrix: tuple[tuple[int, ...], ...]
-    waits: tuple[tuple[int, ...], ...] = ()
+    waits: tuple[tuple[int, ...], ...]
 
     @property
     def num_bins(self) -> int:
         return len(self.bin_matrix)
 
 
-EMPTY_PLAN = ExecutionPlan(bin_matrix=())
+EMPTY_PLAN = ExecutionPlan(bin_matrix=(), waits=())
 
 
-def build_execution_plan(
-    assignment: BinAssignment, table: ConflictTable | None = None
-) -> ExecutionPlan:
-    """Materialize the per-bin rows from a complete assignment, and the waits from ``table``.
+def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
+    """Materialize the per-bin rows from a complete assignment, and the waits from its table.
 
     Rows come out ascending because ids are visited in order. The waits are
-    the table's published frontiers; without a table the plan keeps bin order.
+    the frontiers published in ``assignment.table``.
     """
     initial = assignment.initial_bin_list()
     if any(b is UNASSIGNED for b in initial):
@@ -67,12 +63,10 @@ def build_execution_plan(
     rows: list[list[int]] = [[] for _ in range(max(initial, default=-1) + 1)]
     for txn_id, bin_no in enumerate(initial):
         rows[bin_no].append(txn_id)
-    bin_matrix = tuple(tuple(row) for row in rows)
-    if table is None:
-        return ExecutionPlan(bin_matrix)
-    if table.n != assignment.n or not table.is_complete():
+    table = assignment.table
+    if not table.is_complete():
         raise ValueError("conflict table lacks a frontier for some transaction of the assignment")
-    return ExecutionPlan(bin_matrix, tuple(table.snapshot()))
+    return ExecutionPlan(tuple(tuple(row) for row in rows), tuple(table.snapshot()))
 
 
 @dataclass
@@ -120,20 +114,9 @@ def _validate_plan(plan: ExecutionPlan, txns: Sequence[Transaction]) -> list[int
     order = [txn_id for row in plan.bin_matrix for txn_id in row]
     if len(order) != len(txns) or set(order) != set(range(len(txns))):
         raise ValueError("plan does not partition the block's transaction ids")
-    if plan.waits and len(plan.waits) != len(txns):
+    if len(plan.waits) != len(txns):
         raise ValueError("plan's waits do not cover the block's transaction ids")
     return order
-
-
-def _bin_order_waits(plan: ExecutionPlan, n: int) -> list[tuple[int, ...]]:
-    """Each transaction waits for the last non-empty row before its own."""
-    waits: list[tuple[int, ...]] = [()] * n
-    previous: tuple[int, ...] = ()
-    for row in plan.bin_matrix:
-        for txn_id in row:
-            waits[txn_id] = previous
-        previous = row or previous
-    return waits
 
 
 def execute_plan(
@@ -149,10 +132,9 @@ def execute_plan(
     :func:`~binsched.faults.run_workers`, the calling thread among them,
     claim positions of the flattened rows from one shared
     :func:`itertools.count` and apply the claimed transaction ``t`` once
-    every member of ``plan.waits[t]`` (of the previous bin, for a plan
-    without waits) is marked done. A worker takes the shared condition's
-    lock only to sleep on an unapplied member, or to wake sleepers, if any,
-    after marking its transaction done. Members sit earlier in plan order,
+    every member of ``plan.waits[t]`` is marked done. A worker takes the
+    shared condition's lock only to sleep on an unapplied member, or to wake
+    sleepers, if any, after marking its transaction done. Members sit earlier in plan order,
     so the lowest unfinished claimed position can always run; a worker about
     to sleep on a member that is not earlier raises ``ValueError`` instead
     of hanging. A worker that raises records the error and wakes every
@@ -180,7 +162,7 @@ def execute_plan(
         return WalletState(balances)
 
     n = len(order)
-    waits = plan.waits or _bin_order_waits(plan, n)
+    waits = plan.waits
     claims = itertools.count()
     done = [False] * n
     wake = threading.Condition(threading.Lock())

@@ -100,7 +100,6 @@ class RetryStats:
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    conflicts: ConflictTable
     assignment: BinAssignment
     plan: ExecutionPlan
     timing: PhaseTimings
@@ -176,12 +175,11 @@ def _run_pool(
         raise SchedulerConfigError("lockfree runs need at least one surviving worker")
     watchdog_secs = resolve_watchdog_secs(watchdog_secs)
 
-    n = len(txns)
     table = ConflictTable(txns)
-    bins = BinAssignment(n)
-    if n == 0:
+    bins = BinAssignment(table)
+    if not txns:
         timing = PhaseTimings(0.0, 0.0, 0.0)
-        return ScheduleResult(table, bins, EMPTY_PLAN, timing, RetryStats(0, 0))
+        return ScheduleResult(bins, EMPTY_PLAN, timing, RetryStats(0, 0))
 
     if variant.uses_helpers:
         phase1, phase2 = build_conflict_sets_helper, assign_bins_helper
@@ -205,7 +203,7 @@ def _run_pool(
             if barrier is not None:
                 barrier.wait(max(0.0, deadline - time.perf_counter()))
             worker.phase2_start = time.perf_counter()
-            phase2(table, bins, phase2_claims, worker)
+            phase2(bins, phase2_claims, worker)
             worker.phase2_end = time.perf_counter()
         except (WorkerCrashed, Aborted):
             return
@@ -229,7 +227,7 @@ def _run_pool(
         # aborted run stopped short: neither can produce a plan
         raise NonTermination(variant, num_threads, watchdog_secs)
     try:
-        plan = build_execution_plan(bins, table)
+        plan = build_execution_plan(bins)
     except ValueError as exc:  # names the unassigned slots
         raise RuntimeError(f"worker pool exited early: {exc}") from None
 
@@ -239,4 +237,4 @@ def _run_pool(
     p2_end = max(r.phase2_end for r in records if r.phase2_end is not None)
     timing = PhaseTimings(p1_end - p1_start, p2_end - p2_start, p2_end - p1_start)
     retries = RetryStats(sum(r.cas_retries for r in records), sum(r.helped for r in records))
-    return ScheduleResult(table, bins, plan, timing, retries)
+    return ScheduleResult(bins, plan, timing, retries)

@@ -100,7 +100,7 @@ def test_criterion_01_conflict_table_oracle_equivalence():
             expected = [sorted(s) for s in oracle]
             for num_threads in THREAD_COUNTS:
                 for variant in (Variant.STANDARD, Variant.LOCKFREE):
-                    table = schedule(block, variant, num_threads).conflicts
+                    table = schedule(block, variant, num_threads).assignment.table
                     assert table.to_lists() == expected
                     for i, frontier in enumerate(frontiers):
                         assert set(table.frontier(i)) == frontier

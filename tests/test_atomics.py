@@ -67,8 +67,8 @@ def test_racing_claims_hand_out_every_index_exactly_once():
 
 
 def test_published_falsy_values_are_distinct_from_unset():
-    bins = BinAssignment(2)
     table = ConflictTable(disjoint_block(2))
+    bins = BinAssignment(table)
     assert bins.try_publish(0, 0)
     assert table.try_publish(0, ())
     assert bins.bin_of(0) == 0 and bins.bin_of(0) is not UNASSIGNED

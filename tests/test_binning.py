@@ -50,12 +50,11 @@ def table_over(pairs):
 
 
 def run_assignment(txns, num_threads, use_helpers):
-    table = published_table(txns)
-    bins = BinAssignment(len(txns))
+    bins = BinAssignment(published_table(txns))
     claims = itertools.count()
     target = assign_bins_helper if use_helpers else assign_bins_standard
     workers = [
-        threading.Thread(target=target, args=(table, bins, claims, Worker(w)), daemon=True)
+        threading.Thread(target=target, args=(bins, claims, Worker(w)), daemon=True)
         for w in range(num_threads)
     ]
     for t in workers:
@@ -66,13 +65,13 @@ def run_assignment(txns, num_threads, use_helpers):
     return bins
 
 
-def run_helper(table, bins, claims, worker=None):
-    """Run one phase-2 helper over the table's block to its exit.
+def run_helper(bins, claims, worker=None):
+    """Run one phase-2 helper over the assignment's block to its exit.
 
     Returns the helper's count of helped dependencies.
     """
     worker = Worker(0) if worker is None else worker
-    assign_bins_helper(table, bins, claims, worker)
+    assign_bins_helper(bins, claims, worker)
     return worker.helped
 
 
@@ -82,50 +81,50 @@ def run_helper(table, bins, claims, worker=None):
 def test_calculate_bin_empty_conflicts():
     table = table_over([("A", "B")])
     table.publish(0, ())
-    assert calculate_bin(0, table, BinAssignment(1)) == 0
+    assert calculate_bin(0, BinAssignment(table), Worker(0)) == 0
 
 
 def test_calculate_bin_single_dependency():
     table = table_over([("A", "B"), ("B", "C")])
     table.publish(1, (0,))
-    bins = BinAssignment(2)
+    bins = BinAssignment(table)
     bins.publish(0, 2)
-    assert calculate_bin(1, table, bins) == 3
+    assert calculate_bin(1, bins, Worker(0)) == 3
 
 
 def test_calculate_bin_max_of_dependencies():
     table = table_over([("A", "B"), ("C", "D"), ("A", "C")])
     table.publish(2, (0, 1))
-    bins = BinAssignment(3)
+    bins = BinAssignment(table)
     bins.publish(0, 0)
     bins.publish(1, 4)
-    assert calculate_bin(2, table, bins) == 5
+    assert calculate_bin(2, bins, Worker(0)) == 5
 
 
 def test_calculate_bin_requires_published_slot():
     with pytest.raises(RuntimeError):
-        calculate_bin(0, table_over([("A", "B")]), BinAssignment(1))
+        calculate_bin(0, BinAssignment(table_over([("A", "B")])), Worker(0))
 
 
 def test_calculate_bin_abort_breaks_the_spin():
     table = table_over([("A", "B"), ("B", "C")])
     table.publish(1, (0,))
-    bins = BinAssignment(2)  # dependency 0 never assigned
-    abort = threading.Event()
+    bins = BinAssignment(table)  # dependency 0 never assigned
+    late = Worker(0, deadline=time.perf_counter() - 1)
     with pytest.raises(Aborted):  # a passed deadline stops the spin and the run
-        calculate_bin(1, table, bins, abort=abort, deadline=time.perf_counter() - 1)
-    assert abort.is_set()
+        calculate_bin(1, bins, late)
+    assert late.abort.is_set()
     with pytest.raises(Aborted):  # so does the abort a peer set, without a deadline
-        calculate_bin(1, table, bins, abort=abort)
+        calculate_bin(1, bins, Worker(1, abort=late.abort))
 
 
 def test_helper_resolves_an_unassigned_dependency():
     table = table_over([("A", "B"), ("B", "C")])
     table.publish(0, ())
     table.publish(1, (0,))
-    bins = BinAssignment(2)
+    bins = BinAssignment(table)
     claims = itertools.count(1)
-    helped = run_helper(table, bins, claims)
+    helped = run_helper(bins, claims)
     assert bins.initial_bin_list() == [0, 1]
     assert helped == 1
     assert next(claims) == 2  # one claim did both slots
@@ -133,8 +132,8 @@ def test_helper_resolves_an_unassigned_dependency():
 
 def test_helper_computes_an_unpublished_slot():
     table = table_over([("A", "B")])
-    bins = BinAssignment(1)
-    run_helper(table, bins, itertools.count(0))
+    bins = BinAssignment(table)
+    run_helper(bins, itertools.count(0))
     assert table.frontier(0) == ()
     assert bins.initial_bin_list() == [0]
 
@@ -142,8 +141,8 @@ def test_helper_computes_an_unpublished_slot():
 def test_helper_empty_conflicts():
     table = table_over([("A", "B")])
     table.publish(0, ())
-    bins = BinAssignment(1)
-    helped = run_helper(table, bins, itertools.count(0))
+    bins = BinAssignment(table)
+    helped = run_helper(bins, itertools.count(0))
     assert bins.initial_bin_list() == [0]
     assert helped == 0
 
@@ -151,10 +150,10 @@ def test_helper_empty_conflicts():
 def test_helper_equal_dependencies():
     table = table_over([("A", "B"), ("C", "D"), ("A", "C")])
     table.publish(2, (0, 1))
-    bins = BinAssignment(3)
+    bins = BinAssignment(table)
     bins.publish(0, 1)
     bins.publish(1, 1)
-    helped = run_helper(table, bins, itertools.count(2))
+    helped = run_helper(bins, itertools.count(2))
     assert bins.bin_of(2) == 2
     assert helped == 0
 
@@ -165,9 +164,9 @@ def test_helper_waits_only_on_the_frontier():
     table = table_over([("X", "Y")] * 3)
     table.publish(2, (1,))
     assert table.lower(2) == frozenset({0, 1})
-    bins = BinAssignment(3)
+    bins = BinAssignment(table)
     bins.publish(1, 3)
-    helped = run_helper(table, bins, itertools.count(2))
+    helped = run_helper(bins, itertools.count(2))
     assert bins.initial_bin_list() == [0, 3, 4]  # 0 was filled by its own claim
     assert helped == 0
 
@@ -178,9 +177,9 @@ def test_helper_waits_only_on_the_frontier():
 def test_one_claim_resolves_a_whole_unassigned_chain():
     # the last slot of a chain block depends, link by link, on every other
     block = chain_block(60)
-    bins = BinAssignment(60)
+    bins = BinAssignment(published_table(block))
     claims = itertools.count(59)
-    helped = run_helper(published_table(block), bins, claims)
+    helped = run_helper(bins, claims)
     assert next(claims) == 60
     assert helped == 59
     assert bins.initial_bin_list() == bin_oracle(block)
@@ -190,8 +189,8 @@ def test_one_claim_resolves_a_whole_unassigned_chain():
 @given(access_set_blocks(max_n=10))
 def test_helper_publishes_unpublished_frontiers(txns):
     table = ConflictTable(txns)
-    bins = BinAssignment(len(txns))
-    run_helper(table, bins, itertools.count(max(len(txns) - 1, 0)))
+    bins = BinAssignment(table)
+    run_helper(bins, itertools.count(max(len(txns) - 1, 0)))
     assert [set(table.frontier(i)) for i in range(len(txns))] == frontier_oracle(txns)
     assert bins.initial_bin_list() == bin_oracle(txns)
 
@@ -201,7 +200,7 @@ def test_crash_while_helping_a_dependency_leaves_the_rest_to_a_peer():
     # deepest links it helps, and crashes before publishing the third
     block = chain_block(6)
     table = published_table(block)
-    bins = BinAssignment(6)
+    bins = BinAssignment(table)
     claims = itertools.count(5)
     pre_cas_calls = []
 
@@ -212,11 +211,11 @@ def test_crash_while_helping_a_dependency_leaves_the_rest_to_a_peer():
                 raise WorkerCrashed(0, site)
 
     with pytest.raises(WorkerCrashed):
-        run_helper(table, bins, claims, StepWorker(crash_on_third_pre_cas))
+        run_helper(bins, claims, StepWorker(crash_on_third_pre_cas))
     assert bins.initial_bin_list() == [0, 1, None, None, None, None]
     assert next(claims) == 6
 
-    run_helper(table, bins, claims, Worker(1))
+    run_helper(bins, claims, Worker(1))
     assert bins.initial_bin_list() == bin_oracle(block)
 
 
@@ -224,8 +223,8 @@ def test_a_long_chain_resolves_without_recursion():
     n = 3000
     assert n > sys.getrecursionlimit()
     block = chain_block(n)
-    bins = BinAssignment(n)
-    run_helper(ConflictTable(block), bins, itertools.count(n - 1))
+    bins = BinAssignment(ConflictTable(block))
+    run_helper(bins, itertools.count(n - 1))
     assert bins.initial_bin_list() == list(range(n))  # a chain's bins, as in test_oracle_chain
 
 
@@ -244,12 +243,12 @@ def test_each_slot_visits_its_two_sites_once_in_order(phase1, phase2):
     n = 5
     block = chain_block(n)
     table = ConflictTable(block)
-    bins = BinAssignment(n)
+    bins = BinAssignment(table)
     sites = []
     phase1(table, itertools.count(), StepWorker(sites.append))
     assert sites == [Site.PHASE1_POST_CLAIM, Site.PHASE1_PRE_PUBLISH] * n
     sites.clear()
-    phase2(table, bins, itertools.count(), StepWorker(sites.append))
+    phase2(bins, itertools.count(), StepWorker(sites.append))
     assert sites == [Site.PHASE2_POST_CLAIM, Site.PHASE2_PRE_CAS] * n
     assert bins.initial_bin_list() == bin_oracle(block)
 
@@ -394,7 +393,7 @@ def test_oracle_equivalence_on_arbitrary_access_sets(txns):
 
 
 def test_try_assign_publishes_once():
-    bins = BinAssignment(1)
+    bins = BinAssignment(ConflictTable(disjoint_block(1)))
     assert bins.try_publish(0, 2)
     assert not bins.try_publish(0, 5)
     assert bins.bin_of(0) == 2
@@ -408,7 +407,7 @@ def test_assignment_publish_once_accounting():
 
 
 def test_unassigned_sentinel_distinct_from_bin_zero():
-    bins = BinAssignment(2)
+    bins = BinAssignment(ConflictTable(disjoint_block(2)))
     assert bins.bin_of(0) == UNASSIGNED
     bins.publish(0, 0)
     assert bins.bin_of(0) == 0
@@ -420,8 +419,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
     # worker only ever claims the filled slot 0. The worker must not leave
     # the phase on its run of filled claims: it has to fill slot 1 itself.
     block = disjoint_block(2)
-    table = published_table(block)
-    bins = BinAssignment(2)
+    bins = BinAssignment(published_table(block))
     claims = itertools.count()
     assert bins.try_publish(0, 0)
     peer_claims = []
@@ -430,6 +428,6 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
         if site is Site.PHASE2_POST_CLAIM and len(peer_claims) < 2:
             peer_claims.append(next(claims) % 2)
 
-    assign_bins_helper(table, bins, claims, StepWorker(peer_claims_next))
+    assign_bins_helper(bins, claims, StepWorker(peer_claims_next))
     assert peer_claims == [1, 1]
     assert bins.initial_bin_list() == [0, 0]

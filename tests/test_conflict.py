@@ -41,7 +41,7 @@ def txn(i, reads, writes):
 def published_conflicts(txns, num_threads, use_helpers, faults=None):
     """The conflict table a full scheduling run published."""
     variant = Variant.LOCKFREE if use_helpers else Variant.STANDARD
-    return schedule(txns, variant, num_threads, faults=faults).conflicts
+    return schedule(txns, variant, num_threads, faults=faults).assignment.table
 
 
 def assert_frontiers_match_oracle(table, txns):
@@ -266,7 +266,7 @@ def test_scheduled_reader_runs_match_the_oracles(variant):
     block = reader_run_block()
     result = schedule(block, variant, num_threads=4)
     assert result.assignment.initial_bin_list() == bin_oracle(block)
-    assert_frontiers_match_oracle(result.conflicts, block)
+    assert_frontiers_match_oracle(result.assignment.table, block)
 
 
 def test_oracle_on_worked_example():
@@ -322,7 +322,7 @@ def test_schedule_never_builds_a_lower_set(variant, monkeypatch):
     block = random_wallet_block(seed=21, max_n=150)
     result = schedule(block, variant, num_threads=2)
     assert result.assignment.initial_bin_list() == bin_oracle(block)
-    assert_frontiers_match_oracle(result.conflicts, block)
+    assert_frontiers_match_oracle(result.assignment.table, block)
 
 
 def test_publish_once_accounting():

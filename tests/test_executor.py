@@ -29,8 +29,14 @@ from binsched import (
 )
 
 
-def assignment_of(bins_by_txn):
-    bins = BinAssignment(len(bins_by_txn))
+def assignment_of(bins_by_txn, table=None):
+    """An assignment publishing the given bins (None leaves a slot unset) over
+    ``table``, by default a disjoint block's with every frontier published."""
+    if table is None:
+        table = ConflictTable(disjoint_block(len(bins_by_txn)))
+        for i in range(table.n):
+            table.publish(i, ())
+    bins = BinAssignment(table)
     for i, b in enumerate(bins_by_txn):
         if b is not None:
             bins.publish(i, b)
@@ -47,7 +53,7 @@ def test_build_plan_worked_example():
 
 
 def test_build_plan_empty_assignment():
-    plan = build_execution_plan(BinAssignment(0))
+    plan = build_execution_plan(assignment_of([]))
     assert plan.num_bins == 0
     assert plan.bin_matrix == ()
 
@@ -62,33 +68,35 @@ def test_build_plan_rejects_incomplete_assignment():
         build_execution_plan(assignment_of([0, None, 1]))
 
 
-def test_plan_without_a_table_has_no_waits():
-    assert build_execution_plan(assignment_of([0, 0, 1])).waits == ()
-
-
 def test_scheduled_plan_waits_are_the_frontiers():
     block = random_wallet_block(seed=305, max_n=200)
     result = schedule(block, Variant.STANDARD, num_threads=2)
     assert [set(w) for w in result.plan.waits] == frontier_oracle(block)
-    assert build_execution_plan(result.assignment, result.conflicts) == result.plan
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_the_plan_rebuilt_from_the_assignment_is_the_scheduled_plan(variant):
+    block = random_wallet_block(seed=306, max_n=200)
+    result = schedule(block, variant, num_threads=2)
+    assert build_execution_plan(result.assignment) == result.plan
 
 
 def test_build_plan_rejects_a_table_missing_a_frontier():
     block = wallet_block([("A", "B"), ("B", "C")])
     table = ConflictTable(block)
     table.publish(0, ())
-    with pytest.raises(ValueError):
-        build_execution_plan(assignment_of([0, 1]), table)
+    with pytest.raises(ValueError, match="lacks a frontier"):
+        build_execution_plan(assignment_of([0, 1], table))
 
 
 def test_plans_stay_frozen_and_hashable():
     table = ConflictTable(wallet_block([("A", "B")] * 2))
     table.publish(0, ())
     table.publish(1, (0,))
-    plan = build_execution_plan(assignment_of([0, 1]), table)
+    plan = build_execution_plan(assignment_of([0, 1], table))
     assert plan.waits == ((), (0,))
     assert hash(plan) == hash(ExecutionPlan(plan.bin_matrix, plan.waits))
-    assert hash(EMPTY_PLAN) == hash(ExecutionPlan(bin_matrix=()))
+    assert hash(EMPTY_PLAN) == hash(ExecutionPlan(bin_matrix=(), waits=()))
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.waits = ()
 
@@ -155,7 +163,7 @@ def test_plan_must_cover_the_block():
 def test_plan_listing_an_id_twice_is_rejected():
     # ids {0, 1} are all present, but transfer 0 would be applied twice
     block = wallet_block([("a", "b", 5), ("c", "d", 5)])
-    plan = ExecutionPlan(bin_matrix=((0,), (0, 1)))
+    plan = ExecutionPlan(bin_matrix=((0,), (0, 1)), waits=((), ()))
     with pytest.raises(ValueError):
         execute_plan(plan, block, WalletState(), num_threads=2)
 
@@ -200,27 +208,13 @@ def test_simulated_work_changes_time_not_state():
     assert lazy.balances == fast.balances
 
 
-# Three bins over disjoint transfers: the executor's order, not conflicts,
-# is what keeps bin 1 after bin 0 here.
-LAYERED_PLAN = ExecutionPlan(bin_matrix=(tuple(range(8)), tuple(range(8, 14)), (14, 15)))
-
-
-def test_no_transaction_starts_before_the_previous_bin_is_applied(monkeypatch):
-    bin_of = {txn_id: b for b, row in enumerate(LAYERED_PLAN.bin_matrix) for txn_id in row}
-    applied_bins = []
-    real_apply = binsched.executor._apply
-
-    def slow_first_transfer(balances, txn):
-        if txn.id == 0:
-            time.sleep(0.05)  # peers run out of bin-0 claims meanwhile
-        real_apply(balances, txn)
-        applied_bins.append(bin_of[txn.id])
-
-    monkeypatch.setattr(binsched.executor, "_apply", slow_first_transfer)
-    block = disjoint_block(16)
-    final = execute_plan(LAYERED_PLAN, block, WalletState(), num_threads=4)
-    assert applied_bins == sorted(applied_bins)
-    assert final.balances == execute_serial(block, WalletState()).balances
+# Three bins over disjoint transfers, each transfer waiting for the whole
+# bin before its own: the waits, not conflicts, keep bin 1 after bin 0 here.
+_LAYERS = (tuple(range(8)), tuple(range(8, 14)), (14, 15))
+LAYERED_PLAN = ExecutionPlan(
+    bin_matrix=_LAYERS,
+    waits=tuple(() if t < 8 else _LAYERS[0] if t < 14 else _LAYERS[1] for t in range(16)),
+)
 
 
 def test_a_worker_error_stops_every_worker_and_is_raised(monkeypatch):
@@ -352,13 +346,6 @@ def test_waits_must_cover_the_block():
     plan = ExecutionPlan(bin_matrix=((0, 1),), waits=((),))
     with pytest.raises(ValueError):
         execute_plan(plan, disjoint_block(2), WalletState(), num_threads=2)
-
-
-def test_a_plan_without_waits_skips_empty_bins():
-    block = wallet_block([("A", "B"), ("B", "A"), ("A", "B")])
-    plan = ExecutionPlan(bin_matrix=((0,), (), (1,), (), (2,)))
-    final = execute_plan(plan, block, WalletState(), num_threads=4)
-    assert final.balances == execute_serial(block, WalletState()).balances
 
 
 def test_parallel_equals_serial_under_fast_thread_switching():

@@ -328,14 +328,14 @@ def test_a_lost_phase1_publish_counts_one_cas_retry():
 def test_a_lost_phase2_publish_counts_one_cas_retry():
     table = ConflictTable(wallet_block([("A", "B")]))
     table.publish(0, ())
-    bins = BinAssignment(1)
+    bins = BinAssignment(table)
 
     def peer_publishes_first(site):
         if site is Site.PHASE2_PRE_CAS:
             assert bins.try_publish(0, 0)
 
     worker = StepWorker(peer_publishes_first)
-    assign_bins_helper(table, bins, itertools.count(), worker)
+    assign_bins_helper(bins, itertools.count(), worker)
     assert worker.cas_retries == 1
     assert bins.initial_bin_list() == [0]
 
