@@ -1,4 +1,4 @@
-"""Lock-free claims and publishes, and a lock-backed counter kept for the benchmark.
+"""Lock-free claims and publishes, the wait on a publish, and a counter kept for the benchmark.
 
 Claims and publishes take no lock: each is a single C call that calls back
 into no Python code, which CPython's GIL runs as one atomic step. Nothing
@@ -24,8 +24,10 @@ benchmark drops them (ROADMAP item 1).
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Generic, TypeVar
+import time
+from typing import Callable, Generic, TypeVar
 
 T = TypeVar("T")
 
@@ -60,6 +62,38 @@ class AtomicInt:
 
     def __repr__(self) -> str:
         return f"AtomicInt({self.load()})"
+
+
+class Wakeup:
+    """A condition and the count of its sleepers, which a waker reads without the lock.
+
+    A waker changes the shared state, then calls :meth:`wake`; a per-slot path
+    tests ``sleepers`` first, to skip the call while nobody sleeps. No wakeup
+    is lost: a sleeper counts itself and tests its predicate under the lock,
+    which it holds until it waits, so the test sees the change or the notify
+    finds it waiting.
+    """
+
+    __slots__ = ("_cond", "sleepers")
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition(threading.Lock())
+        self.sleepers = 0  # changed under the lock
+
+    def sleep_until(self, ready: Callable[[], object], deadline: float = math.inf) -> bool:
+        """Wait for ``ready()``; False if the deadline, a perf_counter time, passes first."""
+        with self._cond:
+            self.sleepers += 1
+            left = min(deadline - time.perf_counter(), threading.TIMEOUT_MAX)
+            done = self._cond.wait_for(ready, left)
+            self.sleepers -= 1
+        return bool(done)
+
+    def wake(self) -> None:
+        """Notify every sleeper, taking the lock only when there is one."""
+        if self.sleepers:
+            with self._cond:
+                self._cond.notify_all()
 
 
 class PublishOnceArray(Generic[T]):

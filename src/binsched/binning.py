@@ -21,9 +21,9 @@ fault hook it calls at each instrumented site: ``assign_bins_standard(bins,
 claims, worker)`` and ``assign_bins_helper(bins, claims, worker)``, the
 shape of phase 1's ``(table, claims, worker)``.
 :func:`assign_bins_standard` claims each index exactly once and *blocks*
-(bounded-backoff spin, up to the worker's deadline) on dependencies that
-are still unassigned; safe when phase 1 completed behind a barrier, not
-crash tolerant.
+on a dependency that is still unassigned: it sleeps on the assignment's
+wakeup until the publish, or until abort or the deadline; safe when phase 1
+completed behind a barrier, not crash tolerant.
 :func:`assign_bins_helper` never blocks: it claims wraparound indices and
 *helps*, publishing the bins of unassigned frontier members itself, with an
 explicit stack since bin chains run hundreds deep, before the claimed one.
@@ -44,10 +44,9 @@ for.
 
 from __future__ import annotations
 
-import time
 from typing import Iterator, Sequence
 
-from .atomics import UNASSIGNED, PublishOnceArray
+from .atomics import UNASSIGNED, PublishOnceArray, Wakeup
 from .conflict import ConflictTable, check_conflicts
 from .faults import Aborted, Site, Worker
 from .txn import Transaction
@@ -56,48 +55,57 @@ from .txn import Transaction
 _PHASE2_POST_CLAIM = Site.PHASE2_POST_CLAIM
 _PHASE2_PRE_CAS = Site.PHASE2_PRE_CAS
 
-_SPIN_SLEEP_MIN = 10e-6
-_SPIN_SLEEP_MAX = 1e-3
-
 
 class BinAssignment(PublishOnceArray[int]):
     """Phase 2's publish-once bin number per transaction of ``table``'s block.
 
-    The assignment owns the :class:`~binsched.conflict.ConflictTable` whose
-    frontiers phase 2 bins by, as ``table``.
+    It owns the :class:`~binsched.conflict.ConflictTable` whose frontiers
+    phase 2 bins by, as ``table``, and the ``wakeup`` each publish wakes.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "wakeup")
 
     def __init__(self, table: ConflictTable) -> None:
         super().__init__(table.n)
         self.table = table
+        self.wakeup = Wakeup()
+
+    def publish(self, i: int, bin_no: int) -> None:
+        """Store the bin of a slot the caller owns, and wake the waiters."""
+        self._slots[i] = (bin_no,)
+        if self.wakeup.sleepers:
+            self.wakeup.wake()
 
     bin_of = PublishOnceArray.get
     initial_bin_list = PublishOnceArray.snapshot
 
 
 def calculate_bin(i: int, bins: BinAssignment, worker: Worker) -> int:
-    """Blocking bin computation: spin until every frontier member is assigned.
+    """Blocking bin computation: wait until every frontier member is assigned.
 
-    Raises :class:`~binsched.faults.Aborted` once the worker's abort event is
-    set or its deadline passed; sets the abort event.
+    Sleeps on the assignment's wakeup until the publish, or until abort or
+    the deadline, which set the abort event and raise :class:`~binsched.faults.Aborted`.
     """
     frontier = bins.table.frontier(i)
     if frontier is None:
         raise RuntimeError(f"conflict slot {i} not published; phase 1 incomplete")
     current = -1
     for dep in frontier:
-        pause = _SPIN_SLEEP_MIN
-        while (dep_bin := bins.bin_of(dep)) is UNASSIGNED:
-            if worker.abort.is_set() or time.perf_counter() >= worker.deadline:
-                worker.abort.set()  # a passed deadline stops the run's peers too
-                raise Aborted()
-            time.sleep(pause)
-            pause = min(pause * 2, _SPIN_SLEEP_MAX)
+        if (dep_bin := bins.bin_of(dep)) is UNASSIGNED:
+            dep_bin = _sleep_until_published(dep, bins, worker)
         if dep_bin > current:
             current = dep_bin
     return current + 1
+
+
+def _sleep_until_published(dep: int, bins: BinAssignment, worker: Worker) -> int:
+    """``dep``'s bin, once published; a function of its own, so that the
+    predicate's closure costs :func:`calculate_bin` nothing when no member waits."""
+    ready = lambda: bins.bin_of(dep) is not UNASSIGNED or worker.abort.is_set()
+    if not bins.wakeup.sleep_until(ready, worker.deadline) or worker.abort.is_set():
+        worker.abort.set()  # a passed deadline stops the run's peers too
+        raise Aborted()
+    return bins.bin_of(dep)
 
 
 def assign_bins_standard(bins: BinAssignment, claims: Iterator[int], worker: Worker) -> None:

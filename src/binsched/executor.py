@@ -21,11 +21,11 @@ workers start, so the map structure itself is never mutated concurrently.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .atomics import Wakeup
 from .binning import UNASSIGNED, BinAssignment
 from .faults import run_workers
 from .txn import Address, Transaction
@@ -132,13 +132,13 @@ def execute_plan(
     :func:`~binsched.faults.run_workers`, the calling thread among them,
     claim positions of the flattened rows from one shared
     :func:`itertools.count` and apply the claimed transaction ``t`` once
-    every member of ``plan.waits[t]`` is marked done. A worker takes the
-    shared condition's lock only to sleep on an unapplied member, or to wake
-    sleepers, if any, after marking its transaction done. Members sit earlier in plan order,
-    so the lowest unfinished claimed position can always run; a worker about
-    to sleep on a member that is not earlier raises ``ValueError`` instead
-    of hanging. A worker that raises records the error and wakes every
-    sleeper, so the peers stop and :func:`execute_plan` re-raises it.
+    every member of ``plan.waits[t]`` is marked done, sleeping on one
+    :class:`~binsched.atomics.Wakeup` that each worker wakes after marking
+    its transaction done. Members sit earlier in plan order, so the lowest
+    unfinished claimed position can always run; a worker about to sleep on
+    a member that is not earlier raises ``ValueError`` instead of hanging. A
+    worker that raises records the error and wakes the sleepers, so the
+    peers stop and :func:`execute_plan` re-raises it.
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
@@ -165,26 +165,20 @@ def execute_plan(
     waits = plan.waits
     claims = itertools.count()
     done = [False] * n
-    wake = threading.Condition(threading.Lock())
-    sleepers = 0  # changed under ``wake``; read without it after marking a transaction done
-    errors: list[BaseException] = []  # appended under ``wake``
-    position: list[int] = []  # plan position of each id, built under ``wake`` at the first sleep
+    wakeup = Wakeup()
+    errors: list[BaseException] = []
+    position: list[int] = []  # plan position of each id, built at the first sleep
 
     def wait_for(dep: int, k: int) -> bool:
         """Sleep until ``dep`` is applied; False when a worker failed meanwhile."""
-        nonlocal sleepers
-        with wake:
-            if not position:
-                position.extend(sorted(range(n), key=order.__getitem__))
-            if position[dep] >= k:
-                raise ValueError(
-                    f"transaction {order[k]} waits for {dep}, which is not earlier in plan order"
-                )
-            sleepers += 1
-            while not done[dep] and not errors:
-                wake.wait()
-            sleepers -= 1
-            return not errors
+        if not position:  # racing first sleepers each store the same list, in one step
+            position[:] = sorted(range(n), key=order.__getitem__)
+        if position[dep] >= k:
+            raise ValueError(
+                f"transaction {order[k]} waits for {dep}, which is not earlier in plan order"
+            )
+        wakeup.sleep_until(lambda: done[dep] or errors)
+        return not errors
 
     def body(_worker: int) -> None:
         try:
@@ -199,13 +193,11 @@ def execute_plan(
                     time.sleep(per_txn_work)
                 _apply(balances, txns[txn_id])
                 done[txn_id] = True
-                if sleepers:
-                    with wake:
-                        wake.notify_all()
+                if wakeup.sleepers:
+                    wakeup.wake()
         except BaseException as exc:
-            with wake:
-                errors.append(exc)
-                wake.notify_all()
+            errors.append(exc)
+            wakeup.wake()
 
     run_workers(body, num_threads, "exec")
     if errors:

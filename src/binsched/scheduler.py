@@ -212,6 +212,7 @@ def _run_pool(
         except BaseException as exc:
             errors.append(exc)
             abort.set()
+            bins.wakeup.wake()  # a STANDARD peer asleep on a dependency sees the abort
             if barrier is not None:
                 barrier.abort()
 

@@ -1,8 +1,10 @@
-"""Shared test fixtures: block builders, hypothesis strategies and a scripted worker."""
+"""Shared test fixtures: block builders, hypothesis strategies, a scripted worker
+and a hang guard."""
 
 from __future__ import annotations
 
 import random
+import threading
 
 from hypothesis import strategies as st
 
@@ -26,6 +28,30 @@ class StepWorker(Worker):
 
     def at(self, site):
         self.step(site)
+
+
+def run_with_timeout(fn, timeout=30):
+    """Run ``fn`` on a daemon thread and return what it raised, as a list.
+
+    Fails if ``fn`` is still running after ``timeout`` seconds, so a lost
+    wakeup fails the test instead of hanging it, or if a thread it started
+    outlives it.
+    """
+    before = set(threading.enumerate())
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except Exception as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=timeout)
+    assert not caller.is_alive(), f"still running after {timeout} s"
+    assert set(threading.enumerate()) <= before
+    return raised
 
 
 def transfer(a, b, amount=10):

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import time
 
 from _helpers import disjoint_block
 from binsched import (
@@ -10,6 +11,7 @@ from binsched import (
     ConflictTable,
     PublishOnceArray,
 )
+from binsched.atomics import Wakeup
 
 
 def run_threads(target, num_threads):
@@ -261,3 +263,16 @@ def test_snapshots_see_unset_or_final_values():
     assert any(0 < view.count(UNASSIGNED) < n for view in snapshots)  # overlapped the writers
     for view in snapshots:
         assert all(v is UNASSIGNED or v == final[i] for i, v in enumerate(view))
+
+
+# --- Wakeup -----------------------------------------------------------------------
+
+
+def test_sleep_until_returns_false_only_when_the_deadline_passes_first():
+    wakeup = Wakeup()
+    assert wakeup.sleep_until(lambda: True)
+    assert not wakeup.sleep_until(lambda: False, time.perf_counter() - 1)
+    started = time.perf_counter()
+    assert not wakeup.sleep_until(lambda: False, started + 0.05)
+    assert time.perf_counter() - started >= 0.05
+    assert wakeup.sleepers == 0

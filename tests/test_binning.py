@@ -16,6 +16,7 @@ from _helpers import (
     disjoint_block,
     frontier_oracle,
     random_wallet_block,
+    run_with_timeout,
     wallet_block,
 )
 from binsched import (
@@ -106,16 +107,37 @@ def test_calculate_bin_requires_published_slot():
         calculate_bin(0, BinAssignment(table_over([("A", "B")])), Worker(0))
 
 
-def test_calculate_bin_abort_breaks_the_spin():
+def test_calculate_bin_abort_breaks_the_wait():
     table = table_over([("A", "B"), ("B", "C")])
     table.publish(1, (0,))
     bins = BinAssignment(table)  # dependency 0 never assigned
     late = Worker(0, deadline=time.perf_counter() - 1)
-    with pytest.raises(Aborted):  # a passed deadline stops the spin and the run
+    with pytest.raises(Aborted):  # a passed deadline stops the wait and the run
         calculate_bin(1, bins, late)
     assert late.abort.is_set()
     with pytest.raises(Aborted):  # so does the abort a peer set, without a deadline
         calculate_bin(1, bins, Worker(1, abort=late.abort))
+
+
+def test_a_publish_wakes_a_phase2_sleeper():
+    table = table_over([("A", "B"), ("B", "C")])
+    table.publish(1, (0,))
+    bins = BinAssignment(table)
+    got = []
+    sleeper = threading.Thread(
+        target=lambda: got.append(calculate_bin(1, bins, Worker(0))), daemon=True
+    )
+
+    def publish_once_asleep():
+        sleeper.start()  # the worker's deadline is infinite: only a publish wakes it
+        limit = time.perf_counter() + 5
+        while bins.wakeup.sleepers != 1:
+            assert time.perf_counter() < limit, "calculate_bin never slept"
+        bins.publish(0, 3)
+        sleeper.join()
+
+    assert run_with_timeout(publish_once_asleep, timeout=5) == []
+    assert got == [4]
 
 
 def test_helper_resolves_an_unassigned_dependency():
@@ -272,6 +294,13 @@ def test_phase_loops_do_not_look_up_sites_on_the_enum(procedure):
         ins.argval for ins in dis.get_instructions(procedure) if ins.opname == "LOAD_GLOBAL"
     }
     assert "Site" not in globals_read
+
+
+def test_calculate_bin_makes_no_closure_cells():
+    # a predicate closure in calculate_bin itself turns its arguments into
+    # cells at every call: on CPython 3.11 that took an empty frontier's call
+    # from about 300 to 500 ns (timeit, one CPU), paid for every slot
+    assert calculate_bin.__code__.co_cellvars == ()
 
 
 # --- serial oracle --------------------------------------------------------------

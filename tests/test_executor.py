@@ -10,6 +10,7 @@ from _helpers import (
     disjoint_block,
     frontier_oracle,
     random_wallet_block,
+    run_with_timeout,
     wallet_block,
     wallet_blocks,
 )
@@ -241,24 +242,6 @@ def test_a_worker_error_stops_every_worker_and_is_raised(monkeypatch):
     assert not caller.is_alive(), "execute_plan hung after a worker error"
     assert [str(exc) for exc in raised] == ["transfer 0 failed"]
     assert not [t for t in threading.enumerate() if t.name.startswith("exec-")]
-
-
-def run_with_timeout(fn, timeout=30):
-    """Run ``fn`` on a daemon thread; returns what it raised, failing if it hangs."""
-    raised = []
-
-    def run():
-        try:
-            fn()
-        except Exception as exc:
-            raised.append(exc)
-
-    caller = threading.Thread(target=run, daemon=True)
-    caller.start()
-    caller.join(timeout=timeout)
-    assert not caller.is_alive(), "execute_plan hung"
-    assert not [t for t in threading.enumerate() if t.name.startswith("exec-")]
-    return raised
 
 
 def test_a_transfer_waits_for_its_frontier_not_its_previous_bin(monkeypatch):

@@ -5,8 +5,16 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import StepWorker, chain_block, random_wallet_block, wallet_block, wallet_blocks
+from _helpers import (
+    StepWorker,
+    chain_block,
+    random_wallet_block,
+    run_with_timeout,
+    wallet_block,
+    wallet_blocks,
+)
 import binsched.faults
+import binsched.scheduler
 from binsched import (
     CRASH_POINTS,
     BinAssignment,
@@ -18,6 +26,7 @@ from binsched import (
     Site,
     Variant,
     WalletState,
+    Worker,
     WorkerCrashed,
     assign_bins_helper,
     bin_oracle,
@@ -269,6 +278,39 @@ def test_standard_stops_at_the_deadline_when_a_peer_waits_on_the_crashed_calling
         )
     assert watchdog <= time.perf_counter() - started < watchdog + 2
     assert crashed_on == [threading.current_thread()]
+
+
+def test_a_peer_error_wakes_a_standard_sleeper_long_before_the_deadline(monkeypatch):
+    # as above, but the calling thread raises at its pre-CAS site once the
+    # delayed peer sleeps on the slot it holds: the error path must wake it
+    made = []
+
+    class RecordedAssignment(BinAssignment):
+        def __init__(self, table):
+            super().__init__(table)
+            made.append(self)
+
+    class FailingWorker(Worker):
+        def at(self, site):
+            if self.id == 1 and site is Site.PHASE2_PRE_CAS:
+                limit = time.perf_counter() + 5
+                while not made[0].wakeup.sleepers and time.perf_counter() < limit:
+                    time.sleep(0.001)
+                raise ValueError("worker 1 failed")
+            super().at(site)
+
+    monkeypatch.setattr(binsched.scheduler, "BinAssignment", RecordedAssignment)
+    monkeypatch.setattr(binsched.scheduler, "Worker", FailingWorker)
+    faults = FaultPlan(delayed_workers=frozenset({0}), delay_per_claim=0.005)
+    started = time.perf_counter()
+    raised = run_with_timeout(
+        lambda: schedule_with_watchdog(
+            chain_block(40), Variant.STANDARD, 2, faults=faults, watchdog_secs=30
+        ),
+        timeout=10,
+    )
+    assert [str(exc) for exc in raised] == ["worker 1 failed"]
+    assert time.perf_counter() - started < 5
 
 
 @pytest.mark.parametrize("num_threads", [1, 2])
