@@ -292,6 +292,10 @@ def rows_from_csv(text: str) -> list[BenchRow]:
     for record in reader:
         if not record:
             continue
+        if len(record) != len(_FIELD_ORDER):
+            raise ValueError(
+                f"line {reader.line_num}: {len(record)} fields, expected {len(_FIELD_ORDER)}"
+            )
         kwargs = {}
         for name, value in zip(_FIELD_ORDER, record):
             if name in _STR_FIELDS:
@@ -325,7 +329,7 @@ def aggregate_rows(rows: Sequence[BenchRow]) -> list[BenchRow]:
         groups.setdefault(key, []).append(row)
 
     aggregated = []
-    for key in sorted(groups, key=lambda k: tuple(str(v) for v in k)):
+    for key in sorted(groups):
         members = groups[key]
         clean = [r for r in members if not r.flags]
         flagged = len(clean) < len(members)

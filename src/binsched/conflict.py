@@ -10,10 +10,10 @@ readers since that writer.
 
 The frontier gives the same bin as the full *lower conflict set*, the ids
 ``j < i`` that ``i`` conflicts with, because bins rise along each address's
-access chain: every other earlier conflict on an address conflicts with,
-and so sits in a lower bin than, a frontier member. The lower sets, which
-are the paper's conflict table, are not built by the phase; the table
-derives them from the block's :class:`ConflictIndex` when a caller reads a
+accesses in id order: every other earlier conflict on an address conflicts
+with, and so sits in a lower bin than, a frontier member. The lower sets,
+the paper's conflict table, are not built by the phase; the table reads
+them from :func:`lower_conflict_sets`, a plain scan, when a caller reads a
 published slot.
 
 Two discovery procedures share that contract. Each takes only the table,
@@ -34,11 +34,10 @@ worker)`` and ``build_conflict_sets_helper(table, claims, worker)``.
   invariant means every slot is published. Each CAS it loses counts one
   on ``worker.cas_retries``.
 
-:class:`ConflictIndex` holds each address's access chain, the ids that
-touch it in id order, which a :class:`ConflictTable` builds once from the
-immutable block; a frontier is read off the chains without a search or a
-look at unrelated transactions. :func:`conflict_sets_oracle` is the
-independent quadratic restatement used to cross-check it.
+:class:`ConflictIndex`, which a :class:`ConflictTable` builds once from the
+immutable block, lists every frontier in one id-order scan, so a phase-1
+claim makes one lookup. :func:`conflict_sets_oracle` is the independent
+quadratic restatement used to cross-check it.
 """
 
 from __future__ import annotations
@@ -71,118 +70,89 @@ def conflict_sets_oracle(txns: Sequence[Transaction]) -> list[frozenset[int]]:
     return out
 
 
+def lower_conflict_sets(txns: Sequence[Transaction]) -> list[frozenset[int]]:
+    """The block's lower conflict sets, in one id-order scan.
+
+    Per address the scan keeps the ids that touched it and the ids that
+    wrote it: a write conflicts with every earlier access, a read-only
+    access with every earlier write.
+    """
+    touched: dict[Address, list[int]] = {}
+    written: dict[Address, list[int]] = {}
+    out: list[frozenset[int]] = []
+    for txn in txns:
+        tid = txn.id
+        lower: set[int] = set()
+        writes = txn.write_set
+        for addr in writes:
+            ids = touched.setdefault(addr, [])
+            lower.update(ids)
+            ids.append(tid)
+            written.setdefault(addr, []).append(tid)
+        reads = txn.read_set
+        if reads is not writes:  # a wallet transfer's sets are one object
+            for addr in reads:
+                if addr not in writes:
+                    lower.update(written.get(addr, ()))
+                    touched.setdefault(addr, []).append(tid)
+        out.append(frozenset(lower))
+    return out
+
+
 class ConflictIndex:
-    """Per-address access chains, built once per block.
+    """Each transaction's frontier ids, listed by one id-order scan of the block.
 
-    One scan of the block in id order appends each transaction to the chain
-    of every address it touches, so a chain lists the address's accessors in
-    id order. An address touched once has no chain list: its entry in
-    ``chains`` is the lone accessor's id, and the list is made on the second
-    access. The scan records an access as a span ``(addr, chain, start,
-    stop)`` only when something sits before it:
-
-    * a write access stops at the transaction's own chain position and
-      starts at the address's latest earlier writer, or at 0 when there is
-      none, so ``chain[start:stop]`` is that writer and the read-only
-      readers since: the walk back from the transaction to the first
-      writer, taken as one slice. A write at chain position 0 keeps no span;
-    * a read-only access spans just its latest earlier writer, and keeps no
-      span when there is none.
-
-    A transaction with no kept span shares the empty tuple. :meth:`frontier`
-    therefore makes no search, a read-only access no walk, and a
-    transaction with nothing before it no work. :meth:`lower_conflicts`
-    takes the chain prefix below a write access and the writers below a
-    read-only one, which is exactly the pairwise definition; an access
-    without a span has no lower conflict on its address. The index keeps
-    the block it was built from as ``txns``; transaction ids are block
-    positions.
+    The scan keeps, per address, the latest writer and the read-only readers
+    since it. A write access lists both, takes the reader run out and becomes
+    the latest writer; a read-only access lists the writer and joins the run.
+    The index keeps only each transaction's listed ids, as one tuple (the
+    shared ``()`` when empty), and the block as ``txns``, whose ids are its
+    positions. :meth:`lower_conflicts` runs :func:`lower_conflict_sets` once.
     """
 
-    __slots__ = ("txns", "_spans")
+    __slots__ = ("txns", "_listed", "_lower")
 
     def __init__(self, txns: Sequence[Transaction]) -> None:
         self.txns = txns
-        # an address's accessor ids in id order; the lone accessor's id until a second access
-        chains: dict[Address, int | list[int]] = {}
-        # chain position of the latest writer, for addresses with a chain list
-        last_writer: dict[Address, int] = {}
-        chain_of = chains.get
-        own: list[tuple[Address, list[int], int, int]] = []  # the current transaction's spans
+        self._lower: list[frozenset[int]] | None = None
+        writer: dict[Address, int] = {}  # an address's latest writer
+        readers: dict[Address, list[int]] = {}  # its read-only readers since that writer
+        writer_of = writer.get
+        own: list[int] = []  # the current transaction's listed ids
         keep = own.append
-        spans: list[Sequence[tuple[Address, list[int], int, int]]] = []
+        listed: list[tuple[int, ...]] = []
         for txn in txns:
             tid = txn.id
             writes = txn.write_set
             for addr in writes:
-                chain = chain_of(addr)
-                if chain.__class__ is list:
-                    pos = len(chain)
-                    span = (addr, chain, last_writer.get(addr, 0), pos)
-                    last_writer[addr] = pos
-                    chain.append(tid)
-                elif chain is None:
-                    chains[addr] = tid
-                    continue
-                else:
-                    chains[addr] = chain = [chain, tid]
-                    span = (addr, chain, 0, 1)
-                    last_writer[addr] = 1
-                keep(span)
+                w = writer_of(addr)
+                if w is not None:
+                    keep(w)
+                writer[addr] = tid
+                if readers:  # a block of wallet transfers never has a reader run
+                    run = readers.pop(addr, None)
+                    if run is not None:
+                        own += run
             reads = txn.read_set
             if reads is not writes:  # a wallet transfer's sets are one object
                 for addr in reads:
                     if addr in writes:
                         continue
-                    chain = chain_of(addr)
-                    if chain.__class__ is list:
-                        w = last_writer.get(addr)
-                        chain.append(tid)
-                        if w is None:
-                            continue
-                        span = (addr, chain, w, w + 1)
-                    elif chain is None:
-                        chains[addr] = tid
-                        continue
-                    else:
-                        chains[addr] = chain = [chain, tid]
-                        if addr not in txns[chain[0]].write_set:
-                            continue
-                        last_writer[addr] = 0
-                        span = (addr, chain, 0, 1)
-                    keep(span)
+                    w = writer_of(addr)
+                    if w is not None:
+                        keep(w)
+                    readers.setdefault(addr, []).append(tid)
             if own:
-                spans.append(tuple(own))
+                listed.append(tuple(own))
                 own.clear()
             else:
-                spans.append(())
-        self._spans = spans
+                listed.append(())
+        self._listed = listed
 
     def lower_conflicts(self, txn: Transaction) -> frozenset[int]:
-        out: set[int] = set()
-        for addr, chain, _, stop in self._spans[txn.id]:
-            if addr in txn.write_set:
-                out.update(chain[:stop])
-            else:
-                out.update(self._writers_through(addr, chain, stop - 1))
-        return frozenset(out)
-
-    def _writers_through(self, addr: Address, chain: list[int], pos: int) -> Iterator[int]:
-        """The writers of ``addr`` at or below ``chain[pos]``, itself a writer.
-
-        Walks back writer to writer along each one's write span, so a run of
-        read-only readers between two writers costs nothing. The walk ends
-        at a writer with no earlier writer: its span starts at 0, on a
-        reader, or it keeps no span, being the address's first accessor.
-        """
-        while True:
-            j = chain[pos]
-            yield j
-            if pos == 0:
-                return
-            pos = next(s for a, _, s, _ in self._spans[j] if a == addr)
-            if addr not in self.txns[chain[pos]].write_set:
-                return
+        if self._lower is None:
+            self._lower = lower_conflict_sets(self.txns)
+        return self._lower[txn.id]
 
     def frontier(self, txn: Transaction) -> tuple[int, ...]:
         """The lower conflicts that bound the transaction's bin.
@@ -191,13 +161,10 @@ class ConflictIndex:
         writes the address, the readers strictly between that writer and
         ``txn.id``. A subset of :meth:`lower_conflicts`.
         """
-        spans = self._spans[txn.id]
-        if not spans:
-            return ()
-        out: list[int] = []
-        for _, chain, start, stop in spans:
-            out += chain[start:stop]
-        return tuple(set(out)) if len(out) > 1 else tuple(out)
+        ids = self._listed[txn.id]
+        if not ids:  # every transaction of a conflict-free block: no call to len()
+            return ids
+        return tuple(set(ids)) if len(ids) > 1 else ids
 
 
 class ConflictTable(PublishOnceArray[tuple[int, ...]]):

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .conflict import ConflictIndex
+from .conflict import lower_conflict_sets
 from .txn import Transaction, TransferPayload, make_transaction
 
 
@@ -85,7 +85,7 @@ def generate_workload(spec: WorkloadSpec) -> list[Transaction]:
 
 
 def compute_conflict_params(txns: Sequence[Transaction]) -> ConflictParams:
-    """Measure cp1/cp2/cp3 from the conflict index; empty input is all-zero.
+    """Measure cp1/cp2/cp3 from the block's lower conflict sets; empty input is all-zero.
 
     Each conflicting pair appears once, in the lower set of its later member,
     so the lower-set sizes sum to the pair count.
@@ -93,14 +93,12 @@ def compute_conflict_params(txns: Sequence[Transaction]) -> ConflictParams:
     n = len(txns)
     if n == 0:
         return ConflictParams(0.0, 0.0, 0.0)
-    index = ConflictIndex(txns)
     dependent: set[int] = set()
     pair_count = 0
-    for txn in txns:
-        lower = index.lower_conflicts(txn)
+    for tid, lower in enumerate(lower_conflict_sets(txns)):
         if lower:
             pair_count += len(lower)
-            dependent.add(txn.id)
+            dependent.add(tid)
             dependent.update(lower)
     cp1 = 100.0 * len(dependent) / n
     return ConflictParams(cp1=cp1, cp2=100.0 * pair_count / n, cp3=100.0 - cp1)

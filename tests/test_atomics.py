@@ -3,7 +3,7 @@ import sys
 import threading
 import time
 
-from _helpers import disjoint_block
+from _helpers import disjoint_block, run_with_timeout
 from binsched import (
     UNASSIGNED,
     AtomicInt,
@@ -12,20 +12,17 @@ from binsched import (
     PublishOnceArray,
 )
 from binsched.atomics import Wakeup
+from binsched.faults import run_workers
 
 
 def run_threads(target, num_threads):
-    workers = [threading.Thread(target=target, args=(w,), daemon=True) for w in range(num_threads)]
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join(30)
-            assert not t.is_alive()
+        raised = run_with_timeout(lambda: run_workers(target, num_threads, "race"))
     finally:
         sys.setswitchinterval(old_interval)
+    assert raised == []
 
 
 # --- AtomicInt ------------------------------------------------------------------

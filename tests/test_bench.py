@@ -216,6 +216,19 @@ def test_csv_rejects_foreign_header():
         rows_from_csv("a,b,c\n1,2,3\n")
 
 
+def test_csv_rejects_a_row_cut_short_naming_its_line():
+    text = rows_to_csv([synthetic_row(rep=0), synthetic_row(rep=1)])
+    cut = text.rstrip("\n").rsplit(",", 5)[0] + "\n"  # the last row loses five fields
+    with pytest.raises(ValueError, match="line 3"):
+        rows_from_csv(cut)
+
+
+def test_csv_rejects_a_row_with_an_extra_field():
+    lines = rows_to_csv([synthetic_row()]).splitlines()
+    with pytest.raises(ValueError, match="line 2"):
+        rows_from_csv("\n".join([lines[0], lines[1] + ",1"]) + "\n")
+
+
 # --- aggregation ------------------------------------------------------------------------
 
 
@@ -230,6 +243,18 @@ def test_three_reps_collapse_to_one_median_row():
     assert aggregated[0].exec_time_s == 2.0
     assert aggregated[0].throughput_tps == 300.0
     assert aggregated[0].rep == 3
+
+
+def test_sweep_points_aggregate_in_numeric_order():
+    rows = [
+        synthetic_row(n_txns=n, dependency_pct=dep)
+        for n in (1000, 50, 200)
+        for dep in (100.0, 5.0, 40.0)
+    ]
+    aggregated = aggregate_rows(rows)
+    assert [(r.n_txns, r.dependency_pct) for r in aggregated] == [
+        (n, dep) for n in (50, 200, 1000) for dep in (5.0, 40.0, 100.0)
+    ]
 
 
 def test_schedulers_aggregate_into_separate_series():

@@ -36,6 +36,7 @@ from binsched import (
     calculate_bin,
     check_conflicts,
 )
+from binsched.faults import run_workers
 
 
 def published_table(txns):
@@ -54,15 +55,11 @@ def run_assignment(txns, num_threads, use_helpers):
     bins = BinAssignment(published_table(txns))
     claims = itertools.count()
     target = assign_bins_helper if use_helpers else assign_bins_standard
-    workers = [
-        threading.Thread(target=target, args=(bins, claims, Worker(w)), daemon=True)
-        for w in range(num_threads)
-    ]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join(30)
-        assert not t.is_alive()
+
+    def body(w):
+        target(bins, claims, Worker(w))
+
+    assert run_with_timeout(lambda: run_workers(body, num_threads, "phase2")) == []
     return bins
 
 

@@ -214,6 +214,14 @@ def test_run_and_report_round_trip(tmp_path, capsys):
     assert "# scheduler:" in capsys.readouterr().out
 
 
+def test_report_on_a_rows_file_cut_mid_row_fails_cleanly(tmp_path, capsys):
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text(CSV_HEADER + "\nlockfree,600,40.0,4\n")
+    assert run_cli(["report", str(rows_path)]) == 1
+    fields = len(CSV_HEADER.split(","))
+    assert capsys.readouterr().err == f"error: line 2: 4 fields, expected {fields}\n"
+
+
 def test_run_with_config_file(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(

@@ -9,6 +9,7 @@ from _helpers import (
     access_set_blocks,
     frontier_oracle,
     random_wallet_block,
+    run_with_timeout,
     wallet_block,
 )
 from binsched import (
@@ -32,6 +33,7 @@ from binsched import (
     make_transaction,
     schedule,
 )
+from binsched.faults import run_workers
 
 
 def txn(i, reads, writes):
@@ -62,12 +64,7 @@ def run_standard_phase1(txns, num_threads, faults):
         except WorkerCrashed:
             pass
 
-    workers = [threading.Thread(target=body, args=(w,), daemon=True) for w in range(num_threads)]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join(30)
-        assert not t.is_alive()
+    assert run_with_timeout(lambda: run_workers(body, num_threads, "phase1")) == []
     return table
 
 
@@ -211,7 +208,7 @@ def assert_index_matches_oracles(block):
 
 
 def test_read_only_walk_reaches_a_writer_that_was_the_first_accessor():
-    # T0 writes X first and keeps no span; T3's walk goes T2 -> T0 and must stop there
+    # T0 writes X first; T3 reads X after two writers and conflicts with both
     block = [
         txn(0, set(), {"X"}),
         txn(1, {"X"}, {"a"}),
@@ -258,7 +255,7 @@ def test_a_conflict_free_block_keeps_no_span():
         WorkloadSpec(n_txns=300, n_accounts=100, dependency_pct=0, seed=3)
     )
     index = assert_index_matches_oracles(block)
-    assert all(spans == () for spans in index._spans)
+    assert all(ids == () for ids in index._listed)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
