@@ -7,8 +7,8 @@ earlier conflicts, so a bin never holds two conflicting transactions.
 Phase 1 publishes only each transaction's frontier: per account, the
 latest earlier writer (and, for a write, the readers since it). Phase 2
 reads it. Bins rise along each account's access chain, so the frontier
-yields the same bin as the full lower conflict set, which the run's table
-derives from the block only when asked.
+yields the same bin as the full lower conflict set, which the table's
+index lists from the block only when asked.
 """
 
 from binsched import (
@@ -41,7 +41,7 @@ table = result.assignment.table  # the conflict table the bins came from
 print("\nfrontiers (what phase 1 publishes) and lower sets (derived on request):")
 for txn, conflicts in zip(block, conflict_sets_oracle(block)):
     frontier = sorted(table.frontier(txn.id))
-    assert table.lower(txn.id) == conflicts
+    assert table.index.lower_conflicts(txn) == conflicts
     print(f"  T{txn.id}: frontier {frontier or 'none'}, lower {sorted(conflicts) or 'none'}")
 
 print("\nbin rule: 1 + max(bin of frontier), empty frontier -> bin 0")

@@ -110,6 +110,8 @@ class BenchConfig:
             raise ValueError("repetitions must be >= 1")
         if self.num_threads < 1:
             raise ValueError("num_threads must be >= 1")
+        if not self.per_txn_work >= 0:  # NaN too
+            raise ValueError("per_txn_work must be >= 0")
         # a bad percentage, crash point, delay or budget fails before any row runs
         for delayed_pct, crashed_pct in {(d, c) for _, _, d, c in sweep_points(self)}:
             self.fault_plan(delayed_pct, crashed_pct)
@@ -161,7 +163,8 @@ def run_benchmark(
         if on_row is not None:
             on_row(row)
 
-    for n, dep, delayed_pct, crashed_pct in sweep_points(config):
+    points = sweep_points(config)
+    for n, dep in dict.fromkeys(p[:2] for p in points):  # one block per rep, every fault point
         for rep in range(config.repetitions):
             seed = config.base_seed + rep
             block = generate_workload(
@@ -174,27 +177,28 @@ def run_benchmark(
                 )
             )
             params = compute_conflict_params(block)
-            base = BenchRow(
-                scheduler="",
-                n_txns=n,
-                dependency_pct=dep,
-                cp1=params.cp1,
-                cp2=params.cp2,
-                cp3=params.cp3,
-                num_threads=config.num_threads,
-                delayed_pct=delayed_pct,
-                crashed_pct=crashed_pct,
-                exec_time_s=0.0,
-                throughput_tps=0.0,
-                num_bins=0,
-                phase1_s=0.0,
-                phase2_s=0.0,
-                exec_stage_s=0.0,
-                seed=seed,
-                rep=rep,
-            )
-            for kind in config.schedulers:
-                emit(_measure(kind, block, base, config))
+            for _, _, delayed_pct, crashed_pct in (p for p in points if p[:2] == (n, dep)):
+                base = BenchRow(
+                    scheduler="",
+                    n_txns=n,
+                    dependency_pct=dep,
+                    cp1=params.cp1,
+                    cp2=params.cp2,
+                    cp3=params.cp3,
+                    num_threads=config.num_threads,
+                    delayed_pct=delayed_pct,
+                    crashed_pct=crashed_pct,
+                    exec_time_s=0.0,
+                    throughput_tps=0.0,
+                    num_bins=0,
+                    phase1_s=0.0,
+                    phase2_s=0.0,
+                    exec_stage_s=0.0,
+                    seed=seed,
+                    rep=rep,
+                )
+                for kind in config.schedulers:
+                    emit(_measure(kind, block, base, config))
     return rows
 
 

@@ -27,13 +27,13 @@ completed behind a barrier, not crash tolerant.
 :func:`assign_bins_helper` never blocks: it claims wraparound indices and
 *helps*, publishing the bins of unassigned frontier members itself, with an
 explicit stack since bin chains run hundreds deep, before the claimed one.
-It also publishes a frontier phase 1 has not (a scheduled run never meets
-one: a helper leaves phase 1 only at a full count). Frontiers and bins are
-pure functions of the block, so every publisher of a slot publishes the
-same value, and work a stopped peer abandoned is redone by whoever needs it
-next. A helper leaves the phase only once the publish count reaches ``n``.
-It counts each CAS it loses on ``worker.cas_retries`` and each unassigned
-frontier member it pushes to resolve on ``worker.helped``.
+It reads only frontiers phase 1 published, and raises ``RuntimeError`` on
+a table phase 1 left incomplete. Bins are pure functions of the frontiers,
+so every publisher of a slot publishes the same value, and work a stopped
+peer abandoned is redone by whoever needs it next. A helper leaves the
+phase only once the publish count reaches ``n``. It counts each CAS it
+loses on ``worker.cas_retries`` and each unassigned frontier member it
+pushes to resolve on ``worker.helped``.
 
 The publish-once :class:`BinAssignment` is the only bin record. Bin
 membership is derived from it once, by
@@ -124,7 +124,8 @@ def assign_bins_helper(bins: BinAssignment, claims: Iterator[int], worker: Worke
     """Bins the table's block, claimed wraparound from ``claims``; helps unassigned deps."""
     n = bins.n
     table = bins.table
-    index = table.index
+    if not table.is_complete():
+        raise RuntimeError("conflict table not fully published; phase 1 incomplete")
     while bins.published() < n:
         stack = [next(claims) % n]
         worker.at(_PHASE2_POST_CLAIM)
@@ -133,12 +134,8 @@ def assign_bins_helper(bins: BinAssignment, claims: Iterator[int], worker: Worke
             if bins.bin_of(j) is not UNASSIGNED:
                 stack.pop()
                 continue
-            frontier = table.frontier(j)
-            if frontier is UNASSIGNED:
-                frontier = index.frontier(index.txns[j])
-                table.try_publish(j, frontier)
             current = -1
-            for dep in frontier:
+            for dep in table.frontier(j):
                 dep_bin = bins.bin_of(dep)
                 if dep_bin is UNASSIGNED:
                     stack.append(dep)

@@ -30,6 +30,7 @@ from .bench import (
     run_block,
 )
 from .binning import bin_oracle
+from .conflict import lower_conflict_sets
 from .executor import WalletState, execute_serial
 from .faults import Site, make_fault_plan
 from .scheduler import NonTermination, SchedulerConfigError, Variant
@@ -124,7 +125,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         }
     )
     if args.dump_conflicts:
-        out["conflicts"] = result.assignment.table.to_lists()
+        out["conflicts"] = [sorted(s) for s in lower_conflict_sets(txns)]
     if args.dump_bins:
         out["bins"] = [list(row) for row in result.plan.bin_matrix]
         out["initial_bin"] = result.assignment.initial_bin_list()

@@ -12,9 +12,8 @@ The frontier gives the same bin as the full *lower conflict set*, the ids
 ``j < i`` that ``i`` conflicts with, because bins rise along each address's
 accesses in id order: every other earlier conflict on an address conflicts
 with, and so sits in a lower bin than, a frontier member. The lower sets,
-the paper's conflict table, are not built by the phase; the table reads
-them from :func:`lower_conflict_sets`, a plain scan, when a caller reads a
-published slot.
+the paper's conflict table, are not built by the phase; only
+:func:`lower_conflict_sets`, a plain scan, lists them.
 
 Two discovery procedures share that contract. Each takes only the table,
 whose block it schedules, the claim counter it draws from, and the calling
@@ -172,8 +171,7 @@ class ConflictTable(PublishOnceArray[tuple[int, ...]]):
 
     The table builds the block's :class:`ConflictIndex` and owns it as
     ``index``, so the block a phase procedure schedules is always the
-    table's own, ``index.txns``. A slot's lower conflict set is derived from
-    the index when it is read, and only once the slot is published.
+    table's own, ``index.txns``.
     """
 
     __slots__ = ("index",)
@@ -183,20 +181,6 @@ class ConflictTable(PublishOnceArray[tuple[int, ...]]):
         self.index = ConflictIndex(txns)
 
     frontier = PublishOnceArray.get
-
-    def lower(self, i: int) -> frozenset[int] | None:
-        """The slot's full lower conflict set, None while unset."""
-        if self.get(i) is UNASSIGNED:
-            return None
-        return self.index.lower_conflicts(self.index.txns[i])
-
-    def to_lists(self) -> list[list[int] | None]:
-        """Dump-friendly view of the lower sets: sorted lists, None for unset slots."""
-        lower = self.index.lower_conflicts
-        return [
-            None if f is UNASSIGNED else sorted(lower(txn))
-            for txn, f in zip(self.index.txns, self.snapshot())
-        ]
 
 
 def build_conflict_sets_standard(

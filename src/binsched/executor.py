@@ -142,6 +142,8 @@ def execute_plan(
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
+    if not per_txn_work >= 0:  # NaN too
+        raise ValueError("per_txn_work must be >= 0")
     order = _validate_plan(plan, txns)
 
     balances = dict(initial.balances)

@@ -74,7 +74,7 @@ class FaultPlan:
         object.__setattr__(self, "crashed_workers", frozenset(self.crashed_workers))
         if self.delayed_workers & self.crashed_workers:
             raise ValueError("a worker cannot be both delayed and crashed")
-        if self.delay_per_claim < 0:
+        if not self.delay_per_claim >= 0:  # NaN too
             raise ValueError("delay_per_claim must be >= 0")
         if self.crash_point not in CRASH_POINTS:
             raise ValueError(f"{self.crash_point.value!r} is not a crash point")

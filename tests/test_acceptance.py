@@ -101,9 +101,8 @@ def test_criterion_01_conflict_table_oracle_equivalence():
             for num_threads in THREAD_COUNTS:
                 for variant in (Variant.STANDARD, Variant.LOCKFREE):
                     table = schedule(block, variant, num_threads).assignment.table
-                    assert table.to_lists() == expected
-                    for i, frontier in enumerate(frontiers):
-                        assert set(table.frontier(i)) == frontier
+                    assert [sorted(table.index.lower_conflicts(t)) for t in block] == expected
+                    assert [set(f) for f in table.snapshot()] == frontiers
 
 
 def test_criterion_02_bin_oracle_equivalence():

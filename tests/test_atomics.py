@@ -71,11 +71,12 @@ def test_published_falsy_values_are_distinct_from_unset():
     assert bins.try_publish(0, 0)
     assert table.try_publish(0, ())
     assert bins.bin_of(0) == 0 and bins.bin_of(0) is not UNASSIGNED
-    assert table.lower(0) == frozenset() and table.frontier(0) == ()
+    assert table.index.lower_conflicts(table.index.txns[0]) == frozenset()
+    assert table.frontier(0) == ()
     assert bins.bin_of(1) is UNASSIGNED and table.get(1) is UNASSIGNED
     assert not bins.try_publish(0, 3)
     assert bins.initial_bin_list() == [0, UNASSIGNED]
-    assert table.to_lists() == [[], None]
+    assert table.snapshot() == [(), UNASSIGNED]
 
 
 def test_is_complete_exactly_when_every_slot_is_published():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import time
 
 import pytest
@@ -98,6 +99,44 @@ def test_row_count_arithmetic():
     assert len(rows) == len(sweep_points(config)) * len(config.schedulers) * config.repetitions
 
 
+def test_a_sweep_builds_each_block_once_per_rep(monkeypatch):
+    calls = []
+    compute = binsched.bench.compute_conflict_params
+
+    def counted(block):
+        calls.append(len(block))
+        return compute(block)
+
+    monkeypatch.setattr(binsched.bench, "compute_conflict_params", counted)
+    config = small_config(
+        experiment=Experiment.LATENCY,
+        schedulers=(SchedulerKind.SERIAL, SchedulerKind.STANDARD),
+        delayed_pct_values=(0.0, 50.0, 100.0),
+        delay_s=0.0001,
+    )
+    rows = run_benchmark(config)
+    # one block per (n_txns, dependency_pct, rep), not one per fault point
+    assert sorted(calls) == [20, 20, 40, 40]
+    # the same rows as one per sweep point x scheduler x rep
+    expected = itertools.product(
+        sweep_points(config), [k.value for k in config.schedulers], range(config.repetitions)
+    )
+    assert sorted(
+        ((r.n_txns, r.dependency_pct, r.delayed_pct, r.crashed_pct), r.scheduler, r.rep)
+        for r in rows
+    ) == sorted(expected)
+    # rows arrive grouped by rep; the report does not depend on their order
+    points = sweep_points(config)
+
+    def point_then_rep(r):
+        return points.index((r.n_txns, r.dependency_pct, r.delayed_pct, r.crashed_pct)), r.rep
+
+    by_point = sorted(rows, key=point_then_rep)
+    assert by_point != rows
+    for fmt in ("csv", "json", "gnuplot"):
+        assert report(rows, fmt) == report(by_point, fmt)
+
+
 def test_rows_arrive_incrementally():
     seen = []
     rows = run_benchmark(small_config(n_txns_values=(10,), repetitions=1), on_row=seen.append)
@@ -134,6 +173,12 @@ def test_crash_experiment_restricted_to_lockfree():
 def test_non_positive_watchdog_rejected_before_any_row(watchdog_secs):
     with pytest.raises(SchedulerConfigError):
         small_config(watchdog_secs=watchdog_secs)
+
+
+@pytest.mark.parametrize("per_txn_work", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_negative_or_nan_per_txn_work_rejected_before_any_row(per_txn_work):
+    with pytest.raises(ValueError, match="per_txn_work must be >= 0"):
+        small_config(per_txn_work=per_txn_work)
 
 
 def test_negative_delay_rejected_before_any_row():

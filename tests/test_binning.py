@@ -14,7 +14,6 @@ from _helpers import (
     chain_block,
     clique_block,
     disjoint_block,
-    frontier_oracle,
     random_wallet_block,
     run_with_timeout,
     wallet_block,
@@ -149,14 +148,6 @@ def test_helper_resolves_an_unassigned_dependency():
     assert next(claims) == 2  # one claim did both slots
 
 
-def test_helper_computes_an_unpublished_slot():
-    table = table_over([("A", "B")])
-    bins = BinAssignment(table)
-    run_helper(bins, itertools.count(0))
-    assert table.frontier(0) == ()
-    assert bins.initial_bin_list() == [0]
-
-
 def test_helper_empty_conflicts():
     table = table_over([("A", "B")])
     table.publish(0, ())
@@ -167,8 +158,8 @@ def test_helper_empty_conflicts():
 
 
 def test_helper_equal_dependencies():
-    table = table_over([("A", "B"), ("C", "D"), ("A", "C")])
-    table.publish(2, (0, 1))
+    table = published_table(wallet_block([("A", "B"), ("C", "D"), ("A", "C")]))
+    assert set(table.frontier(2)) == {0, 1}
     bins = BinAssignment(table)
     bins.publish(0, 1)
     bins.publish(1, 1)
@@ -180,9 +171,10 @@ def test_helper_equal_dependencies():
 def test_helper_waits_only_on_the_frontier():
     # 0 lies in slot 2's lower set but not in its frontier: the helper must
     # not resolve it on slot 2's behalf, since 1 already bounds 2's bin
-    table = table_over([("X", "Y")] * 3)
-    table.publish(2, (1,))
-    assert table.lower(2) == frozenset({0, 1})
+    block = wallet_block([("X", "Y")] * 3)
+    table = published_table(block)
+    assert table.frontier(2) == (1,)
+    assert table.index.lower_conflicts(block[2]) == frozenset({0, 1})
     bins = BinAssignment(table)
     bins.publish(1, 3)
     helped = run_helper(bins, itertools.count(2))
@@ -204,14 +196,16 @@ def test_one_claim_resolves_a_whole_unassigned_chain():
     assert bins.initial_bin_list() == bin_oracle(block)
 
 
-@settings(max_examples=40, deadline=None)
-@given(access_set_blocks(max_n=10))
-def test_helper_publishes_unpublished_frontiers(txns):
-    table = ConflictTable(txns)
+def test_helper_on_an_incomplete_table_raises():
+    # phase 2 reads only published frontiers: slot 1's is missing
+    table = table_over([("A", "B"), ("B", "C")])
+    table.publish(0, ())
     bins = BinAssignment(table)
-    run_helper(bins, itertools.count(max(len(txns) - 1, 0)))
-    assert [set(table.frontier(i)) for i in range(len(txns))] == frontier_oracle(txns)
-    assert bins.initial_bin_list() == bin_oracle(txns)
+    claims = itertools.count()
+    with pytest.raises(RuntimeError, match="phase 1 incomplete"):
+        run_helper(bins, claims)
+    assert bins.initial_bin_list() == [UNASSIGNED, UNASSIGNED]
+    assert next(claims) == 0  # it raised before its first claim
 
 
 def test_crash_while_helping_a_dependency_leaves_the_rest_to_a_peer():
@@ -242,7 +236,7 @@ def test_a_long_chain_resolves_without_recursion():
     n = 3000
     assert n > sys.getrecursionlimit()
     block = chain_block(n)
-    bins = BinAssignment(ConflictTable(block))
+    bins = BinAssignment(published_table(block))
     run_helper(bins, itertools.count(n - 1))
     assert bins.initial_bin_list() == list(range(n))  # a chain's bins, as in test_oracle_chain
 

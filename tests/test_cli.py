@@ -189,6 +189,17 @@ def test_schedule_validates_fault_flags_without_fault_percentages(tmp_path, caps
     assert captured.err == message
 
 
+def test_run_rejects_a_nan_delay_before_any_row(tmp_path, capsys):
+    rows_path = tmp_path / "rows.csv"
+    code = run_cli(
+        ["run", "--experiment", "latency", "--delayed-pct", "0,50", "--delay-ms", "nan",
+         "--n-txns", "10", "--reps", "1", "--threads", "2", "-o", str(rows_path)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: delay_per_claim must be >= 0\n"
+    assert not rows_path.exists()
+
+
 def test_run_and_report_round_trip(tmp_path, capsys):
     rows_path = tmp_path / "rows.csv"
     code = run_cli(

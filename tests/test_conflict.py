@@ -1,5 +1,4 @@
 import itertools
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +12,7 @@ from _helpers import (
     wallet_block,
 )
 from binsched import (
+    UNASSIGNED,
     ConflictIndex,
     ConflictTable,
     FaultPlan,
@@ -46,11 +46,14 @@ def published_conflicts(txns, num_threads, use_helpers, faults=None):
     return schedule(txns, variant, num_threads, faults=faults).assignment.table
 
 
+def published_frontiers(table):
+    """What phase 1 published: each slot's frontier as a set, UNASSIGNED while unset."""
+    return [f if f is UNASSIGNED else set(f) for f in table.snapshot()]
+
+
 def assert_frontiers_match_oracle(table, txns):
-    """Every slot the run published holds exactly the oracle's frontier."""
-    expected = frontier_oracle(txns)
-    for i in range(len(txns)):
-        assert set(table.frontier(i)) == expected[i]
+    """Every slot is published and holds exactly the oracle's frontier."""
+    assert published_frontiers(table) == frontier_oracle(txns)
 
 
 def run_standard_phase1(txns, num_threads, faults):
@@ -250,7 +253,7 @@ def test_an_address_touched_once_has_no_conflicts():
     assert index.frontier(block[3]) == (0,)
 
 
-def test_a_conflict_free_block_keeps_no_span():
+def test_a_conflict_free_block_lists_no_frontier_ids():
     block = generate_workload(
         WorkloadSpec(n_txns=300, n_accounts=100, dependency_pct=0, seed=3)
     )
@@ -278,35 +281,33 @@ def test_oracle_on_worked_example():
 def test_worked_example_table(use_helpers):
     block = wallet_block([("A", "B"), ("C", "D"), ("B", "E")])
     table = published_conflicts(block, num_threads=4, use_helpers=use_helpers)
-    assert table.to_lists() == [[], [], [0]]
+    assert published_frontiers(table) == [set(), set(), {0}]
 
 
 @pytest.mark.parametrize("use_helpers", [False, True])
 def test_single_transaction(use_helpers):
     block = wallet_block([("A", "B")])
     table = published_conflicts(block, num_threads=2, use_helpers=use_helpers)
-    assert table.to_lists() == [[]]
+    assert published_frontiers(table) == [set()]
 
 
 @pytest.mark.parametrize("use_helpers", [False, True])
 def test_write_write_pair(use_helpers):
     block = wallet_block([("A", "B"), ("A", "B")])
     table = published_conflicts(block, num_threads=3, use_helpers=use_helpers)
-    assert table.to_lists() == [[], [0]]
+    assert published_frontiers(table) == [set(), {0}]
 
 
 def test_empty_block_returns_immediately():
     table = published_conflicts([], num_threads=4, use_helpers=True)
-    assert table.to_lists() == []
+    assert table.snapshot() == []
 
 
 @pytest.mark.parametrize("num_threads", [1, 2, 4, 8])
 @pytest.mark.parametrize("use_helpers", [False, True])
 def test_schedule_independence_across_thread_counts(num_threads, use_helpers):
     block = random_wallet_block(seed=99, max_n=150)
-    expected = [sorted(s) for s in conflict_sets_oracle(block)]
     table = published_conflicts(block, num_threads, use_helpers)
-    assert table.to_lists() == expected
     assert_frontiers_match_oracle(table, block)
 
 
@@ -326,19 +327,22 @@ def test_publish_once_accounting():
     block = random_wallet_block(seed=5, max_n=200)
     table = published_conflicts(block, num_threads=8, use_helpers=True)
     assert table.published() == len(block)
+    assert_frontiers_match_oracle(table, block)
 
 
 @pytest.mark.parametrize("crash_point", [Site.PHASE1_POST_CLAIM, Site.PHASE1_PRE_PUBLISH])
 @pytest.mark.parametrize("n_crashed", [1, 3, 7])
 def test_helper_variant_survives_crashes(crash_point, n_crashed):
-    block = random_wallet_block(seed=31, max_n=200)
+    # far more transactions than the 8 workers, half of them on a hot pool
+    block = generate_workload(
+        WorkloadSpec(n_txns=400, n_accounts=100, dependency_pct=50, seed=31)
+    )
+    assert any(frontier_oracle(block))
     faults = FaultPlan(
         crashed_workers=frozenset(range(n_crashed)),
         crash_point=crash_point,
     )
     table = published_conflicts(block, num_threads=8, use_helpers=True, faults=faults)
-    expected = [sorted(s) for s in conflict_sets_oracle(block)]
-    assert table.to_lists() == expected
     assert_frontiers_match_oracle(table, block)
     assert table.published() == len(block)
 
@@ -348,8 +352,9 @@ def test_standard_variant_leaves_crashed_slot_unset():
     block = wallet_block([(f"u{i}", f"v{i}") for i in range(2000)])
     faults = FaultPlan(crashed_workers=frozenset({0}), crash_point=Site.PHASE1_POST_CLAIM)
     table = run_standard_phase1(block, num_threads=2, faults=faults)
-    unset = [i for i, s in enumerate(table.to_lists()) if s is None]
+    unset = [i for i, f in enumerate(table.snapshot()) if f is UNASSIGNED]
     assert len(unset) == 1
+    assert all(table.frontier(i) == () for i in range(len(block)) if i not in unset)
     assert table.published() == len(block) - 1
     assert not table.is_complete()
 
@@ -358,8 +363,6 @@ def test_delayed_workers_change_nothing_but_time():
     block = random_wallet_block(seed=77, max_n=80)
     faults = make_fault_plan(4, delayed_pct=50, delay=0.002, seed=3)
     table = published_conflicts(block, num_threads=4, use_helpers=True, faults=faults)
-    expected = [sorted(s) for s in conflict_sets_oracle(block)]
-    assert table.to_lists() == expected
     assert_frontiers_match_oracle(table, block)
 
 
@@ -367,12 +370,12 @@ def test_direct_worker_invocation_single_thread():
     block = wallet_block([("A", "B"), ("B", "C"), ("C", "D")])
     table = ConflictTable(block)
     build_conflict_sets_standard(table, itertools.count(), Worker(0))
-    assert table.to_lists() == [[], [0], [1]]
+    assert published_frontiers(table) == [set(), {0}, {1}]
     assert_frontiers_match_oracle(table, block)
 
     table2 = ConflictTable(block)
     build_conflict_sets_helper(table2, itertools.count(), Worker(0))
-    assert table2.to_lists() == [[], [0], [1]]
+    assert published_frontiers(table2) == [set(), {0}, {1}]
     assert_frontiers_match_oracle(table2, block)
     assert table2.published() == len(block)
 
@@ -380,12 +383,13 @@ def test_direct_worker_invocation_single_thread():
 def test_published_slots_are_immutable_snapshots():
     block = wallet_block([("A", "B"), ("B", "A")])
     table = published_conflicts(block, num_threads=2, use_helpers=True)
-    snapshot = table.lower(1)
+    snapshot = table.index.lower_conflicts(block[1])
     assert snapshot == frozenset({0})
     assert isinstance(snapshot, frozenset)
+    assert table.frontier(1) == (0,)
     # a second publish attempt must lose
     assert not table.try_publish(1, ())
-    assert table.lower(1) == frozenset({0})
+    assert table.index.lower_conflicts(block[1]) == frozenset({0})
     assert table.frontier(1) == (0,)
 
 
@@ -394,19 +398,14 @@ def test_stuck_counters_stay_within_bounds():
     block = random_wallet_block(seed=13, max_n=60)
     table = ConflictTable(block)
     claims = itertools.count()
-    workers = [
-        threading.Thread(
-            target=build_conflict_sets_helper, args=(table, claims, Worker(w)), daemon=True
-        )
-        for w in range(6)
-    ]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join(30)
-        assert not t.is_alive()
+
+    def body(w):
+        build_conflict_sets_helper(table, claims, Worker(w))
+
+    assert run_with_timeout(lambda: run_workers(body, 6, "phase1")) == []
     assert table.is_complete()
     assert table.published() == len(block)
+    assert_frontiers_match_oracle(table, block)
 
 
 def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
@@ -425,4 +424,4 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
 
     build_conflict_sets_helper(table, claims, StepWorker(peer_claims_next))
     assert peer_claims == [1, 1]
-    assert table.to_lists() == [[], []]
+    assert published_frontiers(table) == [set(), set()]

@@ -201,6 +201,14 @@ def test_balance_sum_is_conserved():
     assert final.total() == 100
 
 
+@pytest.mark.parametrize("per_txn_work", [-0.001, float("nan")], ids=["negative", "nan"])
+def test_a_negative_or_nan_simulated_work_is_rejected(per_txn_work):
+    block = wallet_block([("A", "B", 1)])
+    plan = schedule(block, Variant.LOCKFREE, num_threads=1).plan
+    with pytest.raises(ValueError, match="per_txn_work must be >= 0"):
+        execute_plan(plan, block, WalletState(), num_threads=2, per_txn_work=per_txn_work)
+
+
 def test_simulated_work_changes_time_not_state():
     block = wallet_block([("A", "B", 1), ("C", "D", 2)])
     result = schedule(block, Variant.LOCKFREE, num_threads=2)
@@ -228,18 +236,10 @@ def test_a_worker_error_stops_every_worker_and_is_raised(monkeypatch):
         real_apply(balances, txn)
 
     monkeypatch.setattr(binsched.executor, "_apply", failing_first_transfer)
-    raised = []
-
-    def run():
-        try:
-            execute_plan(LAYERED_PLAN, disjoint_block(16), WalletState(), num_threads=4)
-        except RuntimeError as exc:
-            raised.append(exc)
-
-    caller = threading.Thread(target=run, daemon=True)
-    caller.start()
-    caller.join(timeout=30)
-    assert not caller.is_alive(), "execute_plan hung after a worker error"
+    raised = run_with_timeout(
+        lambda: execute_plan(LAYERED_PLAN, disjoint_block(16), WalletState(), num_threads=4)
+    )
+    assert [type(exc) for exc in raised] == [RuntimeError]
     assert [str(exc) for exc in raised] == ["transfer 0 failed"]
     assert not [t for t in threading.enumerate() if t.name.startswith("exec-")]
 

@@ -54,6 +54,13 @@ def test_overflowing_selection_rejected():
         make_fault_plan(4, delayed_pct=80, delay=0.001, crashed_pct=80, seed=0)
 
 
+def test_a_nan_delay_is_rejected():
+    with pytest.raises(ValueError, match="delay_per_claim must be >= 0"):
+        FaultPlan(delayed_workers=frozenset({0}), delay_per_claim=float("nan"))
+    with pytest.raises(ValueError, match="delay_per_claim must be >= 0"):
+        make_fault_plan(2, delayed_pct=50, delay=float("nan"))
+
+
 def test_plan_invariants_enforced():
     with pytest.raises(ValueError):
         FaultPlan(delayed_workers=frozenset({1}), crashed_workers=frozenset({1}))
