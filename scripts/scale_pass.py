@@ -4,9 +4,8 @@ For each size n and dependency percentage (0 and 100), on a wallet block of
 1000 accounts generated from the size's fixed seed, it times, as medians
 over a fixed number of repetitions:
 
-* ``index_build_ms``: ``ConflictIndex(block)``, phase 1's serial index;
-* ``frontier_loop_ms``: ``index.frontier(txn)`` for every transaction, on
-  one thread;
+* ``index_build_ms``: ``ConflictIndex(block)``, phase 1's serial index of
+  every frontier;
 * ``schedule_ms``: ``schedule(block, variant, 2)`` for each variant;
 * ``floor_ms``: one pass that keeps, per address, the latest writer's bin
   and the highest reader bin since that writer. It gives the same bins as
@@ -52,7 +51,7 @@ REPS = {400: 41, 3000: 15, 12000: 9}
 DEPENDENCY_PCTS = (0, 100)
 N_ACCOUNTS = 1000
 THREADS = 2
-LAYERS = ("index_build", "frontier_loop", "floor")  # the timed names that are not variants
+LAYERS = ("index_build", "floor")  # the timed names that are not variants
 
 
 def floor_bins(txns) -> list[int]:
@@ -95,9 +94,7 @@ def make_block(binsched, n: int, dep: int):
 def one_rep(binsched, block) -> tuple[dict[str, float], list[int]]:
     """Every layer timed once, in ms, and the floor's bins, checked against every schedule's."""
     times = {}
-    times["index_build"], index = timed_ms(lambda: binsched.ConflictIndex(block))
-    frontier = index.frontier
-    times["frontier_loop"], _ = timed_ms(lambda: [frontier(txn) for txn in block])
+    times["index_build"], _ = timed_ms(lambda: binsched.ConflictIndex(block))
     times["floor"], floor = timed_ms(lambda: floor_bins(block))
     for variant in binsched.Variant:
         times[variant.value], result = timed_ms(
@@ -114,7 +111,6 @@ def medians(reps: list[dict[str, float]]) -> dict:
     variants = [name for name in med if name not in LAYERS]
     return {
         "index_build_ms": med["index_build"],
-        "frontier_loop_ms": med["frontier_loop"],
         "floor_ms": med["floor"],
         "schedule_ms": {v: med[v] for v in variants},
         "schedule_over_floor": {v: med[v] / med["floor"] for v in variants},
@@ -137,8 +133,7 @@ def measure(binsched, n: int, dep: int) -> dict:
 
 def summary(row: dict) -> str:
     return (
-        f"index {row['index_build_ms']:.2f} ms, frontiers {row['frontier_loop_ms']:.2f} ms, "
-        f"floor {row['floor_ms']:.2f} ms, "
+        f"index {row['index_build_ms']:.2f} ms, floor {row['floor_ms']:.2f} ms, "
         + ", ".join(
             f"{v} {ms:.1f} ms ({row['schedule_over_floor'][v]:.1f}x)"
             for v, ms in row["schedule_ms"].items()

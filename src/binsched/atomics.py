@@ -1,4 +1,4 @@
-"""Lock-free claims and publishes, the wait on a publish, and a counter kept for the benchmark.
+"""Lock-free claims and publishes, a run's wait and stop signal, and a benchmark counter.
 
 Claims and publishes take no lock: each is a single C call that calls back
 into no Python code, which CPython's GIL runs as one atomic step. Nothing
@@ -14,6 +14,9 @@ box gets that box back: exactly one publisher wins even when all pass the
 same object, such as the empty frontier ``()``. As ``published()`` counts
 the keys, ``published() == n`` means every slot is set, wherever a worker
 stops or crashes; the helper procedures leave a phase on that count.
+
+:class:`Wakeup` is a run's one wait and stop signal: its ``stop()`` ends
+every sleep on it and sets ``stopped``, which each worker tests per claim.
 
 :class:`AtomicInt` keeps a lock and serves no library code: each
 scheduler worker counts its telemetry on its own
@@ -65,35 +68,42 @@ class AtomicInt:
 
 
 class Wakeup:
-    """A condition and the count of its sleepers, which a waker reads without the lock.
+    """A condition, its sleeper count, which a waker reads unlocked, and a ``stopped`` flag.
 
     A waker changes the shared state, then calls :meth:`wake`; a per-slot path
     tests ``sleepers`` first, to skip the call while nobody sleeps. No wakeup
-    is lost: a sleeper counts itself and tests its predicate under the lock,
-    which it holds until it waits, so the test sees the change or the notify
-    finds it waiting.
+    is lost: a sleeper counts itself and tests ``stopped`` and its predicate
+    under the lock, which it holds until it waits, so the test sees the change
+    or the notify finds it waiting.
     """
 
-    __slots__ = ("_cond", "sleepers")
+    __slots__ = ("_cond", "sleepers", "stopped")
 
     def __init__(self) -> None:
         self._cond = threading.Condition(threading.Lock())
         self.sleepers = 0  # changed under the lock
+        self.stopped = False
 
     def sleep_until(self, ready: Callable[[], object], deadline: float = math.inf) -> bool:
-        """Wait for ``ready()``; False if the deadline, a perf_counter time, passes first."""
+        """Wait for ``ready()``; False once stopped or past the deadline, a perf_counter time."""
         with self._cond:
             self.sleepers += 1
             left = min(deadline - time.perf_counter(), threading.TIMEOUT_MAX)
-            done = self._cond.wait_for(ready, left)
+            done = self._cond.wait_for(lambda: self.stopped or ready(), left)
             self.sleepers -= 1
-        return bool(done)
+            return bool(done) and not self.stopped
 
     def wake(self) -> None:
         """Notify every sleeper, taking the lock only when there is one."""
         if self.sleepers:
             with self._cond:
                 self._cond.notify_all()
+
+    def stop(self) -> None:
+        """Set ``stopped``, then notify every sleeper under the lock, so none misses it."""
+        self.stopped = True
+        with self._cond:
+            self._cond.notify_all()
 
 
 class PublishOnceArray(Generic[T]):

@@ -21,9 +21,9 @@ fault hook it calls at each instrumented site: ``assign_bins_standard(bins,
 claims, worker)`` and ``assign_bins_helper(bins, claims, worker)``, the
 shape of phase 1's ``(table, claims, worker)``.
 :func:`assign_bins_standard` claims each index exactly once and *blocks*
-on a dependency that is still unassigned: it sleeps on the assignment's
-wakeup until the publish, or until abort or the deadline; safe when phase 1
-completed behind a barrier, not crash tolerant.
+on a dependency that is still unassigned: it sleeps on the run's wakeup
+until the publish, or until the wakeup stops or the deadline passes; safe
+when phase 1 completed behind a barrier, not crash tolerant.
 :func:`assign_bins_helper` never blocks: it claims wraparound indices and
 *helps*, publishing the bins of unassigned frontier members itself, with an
 explicit stack since bin chains run hundreds deep, before the claimed one.
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .atomics import UNASSIGNED, PublishOnceArray, Wakeup
+from .atomics import UNASSIGNED, PublishOnceArray
 from .conflict import ConflictTable, check_conflicts
 from .faults import Aborted, Site, Worker
 from .txn import Transaction
@@ -59,22 +59,14 @@ _PHASE2_PRE_CAS = Site.PHASE2_PRE_CAS
 class BinAssignment(PublishOnceArray[int]):
     """Phase 2's publish-once bin number per transaction of ``table``'s block.
 
-    It owns the :class:`~binsched.conflict.ConflictTable` whose frontiers
-    phase 2 bins by, as ``table``, and the ``wakeup`` each publish wakes.
+    It owns the :class:`~binsched.conflict.ConflictTable` phase 2 bins by.
     """
 
-    __slots__ = ("table", "wakeup")
+    __slots__ = ("table",)
 
     def __init__(self, table: ConflictTable) -> None:
         super().__init__(table.n)
         self.table = table
-        self.wakeup = Wakeup()
-
-    def publish(self, i: int, bin_no: int) -> None:
-        """Store the bin of a slot the caller owns, and wake the waiters."""
-        self._slots[i] = (bin_no,)
-        if self.wakeup.sleepers:
-            self.wakeup.wake()
 
     bin_of = PublishOnceArray.get
     initial_bin_list = PublishOnceArray.snapshot
@@ -83,8 +75,8 @@ class BinAssignment(PublishOnceArray[int]):
 def calculate_bin(i: int, bins: BinAssignment, worker: Worker) -> int:
     """Blocking bin computation: wait until every frontier member is assigned.
 
-    Sleeps on the assignment's wakeup until the publish, or until abort or
-    the deadline, which set the abort event and raise :class:`~binsched.faults.Aborted`.
+    Sleeps on the run's wakeup until the publish; a stopped wakeup or a
+    passed deadline, which stops it, raise :class:`~binsched.faults.Aborted`.
     """
     frontier = bins.table.frontier(i)
     if frontier is None:
@@ -101,22 +93,24 @@ def calculate_bin(i: int, bins: BinAssignment, worker: Worker) -> int:
 def _sleep_until_published(dep: int, bins: BinAssignment, worker: Worker) -> int:
     """``dep``'s bin, once published; a function of its own, so that the
     predicate's closure costs :func:`calculate_bin` nothing when no member waits."""
-    ready = lambda: bins.bin_of(dep) is not UNASSIGNED or worker.abort.is_set()
-    if not bins.wakeup.sleep_until(ready, worker.deadline) or worker.abort.is_set():
-        worker.abort.set()  # a passed deadline stops the run's peers too
+    if not worker.abort.sleep_until(lambda: bins.bin_of(dep) is not UNASSIGNED, worker.deadline):
+        worker.abort.stop()  # a passed deadline stops the run's peers too
         raise Aborted()
     return bins.bin_of(dep)
 
 
 def assign_bins_standard(bins: BinAssignment, claims: Iterator[int], worker: Worker) -> None:
-    """Bins the table's block, each index claimed once from ``claims``; waits on deps."""
+    """Bins the table's block, each index claimed once; waits on deps, wakes sleepers."""
     n = bins.n
+    wakeup = worker.abort
     i = next(claims)
     while i < n:
         worker.at(_PHASE2_POST_CLAIM)
         alloted = calculate_bin(i, bins, worker)
         worker.at(_PHASE2_PRE_CAS)
         bins.publish(i, alloted)
+        if wakeup.sleepers:
+            wakeup.wake()
         i = next(claims)
 
 

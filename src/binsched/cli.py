@@ -88,6 +88,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    per_txn_work = args.per_txn_work_ms / 1000.0
+    if not per_txn_work >= 0:  # NaN too
+        raise ValueError("per_txn_work must be >= 0")
     txns = load_workload(Path(args.workload).read_text())
     variant = Variant(args.variant)
     faults = make_fault_plan(
@@ -105,7 +108,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     }
     try:
         result, final, _, exec_stage = run_block(
-            txns, variant, args.threads, faults, args.per_txn_work_ms / 1000.0, args.watchdog_secs
+            txns, variant, args.threads, faults, per_txn_work, args.watchdog_secs
         )
     except NonTermination as hang:
         out["flags"] = "NON_TERMINATION"

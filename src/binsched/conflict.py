@@ -34,9 +34,10 @@ worker)`` and ``build_conflict_sets_helper(table, claims, worker)``.
   on ``worker.cas_retries``.
 
 :class:`ConflictIndex`, which a :class:`ConflictTable` builds once from the
-immutable block, lists every frontier in one id-order scan, so a phase-1
-claim makes one lookup. :func:`conflict_sets_oracle` is the independent
-quadratic restatement used to cross-check it.
+immutable block, lists every frontier, each id once, in one id-order scan,
+so a phase-1 claim makes one lookup, ``index.frontiers[i]``.
+:func:`conflict_sets_oracle` is the independent quadratic restatement used
+to cross-check it.
 """
 
 from __future__ import annotations
@@ -99,17 +100,19 @@ def lower_conflict_sets(txns: Sequence[Transaction]) -> list[frozenset[int]]:
 
 
 class ConflictIndex:
-    """Each transaction's frontier ids, listed by one id-order scan of the block.
+    """Each transaction's frontier, listed by one id-order scan of the block.
 
     The scan keeps, per address, the latest writer and the read-only readers
     since it. A write access lists both, takes the reader run out and becomes
     the latest writer; a read-only access lists the writer and joins the run.
-    The index keeps only each transaction's listed ids, as one tuple (the
-    shared ``()`` when empty), and the block as ``txns``, whose ids are its
-    positions. :meth:`lower_conflicts` runs :func:`lower_conflict_sets` once.
+    Finishing transaction ``i``, it stores the ids it listed, each once (two
+    deduplicated by one comparison, more by a set), as the tuple
+    ``frontiers[i]`` (the shared ``()`` when empty). The block stays as
+    ``txns``, whose ids are its positions, for :meth:`lower_conflicts`,
+    which runs :func:`lower_conflict_sets` once.
     """
 
-    __slots__ = ("txns", "_listed", "_lower")
+    __slots__ = ("txns", "frontiers", "_lower")
 
     def __init__(self, txns: Sequence[Transaction]) -> None:
         self.txns = txns
@@ -119,7 +122,7 @@ class ConflictIndex:
         writer_of = writer.get
         own: list[int] = []  # the current transaction's listed ids
         keep = own.append
-        listed: list[tuple[int, ...]] = []
+        frontiers: list[tuple[int, ...]] = []
         for txn in txns:
             tid = txn.id
             writes = txn.write_set
@@ -141,29 +144,19 @@ class ConflictIndex:
                     if w is not None:
                         keep(w)
                     readers.setdefault(addr, []).append(tid)
-            if own:
-                listed.append(tuple(own))
-                own.clear()
-            else:
-                listed.append(())
-        self._listed = listed
+            if not own:
+                frontiers.append(())
+                continue
+            if len(own) == 2 and own[0] == own[1]:
+                del own[1]
+            frontiers.append(tuple(own) if len(own) < 3 else tuple(set(own)))
+            own.clear()
+        self.frontiers = frontiers
 
     def lower_conflicts(self, txn: Transaction) -> frozenset[int]:
         if self._lower is None:
             self._lower = lower_conflict_sets(self.txns)
         return self._lower[txn.id]
-
-    def frontier(self, txn: Transaction) -> tuple[int, ...]:
-        """The lower conflicts that bound the transaction's bin.
-
-        Per address: the latest writer below ``txn.id`` and, if ``txn``
-        writes the address, the readers strictly between that writer and
-        ``txn.id``. A subset of :meth:`lower_conflicts`.
-        """
-        ids = self._listed[txn.id]
-        if not ids:  # every transaction of a conflict-free block: no call to len()
-            return ids
-        return tuple(set(ids)) if len(ids) > 1 else ids
 
 
 class ConflictTable(PublishOnceArray[tuple[int, ...]]):
@@ -188,14 +181,12 @@ def build_conflict_sets_standard(
 ) -> None:
     """The table's block's frontiers, each index claimed once from ``claims``."""
     n = table.n
-    index = table.index
-    txns = index.txns
+    frontiers = table.index.frontiers
     i = next(claims)
     while i < n:
         worker.at(_PHASE1_POST_CLAIM)
-        frontier = index.frontier(txns[i])
         worker.at(_PHASE1_PRE_PUBLISH)
-        table.publish(i, frontier)
+        table.publish(i, frontiers[i])
         i = next(claims)
 
 
@@ -204,13 +195,11 @@ def build_conflict_sets_helper(
 ) -> None:
     """The table's block's frontiers, claimed wraparound from ``claims``, CAS-published."""
     n = table.n
-    index = table.index
-    txns = index.txns
+    frontiers = table.index.frontiers
     while table.published() < n:
         i = next(claims) % n
         worker.at(_PHASE1_POST_CLAIM)
         if table.get(i) is UNASSIGNED:
-            frontier = index.frontier(txns[i])
             worker.at(_PHASE1_PRE_PUBLISH)
-            if not table.try_publish(i, frontier):
+            if not table.try_publish(i, frontiers[i]):
                 worker.cas_retries += 1

@@ -8,9 +8,10 @@ Bins remain the schedule; execution replays along the frontiers. Workers
 claim positions of the flattened rows in order, and a transaction starts
 once every member of its frontier has been applied, not once its whole
 previous bin has. Frontier members sit in lower bins, so they come earlier
-in plan order, and on every account the transfers apply in id order. The final state always equals
-single-threaded index-order application (:func:`execute_serial`), which is
-the reference semantics for every equivalence test.
+in plan order, and on every account the transfers apply in id order. A
+failing worker stops the run's one :class:`~binsched.atomics.Wakeup`. The
+final state always equals single-threaded index-order application
+(:func:`execute_serial`), the reference semantics for equivalence tests.
 
 Transfers debit the sender and credit the receiver unconditionally on signed
 balances; accounts absent from the initial state materialize at balance 0 on
@@ -137,8 +138,8 @@ def execute_plan(
     its transaction done. Members sit earlier in plan order, so the lowest
     unfinished claimed position can always run; a worker about to sleep on
     a member that is not earlier raises ``ValueError`` instead of hanging. A
-    worker that raises records the error and wakes the sleepers, so the
-    peers stop and :func:`execute_plan` re-raises it.
+    worker that raises records the error and stops the wakeup, so the peers
+    stop and :func:`execute_plan` re-raises it.
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
@@ -172,19 +173,18 @@ def execute_plan(
     position: list[int] = []  # plan position of each id, built at the first sleep
 
     def wait_for(dep: int, k: int) -> bool:
-        """Sleep until ``dep`` is applied; False when a worker failed meanwhile."""
+        """Sleep until ``dep`` is applied; False once a failed worker stopped the wakeup."""
         if not position:  # racing first sleepers each store the same list, in one step
             position[:] = sorted(range(n), key=order.__getitem__)
         if position[dep] >= k:
             raise ValueError(
                 f"transaction {order[k]} waits for {dep}, which is not earlier in plan order"
             )
-        wakeup.sleep_until(lambda: done[dep] or errors)
-        return not errors
+        return wakeup.sleep_until(lambda: done[dep])
 
     def body(_worker: int) -> None:
         try:
-            while (k := next(claims)) < n and not errors:
+            while (k := next(claims)) < n and not wakeup.stopped:
                 txn_id = order[k]
                 deps = waits[txn_id]
                 if deps:  # skips the loop's iterator for an empty frontier, as on cold blocks
@@ -199,7 +199,7 @@ def execute_plan(
                     wakeup.wake()
         except BaseException as exc:
             errors.append(exc)
-            wakeup.wake()
+            wakeup.stop()
 
     run_workers(body, num_threads, "exec")
     if errors:

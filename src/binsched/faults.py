@@ -10,7 +10,8 @@ would (a kill after a successful CAS is indistinguishable from a stop).
 A :class:`FaultPlan` names workers by id; :func:`run_workers` runs the last
 id on the calling thread and the others on peers started in id order. Each
 worker's :class:`Worker` record resolves the plan once into its crash site
-and delay, and carries the run's abort event and deadline.
+and delay, and carries the run's deadline and its stop signal, ``abort``,
+the run's one :class:`~binsched.atomics.Wakeup`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
+
+from .atomics import Wakeup
 
 
 class Site(enum.Enum):
@@ -128,8 +131,8 @@ def make_fault_plan(
 
 
 class Worker:
-    """One scheduler worker: its id, the run's abort event and deadline (a
-    :func:`time.perf_counter` time), its crash site (or None) and per-claim
+    """One scheduler worker: its id, the run's wakeup, ``abort``, and deadline
+    (a :func:`time.perf_counter` time), its crash site (or None) and per-claim
     delay (or 0.0), and the telemetry only its own thread writes, read after
     the join without a lock; a crashed worker's counts outlive its thread.
     """
@@ -143,11 +146,11 @@ class Worker:
         self,
         id: int,
         plan: FaultPlan = FaultPlan(),
-        abort: threading.Event | None = None,
+        abort: Wakeup | None = None,
         deadline: float = math.inf,
     ) -> None:
         self.id = id
-        self.abort = abort if abort is not None else threading.Event()
+        self.abort = abort if abort is not None else Wakeup()
         self.deadline = deadline
         self.crash_site = plan.crash_point if id in plan.crashed_workers else None
         self.delay = plan.delay_per_claim if id in plan.delayed_workers else 0.0
@@ -161,13 +164,13 @@ class Worker:
     def at(self, site: Site) -> None:
         """Honor the plan at one instrumented site.
 
-        Raises :class:`Aborted` when the run's abort event is set, raises
+        Raises :class:`Aborted` once the run's wakeup is stopped, raises
         :class:`WorkerCrashed`, which stops the worker's thread for good, at
         its crash site, and sleeps when a delayed worker reaches a claim
         site, in that order; a sleep that reaches the deadline ends there,
-        sets the abort event and raises :class:`Aborted`.
+        stops the run's wakeup and raises :class:`Aborted`.
         """
-        if self.abort.is_set():
+        if self.abort.stopped:
             raise Aborted()
         if site is self.crash_site:
             raise WorkerCrashed(self.id, site)
@@ -175,7 +178,7 @@ class Worker:
             left = self.deadline - time.perf_counter()
             time.sleep(max(0.0, min(self.delay, left)))
             if left <= self.delay:
-                self.abort.set()
+                self.abort.stop()
                 raise Aborted()
 
 

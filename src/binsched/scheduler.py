@@ -14,10 +14,11 @@ All three produce the same bin assignment for the same block, on the
 workers of :func:`~binsched.faults.run_workers`, the calling thread among
 them. A run has a deadline, ``watchdog_secs`` after its start, at which the
 only places a worker blocks end: the barrier, phase 2's wait for a
-dependency and a delayed claim's sleep. The worker that sees it sets the
-run's abort event, which stops its peers at their next site, so a barrier
-variant whose worker stopped reports :class:`NonTermination` instead of
-hanging. :func:`schedule` rejects crash plans on barrier variants up front;
+dependency and a delayed claim's sleep. A worker that sees it, or fails,
+stops the run's one :class:`~binsched.atomics.Wakeup`, which ends every
+sleep and stops the peers at their next site, so a barrier variant whose
+worker stopped reports :class:`NonTermination` instead of hanging.
+:func:`schedule` rejects crash plans on barrier variants up front;
 :func:`schedule_with_watchdog` admits them, to show and contain that hang.
 """
 
@@ -33,6 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from .atomics import Wakeup
 from .binning import BinAssignment, assign_bins_helper, assign_bins_standard
 from .conflict import ConflictTable, build_conflict_sets_helper, build_conflict_sets_standard
 from .executor import EMPTY_PLAN, ExecutionPlan, build_execution_plan
@@ -187,7 +189,7 @@ def _run_pool(
         phase1, phase2 = build_conflict_sets_standard, assign_bins_standard
     phase1_claims = itertools.count()
     phase2_claims = itertools.count()
-    abort = threading.Event()
+    abort = Wakeup()
     barrier = threading.Barrier(num_threads) if variant.uses_barrier else None
     deadline = time.perf_counter() + watchdog_secs
     records = [Worker(w, faults, abort, deadline) for w in range(num_threads)]
@@ -208,22 +210,21 @@ def _run_pool(
         except (WorkerCrashed, Aborted):
             return
         except threading.BrokenBarrierError:
-            abort.set()  # the deadline passed at the rendezvous, or a peer failed
+            abort.stop()  # the deadline passed at the rendezvous, or a peer failed
         except BaseException as exc:
             errors.append(exc)
-            abort.set()
-            bins.wakeup.wake()  # a STANDARD peer asleep on a dependency sees the abort
+            abort.stop()
             if barrier is not None:
                 barrier.abort()
 
     if run_workers(body, num_threads, "sched", until=deadline + _GRACE_SECS):
-        abort.set()
+        abort.stop()
         if barrier is not None:
             barrier.abort()
         raise NonTermination(variant, num_threads, watchdog_secs)
     if errors:
         raise errors[0]
-    if not bins.is_complete() and (faults.crashes_anyone or abort.is_set()):
+    if not bins.is_complete() and (faults.crashes_anyone or abort.stopped):
         # a dead worker's claim is never redone in this variant, and an
         # aborted run stopped short: neither can produce a plan
         raise NonTermination(variant, num_threads, watchdog_secs)

@@ -274,3 +274,35 @@ def test_sleep_until_returns_false_only_when_the_deadline_passes_first():
     assert not wakeup.sleep_until(lambda: False, started + 0.05)
     assert time.perf_counter() - started >= 0.05
     assert wakeup.sleepers == 0
+
+
+def test_stop_ends_every_sleep_for_good():
+    wakeup = Wakeup()
+    results = []
+
+    def sleep():  # no deadline: only the stop ends it
+        results.append(wakeup.sleep_until(lambda: False))
+
+    sleepers = [threading.Thread(target=sleep, daemon=True) for _ in range(2)]
+
+    def stop_once_asleep():
+        for t in sleepers:
+            t.start()
+        limit = time.perf_counter() + 5
+        while wakeup.sleepers != 2:
+            assert time.perf_counter() < limit, "the sleepers never slept"
+        wakeup.stop()
+        for t in sleepers:
+            t.join()
+
+    started = time.perf_counter()
+    assert run_with_timeout(stop_once_asleep, timeout=5) == []
+    assert time.perf_counter() - started < 5
+    assert results == [False, False]
+    assert wakeup.stopped and wakeup.sleepers == 0
+    wakeup.wake()  # harmless after a stop
+    started = time.perf_counter()
+    assert not wakeup.sleep_until(lambda: True, started + 5)  # a ready sleep still fails
+    assert not wakeup.sleep_until(lambda: False)  # and never waits, even with no deadline
+    assert time.perf_counter() - started < 1
+    assert wakeup.stopped and wakeup.sleepers == 0

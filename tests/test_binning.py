@@ -35,13 +35,14 @@ from binsched import (
     calculate_bin,
     check_conflicts,
 )
+from binsched.atomics import Wakeup
 from binsched.faults import run_workers
 
 
 def published_table(txns):
     table = ConflictTable(txns)
     for t in txns:
-        table.publish(t.id, table.index.frontier(t))
+        table.publish(t.id, table.index.frontiers[t.id])
     return table
 
 
@@ -110,30 +111,55 @@ def test_calculate_bin_abort_breaks_the_wait():
     late = Worker(0, deadline=time.perf_counter() - 1)
     with pytest.raises(Aborted):  # a passed deadline stops the wait and the run
         calculate_bin(1, bins, late)
-    assert late.abort.is_set()
-    with pytest.raises(Aborted):  # so does the abort a peer set, without a deadline
-        calculate_bin(1, bins, Worker(1, abort=late.abort))
+    assert late.abort.stopped
+    # so does the stop a peer made, without a deadline; a lost stop fails instead of hanging
+    raised = run_with_timeout(lambda: calculate_bin(1, bins, Worker(1, abort=late.abort)), 5)
+    assert len(raised) == 1 and isinstance(raised[0], Aborted)
+
+
+def sleep_in_calculate_bin(wake):
+    """Slot 1 of a two-transfer block sleeps on its unassigned dependency 0
+    with no deadline until ``wake(bins, wakeup)``; returns what the sleeper
+    returned or raised."""
+    table = table_over([("A", "B"), ("B", "C")])
+    table.publish(0, ())
+    table.publish(1, (0,))
+    bins = BinAssignment(table)
+    wakeup = Wakeup()
+    got = []
+
+    def sleep():
+        try:
+            got.append(calculate_bin(1, bins, Worker(0, abort=wakeup)))
+        except Aborted as exc:
+            got.append(exc)
+
+    sleeper = threading.Thread(target=sleep, daemon=True)
+
+    def wake_once_asleep():
+        sleeper.start()  # the worker's deadline is infinite: only a wake or a stop ends it
+        limit = time.perf_counter() + 5
+        while wakeup.sleepers != 1:
+            assert time.perf_counter() < limit, "calculate_bin never slept"
+        wake(bins, wakeup)
+        sleeper.join()
+
+    assert run_with_timeout(wake_once_asleep, timeout=5) == []
+    assert wakeup.sleepers == 0
+    return got
 
 
 def test_a_publish_wakes_a_phase2_sleeper():
-    table = table_over([("A", "B"), ("B", "C")])
-    table.publish(1, (0,))
-    bins = BinAssignment(table)
-    got = []
-    sleeper = threading.Thread(
-        target=lambda: got.append(calculate_bin(1, bins, Worker(0))), daemon=True
+    # a peer runs phase 2 on slot 0 alone: its publish, not the test, wakes the sleeper
+    got = sleep_in_calculate_bin(
+        lambda bins, wakeup: assign_bins_standard(bins, iter([0, 2]), Worker(1, abort=wakeup))
     )
+    assert got == [1]
 
-    def publish_once_asleep():
-        sleeper.start()  # the worker's deadline is infinite: only a publish wakes it
-        limit = time.perf_counter() + 5
-        while bins.wakeup.sleepers != 1:
-            assert time.perf_counter() < limit, "calculate_bin never slept"
-        bins.publish(0, 3)
-        sleeper.join()
 
-    assert run_with_timeout(publish_once_asleep, timeout=5) == []
-    assert got == [4]
+def test_a_peer_stop_ends_a_phase2_sleep_without_a_deadline():
+    got = sleep_in_calculate_bin(lambda bins, wakeup: wakeup.stop())
+    assert len(got) == 1 and isinstance(got[0], Aborted)
 
 
 def test_helper_resolves_an_unassigned_dependency():

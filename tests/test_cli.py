@@ -189,6 +189,23 @@ def test_schedule_validates_fault_flags_without_fault_percentages(tmp_path, caps
     assert captured.err == message
 
 
+@pytest.mark.parametrize("work_ms", ["-1", "nan"])
+def test_schedule_rejects_a_bad_per_txn_work_before_scheduling(
+    tmp_path, capsys, monkeypatch, work_ms
+):
+    block = tmp_path / "block.json"
+    run_cli(["gen", "--n", "5", "-o", str(block)])
+    capsys.readouterr()
+    scheduled = []
+    monkeypatch.setattr("binsched.cli.run_block", lambda *args: scheduled.append(args))
+    code = run_cli(["schedule", "-w", str(block), "--threads", "2", "--per-txn-work-ms", work_ms])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: per_txn_work must be >= 0\n"
+    assert scheduled == []
+
+
 def test_run_rejects_a_nan_delay_before_any_row(tmp_path, capsys):
     rows_path = tmp_path / "rows.csv"
     code = run_cli(

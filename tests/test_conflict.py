@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from _helpers import (
     StepWorker,
     access_set_blocks,
+    clique_block,
     frontier_oracle,
     random_wallet_block,
     run_with_timeout,
@@ -52,8 +53,9 @@ def published_frontiers(table):
 
 
 def assert_frontiers_match_oracle(table, txns):
-    """Every slot is published and holds exactly the oracle's frontier."""
+    """Every slot is published and holds exactly the oracle's frontier, each id once."""
     assert published_frontiers(table) == frontier_oracle(txns)
+    assert all(len(f) == len(set(f)) for f in table.snapshot())
 
 
 def run_standard_phase1(txns, num_threads, faults):
@@ -133,7 +135,8 @@ def test_frontier_bounds_the_bin_like_the_full_set(txns):
     lower = conflict_sets_oracle(txns)
     bins = bin_oracle(txns)
     for t in txns:
-        frontier = index.frontier(t)
+        frontier = index.frontiers[t.id]
+        assert len(frontier) == len(set(frontier))
         assert set(frontier) <= lower[t.id]
         assert 1 + max((bins[j] for j in frontier), default=-1) == bins[t.id]
 
@@ -144,7 +147,9 @@ def test_index_frontier_matches_frontier_oracle(txns):
     index = ConflictIndex(txns)
     expected = frontier_oracle(txns)
     for t in txns:
-        assert set(index.frontier(t)) == expected[t.id]
+        frontier = index.frontiers[t.id]
+        assert len(frontier) == len(set(frontier))
+        assert set(frontier) == expected[t.id]
 
 
 def test_frontier_keeps_the_readers_since_the_last_writer():
@@ -158,9 +163,9 @@ def test_frontier_keeps_the_readers_since_the_last_writer():
         txn(6, {"X"}, set()),
     ]
     index = ConflictIndex(block)
-    assert sorted(index.frontier(block[5])) == [2, 3, 4]
-    assert index.frontier(block[6]) == (5,)
-    assert index.frontier(block[0]) == ()
+    assert sorted(index.frontiers[5]) == [2, 3, 4]
+    assert index.frontiers[6] == (5,)
+    assert index.frontiers[0] == ()
 
 
 def reader_run_block():
@@ -182,10 +187,10 @@ def test_reader_runs_match_the_oracles():
     frontiers = frontier_oracle(block)
     lower = conflict_sets_oracle(block)
     for t in block:
-        assert set(index.frontier(t)) == frontiers[t.id]
+        assert set(index.frontiers[t.id]) == frontiers[t.id]
         assert index.lower_conflicts(t) == lower[t.id]
-    assert set(index.frontier(block[201])) == set(range(201))
-    assert set(index.frontier(block[302])) == set(range(201, 302))
+    assert set(index.frontiers[201]) == set(range(201))
+    assert set(index.frontiers[302]) == set(range(201, 302))
 
 
 def test_a_read_only_access_has_only_its_last_writer_as_frontier():
@@ -196,16 +201,19 @@ def test_a_read_only_access_has_only_its_last_writer_as_frontier():
         if "H" in t.write_set:
             last_writer = t.id
         else:
-            assert index.frontier(t) == (last_writer,)
+            assert index.frontiers[t.id] == (last_writer,)
 
 
 def assert_index_matches_oracles(block):
-    """The index's frontiers and lower sets equal both serial oracles' on every transaction."""
+    """The index's frontiers, each id once, and lower sets equal both serial
+    oracles' on every transaction."""
     index = ConflictIndex(block)
     frontiers = frontier_oracle(block)
     lower = conflict_sets_oracle(block)
     for t in block:
-        assert set(index.frontier(t)) == frontiers[t.id]
+        frontier = index.frontiers[t.id]
+        assert len(frontier) == len(set(frontier))
+        assert set(frontier) == frontiers[t.id]
         assert index.lower_conflicts(t) == lower[t.id]
     return index
 
@@ -221,7 +229,7 @@ def test_read_only_walk_reaches_a_writer_that_was_the_first_accessor():
     index = assert_index_matches_oracles(block)
     assert index.lower_conflicts(block[3]) == {0, 2}
     assert index.lower_conflicts(block[1]) == {0}
-    assert index.frontier(block[0]) == ()
+    assert index.frontiers[0] == ()
 
 
 def test_read_only_first_accesses_then_a_writer():
@@ -234,10 +242,10 @@ def test_read_only_first_accesses_then_a_writer():
         txn(5, {"X", "Y"}, set()),
     ]
     index = assert_index_matches_oracles(block)
-    assert index.frontier(block[3]) == (0,)
-    assert sorted(index.frontier(block[4])) == [1, 2]
+    assert index.frontiers[3] == (0,)
+    assert sorted(index.frontiers[4]) == [1, 2]
     assert index.lower_conflicts(block[5]) == {3, 4}
-    assert all(index.frontier(t) == () for t in block[:3])
+    assert all(index.frontiers[t.id] == () for t in block[:3])
 
 
 def test_an_address_touched_once_has_no_conflicts():
@@ -249,8 +257,8 @@ def test_an_address_touched_once_has_no_conflicts():
     ]
     index = assert_index_matches_oracles(block)
     for t in block[:3]:
-        assert index.frontier(t) == () and index.lower_conflicts(t) == frozenset()
-    assert index.frontier(block[3]) == (0,)
+        assert index.frontiers[t.id] == () and index.lower_conflicts(t) == frozenset()
+    assert index.frontiers[3] == (0,)
 
 
 def test_a_conflict_free_block_lists_no_frontier_ids():
@@ -258,7 +266,14 @@ def test_a_conflict_free_block_lists_no_frontier_ids():
         WorkloadSpec(n_txns=300, n_accounts=100, dependency_pct=0, seed=3)
     )
     index = assert_index_matches_oracles(block)
-    assert all(ids == () for ids in index._listed)
+    assert all(ids == () for ids in index.frontiers)
+
+
+def test_a_clique_lists_each_repeated_writer_once():
+    # every transfer writes X and Y, so each lists its predecessor twice
+    block = clique_block(6)
+    index = assert_index_matches_oracles(block)
+    assert index.frontiers == [()] + [(i - 1,) for i in range(1, 6)]
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from binsched import Aborted, FaultPlan, Site, Worker, WorkerCrashed, make_fault_plan
+from binsched.atomics import Wakeup
 from binsched.faults import run_workers
 
 
@@ -111,10 +112,12 @@ def test_fault_site_sleeps_at_claim_sites(sleeps):
 
 
 def test_fault_site_honors_abort():
-    abort = threading.Event()
-    abort.set()
+    abort = Wakeup()
+    worker = Worker(0, FaultPlan(), abort)
+    worker.at(Site.PHASE1_POST_CLAIM)
+    abort.stop()  # a peer's stop
     with pytest.raises(Aborted):
-        Worker(0, FaultPlan(), abort).at(Site.PHASE1_POST_CLAIM)
+        worker.at(Site.PHASE1_POST_CLAIM)
 
 
 def test_a_delayed_claim_sleeps_at_most_to_the_deadline(sleeps):
@@ -123,7 +126,7 @@ def test_a_delayed_claim_sleeps_at_most_to_the_deadline(sleeps):
     with pytest.raises(Aborted):
         worker.at(Site.PHASE2_POST_CLAIM)
     assert len(sleeps) == 1 and 0 < sleeps[0] <= 0.5
-    assert worker.abort.is_set()  # so the worker's peers stop too
+    assert worker.abort.stopped  # so the worker's peers stop too
 
 
 def test_run_workers_runs_the_last_id_on_the_calling_thread():

@@ -283,23 +283,15 @@ def test_standard_stops_at_the_deadline_when_a_peer_waits_on_the_crashed_calling
 def test_a_peer_error_wakes_a_standard_sleeper_long_before_the_deadline(monkeypatch):
     # as above, but the calling thread raises at its pre-CAS site once the
     # delayed peer sleeps on the slot it holds: the error path must wake it
-    made = []
-
-    class RecordedAssignment(BinAssignment):
-        def __init__(self, table):
-            super().__init__(table)
-            made.append(self)
-
     class FailingWorker(Worker):
         def at(self, site):
             if self.id == 1 and site is Site.PHASE2_PRE_CAS:
                 limit = time.perf_counter() + 5
-                while not made[0].wakeup.sleepers and time.perf_counter() < limit:
+                while not self.abort.sleepers and time.perf_counter() < limit:
                     time.sleep(0.001)
                 raise ValueError("worker 1 failed")
             super().at(site)
 
-    monkeypatch.setattr(binsched.scheduler, "BinAssignment", RecordedAssignment)
     monkeypatch.setattr(binsched.scheduler, "Worker", FailingWorker)
     faults = FaultPlan(delayed_workers=frozenset({0}), delay_per_claim=0.005)
     started = time.perf_counter()
