@@ -112,8 +112,9 @@ class BenchConfig:
             raise ValueError("num_threads must be >= 1")
         if not self.per_txn_work >= 0:  # NaN too
             raise ValueError("per_txn_work must be >= 0")
-        # a bad percentage, crash point, delay or budget fails before any row runs
-        for delayed_pct, crashed_pct in {(d, c) for _, _, d, c in sweep_points(self)}:
+        # a bad workload, percentage, crash point, delay or budget fails before any row runs
+        for n, dep, delayed_pct, crashed_pct in sweep_points(self):
+            self.workload_spec(n, dep)
             self.fault_plan(delayed_pct, crashed_pct)
         resolve_watchdog_secs(self.watchdog_secs)
         if self.experiment is Experiment.CRASH:
@@ -124,6 +125,10 @@ class BenchConfig:
                     "crash experiments run on the lockfree scheduler "
                     f"(plus serial reference); got {sorted(k.value for k in extra)}"
                 )
+
+    def workload_spec(self, n_txns: int, dependency_pct: float, seed: int = 0) -> WorkloadSpec:
+        """The workload of a sweep point with this size and dependency percentage."""
+        return WorkloadSpec(n_txns, self.n_accounts, dependency_pct, self.amount_range, seed)
 
     def fault_plan(self, delayed_pct: float, crashed_pct: float) -> FaultPlan:
         """The fault plan of a sweep point with these delayed and crashed percentages."""
@@ -167,15 +172,7 @@ def run_benchmark(
     for n, dep in dict.fromkeys(p[:2] for p in points):  # one block per rep, every fault point
         for rep in range(config.repetitions):
             seed = config.base_seed + rep
-            block = generate_workload(
-                WorkloadSpec(
-                    n_txns=n,
-                    n_accounts=config.n_accounts,
-                    dependency_pct=dep,
-                    amount_range=config.amount_range,
-                    seed=seed,
-                )
-            )
+            block = generate_workload(config.workload_spec(n, dep, seed))
             params = compute_conflict_params(block)
             for _, _, delayed_pct, crashed_pct in (p for p in points if p[:2] == (n, dep)):
                 base = BenchRow(

@@ -22,8 +22,9 @@ claims, worker)`` and ``assign_bins_helper(bins, claims, worker)``, the
 shape of phase 1's ``(table, claims, worker)``.
 :func:`assign_bins_standard` claims each index exactly once and *blocks*
 on a dependency that is still unassigned: it sleeps on the run's wakeup
-until the publish, or until the wakeup stops or the deadline passes; safe
-when phase 1 completed behind a barrier, not crash tolerant.
+until the publish, or until the wakeup stops or the deadline passes, and
+then raises :class:`~binsched.faults.Aborted`: a worker raises; the runner
+stops the run. Safe behind a barrier, not crash tolerant.
 :func:`assign_bins_helper` never blocks: it claims wraparound indices and
 *helps*, publishing the bins of unassigned frontier members itself, with an
 explicit stack since bin chains run hundreds deep, before the claimed one.
@@ -75,8 +76,8 @@ class BinAssignment(PublishOnceArray[int]):
 def calculate_bin(i: int, bins: BinAssignment, worker: Worker) -> int:
     """Blocking bin computation: wait until every frontier member is assigned.
 
-    Sleeps on the run's wakeup until the publish; a stopped wakeup or a
-    passed deadline, which stops it, raise :class:`~binsched.faults.Aborted`.
+    Sleeps on the run's wakeup until the publish; a stop or a passed deadline
+    raise :class:`~binsched.faults.Aborted`: a worker raises; the runner stops the run.
     """
     frontier = bins.table.frontier(i)
     if frontier is None:
@@ -94,7 +95,6 @@ def _sleep_until_published(dep: int, bins: BinAssignment, worker: Worker) -> int
     """``dep``'s bin, once published; a function of its own, so that the
     predicate's closure costs :func:`calculate_bin` nothing when no member waits."""
     if not worker.abort.sleep_until(lambda: bins.bin_of(dep) is not UNASSIGNED, worker.deadline):
-        worker.abort.stop()  # a passed deadline stops the run's peers too
         raise Aborted()
     return bins.bin_of(dep)
 

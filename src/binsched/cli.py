@@ -101,11 +101,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         crash_point=_crash_point(args.crash_point),
         seed=args.fault_seed,
     )
-    out: dict = {
-        "variant": variant.value,
-        "n_txns": len(txns),
-        "num_threads": args.threads,
-    }
+    out: dict = {"variant": variant.value, "n_txns": len(txns), "num_threads": args.threads}
     try:
         result, final, _, exec_stage = run_block(
             txns, variant, args.threads, faults, per_txn_work, args.watchdog_secs

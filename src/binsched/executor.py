@@ -9,8 +9,8 @@ claim positions of the flattened rows in order, and a transaction starts
 once every member of its frontier has been applied, not once its whole
 previous bin has. Frontier members sit in lower bins, so they come earlier
 in plan order, and on every account the transfers apply in id order. A
-failing worker stops the run's one :class:`~binsched.atomics.Wakeup`. The
-final state always equals single-threaded index-order application
+worker raises; the runner stops the run's :class:`~binsched.atomics.Wakeup`.
+The final state always equals single-threaded index-order application
 (:func:`execute_serial`), the reference semantics for equivalence tests.
 
 Transfers debit the sender and credit the receiver unconditionally on signed
@@ -99,6 +99,8 @@ def execute_serial(
     cost-comparable to the parallel executor in benchmarks; it defaults to
     zero and never changes the resulting state.
     """
+    if not per_txn_work >= 0:  # NaN too
+        raise ValueError("per_txn_work must be >= 0")
     balances = dict(initial.balances)
     for txn in txns:
         if txn.payload is not None:
@@ -138,8 +140,8 @@ def execute_plan(
     its transaction done. Members sit earlier in plan order, so the lowest
     unfinished claimed position can always run; a worker about to sleep on
     a member that is not earlier raises ``ValueError`` instead of hanging. A
-    worker that raises records the error and stops the wakeup, so the peers
-    stop and :func:`execute_plan` re-raises it.
+    worker raises; the runner stops the wakeup, so the peers stop, and
+    re-raises the error.
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
@@ -169,7 +171,6 @@ def execute_plan(
     claims = itertools.count()
     done = [False] * n
     wakeup = Wakeup()
-    errors: list[BaseException] = []
     position: list[int] = []  # plan position of each id, built at the first sleep
 
     def wait_for(dep: int, k: int) -> bool:
@@ -183,25 +184,19 @@ def execute_plan(
         return wakeup.sleep_until(lambda: done[dep])
 
     def body(_worker: int) -> None:
-        try:
-            while (k := next(claims)) < n and not wakeup.stopped:
-                txn_id = order[k]
-                deps = waits[txn_id]
-                if deps:  # skips the loop's iterator for an empty frontier, as on cold blocks
-                    for dep in deps:
-                        if not done[dep] and not wait_for(dep, k):
-                            return
-                if per_txn_work > 0:
-                    time.sleep(per_txn_work)
-                _apply(balances, txns[txn_id])
-                done[txn_id] = True
-                if wakeup.sleepers:
-                    wakeup.wake()
-        except BaseException as exc:
-            errors.append(exc)
-            wakeup.stop()
+        while (k := next(claims)) < n and not wakeup.stopped:
+            txn_id = order[k]
+            deps = waits[txn_id]
+            if deps:  # skips the loop's iterator for an empty frontier, as on cold blocks
+                for dep in deps:
+                    if not done[dep] and not wait_for(dep, k):
+                        return
+            if per_txn_work > 0:
+                time.sleep(per_txn_work)
+            _apply(balances, txns[txn_id])
+            done[txn_id] = True
+            if wakeup.sleepers:
+                wakeup.wake()
 
-    run_workers(body, num_threads, "exec")
-    if errors:
-        raise errors[0]
+    run_workers(body, num_threads, "exec", wakeup.stop)
     return WalletState(balances)

@@ -11,7 +11,8 @@ A :class:`FaultPlan` names workers by id; :func:`run_workers` runs the last
 id on the calling thread and the others on peers started in id order. Each
 worker's :class:`Worker` record resolves the plan once into its crash site
 and delay, and carries the run's deadline and its stop signal, ``abort``,
-the run's one :class:`~binsched.atomics.Wakeup`.
+the run's one :class:`~binsched.atomics.Wakeup`. A worker raises; the
+runner stops the run: only :func:`run_workers` calls the run's ``stop``.
 """
 
 from __future__ import annotations
@@ -165,10 +166,10 @@ class Worker:
         """Honor the plan at one instrumented site.
 
         Raises :class:`Aborted` once the run's wakeup is stopped, raises
-        :class:`WorkerCrashed`, which stops the worker's thread for good, at
-        its crash site, and sleeps when a delayed worker reaches a claim
-        site, in that order; a sleep that reaches the deadline ends there,
-        stops the run's wakeup and raises :class:`Aborted`.
+        :class:`WorkerCrashed` at its crash site, and sleeps when a delayed
+        worker reaches a claim site, in that order; a sleep that reaches the
+        deadline ends there and raises :class:`Aborted`. It stops nothing: a
+        worker raises; the runner, :func:`run_workers`, stops the run.
         """
         if self.abort.stopped:
             raise Aborted()
@@ -178,26 +179,48 @@ class Worker:
             left = self.deadline - time.perf_counter()
             time.sleep(max(0.0, min(self.delay, left)))
             if left <= self.delay:
-                self.abort.stop()
                 raise Aborted()
 
 
 def run_workers(
-    body: Callable[[int], None], num_threads: int, name: str, until: float = math.inf
+    body: Callable[[int], None], num_threads: int, name: str, stop: Callable[[], None],
+    until: float = math.inf,
 ) -> list[threading.Thread]:
-    """Run ``body(w)``, which must not raise, for each worker id ``w < num_threads``.
+    """Run ``body(w)`` for each worker id ``w < num_threads``; the one place a run stops.
 
     The last id runs on the calling thread; the others on daemon threads
-    ``{name}-{w}`` started in id order. Returns the peers still alive when
-    joined until ``until``, a :func:`time.perf_counter` time.
+    ``{name}-{w}`` started in id order. A worker raises; the runner stops
+    the run: a :class:`WorkerCrashed` ends its worker silently, an
+    :class:`Aborted` or a broken barrier calls ``stop()``, and any other
+    raise is recorded and calls ``stop()``. Peers still alive when joined
+    until ``until``, a :func:`time.perf_counter` time, call ``stop()`` and
+    are returned; otherwise the first recorded error is re-raised.
     """
+    errors: list[BaseException] = []
+
+    def run(w: int) -> None:
+        try:
+            body(w)
+        except WorkerCrashed:
+            pass
+        except (Aborted, threading.BrokenBarrierError):
+            stop()
+        except BaseException as exc:
+            errors.append(exc)
+            stop()
+
     peers = [
-        threading.Thread(target=body, args=(w,), name=f"{name}-{w}", daemon=True)
+        threading.Thread(target=run, args=(w,), name=f"{name}-{w}", daemon=True)
         for w in range(num_threads - 1)
     ]
     for t in peers:
         t.start()
-    body(num_threads - 1)
+    run(num_threads - 1)
     for t in peers:
         t.join(None if until == math.inf else max(0.0, until - time.perf_counter()))
-    return [t for t in peers if t.is_alive()]
+    alive = [t for t in peers if t.is_alive()]
+    if alive:
+        stop()
+    elif errors:
+        raise errors[0]
+    return alive

@@ -14,10 +14,10 @@ All three produce the same bin assignment for the same block, on the
 workers of :func:`~binsched.faults.run_workers`, the calling thread among
 them. A run has a deadline, ``watchdog_secs`` after its start, at which the
 only places a worker blocks end: the barrier, phase 2's wait for a
-dependency and a delayed claim's sleep. A worker that sees it, or fails,
-stops the run's one :class:`~binsched.atomics.Wakeup`, which ends every
-sleep and stops the peers at their next site, so a barrier variant whose
-worker stopped reports :class:`NonTermination` instead of hanging.
+dependency and a delayed claim's sleep. A worker raises; the runner stops
+the run: it stops the run's one :class:`~binsched.atomics.Wakeup` and
+breaks the barrier, which ends every wait and stops the peers at their
+next site, so a stopped barrier variant reports :class:`NonTermination`.
 :func:`schedule` rejects crash plans on barrier variants up front;
 :func:`schedule_with_watchdog` admits them, to show and contain that hang.
 """
@@ -38,7 +38,7 @@ from .atomics import Wakeup
 from .binning import BinAssignment, assign_bins_helper, assign_bins_standard
 from .conflict import ConflictTable, build_conflict_sets_helper, build_conflict_sets_standard
 from .executor import EMPTY_PLAN, ExecutionPlan, build_execution_plan
-from .faults import Aborted, FaultPlan, Site, Worker, WorkerCrashed, run_workers
+from .faults import FaultPlan, Site, Worker, run_workers
 from .txn import Transaction
 
 WATCHDOG_ENV_VAR = "MBPS_WATCHDOG_SECS"
@@ -193,37 +193,26 @@ def _run_pool(
     barrier = threading.Barrier(num_threads) if variant.uses_barrier else None
     deadline = time.perf_counter() + watchdog_secs
     records = [Worker(w, faults, abort, deadline) for w in range(num_threads)]
-    errors: list[BaseException] = []
 
     def body(w: int) -> None:
         worker = records[w]
         worker.phase1_start = time.perf_counter()
-        try:
-            phase1(table, phase1_claims, worker)
-            worker.phase1_end = time.perf_counter()
-            worker.at(Site.INTER_PHASE)
-            if barrier is not None:
-                barrier.wait(max(0.0, deadline - time.perf_counter()))
-            worker.phase2_start = time.perf_counter()
-            phase2(bins, phase2_claims, worker)
-            worker.phase2_end = time.perf_counter()
-        except (WorkerCrashed, Aborted):
-            return
-        except threading.BrokenBarrierError:
-            abort.stop()  # the deadline passed at the rendezvous, or a peer failed
-        except BaseException as exc:
-            errors.append(exc)
-            abort.stop()
-            if barrier is not None:
-                barrier.abort()
+        phase1(table, phase1_claims, worker)
+        worker.phase1_end = time.perf_counter()
+        worker.at(Site.INTER_PHASE)
+        if barrier is not None:
+            barrier.wait(max(0.0, deadline - time.perf_counter()))
+        worker.phase2_start = time.perf_counter()
+        phase2(bins, phase2_claims, worker)
+        worker.phase2_end = time.perf_counter()
 
-    if run_workers(body, num_threads, "sched", until=deadline + _GRACE_SECS):
+    def stop() -> None:
         abort.stop()
         if barrier is not None:
             barrier.abort()
+
+    if run_workers(body, num_threads, "sched", stop, until=deadline + _GRACE_SECS):
         raise NonTermination(variant, num_threads, watchdog_secs)
-    if errors:
-        raise errors[0]
     if not bins.is_complete() and (faults.crashes_anyone or abort.stopped):
         # a dead worker's claim is never redone in this variant, and an
         # aborted run stopped short: neither can produce a plan

@@ -19,7 +19,7 @@ def run_threads(target, num_threads):
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        raised = run_with_timeout(lambda: run_workers(target, num_threads, "race"))
+        raised = run_with_timeout(lambda: run_workers(target, num_threads, "race", Wakeup().stop))
     finally:
         sys.setswitchinterval(old_interval)
     assert raised == []

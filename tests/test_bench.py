@@ -204,6 +204,20 @@ def test_out_of_range_fault_pct_rejected_before_any_row(experiment, axis, schedu
         )
 
 
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("n_txns_values", (50, -1), "n_txns must be >= 0"),
+        ("dependency_pct_values", (10.0, 150.0), r"dependency_pct must lie in \[0, 100\]"),
+    ],
+    ids=["n_txns", "dependency"],
+)
+def test_out_of_range_workload_rejected_before_any_row(axis, values, message):
+    # the in-range point comes first in the sweep, so a check at run time would emit its rows
+    with pytest.raises(ValueError, match=message):
+        small_config(**{axis: values})
+
+
 def test_crash_experiment_runs_with_dead_threads_excluded():
     config = small_config(
         experiment=Experiment.CRASH,

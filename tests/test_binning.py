@@ -56,10 +56,12 @@ def run_assignment(txns, num_threads, use_helpers):
     claims = itertools.count()
     target = assign_bins_helper if use_helpers else assign_bins_standard
 
-    def body(w):
-        target(bins, claims, Worker(w))
+    abort = Wakeup()
 
-    assert run_with_timeout(lambda: run_workers(body, num_threads, "phase2")) == []
+    def body(w):
+        target(bins, claims, Worker(w, abort=abort))
+
+    assert run_with_timeout(lambda: run_workers(body, num_threads, "phase2", abort.stop)) == []
     return bins
 
 
@@ -109,8 +111,10 @@ def test_calculate_bin_abort_breaks_the_wait():
     table.publish(1, (0,))
     bins = BinAssignment(table)  # dependency 0 never assigned
     late = Worker(0, deadline=time.perf_counter() - 1)
-    with pytest.raises(Aborted):  # a passed deadline stops the wait and the run
+    with pytest.raises(Aborted):  # a passed deadline ends the wait
         calculate_bin(1, bins, late)
+    assert not late.abort.stopped  # a worker raises; the runner stops the run
+    assert run_workers(lambda w: calculate_bin(1, bins, late), 1, "t", late.abort.stop) == []
     assert late.abort.stopped
     # so does the stop a peer made, without a deadline; a lost stop fails instead of hanging
     raised = run_with_timeout(lambda: calculate_bin(1, bins, Worker(1, abort=late.abort)), 5)

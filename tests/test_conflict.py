@@ -22,7 +22,6 @@ from binsched import (
     TransferPayload,
     Variant,
     Worker,
-    WorkerCrashed,
     WorkloadSpec,
     bin_oracle,
     build_conflict_sets_helper,
@@ -34,6 +33,7 @@ from binsched import (
     make_transaction,
     schedule,
 )
+from binsched.atomics import Wakeup
 from binsched.faults import run_workers
 
 
@@ -63,13 +63,12 @@ def run_standard_phase1(txns, num_threads, faults):
     table = ConflictTable(txns)
     claims = itertools.count()
 
-    def body(worker_id):
-        try:
-            build_conflict_sets_standard(table, claims, Worker(worker_id, faults))
-        except WorkerCrashed:
-            pass
+    abort = Wakeup()
 
-    assert run_with_timeout(lambda: run_workers(body, num_threads, "phase1")) == []
+    def body(worker_id):  # the runner ends a crashed worker silently
+        build_conflict_sets_standard(table, claims, Worker(worker_id, faults, abort))
+
+    assert run_with_timeout(lambda: run_workers(body, num_threads, "phase1", abort.stop)) == []
     return table
 
 
@@ -414,10 +413,12 @@ def test_stuck_counters_stay_within_bounds():
     table = ConflictTable(block)
     claims = itertools.count()
 
-    def body(w):
-        build_conflict_sets_helper(table, claims, Worker(w))
+    abort = Wakeup()
 
-    assert run_with_timeout(lambda: run_workers(body, 6, "phase1")) == []
+    def body(w):
+        build_conflict_sets_helper(table, claims, Worker(w, abort=abort))
+
+    assert run_with_timeout(lambda: run_workers(body, 6, "phase1", abort.stop)) == []
     assert table.is_complete()
     assert table.published() == len(block)
     assert_frontiers_match_oracle(table, block)

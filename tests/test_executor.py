@@ -207,6 +207,8 @@ def test_a_negative_or_nan_simulated_work_is_rejected(per_txn_work):
     plan = schedule(block, Variant.LOCKFREE, num_threads=1).plan
     with pytest.raises(ValueError, match="per_txn_work must be >= 0"):
         execute_plan(plan, block, WalletState(), num_threads=2, per_txn_work=per_txn_work)
+    with pytest.raises(ValueError, match="per_txn_work must be >= 0"):
+        execute_serial(block, WalletState(), per_txn_work)
 
 
 def test_simulated_work_changes_time_not_state():

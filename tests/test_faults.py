@@ -126,25 +126,56 @@ def test_a_delayed_claim_sleeps_at_most_to_the_deadline(sleeps):
     with pytest.raises(Aborted):
         worker.at(Site.PHASE2_POST_CLAIM)
     assert len(sleeps) == 1 and 0 < sleeps[0] <= 0.5
+    assert not worker.abort.stopped  # a worker raises; the runner stops the run
+    assert run_workers(lambda w: worker.at(Site.PHASE2_POST_CLAIM), 1, "t", worker.abort.stop) == []
     assert worker.abort.stopped  # so the worker's peers stop too
 
 
-def test_run_workers_runs_the_last_id_on_the_calling_thread():
+@pytest.mark.parametrize(
+    "raised, stops",
+    [
+        (None, False),
+        (WorkerCrashed(0, Site.INTER_PHASE), False),  # a crash ends its worker silently
+        (Aborted(), True),
+        (threading.BrokenBarrierError(), True),
+        (ValueError("worker 0 failed"), True),  # and is re-raised after the join
+    ],
+    ids=["returns", "crashed", "aborted", "broken_barrier", "error"],
+)
+def test_run_workers_runs_the_last_id_on_the_calling_thread(raised, stops):
     ran_on = {}
+    stopped = []
 
     def body(w):
         ran_on[w] = threading.current_thread()
+        if w == 0 and raised is not None:
+            raise raised
 
-    assert run_workers(body, 3, "t") == []
+    if isinstance(raised, ValueError):
+        with pytest.raises(ValueError, match="worker 0 failed"):
+            run_workers(body, 3, "t", lambda: stopped.append(True))
+    else:
+        assert run_workers(body, 3, "t", lambda: stopped.append(True)) == []
+    assert stopped == ([True] if stops else [])
     assert ran_on[2] is threading.current_thread()
     assert [ran_on[w].name for w in (0, 1)] == ["t-0", "t-1"]
     assert not ran_on[0].is_alive() and not ran_on[1].is_alive()
 
 
-def test_run_workers_returns_the_peers_alive_past_until():
+@pytest.mark.parametrize("caller_raises", [False, True], ids=["alone", "beside_an_error"])
+def test_run_workers_returns_the_peers_alive_past_until(caller_raises):
     release = threading.Event()
-    stuck = run_workers(lambda w: w == 0 and release.wait(5), 2, "t", until=time.perf_counter())
+    stopped = []
+
+    def body(w):
+        if w == 0:
+            release.wait(5)
+        elif caller_raises:
+            raise ValueError("worker 1 failed")  # an alive peer takes precedence
+
+    stuck = run_workers(body, 2, "t", lambda: stopped.append(True), until=time.perf_counter())
     assert [t.name for t in stuck] == ["t-0"]
+    assert stopped == [True] * (1 + caller_raises)  # the error's stop, then the alive peer's
     release.set()
     stuck[0].join(5)
     assert not stuck[0].is_alive()

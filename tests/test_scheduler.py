@@ -305,6 +305,26 @@ def test_a_peer_error_wakes_a_standard_sleeper_long_before_the_deadline(monkeypa
     assert time.perf_counter() - started < 5
 
 
+@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.ASSISTED])
+def test_an_error_ends_a_peers_barrier_wait_at_once(variant, monkeypatch):
+    # the calling thread fails between the phases while its peer waits at
+    # the barrier: the runner's stop must break the barrier, not the deadline
+    class FailingWorker(Worker):
+        def at(self, site):
+            if self.id == 1 and site is Site.INTER_PHASE:
+                time.sleep(0.05)
+                raise ValueError("worker 1 failed")
+            super().at(site)
+
+    monkeypatch.setattr(binsched.scheduler, "Worker", FailingWorker)
+    started = time.perf_counter()
+    raised = run_with_timeout(
+        lambda: schedule(chain_block(40), variant, 2, watchdog_secs=30), timeout=10
+    )
+    assert [str(exc) for exc in raised] == ["worker 1 failed"]
+    assert time.perf_counter() - started < 5
+
+
 @pytest.mark.parametrize("num_threads", [1, 2])
 def test_a_delayed_calling_thread_sleeps_only_until_the_deadline(num_threads):
     # every worker, the calling thread included, would sleep a minute on
