@@ -59,7 +59,6 @@ from .faults import (
 )
 from .scheduler import (
     DEFAULT_WATCHDOG_SECS,
-    WATCHDOG_ENV_VAR,
     NonTermination,
     PhaseTimings,
     RetryStats,
@@ -118,7 +117,6 @@ __all__ = [
     "TransferPayload",
     "UNASSIGNED",
     "Variant",
-    "WATCHDOG_ENV_VAR",
     "WalletState",
     "Worker",
     "WorkerCrashed",

@@ -15,8 +15,8 @@ same object, such as the empty frontier ``()``. As ``published()`` counts
 the keys, ``published() == n`` means every slot is set, wherever a worker
 stops or crashes; the helper procedures leave a phase on that count.
 
-:class:`Wakeup` is a run's one wait and stop signal: its ``stop()`` ends
-every sleep on it and sets ``stopped``, which each worker tests per claim.
+:class:`Wakeup` is a run's one wait, meeting point and stop signal: ``stop()``
+ends every sleep on it and sets ``stopped``, which each worker tests per claim.
 
 :class:`AtomicInt` keeps a lock and serves no library code: each
 scheduler worker counts its telemetry on its own
@@ -70,33 +70,43 @@ class AtomicInt:
 class Wakeup:
     """A condition, its sleeper count, which a waker reads unlocked, and a ``stopped`` flag.
 
-    A waker changes the shared state, then calls :meth:`wake`; a per-slot path
-    tests ``sleepers`` first, to skip the call while nobody sleeps. No wakeup
-    is lost: a sleeper counts itself and tests ``stopped`` and its predicate
-    under the lock, which it holds until it waits, so the test sees the change
-    or the notify finds it waiting.
+    A waker changes the shared state, then calls :meth:`wake`, which uncounts
+    the sleepers it notifies; a per-slot path tests ``sleepers`` first, to skip
+    the call while nobody sleeps. No wakeup is lost: a sleeper counts itself
+    before its first test of ``stopped`` and its predicate and after each wait
+    a wake ended, and holds the lock from the test until it waits, so the test
+    sees the change or the notify finds it waiting.
     """
 
-    __slots__ = ("_cond", "sleepers", "stopped")
+    __slots__ = ("_cond", "_wakes", "sleepers", "stopped")
 
     def __init__(self) -> None:
         self._cond = threading.Condition(threading.Lock())
+        self._wakes = 0  # changed under the lock, once per wake that found a sleeper
         self.sleepers = 0  # changed under the lock
         self.stopped = False
 
     def sleep_until(self, ready: Callable[[], object], deadline: float = math.inf) -> bool:
         """Wait for ``ready()``; False once stopped or past the deadline, a perf_counter time."""
         with self._cond:
-            self.sleepers += 1
-            left = min(deadline - time.perf_counter(), threading.TIMEOUT_MAX)
-            done = self._cond.wait_for(lambda: self.stopped or ready(), left)
-            self.sleepers -= 1
-            return bool(done) and not self.stopped
+            counted = None
+            while True:
+                if counted != self._wakes:  # not yet counted, or a wake uncounted this sleeper
+                    counted = self._wakes
+                    self.sleepers += 1
+                done = self.stopped or ready()
+                left = deadline - time.perf_counter()
+                if done or left <= 0:
+                    self.sleepers -= 1
+                    return bool(done) and not self.stopped
+                self._cond.wait(min(left, threading.TIMEOUT_MAX))
 
     def wake(self) -> None:
-        """Notify every sleeper, taking the lock only when there is one."""
+        """Notify and uncount every sleeper, taking the lock only when there is one."""
         if self.sleepers:
             with self._cond:
+                self.sleepers = 0
+                self._wakes += 1
                 self._cond.notify_all()
 
     def stop(self) -> None:

@@ -112,6 +112,9 @@ class BenchConfig:
             raise ValueError("num_threads must be >= 1")
         if not self.per_txn_work >= 0:  # NaN too
             raise ValueError("per_txn_work must be >= 0")
+        for axis, sweeper in (("delayed_pct", Experiment.LATENCY), ("crashed_pct", Experiment.CRASH)):
+            if self.experiment is not sweeper and any(getattr(self, f"{axis}_values")):
+                raise ValueError(f"only the {sweeper.value} experiment sweeps {axis}")
         # a bad workload, percentage, crash point, delay or budget fails before any row runs
         for n, dep, delayed_pct, crashed_pct in sweep_points(self):
             self.workload_spec(n, dep)

@@ -191,10 +191,10 @@ def run_workers(
     The last id runs on the calling thread; the others on daemon threads
     ``{name}-{w}`` started in id order. A worker raises; the runner stops
     the run: a :class:`WorkerCrashed` ends its worker silently, an
-    :class:`Aborted` or a broken barrier calls ``stop()``, and any other
-    raise is recorded and calls ``stop()``. Peers still alive when joined
-    until ``until``, a :func:`time.perf_counter` time, call ``stop()`` and
-    are returned; otherwise the first recorded error is re-raised.
+    :class:`Aborted` calls ``stop()``, and any other raise is recorded and
+    calls ``stop()``. Peers still alive when joined until ``until``, a
+    :func:`time.perf_counter` time, call ``stop()`` and are returned;
+    otherwise the first recorded error is re-raised.
     """
     errors: list[BaseException] = []
 
@@ -203,7 +203,7 @@ def run_workers(
             body(w)
         except WorkerCrashed:
             pass
-        except (Aborted, threading.BrokenBarrierError):
+        except Aborted:
             stop()
         except BaseException as exc:
             errors.append(exc)

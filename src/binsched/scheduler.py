@@ -12,12 +12,11 @@ Three variants combine the phase procedures differently:
 
 All three produce the same bin assignment for the same block, on the
 workers of :func:`~binsched.faults.run_workers`, the calling thread among
-them. A run has a deadline, ``watchdog_secs`` after its start, at which the
-only places a worker blocks end: the barrier, phase 2's wait for a
-dependency and a delayed claim's sleep. A worker raises; the runner stops
-the run: it stops the run's one :class:`~binsched.atomics.Wakeup` and
-breaks the barrier, which ends every wait and stops the peers at their
-next site, so a stopped barrier variant reports :class:`NonTermination`.
+them. A run has a deadline, ``watchdog_secs`` after its start, which ends
+the only places a worker blocks: a sleep on the run's one ``Wakeup``, at the
+barrier or on a dependency, and a delayed claim's sleep. A worker raises;
+the runner stops the run: it stops the ``Wakeup``, which ends every sleep and
+stops the peers, so a stopped barrier variant reports :class:`NonTermination`.
 :func:`schedule` rejects crash plans on barrier variants up front;
 :func:`schedule_with_watchdog` admits them, to show and contain that hang.
 """
@@ -27,9 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,10 +35,9 @@ from .atomics import Wakeup
 from .binning import BinAssignment, assign_bins_helper, assign_bins_standard
 from .conflict import ConflictTable, build_conflict_sets_helper, build_conflict_sets_standard
 from .executor import EMPTY_PLAN, ExecutionPlan, build_execution_plan
-from .faults import FaultPlan, Site, Worker, run_workers
+from .faults import Aborted, FaultPlan, Site, Worker, run_workers
 from .txn import Transaction
 
-WATCHDOG_ENV_VAR = "MBPS_WATCHDOG_SECS"
 DEFAULT_WATCHDOG_SECS = 30.0
 _GRACE_SECS = 1.0  # past the deadline, the longest the run waits for a peer to stop
 
@@ -109,15 +105,9 @@ class ScheduleResult:
 
 
 def resolve_watchdog_secs(watchdog_secs: float | None) -> float:
-    """The argument, else the environment variable, else the default; finite and > 0."""
+    """The argument, else the default; finite and > 0."""
     if watchdog_secs is None:
-        env = os.environ.get(WATCHDOG_ENV_VAR)
-        try:
-            watchdog_secs = float(env) if env else DEFAULT_WATCHDOG_SECS
-        except ValueError:
-            raise SchedulerConfigError(
-                f"{WATCHDOG_ENV_VAR} must be a number of seconds, got {env!r}"
-            ) from None
+        watchdog_secs = DEFAULT_WATCHDOG_SECS
     if not 0 < watchdog_secs < math.inf:
         raise SchedulerConfigError(f"watchdog_secs must be finite and > 0, got {watchdog_secs}")
     return watchdog_secs
@@ -190,7 +180,7 @@ def _run_pool(
     phase1_claims = itertools.count()
     phase2_claims = itertools.count()
     abort = Wakeup()
-    barrier = threading.Barrier(num_threads) if variant.uses_barrier else None
+    arrived: list[int] = []  # the barrier variants' workers that ended phase 1
     deadline = time.perf_counter() + watchdog_secs
     records = [Worker(w, faults, abort, deadline) for w in range(num_threads)]
 
@@ -200,18 +190,17 @@ def _run_pool(
         phase1(table, phase1_claims, worker)
         worker.phase1_end = time.perf_counter()
         worker.at(Site.INTER_PHASE)
-        if barrier is not None:
-            barrier.wait(max(0.0, deadline - time.perf_counter()))
+        if variant.uses_barrier:
+            arrived.append(w)
+            if len(arrived) == num_threads:
+                abort.wake()
+            elif not abort.sleep_until(lambda: len(arrived) == num_threads, deadline):
+                raise Aborted()
         worker.phase2_start = time.perf_counter()
         phase2(bins, phase2_claims, worker)
         worker.phase2_end = time.perf_counter()
 
-    def stop() -> None:
-        abort.stop()
-        if barrier is not None:
-            barrier.abort()
-
-    if run_workers(body, num_threads, "sched", stop, until=deadline + _GRACE_SECS):
+    if run_workers(body, num_threads, "sched", abort.stop, until=deadline + _GRACE_SECS):
         raise NonTermination(variant, num_threads, watchdog_secs)
     if not bins.is_complete() and (faults.crashes_anyone or abort.stopped):
         # a dead worker's claim is never redone in this variant, and an

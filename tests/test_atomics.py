@@ -306,3 +306,57 @@ def test_stop_ends_every_sleep_for_good():
     assert not wakeup.sleep_until(lambda: False)  # and never waits, even with no deadline
     assert time.perf_counter() - started < 1
     assert wakeup.stopped and wakeup.sleepers == 0
+
+
+def wait_for_sleepers(wakeup, count):
+    limit = time.perf_counter() + 5
+    while wakeup.sleepers != count:
+        assert time.perf_counter() < limit, f"sleepers never reached {count}"
+        time.sleep(0.001)
+
+
+def test_a_wake_uncounts_the_sleepers_it_notifies():
+    wakeup = Wakeup()
+    ready = []
+    results = []
+    sleeper = threading.Thread(
+        target=lambda: results.append(wakeup.sleep_until(lambda: ready)), daemon=True
+    )
+
+    def wake_once_asleep():
+        sleeper.start()
+        wait_for_sleepers(wakeup, 1)
+        ready.append(True)
+        wakeup.wake()
+        with wakeup._cond:  # the woken sleeper cannot run until this is released
+            assert wakeup.sleepers == 0  # so a publish now would take no lock
+        sleeper.join(5)
+        assert not sleeper.is_alive()
+
+    assert run_with_timeout(wake_once_asleep, timeout=10) == []
+    assert results == [True]
+    assert wakeup.sleepers == 0
+
+
+def test_a_wake_before_the_predicate_holds_loses_no_sleeper():
+    wakeup = Wakeup()
+    ready = []
+    results = []
+    sleeper = threading.Thread(
+        target=lambda: results.append(wakeup.sleep_until(lambda: ready)), daemon=True
+    )
+
+    def wake_early_then_late():
+        sleeper.start()
+        wait_for_sleepers(wakeup, 1)
+        wakeup.wake()  # the predicate is still false: the sleeper sleeps on
+        wait_for_sleepers(wakeup, 1)  # and counts itself again before its next test
+        assert sleeper.is_alive() and results == []
+        ready.append(True)
+        wakeup.wake()  # so this wake, after the predicate turned true, still reaches it
+        sleeper.join(5)
+        assert not sleeper.is_alive()
+
+    assert run_with_timeout(wake_early_then_late, timeout=10) == []
+    assert results == [True]
+    assert wakeup.sleepers == 0

@@ -205,6 +205,25 @@ def test_out_of_range_fault_pct_rejected_before_any_row(experiment, axis, schedu
 
 
 @pytest.mark.parametrize(
+    "experiment, axis, sweeper",
+    [
+        (Experiment.BASELINE, "delayed_pct_values", "latency"),
+        (Experiment.CRASH, "delayed_pct_values", "latency"),
+        (Experiment.BASELINE, "crashed_pct_values", "crash"),
+        (Experiment.LATENCY, "crashed_pct_values", "crash"),
+    ],
+    ids=["delayed-baseline", "delayed-crash", "crashed-baseline", "crashed-latency"],
+)
+@pytest.mark.parametrize("values", [(50.0,), (0.0, 150.0)], ids=["in_range", "out_of_range"])
+def test_a_fault_pct_the_experiment_does_not_sweep_is_rejected(experiment, axis, sweeper, values):
+    # the experiment would run every row at 0% and never range-check the list
+    with pytest.raises(ValueError, match=f"only the {sweeper} experiment sweeps"):
+        small_config(
+            experiment=experiment, schedulers=(SchedulerKind.LOCKFREE,), **{axis: values}
+        )
+
+
+@pytest.mark.parametrize(
     "axis, values, message",
     [
         ("n_txns_values", (50, -1), "n_txns must be >= 0"),

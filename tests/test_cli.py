@@ -77,19 +77,6 @@ def test_schedule_reports_non_termination(tmp_path, capsys):
     assert out["watchdog_secs"] == 0.5
 
 
-def test_schedule_env_watchdog(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MBPS_WATCHDOG_SECS", "0.4")
-    block = tmp_path / "block.json"
-    run_cli(["gen", "--n", "20", "--seed", "1", "-o", str(block)])
-    capsys.readouterr()
-    code = run_cli(
-        ["schedule", "-w", str(block), "--variant", "assisted", "--threads", "2",
-         "--crashed-pct", "50", "--crash-point", "inter_phase"]
-    )
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["watchdog_secs"] == 0.4
-
-
 def test_schedule_rejects_a_zero_watchdog(tmp_path, capsys):
     block = tmp_path / "block.json"
     run_cli(["gen", "--n", "20", "--seed", "1", "-o", str(block)])
@@ -99,18 +86,6 @@ def test_schedule_rejects_a_zero_watchdog(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "watchdog_secs must be finite and > 0" in captured.err
-
-
-def test_schedule_rejects_a_non_numeric_env_watchdog(tmp_path, capsys, monkeypatch):
-    block = tmp_path / "block.json"
-    run_cli(["gen", "--n", "20", "--seed", "1", "-o", str(block)])
-    capsys.readouterr()
-    monkeypatch.setenv("MBPS_WATCHDOG_SECS", "abc")
-    code = run_cli(["schedule", "-w", str(block), "--threads", "2"])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "MBPS_WATCHDOG_SECS" in captured.err
 
 
 def test_schedule_check_detects_violation(tmp_path, capsys, monkeypatch):
@@ -324,14 +299,11 @@ def test_config_keys_are_the_run_flags_dests():
 
 
 def test_config_file_and_flags_build_equal_configs(tmp_path):
-    settings = {
-        "experiment": ("crash", "--experiment", "crash"),
+    shared = {
         "n_txns": ("12, 24", "--n-txns", "12,24"),
         "dependency_pct": ("10, 90", "--dependency-pct", "10,90"),
         "schedulers": ("lockfree, serial", "--schedulers", "lockfree,serial"),
         "num_threads": ("3", "--threads", "3"),
-        "delayed_pct": ("5", "--delayed-pct", "5"),
-        "crashed_pct": ("0, 50", "--crashed-pct", "0,50"),
         "delay_ms": ("2", "--delay-ms", "2"),
         "crash_point": ("inter_phase", "--crash-point", "inter_phase"),
         "repetitions": ("2", "--reps", "2"),
@@ -343,13 +315,24 @@ def test_config_file_and_flags_build_equal_configs(tmp_path):
         "fault_seed": ("6", "--fault-seed", "6"),
         "watchdog_secs": ("7", "--watchdog-secs", "7"),
     }
-    assert set(settings) == RUN_SETTINGS
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text("".join(f"{key} = {value}\n" for key, (value, _, _) in settings.items()))
-    flags = [part for _, flag, value in settings.values() for part in (flag, value)]
-
-    from_file = bench_config(parse_args(["run", "--config", str(cfg)]))
-    assert from_file == bench_config(parse_args(["run", *flags]))
+    axes = {
+        "delayed_pct": ("5", "--delayed-pct", "5"),
+        "crashed_pct": ("0, 50", "--crashed-pct", "0,50"),
+    }
+    assert set(shared) | {"experiment"} | set(axes) == RUN_SETTINGS
     default = bench_config(parse_args(["run"]))
-    for field in dataclasses.fields(default):
-        assert getattr(from_file, field.name) != getattr(default, field.name), field.name
+    # each experiment sets the fault axis it sweeps; the other keeps its default
+    for experiment, axis, other in [
+        ("latency", "delayed_pct", "crashed_pct"),
+        ("crash", "crashed_pct", "delayed_pct"),
+    ]:
+        settings = {**shared, "experiment": (experiment, "--experiment", experiment), axis: axes[axis]}
+        cfg = tmp_path / f"{experiment}.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, (value, _, _) in settings.items()))
+        flags = [part for _, flag, value in settings.values() for part in (flag, value)]
+
+        from_file = bench_config(parse_args(["run", "--config", str(cfg)]))
+        assert from_file == bench_config(parse_args(["run", *flags]))
+        for field in dataclasses.fields(default):
+            if field.name != f"{other}_values":
+                assert getattr(from_file, field.name) != getattr(default, field.name), field.name

@@ -137,10 +137,9 @@ def test_a_delayed_claim_sleeps_at_most_to_the_deadline(sleeps):
         (None, False),
         (WorkerCrashed(0, Site.INTER_PHASE), False),  # a crash ends its worker silently
         (Aborted(), True),
-        (threading.BrokenBarrierError(), True),
         (ValueError("worker 0 failed"), True),  # and is re-raised after the join
     ],
-    ids=["returns", "crashed", "aborted", "broken_barrier", "error"],
+    ids=["returns", "crashed", "aborted", "error"],
 )
 def test_run_workers_runs_the_last_id_on_the_calling_thread(raised, stops):
     ran_on = {}
