@@ -17,7 +17,6 @@ from binsched import (
     generate_workload,
     make_fault_plan,
     schedule,
-    schedule_with_watchdog,
 )
 
 block = generate_workload(WorkloadSpec(n_txns=600, n_accounts=100, dependency_pct=40, seed=9))
@@ -42,7 +41,7 @@ print(
 
 print("\n3) the standard variant under the same crash (watchdog set to 1 s):")
 try:
-    schedule_with_watchdog(
+    schedule(
         block,
         Variant.STANDARD,
         num_threads=8,

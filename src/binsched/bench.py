@@ -21,7 +21,7 @@ import io
 import json
 import statistics
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
 
 from .executor import WalletState, execute_plan, execute_serial
@@ -31,15 +31,10 @@ from .scheduler import (
     ScheduleResult,
     Variant,
     resolve_watchdog_secs,
-    schedule_with_watchdog,
+    schedule,
 )
 from .workload import WorkloadSpec, compute_conflict_params, generate_workload
 
-CSV_HEADER = (
-    "scheduler,n_txns,dependency_pct,cp1,cp2,cp3,num_threads,delayed_pct,"
-    "crashed_pct,exec_time_s,throughput_tps,num_bins,phase1_s,phase2_s,"
-    "exec_stage_s,seed,rep,flags"
-)
 NON_TERMINATION_FLAG = "NON_TERMINATION"
 
 
@@ -82,6 +77,12 @@ class BenchRow:
     seed: int
     rep: int
     flags: str = ""
+
+
+_FIELD_ORDER = [f.name for f in fields(BenchRow)]
+CSV_HEADER = ",".join(_FIELD_ORDER)
+# under ``from __future__ import annotations`` each field's type is its annotation's text
+_CONVERTERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(BenchRow)}
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,7 @@ def run_block(
     Returns the result, the final state and the wall times of both stages.
     """
     t0 = time.perf_counter()
-    result = schedule_with_watchdog(block, variant, num_threads, faults, watchdog_secs)
+    result = schedule(block, variant, num_threads, faults, watchdog_secs)
     schedule_s = time.perf_counter() - t0
     live_threads = max(1, num_threads - len(faults.crashed_workers))
     t0 = time.perf_counter()
@@ -271,11 +272,6 @@ def _throughput(n: int, elapsed: float) -> float:
 
 
 # --- rendering and aggregation -------------------------------------------
-
-_INT_FIELDS = {"n_txns", "num_threads", "num_bins", "seed", "rep"}
-_STR_FIELDS = {"scheduler", "flags"}
-_FIELD_ORDER = CSV_HEADER.split(",")
-
 
 def rows_to_csv(rows: Iterable[BenchRow]) -> str:
     buf = io.StringIO()
@@ -302,12 +298,10 @@ def rows_from_csv(text: str) -> list[BenchRow]:
             )
         kwargs = {}
         for name, value in zip(_FIELD_ORDER, record):
-            if name in _STR_FIELDS:
-                kwargs[name] = value
-            elif name in _INT_FIELDS:
-                kwargs[name] = int(value)
-            else:
-                kwargs[name] = float(value)
+            try:
+                kwargs[name] = _CONVERTERS[name](value)
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {name}: {exc}") from None
         rows.append(BenchRow(**kwargs))
     return rows
 

@@ -107,9 +107,10 @@ class ConflictIndex:
     the latest writer; a read-only access lists the writer and joins the run.
     Finishing transaction ``i``, it stores the ids it listed, each once (two
     deduplicated by one comparison, more by a set), as the tuple
-    ``frontiers[i]`` (the shared ``()`` when empty). The block stays as
-    ``txns``, whose ids are its positions, for :meth:`lower_conflicts`,
-    which runs :func:`lower_conflict_sets` once.
+    ``frontiers[i]`` (the shared ``()`` when empty). The scan checks each
+    id against its position and raises ``ValueError`` at the first that
+    differs. The block stays as ``txns`` for :meth:`lower_conflicts`, which
+    runs :func:`lower_conflict_sets` once.
     """
 
     __slots__ = ("txns", "frontiers", "_lower")
@@ -123,8 +124,10 @@ class ConflictIndex:
         own: list[int] = []  # the current transaction's listed ids
         keep = own.append
         frontiers: list[tuple[int, ...]] = []
-        for txn in txns:
+        for i, txn in enumerate(txns):
             tid = txn.id
+            if tid != i:
+                raise ValueError(f"transaction ids must equal their positions: id {tid} at position {i}")
             writes = txn.write_set
             for addr in writes:
                 w = writer_of(addr)

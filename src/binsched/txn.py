@@ -39,7 +39,8 @@ class Transaction:
     """One schedulable unit: an id, declared read/write sets, and a payload.
 
     ``id`` equals the transaction's position within its block; the scheduling
-    algorithms rely on that to define "lower" (earlier-ordered) conflicts.
+    algorithms rely on that to define "lower" (earlier-ordered) conflicts,
+    and :class:`~binsched.conflict.ConflictIndex` checks it.
     """
 
     id: int

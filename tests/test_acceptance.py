@@ -32,7 +32,6 @@ from binsched import (
     generate_workload,
     run_benchmark,
     schedule,
-    schedule_with_watchdog,
 )
 
 THREAD_COUNTS = (1, 2, 4, 8)
@@ -201,7 +200,7 @@ def test_criterion_06_barrier_non_tolerance():
                 faults = FaultPlan(crashed_workers=frozenset({0}), crash_point=crash_point)
                 started = time.perf_counter()
                 with pytest.raises(NonTermination):
-                    schedule_with_watchdog(
+                    schedule(
                         block, variant, 8, faults=faults, watchdog_secs=watchdog
                     )
                 # the watchdog bounds the hang; the suite never blocks
@@ -214,13 +213,13 @@ def test_criterion_06_barrier_non_tolerance():
             )
             started = time.perf_counter()
             with pytest.raises(NonTermination):
-                schedule_with_watchdog(block, variant, 8, faults=all_dead, watchdog_secs=watchdog)
+                schedule(block, variant, 8, faults=all_dead, watchdog_secs=watchdog)
             assert time.perf_counter() - started < watchdog * 8 + 5
 
         # the assisted variant's helpers do cover a post-barrier crash that
         # leaves survivors: only the barrier itself is crash-intolerant
         survivors = FaultPlan(crashed_workers=frozenset({0}), crash_point=Site.PHASE2_PRE_CAS)
-        result = schedule_with_watchdog(
+        result = schedule(
             block, Variant.ASSISTED, 8, faults=survivors, watchdog_secs=10.0
         )
         assert result.assignment.initial_bin_list() == expected_bins

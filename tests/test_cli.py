@@ -225,6 +225,20 @@ def test_report_on_a_rows_file_cut_mid_row_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: line 2: 4 fields, expected {fields}\n"
 
 
+def test_report_on_a_rows_file_with_a_bad_value_names_its_line_and_field(tmp_path):
+    rows_path = tmp_path / "rows.csv"
+    row = "lockfree,abc,40.0,1,2,3,4,0.0,0.0,0.1,6000.0,5,0.01,0.02,0.03,1,0,"
+    rows_path.write_text(CSV_HEADER + "\n" + row + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "binsched.cli", "report", str(rows_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 2: n_txns: invalid literal for int()")
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_with_config_file(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(

@@ -127,6 +127,14 @@ def test_index_matches_pairwise_definition(txns):
         assert index.lower_conflicts(t) == expected[t.id]
 
 
+def test_the_index_rejects_ids_that_are_not_their_positions():
+    block = generate_workload(WorkloadSpec(40, 10, 100, seed=1))
+    with pytest.raises(ValueError, match="ids must equal their positions: id 10 at position 0"):
+        ConflictIndex(block[10:20])
+    with pytest.raises(ValueError, match="id 39 at position 0"):
+        ConflictIndex(list(reversed(block)))
+
+
 @settings(max_examples=200)
 @given(access_set_blocks(max_n=10))
 def test_frontier_bounds_the_bin_like_the_full_set(txns):

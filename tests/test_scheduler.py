@@ -34,6 +34,8 @@ from binsched import (
     bin_oracle,
     build_conflict_sets_helper,
     execute_plan,
+    WorkloadSpec,
+    generate_workload,
     make_fault_plan,
     schedule,
     schedule_with_watchdog,
@@ -113,17 +115,14 @@ def test_zero_threads_rejected():
         schedule(wallet_block([("A", "B")]), Variant.LOCKFREE, num_threads=0)
 
 
-@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.ASSISTED])
-def test_crash_plans_rejected_on_barrier_variants(variant):
-    faults = FaultPlan(crashed_workers=frozenset({0}))
-    with pytest.raises(SchedulerConfigError):
-        schedule(wallet_block([("A", "B")]), variant, num_threads=2, faults=faults)
-
-
-def test_lockfree_needs_a_survivor():
-    faults = FaultPlan(crashed_workers=frozenset({0, 1}))
-    with pytest.raises(SchedulerConfigError):
-        schedule(wallet_block([("A", "B")]), Variant.LOCKFREE, num_threads=2, faults=faults)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_block_whose_ids_are_not_its_positions_is_rejected(variant):
+    block = generate_workload(WorkloadSpec(40, 10, 100, seed=1))
+    raised = run_with_timeout(
+        lambda: schedule(block[10:20], variant, 2, watchdog_secs=1.0), timeout=5
+    )
+    assert [type(exc) for exc in raised] == [ValueError]
+    assert "id 10 at position 0" in str(raised[0])
 
 
 def test_out_of_range_worker_ids_rejected():
@@ -141,9 +140,20 @@ def test_barrier_variants_hang_under_crashes(variant):
     faults = FaultPlan(crashed_workers=frozenset({1}), crash_point=Site.INTER_PHASE)
     started = time.perf_counter()
     with pytest.raises(NonTermination):
-        schedule_with_watchdog(block, variant, num_threads=4, faults=faults, watchdog_secs=0.8)
+        schedule(block, variant, num_threads=4, faults=faults, watchdog_secs=0.8)
     elapsed = time.perf_counter() - started
     assert elapsed < 15.0  # watchdog bounds the hang; suite never blocks
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_run_whose_every_worker_crashes_ends_at_once(variant):
+    # every worker crashes at its first claim: no variant can finish, and the
+    # run ends at once, long before the default 30 s deadline
+    block = chain_block(40)
+    faults = FaultPlan(crashed_workers=frozenset({0, 1}))
+    raised = run_with_timeout(lambda: schedule(block, variant, 2, faults), timeout=5)
+    assert [type(exc) for exc in raised] == [NonTermination]
+    assert "exceeded" not in str(raised[0])
 
 
 @pytest.mark.parametrize("watchdog_secs", [0, -1, float("nan"), float("inf")])
@@ -156,7 +166,7 @@ def test_watchdog_must_be_finite_and_positive(watchdog_secs):
 def test_lockfree_with_watchdog_completes():
     block = random_wallet_block(seed=63, max_n=120)
     faults = FaultPlan(crashed_workers=frozenset({0, 1, 2}), crash_point=Site.PHASE2_PRE_CAS)
-    result = schedule_with_watchdog(
+    result = schedule(
         block, Variant.LOCKFREE, num_threads=4, faults=faults, watchdog_secs=10.0
     )
     assert result.assignment.initial_bin_list() == bin_oracle(block)
@@ -206,7 +216,7 @@ def test_no_worker_thread_outlives_its_run():
         assert live_workers() == []
     faults = FaultPlan(crashed_workers=frozenset({1}), crash_point=Site.INTER_PHASE)
     with pytest.raises(NonTermination):
-        schedule_with_watchdog(block, Variant.STANDARD, 4, faults=faults, watchdog_secs=0.3)
+        schedule(block, Variant.STANDARD, 4, faults=faults, watchdog_secs=0.3)
     assert live_workers() == []
 
 
@@ -252,7 +262,7 @@ def test_standard_stops_at_the_deadline_when_a_peer_waits_on_the_crashed_calling
     )
     started = time.perf_counter()
     with pytest.raises(NonTermination):
-        schedule_with_watchdog(
+        schedule(
             chain_block(40), Variant.STANDARD, 2, faults=faults, watchdog_secs=watchdog
         )
     assert watchdog <= time.perf_counter() - started < watchdog + 2
@@ -275,7 +285,7 @@ def test_a_peer_error_wakes_a_standard_sleeper_long_before_the_deadline(monkeypa
     faults = FaultPlan(delayed_workers=frozenset({0}), delay_per_claim=0.005)
     started = time.perf_counter()
     raised = run_with_timeout(
-        lambda: schedule_with_watchdog(
+        lambda: schedule(
             chain_block(40), Variant.STANDARD, 2, faults=faults, watchdog_secs=30
         ),
         timeout=10,
@@ -442,7 +452,9 @@ def test_an_incomplete_assignment_names_the_missing_slots(monkeypatch):
         schedule(block, Variant.STANDARD, num_threads=2)
 
 
-@pytest.mark.parametrize("entry", [schedule, schedule_with_watchdog])
+@pytest.mark.parametrize(
+    "entry", [schedule, schedule_with_watchdog], ids=["schedule", "schedule_with_watchdog"]
+)
 def test_an_interpreter_without_the_gil_is_rejected(entry, monkeypatch):
     monkeypatch.setattr("sys._is_gil_enabled", lambda: False, raising=False)
     with pytest.raises(SchedulerConfigError, match="GIL"):
