@@ -12,14 +12,17 @@ delay choices come from a second generator, so a seed's blocks and crash
 plans do not depend on them. A delayed worker that finds no slot left to
 claim never sleeps, so the script counts, through a stand-in for
 ``binsched.faults``' ``time`` module, the delayed runs that slept at least
-once. Every run's bins are checked against ``bin_oracle``. A wallet
+once. A helper whose claim passes n sweeps the slots still unset, as it
+must for a slot a crashed or descheduled peer claimed; through a stand-in
+for ``PublishOnceArray.unpublished`` the script counts the runs in which
+a helper did. Every run's bins are checked against ``bin_oracle``. A wallet
 block's plan is also executed by ``execute_plan`` on the surviving threads
 and checked against ``execute_serial``'s final balances; access-set blocks
 carry no payload, so they are not executed.
 Every other block runs at a thread switch interval of 10 us, so claims and
 publishes interleave more finely.
 Exits 1 on any wrong bins, wrong balances or error, or when no delayed run
-slept; 0 otherwise.
+slept or no helper swept; 0 otherwise.
 
     PYTHONPATH=src python scripts/stress_helpers.py --seed 7 --blocks 100
 """
@@ -27,6 +30,7 @@ slept; 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -35,6 +39,7 @@ import traceback
 import binsched.faults
 from binsched import (
     CRASH_POINTS,
+    PublishOnceArray,
     Transaction,
     Variant,
     WalletState,
@@ -66,6 +71,22 @@ class SleepCounter:
     def sleep(self, secs: float) -> None:
         self.sleeps += 1  # a lost update between threads still leaves it above 0
         time.sleep(secs)
+
+
+class SweepCounter:
+    """Stands in for ``PublishOnceArray.unpublished``, which a helper calls
+    only once its claim passes n, and counts those calls."""
+
+    def __init__(self) -> None:
+        self.sweeps = 0
+        self.unpublished = PublishOnceArray.unpublished
+
+    def __get__(self, array, owner=None):  # bound to the array, like the method it stands in for
+        return functools.partial(self.count, array)
+
+    def count(self, array):
+        self.sweeps += 1  # a lost update between threads still leaves it above 0
+        return self.unpublished(array)
 
 
 def access_set_block(rng: random.Random) -> list[Transaction]:
@@ -107,9 +128,11 @@ def main(argv: list[str] | None = None) -> int:
 
     rng = random.Random(args.seed)
     delay_rng = random.Random(f"delays-{args.seed}")
-    runs = crashed_runs = delayed_runs = slept_runs = failures = 0
+    runs = crashed_runs = delayed_runs = slept_runs = swept_runs = failures = 0
     counter = SleepCounter()
+    sweeps = SweepCounter()
     binsched.faults.time = counter
+    PublishOnceArray.unpublished = sweeps
     default_interval = sys.getswitchinterval()
     started = time.perf_counter()
     try:
@@ -149,12 +172,14 @@ def main(argv: list[str] | None = None) -> int:
                         )
                         delayed_runs += 1
                     runs += 1
-                    sleeps_before = counter.sleeps
+                    sleeps_before, sweeps_before = counter.sleeps, sweeps.sweeps
                     problems = check_run(
                         block, variant, threads, faults, expected, expected_balances
                     )
                     if counter.sleeps > sleeps_before:  # only a delay plan sleeps
                         slept_runs += 1
+                    if sweeps.sweeps > sweeps_before:  # only a helper sweeps
+                        swept_runs += 1
                     for problem in problems:
                         failures += 1
                         print(
@@ -165,14 +190,19 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         sys.setswitchinterval(default_interval)
         binsched.faults.time = time
+        PublishOnceArray.unpublished = sweeps.unpublished
     elapsed = time.perf_counter() - started
     print(
         f"{runs} runs ({crashed_runs} with crashes, {delayed_runs} with delays,"
-        f" {slept_runs} of which slept) over {args.blocks} blocks, "
+        f" {slept_runs} of which slept; {swept_runs} in which a helper swept)"
+        f" over {args.blocks} blocks, "
         f"{failures} failed, {elapsed:.1f} s"
     )
     if not slept_runs:
         print("no delayed run slept, so no delay plan was exercised")
+        return 1
+    if not swept_runs:
+        print("no helper claimed past n, so no sweep was exercised")
         return 1
     return 1 if failures else 0
 

@@ -13,7 +13,9 @@ of the value boxed in a fresh 1-tuple, and only the call that stores its
 box gets that box back: exactly one publisher wins even when all pass the
 same object, such as the empty frontier ``()``. As ``published()`` counts
 the keys, ``published() == n`` means every slot is set, wherever a worker
-stops or crashes; the helper procedures leave a phase on that count.
+stops or crashes; the helper procedures leave a phase on that count. A
+helper whose claim passes ``n`` takes the slots still unset from
+``unpublished()``, a scan that runs in C, instead of claiming on.
 
 :class:`Wakeup` is a run's one wait, meeting point and stop signal: ``stop()``
 ends every sleep on it and sets ``stopped``, which each worker tests per claim.
@@ -27,10 +29,11 @@ benchmark drops them (ROADMAP item 1).
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import time
-from typing import Callable, Generic, TypeVar
+from typing import Callable, Generic, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -117,13 +120,18 @@ class Wakeup:
 
 
 class PublishOnceArray(Generic[T]):
-    """``n`` slots, each published once, and the count of published slots."""
+    """``n`` slots, each published once, and the count of published slots.
 
-    __slots__ = ("n", "_slots")
+    ``published()``, how many slots are set, is the slot dict's own bound
+    ``__len__``: one C call, as cheap as the claim it guards.
+    """
+
+    __slots__ = ("n", "_slots", "published")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self._slots: dict[int, tuple[T]] = {}
+        self.published: Callable[[], int] = self._slots.__len__
 
     def get(self, i: int) -> T | None:
         """The slot's value, :data:`UNASSIGNED` while unset."""
@@ -138,9 +146,17 @@ class PublishOnceArray(Generic[T]):
         box = (value,)
         return self._slots.setdefault(i, box) is box
 
-    def published(self) -> int:
-        """How many slots are set."""
-        return len(self._slots)
+    def unpublished(self) -> Iterator[int]:
+        """The slots unset when the scan reaches them, in ascending order.
+
+        The scan is :func:`itertools.filterfalse` over the slot dict's own
+        ``__contains__``, so each step runs in C. It is lazy: it skips a
+        slot published before the scan reaches it, and costs only the steps
+        it takes, where a snapshot would cost a pass over all ``n`` slots.
+        Peers may publish every slot it has not reached, so it may end
+        without yielding one.
+        """
+        return itertools.filterfalse(self._slots.__contains__, range(self.n))
 
     def is_complete(self) -> bool:
         return self.published() == self.n

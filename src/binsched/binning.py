@@ -25,14 +25,20 @@ on a dependency that is still unassigned: it sleeps on the run's wakeup
 until the publish, or until the wakeup stops or the deadline passes, and
 then raises :class:`~binsched.faults.Aborted`: a worker raises; the runner
 stops the run. Safe behind a barrier, not crash tolerant.
-:func:`assign_bins_helper` never blocks: it claims wraparound indices and
-*helps*, publishing the bins of unassigned frontier members itself, with an
-explicit stack since bin chains run hundreds deep, before the claimed one.
+:func:`assign_bins_helper` never blocks. It makes a first pass over the
+claims below ``n``, each handed out once, computing the claimed slot's bin
+inline and CAS-publishing it without reading the slot first. Only when a
+frontier member is still unassigned does it *help*: it publishes the bins
+of the unassigned members itself, with an explicit stack since bin chains
+run hundreds deep, before the claimed one. Its first claim past ``n`` ends
+the pass: it then sweeps the slots still unset, from
+:meth:`~binsched.atomics.PublishOnceArray.unpublished`, each visiting its
+sites as a claim does, instead of claiming on through published slots.
 It reads only frontiers phase 1 published, and raises ``RuntimeError`` on
 a table phase 1 left incomplete. Bins are pure functions of the frontiers,
 so every publisher of a slot publishes the same value, and work a stopped
 peer abandoned is redone by whoever needs it next. A helper leaves the
-phase only once the publish count reaches ``n``. It counts each CAS it
+phase once the publish count reaches ``n``. It counts each CAS it
 loses on ``worker.cas_retries`` and each unassigned frontier member it
 pushes to resolve on ``worker.helped``.
 
@@ -115,33 +121,58 @@ def assign_bins_standard(bins: BinAssignment, claims: Iterator[int], worker: Wor
 
 
 def assign_bins_helper(bins: BinAssignment, claims: Iterator[int], worker: Worker) -> None:
-    """Bins the table's block, claimed wraparound from ``claims``; helps unassigned deps."""
+    """Bins the table's block: a first pass of claims, then a sweep; helps unassigned deps."""
     n = bins.n
     table = bins.table
     if not table.is_complete():
         raise RuntimeError("conflict table not fully published; phase 1 incomplete")
-    while bins.published() < n:
-        stack = [next(claims) % n]
+    frontier = table.frontier
+    bin_of = bins.bin_of
+    published = bins.published
+    slots = claims
+    while published() < n:
+        i = next(slots, n)
+        if i >= n:  # past the claims, or past a sweep peers finished: sweep what is unset
+            slots = bins.unpublished()
+            continue
         worker.at(_PHASE2_POST_CLAIM)
-        while stack:
-            j = stack[-1]
-            if bins.bin_of(j) is not UNASSIGNED:
-                stack.pop()
-                continue
-            current = -1
-            for dep in table.frontier(j):
-                dep_bin = bins.bin_of(dep)
-                if dep_bin is UNASSIGNED:
-                    stack.append(dep)
-                    worker.helped += 1
-                    break
-                if dep_bin > current:
-                    current = dep_bin
-            else:
-                worker.at(_PHASE2_PRE_CAS)
-                if not bins.try_publish(j, current + 1):
-                    worker.cas_retries += 1
-                stack.pop()
+        current = -1
+        for dep in frontier(i):
+            dep_bin = bin_of(dep)
+            if dep_bin is UNASSIGNED:
+                _help(i, bins, worker)
+                break
+            if dep_bin > current:
+                current = dep_bin
+        else:
+            worker.at(_PHASE2_PRE_CAS)
+            if not bins.try_publish(i, current + 1):
+                worker.cas_retries += 1
+
+
+def _help(i: int, bins: BinAssignment, worker: Worker) -> None:
+    """Publish slot ``i``'s bin after those of its unassigned frontier members, depth first."""
+    table = bins.table
+    stack = [i]
+    while stack:
+        j = stack[-1]
+        if bins.bin_of(j) is not UNASSIGNED:
+            stack.pop()
+            continue
+        current = -1
+        for dep in table.frontier(j):
+            dep_bin = bins.bin_of(dep)
+            if dep_bin is UNASSIGNED:
+                stack.append(dep)
+                worker.helped += 1
+                break
+            if dep_bin > current:
+                current = dep_bin
+        else:
+            worker.at(_PHASE2_PRE_CAS)
+            if not bins.try_publish(j, current + 1):
+                worker.cas_retries += 1
+            stack.pop()
 
 
 def bin_oracle(txns: Sequence[Transaction]) -> list[int]:

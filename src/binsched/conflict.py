@@ -25,13 +25,18 @@ worker)`` and ``build_conflict_sets_helper(table, claims, worker)``.
   worker by ``next()`` on a shared counter and stores the result. A worker
   that stops mid claim leaves its slot unset forever; this variant is not
   crash tolerant.
-* :func:`build_conflict_sets_helper` claims wraparound (``mod n``), so fast
-  workers recompute slots abandoned by slow or stopped peers, and publishes
-  via compare-and-swap from the unset sentinel so exactly one publisher
-  wins per slot. A worker leaves the phase only once the table's publish
-  count reaches ``n``, which by :class:`~binsched.atomics.PublishOnceArray`'s
-  invariant means every slot is published. Each CAS it loses counts one
-  on ``worker.cas_retries``.
+* :func:`build_conflict_sets_helper` makes a first pass over the claims
+  below ``n``, each handed out once, and publishes each claimed slot via
+  compare-and-swap from the unset sentinel, so exactly one publisher wins
+  per slot, without reading the slot first. Its first claim past ``n``
+  ends the pass: it then sweeps the slots still unset, which
+  :meth:`~binsched.atomics.PublishOnceArray.unpublished` finds by a scan
+  in C, visiting each slot's sites as a claim does. So fast workers
+  recompute slots abandoned by slow or stopped peers without claiming
+  their way through the published ones. A worker leaves the phase once
+  the table's publish count reaches ``n``, which by
+  :class:`~binsched.atomics.PublishOnceArray`'s invariant means every slot
+  is published. Each CAS it loses counts one on ``worker.cas_retries``.
 
 :class:`ConflictIndex`, which a :class:`ConflictTable` builds once from the
 immutable block, lists every frontier, each id once, in one id-order scan,
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .atomics import UNASSIGNED, PublishOnceArray
+from .atomics import PublishOnceArray
 from .faults import Site, Worker
 from .txn import Address, Transaction
 
@@ -196,13 +201,17 @@ def build_conflict_sets_standard(
 def build_conflict_sets_helper(
     table: ConflictTable, claims: Iterator[int], worker: Worker
 ) -> None:
-    """The table's block's frontiers, claimed wraparound from ``claims``, CAS-published."""
+    """The table's block's frontiers: a first pass of claims, then a sweep; CAS-published."""
     n = table.n
     frontiers = table.index.frontiers
-    while table.published() < n:
-        i = next(claims) % n
+    published = table.published
+    slots = claims
+    while published() < n:
+        i = next(slots, n)
+        if i >= n:  # past the claims, or past a sweep peers finished: sweep what is unset
+            slots = table.unpublished()
+            continue
         worker.at(_PHASE1_POST_CLAIM)
-        if table.get(i) is UNASSIGNED:
-            worker.at(_PHASE1_PRE_PUBLISH)
-            if not table.try_publish(i, frontiers[i]):
-                worker.cas_retries += 1
+        worker.at(_PHASE1_PRE_PUBLISH)
+        if not table.try_publish(i, frontiers[i]):
+            worker.cas_retries += 1

@@ -113,12 +113,22 @@ def execute_serial(
 
 
 def _validate_plan(plan: ExecutionPlan, txns: Sequence[Transaction]) -> list[int]:
-    """The plan's ids in plan order, once checked to partition the block."""
+    """The plan's ids in plan order, once checked to partition the block and to
+    wait only for the block's ids."""
+    n = len(txns)
+    ids = set(range(n))
     order = [txn_id for row in plan.bin_matrix for txn_id in row]
-    if len(order) != len(txns) or set(order) != set(range(len(txns))):
+    if len(order) != n or set(order) != ids:
         raise ValueError("plan does not partition the block's transaction ids")
-    if len(plan.waits) != len(txns):
+    waits = plan.waits
+    if len(waits) != n:
         raise ValueError("plan's waits do not cover the block's transaction ids")
+    # in C throughout; the filter skips a conflict-free block's empty frontiers
+    if not ids.issuperset(itertools.chain.from_iterable(filter(None, waits))):
+        txn_id = next(t for t, deps in enumerate(waits) if not ids.issuperset(deps))
+        raise ValueError(
+            f"transaction {txn_id} waits for {list(waits[txn_id])}, outside the block's ids 0..{n - 1}"
+        )
     return order
 
 

@@ -4,8 +4,8 @@ Three variants combine the phase procedures differently:
 
 * STANDARD: exactly-once claiming in both phases, with a barrier between
   conflict discovery and bin assignment.
-* ASSISTED: helper (wraparound) procedures in both phases, still separated
-  by a barrier.
+* ASSISTED: helper procedures (a first pass of claims, then a sweep of the
+  slots still unset) in both phases, still separated by a barrier.
 * LOCKFREE: helper procedures with no barrier; each worker moves to bin
   assignment as soon as its own conflict loop terminates, so delayed or
   stopped peers never gate progress.

@@ -103,6 +103,42 @@ def test_republishing_a_slot_keeps_the_count():
     assert not array.is_complete()
 
 
+def test_unpublished_lists_exactly_the_unset_slots_in_order():
+    array = PublishOnceArray(5)
+    assert list(array.unpublished()) == [0, 1, 2, 3, 4]
+    array.publish(1, 0)  # a falsy value is a published value
+    assert array.try_publish(3, ())
+    assert not array.try_publish(3, "lost")
+    assert list(array.unpublished()) == [0, 2, 4]
+    for i in (0, 2, 4):
+        array.publish(i, i)
+    assert list(array.unpublished()) == []
+    assert list(PublishOnceArray(0).unpublished()) == []
+
+
+def test_unpublished_skips_a_slot_published_before_the_scan_reaches_it():
+    array = PublishOnceArray(4)
+    scan = array.unpublished()
+    assert next(scan) == 0
+    array.publish(2, "b")
+    assert list(scan) == [1, 3]
+
+
+def test_published_runs_no_python_frame():
+    # a helper tests published() < n before every claim; as the slot dict's
+    # bound __len__ it is one C call, which the profiler sees no frame of
+    array = PublishOnceArray(2)
+    array.publish(0, "a")
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        count = array.published()
+    finally:
+        sys.setprofile(None)
+    assert count == 1
+    assert "call" not in events
+
+
 def test_published_counts_the_set_slots_after_every_publish():
     # lock-free readers take published() == n to mean every slot is set, so
     # the count must equal the set slots after publishes, republishes and

@@ -23,6 +23,7 @@ from binsched import (
     Aborted,
     BinAssignment,
     ConflictTable,
+    PublishOnceArray,
     Site,
     Worker,
     WorkerCrashed,
@@ -294,6 +295,121 @@ def test_each_slot_visits_its_two_sites_once_in_order(phase1, phase2):
     phase2(bins, itertools.count(), StepWorker(sites.append))
     assert sites == [Site.PHASE2_POST_CLAIM, Site.PHASE2_PRE_CAS] * n
     assert bins.initial_bin_list() == bin_oracle(block)
+
+
+# --- a helper's first pass and its sweep -----------------------------------------
+
+# Frontiers (), (), (0,), (): no later slot waits on slot 1, so only a sweep reaches it.
+SWEEP_PAIRS = [("A", "B"), ("C", "D"), ("A", "E"), ("F", "G")]
+
+
+def phase1_helper(block):
+    """Phase 1's helper, the array it fills, its two sites and the values it must publish."""
+    table = ConflictTable(block)
+    sites = (Site.PHASE1_POST_CLAIM, Site.PHASE1_PRE_PUBLISH)
+    return build_conflict_sets_helper, table, sites, table.index.frontiers
+
+
+def phase2_helper(block):
+    bins = BinAssignment(published_table(block))
+    return assign_bins_helper, bins, (Site.PHASE2_POST_CLAIM, Site.PHASE2_PRE_CAS), bin_oracle(block)
+
+
+helper_phases = pytest.mark.parametrize(
+    "helper_phase", [phase1_helper, phase2_helper], ids=["phase1", "phase2"]
+)
+
+
+@helper_phases
+@pytest.mark.parametrize("peer", ["crashed", "stalled"])
+def test_a_helper_sweeps_the_slot_a_stopped_peer_claimed(helper_phase, peer):
+    # A peer claims slot 1 at the helper's first claim site and stops before
+    # publishing it. The helper ends its first pass at its one claim past n,
+    # then visits slot 1's two sites and publishes it; a stalled peer that
+    # resumes afterwards loses its CAS.
+    block = wallet_block(SWEEP_PAIRS)
+    helper, array, sites, expected = helper_phase(block)
+    claims = itertools.count()
+    peer_claims = []
+    visits = []
+
+    def peer_claims_once(site):
+        if not peer_claims:
+            peer_claims.append(next(claims))
+        visits.append((site, sorted(array.unpublished())))
+
+    worker = StepWorker(peer_claims_once)
+    helper(array, claims, worker)
+    assert peer_claims == [1]
+    assert next(claims) == len(block) + 1  # the helper drew claim n, and no more
+    assert [site for site, _ in visits] == list(sites) * len(block)
+    assert visits[-2:] == [(site, [1]) for site in sites]  # the swept slot comes last
+    if peer == "stalled":
+        assert not array.try_publish(1, expected[1])
+    assert array.snapshot() == list(expected)
+    assert worker.cas_retries == 0
+
+
+@helper_phases
+def test_a_sweep_that_peers_finish_first_ends_the_phase(helper_phase, monkeypatch):
+    # A peer claims slot 1 and stops; the helper passes n and starts its scan.
+    # Between its publish-count test and the scan's first slot, a peer
+    # publishes slot 1: the scan comes up empty, and the helper must leave
+    # the phase without an error or another claim.
+    block = wallet_block(SWEEP_PAIRS)
+    helper, array, sites, expected = helper_phase(block)
+    claims = itertools.count()
+    peer_claims = []
+    visits = []
+    unpublished = PublishOnceArray.unpublished
+
+    def scan_that_a_peer_finishes_first(arr):
+        def scan():  # runs at the scan's first step, after the helper's test
+            for i in list(unpublished(arr)):
+                assert arr.try_publish(i, expected[i])
+            yield from unpublished(arr)
+
+        return scan()
+
+    def peer_claims_once(site):
+        if not peer_claims:
+            peer_claims.append(next(claims))
+        visits.append(site)
+
+    monkeypatch.setattr(PublishOnceArray, "unpublished", scan_that_a_peer_finishes_first)
+    worker = StepWorker(peer_claims_once)
+    helper(array, claims, worker)
+    assert peer_claims == [1]
+    assert visits == list(sites) * (len(block) - 1)  # the helper never reached slot 1
+    assert next(claims) == len(block) + 1
+    assert array.snapshot() == list(expected)
+    assert worker.cas_retries == 0
+
+
+@helper_phases
+def test_a_first_pass_claim_a_peer_publishes_first_has_one_winner(helper_phase):
+    # The helper does not re-read its claimed slot before the CAS: a peer that
+    # publishes slot 2 at the helper's claim site for it wins, and the helper
+    # tries the CAS, loses it and counts one retry.
+    block = wallet_block(SWEEP_PAIRS)
+    helper, array, sites, expected = helper_phase(block)
+    claims = itertools.count()
+    peer_won = []
+    visits = []
+
+    def peer_publishes_slot_2(site):
+        visits.append(site)
+        if len(visits) == 5:  # slots 0 and 1 took two sites each: slot 2's claim site
+            assert site is sites[0]
+            peer_won.append(array.try_publish(2, expected[2]))
+
+    worker = StepWorker(peer_publishes_slot_2)
+    helper(array, claims, worker)
+    assert peer_won == [True]
+    assert worker.cas_retries == 1
+    assert visits == list(sites) * len(block)
+    assert array.snapshot() == list(expected)
+    assert next(claims) == len(block)  # no claim past n: every slot was published
 
 
 @pytest.mark.parametrize(

@@ -333,6 +333,14 @@ def test_waits_must_cover_the_block():
         execute_plan(plan, disjoint_block(2), WalletState(), num_threads=2)
 
 
+@pytest.mark.parametrize("num_threads", [1, 2])
+@pytest.mark.parametrize("bad_wait", [7, 3, -1])
+def test_waits_outside_the_block_are_rejected_naming_the_transaction(num_threads, bad_wait):
+    plan = ExecutionPlan(bin_matrix=((0, 1, 2),), waits=((), (), (bad_wait,)))
+    with pytest.raises(ValueError, match=r"transaction 2 waits for \[-?\d+\], outside"):
+        execute_plan(plan, disjoint_block(3), WalletState(), num_threads=num_threads)
+
+
 def test_parallel_equals_serial_under_fast_thread_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
