@@ -40,7 +40,7 @@ result = schedule(block, Variant.LOCKFREE, num_threads=4)
 table = result.assignment.table  # the conflict table the bins came from
 print("\nfrontiers (what phase 1 publishes) and lower sets (derived on request):")
 for txn, conflicts in zip(block, conflict_sets_oracle(block)):
-    frontier = sorted(table.frontier(txn.id))
+    frontier = sorted(table.index.frontiers[txn.id])
     assert table.index.lower_conflicts(txn) == conflicts
     print(f"  T{txn.id}: frontier {frontier or 'none'}, lower {sorted(conflicts) or 'none'}")
 

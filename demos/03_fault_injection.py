@@ -3,8 +3,9 @@
 Delayed workers sleep on every claim they take, holding the claimed slot.
 Crashed workers stop silently at an instrumented site and never run again.
 The lock-free variant survives any strict subset of workers crashing; the
-barrier variants cannot, so they run under a watchdog that reports
-NON_TERMINATION instead of hanging.
+barrier variants cannot, so such a crash stops their run at once, and a
+watchdog bounds every other wait: either reports NON_TERMINATION instead of
+hanging.
 """
 
 from binsched import (

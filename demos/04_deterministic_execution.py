@@ -5,8 +5,8 @@ a transaction starts once its frontier, the latest earlier transaction on
 each of its accounts, has been applied, not once its whole previous bin
 has. So on every account the transfers apply in index order, and the final
 wallet state always equals plain index-order execution; the total balance
-is conserved. The plan takes the frontiers from the conflict table that
-the bin assignment owns. With simulated per-transaction work the parallel
+is conserved. The plan takes the frontiers from the conflict index of the
+table that the bin assignment owns. With simulated per-transaction work the parallel
 executor also shows real speedup, because sleeping releases the
 interpreter lock.
 """

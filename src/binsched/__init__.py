@@ -8,7 +8,7 @@ execution. Three scheduler variants trade synchronization for resilience,
 and a fault-injection harness reproduces latency and crash experiments.
 """
 
-from .atomics import AtomicInt, PublishOnceArray
+from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
 from .bench import (
     CSV_HEADER,
     NON_TERMINATION_FLAG,
@@ -24,14 +24,7 @@ from .bench import (
     run_benchmark,
     sweep_points,
 )
-from .binning import (
-    UNASSIGNED,
-    BinAssignment,
-    assign_bins_helper,
-    assign_bins_standard,
-    bin_oracle,
-    calculate_bin,
-)
+from .binning import BinAssignment, assign_bins_helper, assign_bins_standard, bin_oracle
 from .conflict import (
     ConflictIndex,
     ConflictTable,
@@ -128,7 +121,6 @@ __all__ = [
     "build_conflict_sets_helper",
     "build_conflict_sets_standard",
     "build_execution_plan",
-    "calculate_bin",
     "check_conflicts",
     "compute_conflict_params",
     "conflict_sets_oracle",

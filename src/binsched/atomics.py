@@ -6,16 +6,22 @@ here is atomic on an interpreter without the GIL. A claim is ``next()`` on
 a shared :func:`itertools.count`, which hands every index out exactly once.
 
 :class:`PublishOnceArray` keeps the one value each transaction publishes in
-a scheduling phase in a dict keyed by slot. A slot is unset
-(:data:`UNASSIGNED`, ``None``) until published; a falsy value such as bin 0
-or an empty set is a published value. A publish is one ``dict.setdefault``
-of the value boxed in a fresh 1-tuple, and only the call that stores its
-box gets that box back: exactly one publisher wins even when all pass the
-same object, such as the empty frontier ``()``. As ``published()`` counts
-the keys, ``published() == n`` means every slot is set, wherever a worker
-stops or crashes; the helper procedures leave a phase on that count. A
-helper whose claim passes ``n`` takes the slots still unset from
-``unpublished()``, a scan that runs in C, instead of claiming on.
+a scheduling phase in a dict keyed by slot, boxed in a 1-tuple. A slot is
+unset (:data:`UNASSIGNED`, ``None``) until published; a falsy value such as
+bin 0 or an empty set is a published value. A publish is one bound C method
+of the dict, which the array exposes: ``put``, its ``__setitem__``, for a
+slot claimed once, or ``put_once``, its ``setdefault``, which stores a box
+only into an unset slot and returns the box the slot then holds, so the
+caller won if and only if it gets its own box back. No two publishers of a
+slot pass one box object, so exactly one wins, even when all box the same
+value, such as the empty frontier ``()``: phase 1's first pass publishes
+the box its conflict index built for the slot, which only the slot's one
+first-pass claim passes, and every other publisher boxes its value in a
+fresh 1-tuple. As ``published()`` counts the keys, ``published() == n``
+means every slot is set, wherever a worker stops or crashes; the helper
+procedures leave a phase on that count. A helper whose claim passes ``n``
+takes the slots still unset from ``unpublished()``, a scan that runs in C,
+instead of claiming on.
 
 :class:`Wakeup` is a run's one wait, meeting point and stop signal: ``stop()``
 ends every sleep on it and sets ``stopped``, which each worker tests per claim.
@@ -38,7 +44,6 @@ from typing import Callable, Generic, Iterator, TypeVar
 T = TypeVar("T")
 
 UNASSIGNED = None
-_UNSET = (UNASSIGNED,)
 
 
 class AtomicInt:
@@ -120,31 +125,25 @@ class Wakeup:
 
 
 class PublishOnceArray(Generic[T]):
-    """``n`` slots, each published once, and the count of published slots.
+    """``n`` slots, each published once as a box, and the count of published slots.
 
-    ``published()``, how many slots are set, is the slot dict's own bound
-    ``__len__``: one C call, as cheap as the claim it guards.
+    The slot dict's own bound C methods are the array's whole write and read
+    protocol, as cheap as the claim they follow: ``put(i, box)`` stores into a
+    slot the caller owns, ``put_once(i, box)`` stores into an unset slot and
+    returns the box the slot then holds, ``box_of(i)`` returns a slot's box or
+    None while unset, and ``published()``, its ``__len__``, counts the set slots.
     """
 
-    __slots__ = ("n", "_slots", "published")
+    __slots__ = ("n", "_slots", "published", "put", "put_once", "box_of")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self._slots: dict[int, tuple[T]] = {}
-        self.published: Callable[[], int] = self._slots.__len__
-
-    def get(self, i: int) -> T | None:
-        """The slot's value, :data:`UNASSIGNED` while unset."""
-        return self._slots.get(i, _UNSET)[0]
-
-    def publish(self, i: int, value: T) -> None:
-        """Store into a slot the caller owns, for exactly-once claiming."""
-        self._slots[i] = (value,)
-
-    def try_publish(self, i: int, value: T) -> bool:
-        """Compare-and-set from unset; a loser's value is discarded."""
-        box = (value,)
-        return self._slots.setdefault(i, box) is box
+        slots: dict[int, tuple[T]] = {}
+        self._slots = slots
+        self.published: Callable[[], int] = slots.__len__
+        self.put: Callable[[int, tuple[T]], None] = slots.__setitem__
+        self.put_once: Callable[[int, tuple[T]], tuple[T]] = slots.setdefault
+        self.box_of: Callable[[int], tuple[T] | None] = slots.get
 
     def unpublished(self) -> Iterator[int]:
         """The slots unset when the scan reaches them, in ascending order.

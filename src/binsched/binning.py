@@ -16,15 +16,23 @@ A transaction therefore waits only on its frontier's bins.
 
 Each procedure takes the bin assignment it publishes into, whose ``table``
 is the conflict table of the block it bins, the claim counter it draws
-from, and the calling thread's :class:`~binsched.faults.Worker`, whose
-fault hook it calls at each instrumented site: ``assign_bins_standard(bins,
-claims, worker)`` and ``assign_bins_helper(bins, claims, worker)``, the
-shape of phase 1's ``(table, claims, worker)``.
-:func:`assign_bins_standard` claims each index exactly once and *blocks*
-on a dependency that is still unassigned: it sleeps on the run's wakeup
-until the publish, or until the wakeup stops or the deadline passes, and
-then raises :class:`~binsched.faults.Aborted`: a worker raises; the runner
-stops the run. Safe behind a barrier, not crash tolerant.
+from, and the calling thread's :class:`~binsched.faults.Worker`:
+``assign_bins_standard(bins, claims, worker)`` and
+``assign_bins_helper(bins, claims, worker)``, the shape of phase 1's
+``(table, claims, worker)``. Each checks once, on entry, that phase 1
+published every slot, and raises ``RuntimeError`` on a table phase 1 left
+incomplete; from then on it reads the frontiers from the table's index,
+``index.frontiers``, which every published slot holds. A worker with a
+fault ``hook`` has it called at each instrumented site; a plain worker
+only has its stop tested at each claim or swept slot. Each reads a
+member's bin through the assignment's bound ``box_of`` and publishes a
+fresh box, so a claim is C calls only.
+:func:`assign_bins_standard` claims each index exactly once and computes
+its bin inline. It *blocks* only on a dependency that is still
+unassigned: it sleeps on the run's wakeup until the publish, or until the
+wakeup stops or the deadline passes, and then raises
+:class:`~binsched.faults.Aborted`: a worker raises; the runner stops the
+run. Safe behind a barrier, not crash tolerant.
 :func:`assign_bins_helper` never blocks. It makes a first pass over the
 claims below ``n``, each handed out once, computing the claimed slot's bin
 inline and CAS-publishing it without reading the slot first. Only when a
@@ -34,26 +42,23 @@ run hundreds deep, before the claimed one. Its first claim past ``n`` ends
 the pass: it then sweeps the slots still unset, from
 :meth:`~binsched.atomics.PublishOnceArray.unpublished`, each visiting its
 sites as a claim does, instead of claiming on through published slots.
-It reads only frontiers phase 1 published, and raises ``RuntimeError`` on
-a table phase 1 left incomplete. Bins are pure functions of the frontiers,
-so every publisher of a slot publishes the same value, and work a stopped
-peer abandoned is redone by whoever needs it next. A helper leaves the
-phase once the publish count reaches ``n``. It counts each CAS it
-loses on ``worker.cas_retries`` and each unassigned frontier member it
-pushes to resolve on ``worker.helped``.
+Bins are pure functions of the frontiers, so every publisher of a slot
+publishes the same value, and work a stopped peer abandoned is redone by
+whoever needs it next. A helper leaves the phase once the publish count
+reaches ``n``. It counts each CAS it loses on ``worker.cas_retries`` and
+each unassigned frontier member it pushes to resolve on ``worker.helped``.
 
 The publish-once :class:`BinAssignment` is the only bin record. Bin
 membership is derived from it once, by
 :func:`~binsched.executor.build_execution_plan`, after the phase has ended,
-together with the frontiers of its table that the plan's transactions wait
-for.
+together with the frontiers the plan's transactions wait for.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .atomics import UNASSIGNED, PublishOnceArray
+from .atomics import PublishOnceArray
 from .conflict import ConflictTable, check_conflicts
 from .faults import Aborted, Site, Worker
 from .txn import Transaction
@@ -75,102 +80,119 @@ class BinAssignment(PublishOnceArray[int]):
         super().__init__(table.n)
         self.table = table
 
-    bin_of = PublishOnceArray.get
     initial_bin_list = PublishOnceArray.snapshot
 
 
-def calculate_bin(i: int, bins: BinAssignment, worker: Worker) -> int:
-    """Blocking bin computation: wait until every frontier member is assigned.
-
-    Sleeps on the run's wakeup until the publish; a stop or a passed deadline
-    raise :class:`~binsched.faults.Aborted`: a worker raises; the runner stops the run.
-    """
-    frontier = bins.table.frontier(i)
-    if frontier is None:
-        raise RuntimeError(f"conflict slot {i} not published; phase 1 incomplete")
-    current = -1
-    for dep in frontier:
-        if (dep_bin := bins.bin_of(dep)) is UNASSIGNED:
-            dep_bin = _sleep_until_published(dep, bins, worker)
-        if dep_bin > current:
-            current = dep_bin
-    return current + 1
+def _frontiers_of(bins: BinAssignment) -> list[tuple[int, ...]]:
+    """The frontiers phase 2 reads: the index's, once phase 1 published every slot."""
+    table = bins.table
+    if not table.is_complete():
+        raise RuntimeError("conflict table not fully published; phase 1 incomplete")
+    return table.index.frontiers
 
 
-def _sleep_until_published(dep: int, bins: BinAssignment, worker: Worker) -> int:
-    """``dep``'s bin, once published; a function of its own, so that the
-    predicate's closure costs :func:`calculate_bin` nothing when no member waits."""
-    if not worker.abort.sleep_until(lambda: bins.bin_of(dep) is not UNASSIGNED, worker.deadline):
+def _sleep_until_published(dep: int, bins: BinAssignment, worker: Worker) -> tuple[int]:
+    """``dep``'s box, once published; a function of its own, so that the
+    predicate's closure costs :func:`assign_bins_standard` nothing when no
+    member waits. A stop or a passed deadline raise
+    :class:`~binsched.faults.Aborted`: a worker raises; the runner stops the run."""
+    box_of = bins.box_of
+    if not worker.abort.sleep_until(lambda: box_of(dep) is not None, worker.deadline):
         raise Aborted()
-    return bins.bin_of(dep)
+    return box_of(dep)
 
 
 def assign_bins_standard(bins: BinAssignment, claims: Iterator[int], worker: Worker) -> None:
     """Bins the table's block, each index claimed once; waits on deps, wakes sleepers."""
     n = bins.n
+    frontiers = _frontiers_of(bins)
+    box_of = bins.box_of
+    put = bins.put
+    hook = worker.hook
     wakeup = worker.abort
-    i = next(claims)
-    while i < n:
-        worker.at(_PHASE2_POST_CLAIM)
-        alloted = calculate_bin(i, bins, worker)
-        worker.at(_PHASE2_PRE_CAS)
-        bins.publish(i, alloted)
+    for i in claims:
+        if i >= n:
+            break
+        if hook is None:
+            if wakeup.stopped:
+                raise Aborted()
+        else:
+            hook(_PHASE2_POST_CLAIM)
+        current = -1
+        for dep in frontiers[i]:
+            box = box_of(dep)
+            if box is None:
+                box = _sleep_until_published(dep, bins, worker)
+            if box[0] > current:
+                current = box[0]
+        if hook is not None:
+            hook(_PHASE2_PRE_CAS)
+        put(i, (current + 1,))
         if wakeup.sleepers:
             wakeup.wake()
-        i = next(claims)
 
 
 def assign_bins_helper(bins: BinAssignment, claims: Iterator[int], worker: Worker) -> None:
     """Bins the table's block: a first pass of claims, then a sweep; helps unassigned deps."""
     n = bins.n
-    table = bins.table
-    if not table.is_complete():
-        raise RuntimeError("conflict table not fully published; phase 1 incomplete")
-    frontier = table.frontier
-    bin_of = bins.bin_of
+    frontiers = _frontiers_of(bins)
+    box_of = bins.box_of
+    put_once = bins.put_once
     published = bins.published
+    hook = worker.hook
+    abort = worker.abort
     slots = claims
     while published() < n:
         i = next(slots, n)
         if i >= n:  # past the claims, or past a sweep peers finished: sweep what is unset
             slots = bins.unpublished()
             continue
-        worker.at(_PHASE2_POST_CLAIM)
+        if hook is None:
+            if abort.stopped:
+                raise Aborted()
+        else:
+            hook(_PHASE2_POST_CLAIM)
         current = -1
-        for dep in frontier(i):
-            dep_bin = bin_of(dep)
-            if dep_bin is UNASSIGNED:
+        for dep in frontiers[i]:
+            box = box_of(dep)
+            if box is None:
                 _help(i, bins, worker)
                 break
-            if dep_bin > current:
-                current = dep_bin
+            if box[0] > current:
+                current = box[0]
         else:
-            worker.at(_PHASE2_PRE_CAS)
-            if not bins.try_publish(i, current + 1):
+            if hook is not None:
+                hook(_PHASE2_PRE_CAS)
+            box = (current + 1,)
+            if put_once(i, box) is not box:
                 worker.cas_retries += 1
 
 
 def _help(i: int, bins: BinAssignment, worker: Worker) -> None:
     """Publish slot ``i``'s bin after those of its unassigned frontier members, depth first."""
-    table = bins.table
+    frontiers = bins.table.index.frontiers
+    box_of = bins.box_of
+    hook = worker.hook
     stack = [i]
     while stack:
         j = stack[-1]
-        if bins.bin_of(j) is not UNASSIGNED:
+        if box_of(j) is not None:
             stack.pop()
             continue
         current = -1
-        for dep in table.frontier(j):
-            dep_bin = bins.bin_of(dep)
-            if dep_bin is UNASSIGNED:
+        for dep in frontiers[j]:
+            box = box_of(dep)
+            if box is None:
                 stack.append(dep)
                 worker.helped += 1
                 break
-            if dep_bin > current:
-                current = dep_bin
+            if box[0] > current:
+                current = box[0]
         else:
-            worker.at(_PHASE2_PRE_CAS)
-            if not bins.try_publish(j, current + 1):
+            if hook is not None:
+                hook(_PHASE2_PRE_CAS)
+            box = (current + 1,)
+            if bins.put_once(j, box) is not box:
                 worker.cas_retries += 1
             stack.pop()
 

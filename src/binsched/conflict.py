@@ -17,30 +17,37 @@ the paper's conflict table, are not built by the phase; only
 
 Two discovery procedures share that contract. Each takes only the table,
 whose block it schedules, the claim counter it draws from, and the calling
-thread's :class:`~binsched.faults.Worker`, whose fault hook it calls at
-each instrumented site: ``build_conflict_sets_standard(table, claims,
-worker)`` and ``build_conflict_sets_helper(table, claims, worker)``.
+thread's :class:`~binsched.faults.Worker`: ``build_conflict_sets_standard(
+table, claims, worker)`` and ``build_conflict_sets_helper(table, claims,
+worker)``. A worker with a fault ``hook`` has it called at each
+instrumented site; a plain worker only has its stop tested at each claim
+or swept slot, so a claim is C calls only.
 
 * :func:`build_conflict_sets_standard` hands each index to exactly one
-  worker by ``next()`` on a shared counter and stores the result. A worker
-  that stops mid claim leaves its slot unset forever; this variant is not
-  crash tolerant.
+  worker by a shared counter and stores the slot's box, which the index
+  built, with the table's bound ``put``. A worker that stops mid claim
+  leaves its slot unset forever; this variant is not crash tolerant.
 * :func:`build_conflict_sets_helper` makes a first pass over the claims
-  below ``n``, each handed out once, and publishes each claimed slot via
-  compare-and-swap from the unset sentinel, so exactly one publisher wins
-  per slot, without reading the slot first. Its first claim past ``n``
-  ends the pass: it then sweeps the slots still unset, which
+  below ``n``, each handed out once, and publishes each claimed slot's
+  index box with the table's bound ``put_once``, a compare-and-swap from
+  unset that it won if it gets its own box back, so exactly one publisher
+  wins per slot, without reading the slot first. Its first claim past
+  ``n`` ends the pass: it then sweeps the slots still unset, which
   :meth:`~binsched.atomics.PublishOnceArray.unpublished` finds by a scan
-  in C, visiting each slot's sites as a claim does. So fast workers
-  recompute slots abandoned by slow or stopped peers without claiming
-  their way through the published ones. A worker leaves the phase once
-  the table's publish count reaches ``n``, which by
-  :class:`~binsched.atomics.PublishOnceArray`'s invariant means every slot
-  is published. Each CAS it loses counts one on ``worker.cas_retries``.
+  in C, visiting each slot's sites as a claim does, and boxes each swept
+  slot's frontier afresh, since the slot's claimer may still publish the
+  index's box. So fast workers recompute slots abandoned by slow or
+  stopped peers without claiming their way through the published ones. A
+  worker leaves the phase once the table's publish count reaches ``n``,
+  which by :class:`~binsched.atomics.PublishOnceArray`'s invariant means
+  every slot is published. Each CAS it loses counts one on
+  ``worker.cas_retries``.
 
 :class:`ConflictIndex`, which a :class:`ConflictTable` builds once from the
 immutable block, lists every frontier, each id once, in one id-order scan,
-so a phase-1 claim makes one lookup, ``index.frontiers[i]``.
+and boxes each, so a phase-1 claim makes one lookup, ``index.boxes[i]``.
+Phase 2 and the execution plan read ``index.frontiers`` once the table is
+complete, since a published slot holds the index's own frontier.
 :func:`conflict_sets_oracle` is the independent quadratic restatement used
 to cross-check it.
 """
@@ -50,7 +57,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .atomics import PublishOnceArray
-from .faults import Site, Worker
+from .faults import Aborted, Site, Worker
 from .txn import Address, Transaction
 
 # Bound once: ``Site.X`` goes through the enum's Python-level descriptor on every read.
@@ -112,13 +119,14 @@ class ConflictIndex:
     the latest writer; a read-only access lists the writer and joins the run.
     Finishing transaction ``i``, it stores the ids it listed, each once (two
     deduplicated by one comparison, more by a set), as the tuple
-    ``frontiers[i]`` (the shared ``()`` when empty). The scan checks each
-    id against its position and raises ``ValueError`` at the first that
-    differs. The block stays as ``txns`` for :meth:`lower_conflicts`, which
-    runs :func:`lower_conflict_sets` once.
+    ``frontiers[i]`` (the shared ``()`` when empty). ``boxes[i]`` is that
+    frontier in a 1-tuple of the slot's own, the box phase 1's first pass
+    publishes. The scan checks each id against its position and raises
+    ``ValueError`` at the first that differs. The block stays as ``txns``
+    for :meth:`lower_conflicts`, which runs :func:`lower_conflict_sets` once.
     """
 
-    __slots__ = ("txns", "frontiers", "_lower")
+    __slots__ = ("txns", "frontiers", "boxes", "_lower")
 
     def __init__(self, txns: Sequence[Transaction]) -> None:
         self.txns = txns
@@ -160,6 +168,7 @@ class ConflictIndex:
             frontiers.append(tuple(own) if len(own) < 3 else tuple(set(own)))
             own.clear()
         self.frontiers = frontiers
+        self.boxes = list(zip(frontiers))  # 1-tuples, all alive at once, so distinct objects
 
     def lower_conflicts(self, txn: Transaction) -> frozenset[int]:
         if self._lower is None:
@@ -181,21 +190,26 @@ class ConflictTable(PublishOnceArray[tuple[int, ...]]):
         super().__init__(len(txns))
         self.index = ConflictIndex(txns)
 
-    frontier = PublishOnceArray.get
-
 
 def build_conflict_sets_standard(
     table: ConflictTable, claims: Iterator[int], worker: Worker
 ) -> None:
     """The table's block's frontiers, each index claimed once from ``claims``."""
     n = table.n
-    frontiers = table.index.frontiers
-    i = next(claims)
-    while i < n:
-        worker.at(_PHASE1_POST_CLAIM)
-        worker.at(_PHASE1_PRE_PUBLISH)
-        table.publish(i, frontiers[i])
-        i = next(claims)
+    boxes = table.index.boxes
+    put = table.put
+    hook = worker.hook
+    abort = worker.abort
+    for i in claims:
+        if i >= n:
+            break
+        if hook is None:
+            if abort.stopped:
+                raise Aborted()
+        else:
+            hook(_PHASE1_POST_CLAIM)
+            hook(_PHASE1_PRE_PUBLISH)
+        put(i, boxes[i])
 
 
 def build_conflict_sets_helper(
@@ -203,15 +217,27 @@ def build_conflict_sets_helper(
 ) -> None:
     """The table's block's frontiers: a first pass of claims, then a sweep; CAS-published."""
     n = table.n
-    frontiers = table.index.frontiers
+    index = table.index
+    boxes = index.boxes
+    frontiers = index.frontiers
+    put_once = table.put_once
     published = table.published
+    hook = worker.hook
+    abort = worker.abort
     slots = claims
+    sweeping = False
     while published() < n:
         i = next(slots, n)
         if i >= n:  # past the claims, or past a sweep peers finished: sweep what is unset
             slots = table.unpublished()
+            sweeping = True  # a swept slot may be a peer's claim: box its frontier afresh
             continue
-        worker.at(_PHASE1_POST_CLAIM)
-        worker.at(_PHASE1_PRE_PUBLISH)
-        if not table.try_publish(i, frontiers[i]):
+        if hook is None:
+            if abort.stopped:
+                raise Aborted()
+        else:
+            hook(_PHASE1_POST_CLAIM)
+            hook(_PHASE1_PRE_PUBLISH)
+        box = (frontiers[i],) if sweeping else boxes[i]
+        if put_once(i, box) is not box:
             worker.cas_retries += 1

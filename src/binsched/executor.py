@@ -2,8 +2,13 @@
 
 The plan lays bins out as a ragged matrix, one ascending row of transaction
 ids per bin, and records what each transaction waits for: its frontier, the
-earlier conflicts phase 1 published into the conflict table that the bin
-assignment owns, so ``build_execution_plan(assignment)`` needs nothing else.
+earlier conflicts phase 1 published. ``build_execution_plan(assignment)``
+needs nothing else: once the assignment's conflict table is complete, the
+waits are its index's frontiers, taken whole. A plan it builds is valid by
+construction and carries a private token saying so, so
+:func:`execute_plan` checks only that it is of the block's length; a
+hand-made plan is checked in full to partition the block and to wait only
+for the block's ids.
 Bins remain the schedule; execution replays along the frontiers. Workers
 claim positions of the flattened rows in order, and a transaction starts
 once every member of its frontier has been applied, not once its whole
@@ -26,10 +31,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .atomics import Wakeup
-from .binning import UNASSIGNED, BinAssignment
+from .atomics import UNASSIGNED, Wakeup
+from .binning import BinAssignment
 from .faults import run_workers
 from .txn import Address, Transaction
+
+
+_BUILT = object()  # marks a plan build_execution_plan made, valid by construction
 
 
 @dataclass(frozen=True)
@@ -37,11 +45,16 @@ class ExecutionPlan:
     """Ragged bin-by-bin layout and what each transaction waits for.
 
     ``bin_matrix[b][k]`` is a transaction id. ``waits[t]`` holds the ids that
-    transaction ``t`` waits for, its frontier.
+    transaction ``t`` waits for, its frontier. A plan that
+    :func:`build_execution_plan` built carries a private token, which is not
+    part of plan equality and which no constructor call or
+    :func:`dataclasses.replace` sets, so only a hand-made plan is checked in
+    full before it runs.
     """
 
     bin_matrix: tuple[tuple[int, ...], ...]
     waits: tuple[tuple[int, ...], ...]
+    _token: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_bins(self) -> int:
@@ -55,10 +68,11 @@ def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
     """Materialize the per-bin rows from a complete assignment, and the waits from its table.
 
     Rows come out ascending because ids are visited in order. The waits are
-    the frontiers published in ``assignment.table``.
+    the frontiers of ``assignment.table``'s index, which phase 1 published,
+    as a tuple of the index's own tuples. The plan carries the built token.
     """
     initial = assignment.initial_bin_list()
-    if any(b is UNASSIGNED for b in initial):
+    if not assignment.is_complete():
         missing = [i for i, b in enumerate(initial) if b is UNASSIGNED]
         raise ValueError(f"assignment incomplete: {len(missing)} unassigned (first: {missing[:5]})")
     rows: list[list[int]] = [[] for _ in range(max(initial, default=-1) + 1)]
@@ -67,7 +81,9 @@ def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
     table = assignment.table
     if not table.is_complete():
         raise ValueError("conflict table lacks a frontier for some transaction of the assignment")
-    return ExecutionPlan(tuple(tuple(row) for row in rows), tuple(table.snapshot()))
+    plan = ExecutionPlan(tuple(tuple(row) for row in rows), tuple(table.index.frontiers))
+    object.__setattr__(plan, "_token", _BUILT)
+    return plan
 
 
 @dataclass
@@ -114,8 +130,13 @@ def execute_serial(
 
 def _validate_plan(plan: ExecutionPlan, txns: Sequence[Transaction]) -> list[int]:
     """The plan's ids in plan order, once checked to partition the block and to
-    wait only for the block's ids."""
+    wait only for the block's ids; a built plan, valid by construction, is
+    checked only to be of the block's length."""
     n = len(txns)
+    if plan._token is _BUILT:
+        if len(plan.waits) != n:
+            raise ValueError(f"plan is for a block of {len(plan.waits)} transactions, not {n}")
+        return list(itertools.chain.from_iterable(plan.bin_matrix))
     ids = set(range(n))
     order = [txn_id for row in plan.bin_matrix for txn_id in row]
     if len(order) != n or set(order) != ids:

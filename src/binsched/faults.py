@@ -11,8 +11,11 @@ A :class:`FaultPlan` names workers by id; :func:`run_workers` runs the last
 id on the calling thread and the others on peers started in id order. Each
 worker's :class:`Worker` record resolves the plan once into its crash site
 and delay, and carries the run's deadline and its stop signal, ``abort``,
-the run's one :class:`~binsched.atomics.Wakeup`. A worker raises; the
-runner stops the run: only :func:`run_workers` calls the run's ``stop``.
+the run's one :class:`~binsched.atomics.Wakeup`. A worker with no fault
+and no overridden :meth:`Worker.at` has no hook: the phase procedures then
+only test the stop at each claim. A worker raises; the runner stops the
+run: only :func:`run_workers` calls the run's ``stop``, also at once when a
+worker crashes at a site the run cannot survive.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection
 
 from .atomics import Wakeup
 
@@ -134,12 +137,21 @@ def make_fault_plan(
 class Worker:
     """One scheduler worker: its id, the run's wakeup, ``abort``, and deadline
     (a :func:`time.perf_counter` time), its crash site (or None) and per-claim
-    delay (or 0.0), and the telemetry only its own thread writes, read after
-    the join without a lock; a crashed worker's counts outlive its thread.
+    delay (or 0.0), its fault ``hook``, and the telemetry only its own thread
+    writes, read after the join without a lock; a crashed worker's counts
+    outlive its thread.
+
+    ``hook`` is fixed when the record is built: the bound :meth:`at` for a
+    worker with a crash site or a delay, or of a subclass that overrides
+    :meth:`at`, and None for a plain worker, which has nothing to honor at a
+    site but the stop. A phase procedure calls a hook at every site, in
+    order; for a plain worker it only tests ``abort.stopped`` once per claim
+    or swept slot and raises :class:`Aborted`, the test :meth:`at` starts
+    with, so no Python call is made per claim.
     """
 
     __slots__ = (
-        "id", "abort", "deadline", "crash_site", "delay", "cas_retries", "helped",
+        "id", "abort", "deadline", "crash_site", "delay", "hook", "cas_retries", "helped",
         "phase1_start", "phase1_end", "phase2_start", "phase2_end",
     )
 
@@ -155,6 +167,8 @@ class Worker:
         self.deadline = deadline
         self.crash_site = plan.crash_point if id in plan.crashed_workers else None
         self.delay = plan.delay_per_claim if id in plan.delayed_workers else 0.0
+        hooked = self.crash_site is not None or self.delay or type(self).at is not Worker.at
+        self.hook: Callable[[Site], None] | None = self.at if hooked else None
         self.cas_retries = 0  # publication CASes lost, in either phase
         self.helped = 0  # unassigned frontier members a phase-2 helper resolved
         self.phase1_start: float | None = None
@@ -184,25 +198,27 @@ class Worker:
 
 def run_workers(
     body: Callable[[int], None], num_threads: int, name: str, stop: Callable[[], None],
-    until: float = math.inf,
+    until: float = math.inf, fatal: Collection[Site] = (),
 ) -> list[threading.Thread]:
     """Run ``body(w)`` for each worker id ``w < num_threads``; the one place a run stops.
 
     The last id runs on the calling thread; the others on daemon threads
     ``{name}-{w}`` started in id order. A worker raises; the runner stops
-    the run: a :class:`WorkerCrashed` ends its worker silently, an
-    :class:`Aborted` calls ``stop()``, and any other raise is recorded and
-    calls ``stop()``. Peers still alive when joined until ``until``, a
-    :func:`time.perf_counter` time, call ``stop()`` and are returned;
-    otherwise the first recorded error is re-raised.
+    the run: a :class:`WorkerCrashed` ends its worker silently, unless its
+    site is in ``fatal``, the crash sites the run cannot survive, where it
+    calls ``stop()``; an :class:`Aborted` calls ``stop()``, and any other
+    raise is recorded and calls ``stop()``. Peers still alive when joined
+    until ``until``, a :func:`time.perf_counter` time, call ``stop()`` and
+    are returned; otherwise the first recorded error is re-raised.
     """
     errors: list[BaseException] = []
 
     def run(w: int) -> None:
         try:
             body(w)
-        except WorkerCrashed:
-            pass
+        except WorkerCrashed as crash:
+            if crash.site in fatal:
+                stop()
         except Aborted:
             stop()
         except BaseException as exc:

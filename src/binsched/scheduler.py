@@ -17,8 +17,10 @@ the only places a worker blocks: a sleep on the run's one ``Wakeup``, at the
 barrier or on a dependency, and a delayed claim's sleep. A worker raises;
 the runner stops the run: it stops the ``Wakeup``, which ends every sleep and
 stops the peers, so a stopped barrier variant reports :class:`NonTermination`.
-:func:`schedule` runs any plan it can start, and a run that a crash or the
-deadline leaves short raises :class:`NonTermination`.
+The runner also stops the run as soon as a worker crashes where the variant
+cannot survive it: anywhere under STANDARD, and before the meet under
+ASSISTED. :func:`schedule` runs any plan it can start, and a run that a
+crash or the deadline leaves short raises :class:`NonTermination`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .atomics import Wakeup
 from .binning import BinAssignment, assign_bins_helper, assign_bins_standard
 from .conflict import ConflictTable, build_conflict_sets_helper, build_conflict_sets_standard
 from .executor import EMPTY_PLAN, ExecutionPlan, build_execution_plan
-from .faults import Aborted, FaultPlan, Site, Worker, run_workers
+from .faults import CRASH_POINTS, Aborted, FaultPlan, Site, Worker, run_workers
 from .txn import Transaction
 
 DEFAULT_WATCHDOG_SECS = 30.0
@@ -54,6 +56,20 @@ class Variant(enum.Enum):
     @property
     def uses_helpers(self) -> bool:
         return self is not Variant.STANDARD
+
+    @property
+    def fatal_crash_sites(self) -> frozenset[Site]:
+        """The crash sites a run of this variant cannot survive.
+
+        STANDARD redoes no slot a crashed worker claimed, and a barrier
+        variant's meet waits for every worker, so a crash there would leave
+        the survivors waiting out the deadline; LOCKFREE survives every one.
+        """
+        if self is Variant.STANDARD:
+            return frozenset(CRASH_POINTS)
+        if self is Variant.ASSISTED:
+            return frozenset(CRASH_POINTS) - {Site.PHASE2_PRE_CAS}
+        return frozenset()
 
 
 class SchedulerConfigError(ValueError):
@@ -131,8 +147,9 @@ def schedule(
     outside the pool, or a ``watchdog_secs`` that is not finite and > 0; a
     block whose ids are not its positions raises ``ValueError``. It runs
     every other plan. A run that a crash or the deadline leaves short raises
-    :class:`NonTermination`: at the deadline when a crash leaves a peer
-    waiting, and at once when every worker has crashed.
+    :class:`NonTermination`: at once after a crash the variant cannot
+    survive (:attr:`Variant.fatal_crash_sites`) or when every worker has
+    crashed, and otherwise at the deadline.
     """
     if not getattr(sys, "_is_gil_enabled", lambda: True)():
         raise SchedulerConfigError(
@@ -179,7 +196,8 @@ def schedule(
         phase2(bins, phase2_claims, worker)
         worker.phase2_end = time.perf_counter()
 
-    if run_workers(body, num_threads, "sched", abort.stop, until=deadline + _GRACE_SECS):
+    until = deadline + _GRACE_SECS
+    if run_workers(body, num_threads, "sched", abort.stop, until, variant.fatal_crash_sites):
         raise NonTermination(variant, num_threads, watchdog_secs)
     if not bins.is_complete() and (faults.crashes_anyone or abort.stopped):
         # a dead worker's claim is never redone in this variant, and an

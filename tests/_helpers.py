@@ -1,5 +1,5 @@
-"""Shared test fixtures: block builders, hypothesis strategies, a scripted worker
-and a hang guard."""
+"""Shared test fixtures: block builders, hypothesis strategies, a scripted worker,
+publish-once slot access and a hang guard."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import threading
 from hypothesis import strategies as st
 
 from binsched import (
+    UNASSIGNED,
     Transaction,
     TransferPayload,
     Worker,
@@ -28,6 +29,23 @@ class StepWorker(Worker):
 
     def at(self, site):
         self.step(site)
+
+
+def publish(array, i, value):
+    """Store ``value`` into slot ``i`` of a publish-once array, as a claimer that owns it."""
+    array.put(i, (value,))
+
+
+def try_publish(array, i, value):
+    """Compare-and-set slot ``i`` from unset to ``value``; True for the one winner."""
+    box = (value,)
+    return array.put_once(i, box) is box
+
+
+def value_of(array, i):
+    """Slot ``i``'s published value, ``UNASSIGNED`` while unset."""
+    box = array.box_of(i)
+    return UNASSIGNED if box is None else box[0]
 
 
 def run_with_timeout(fn, timeout=30):

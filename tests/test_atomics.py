@@ -3,7 +3,13 @@ import sys
 import threading
 import time
 
-from _helpers import disjoint_block, run_with_timeout
+from _helpers import (
+    disjoint_block,
+    publish,
+    run_with_timeout,
+    try_publish,
+    value_of,
+)
 from binsched import (
     UNASSIGNED,
     AtomicInt,
@@ -68,13 +74,13 @@ def test_racing_claims_hand_out_every_index_exactly_once():
 def test_published_falsy_values_are_distinct_from_unset():
     table = ConflictTable(disjoint_block(2))
     bins = BinAssignment(table)
-    assert bins.try_publish(0, 0)
-    assert table.try_publish(0, ())
-    assert bins.bin_of(0) == 0 and bins.bin_of(0) is not UNASSIGNED
+    assert try_publish(bins, 0, 0)
+    assert try_publish(table, 0, ())
+    assert value_of(bins, 0) == 0 and value_of(bins, 0) is not UNASSIGNED
     assert table.index.lower_conflicts(table.index.txns[0]) == frozenset()
-    assert table.frontier(0) == ()
-    assert bins.bin_of(1) is UNASSIGNED and table.get(1) is UNASSIGNED
-    assert not bins.try_publish(0, 3)
+    assert value_of(table, 0) == ()
+    assert value_of(bins, 1) is UNASSIGNED and value_of(table, 1) is UNASSIGNED
+    assert not try_publish(bins, 0, 3)
     assert bins.initial_bin_list() == [0, UNASSIGNED]
     assert table.snapshot() == [(), UNASSIGNED]
 
@@ -84,7 +90,7 @@ def test_is_complete_exactly_when_every_slot_is_published():
     for i, value in enumerate(["a", "b", "c"]):
         assert not array.is_complete()
         assert array.published() == i
-        array.publish(i, value)
+        publish(array, i, value)
     assert array.is_complete()
     assert array.published() == 3
     assert array.snapshot() == ["a", "b", "c"]
@@ -96,22 +102,22 @@ def test_empty_array_is_complete():
 
 def test_republishing_a_slot_keeps_the_count():
     array = PublishOnceArray(2)
-    array.publish(0, "a")
-    array.publish(0, "b")
+    publish(array, 0, "a")
+    publish(array, 0, "b")
     assert array.published() == 1
-    assert array.get(0) == "b"
+    assert value_of(array, 0) == "b"
     assert not array.is_complete()
 
 
 def test_unpublished_lists_exactly_the_unset_slots_in_order():
     array = PublishOnceArray(5)
     assert list(array.unpublished()) == [0, 1, 2, 3, 4]
-    array.publish(1, 0)  # a falsy value is a published value
-    assert array.try_publish(3, ())
-    assert not array.try_publish(3, "lost")
+    publish(array, 1, 0)  # a falsy value is a published value
+    assert try_publish(array, 3, ())
+    assert not try_publish(array, 3, "lost")
     assert list(array.unpublished()) == [0, 2, 4]
     for i in (0, 2, 4):
-        array.publish(i, i)
+        publish(array, i, i)
     assert list(array.unpublished()) == []
     assert list(PublishOnceArray(0).unpublished()) == []
 
@@ -120,7 +126,7 @@ def test_unpublished_skips_a_slot_published_before_the_scan_reaches_it():
     array = PublishOnceArray(4)
     scan = array.unpublished()
     assert next(scan) == 0
-    array.publish(2, "b")
+    publish(array, 2, "b")
     assert list(scan) == [1, 3]
 
 
@@ -128,7 +134,7 @@ def test_published_runs_no_python_frame():
     # a helper tests published() < n before every claim; as the slot dict's
     # bound __len__ it is one C call, which the profiler sees no frame of
     array = PublishOnceArray(2)
-    array.publish(0, "a")
+    publish(array, 0, "a")
     events = []
     sys.setprofile(lambda frame, event, arg: events.append(event))
     try:
@@ -148,14 +154,14 @@ def test_published_counts_the_set_slots_after_every_publish():
     def set_slots():
         return sum(v is not UNASSIGNED for v in array.snapshot())
 
-    array.publish(0, "a")
+    publish(array, 0, "a")
     assert array.published() == set_slots() == 1
-    array.publish(0, "b")
+    publish(array, 0, "b")
     assert array.published() == set_slots() == 1
-    assert array.try_publish(1, "c")
+    assert try_publish(array, 1, "c")
     assert array.published() == set_slots() == 2
-    assert not array.try_publish(1, "d")
-    assert not array.try_publish(0, "e")
+    assert not try_publish(array, 1, "d")
+    assert not try_publish(array, 0, "e")
     assert array.published() == set_slots() == 2
     assert array.snapshot() == ["b", "c", UNASSIGNED]
 
@@ -168,13 +174,13 @@ def test_racing_try_publish_has_exactly_one_winner():
 
         def race(w):
             start.wait(30)
-            if array.try_publish(0, w):
+            if try_publish(array, 0, w):
                 wins.append(w)
 
         run_threads(race, 8)
         assert len(wins) == 1
         assert array.published() == 1
-        assert array.get(0) == wins[0]
+        assert value_of(array, 0) == wins[0]
 
 
 def test_racing_publishes_of_one_shared_object_have_exactly_one_winner():
@@ -188,12 +194,12 @@ def test_racing_publishes_of_one_shared_object_have_exactly_one_winner():
 
             def race(w):
                 start.wait(30)
-                wins.append(array.try_publish(0, value))
+                wins.append(try_publish(array, 0, value))
 
             run_threads(race, 8)
             assert wins.count(True) == 1
             assert array.published() == 1
-            assert array.get(0) is value
+            assert value_of(array, 0) is value
 
 
 def test_concurrent_publishes_are_all_counted():
@@ -203,8 +209,8 @@ def test_concurrent_publishes_are_all_counted():
 
     def fill(w):
         for i in range(w, n, num_threads):
-            array.try_publish(i, i)
-            array.try_publish((i + 1) % n, i)
+            try_publish(array, i, i)
+            try_publish(array, (i + 1) % n, i)
 
     run_threads(fill, num_threads)
     assert array.published() == n
@@ -230,8 +236,8 @@ def test_lock_free_reads_see_unset_or_final_values():
             if k == len(mine) // 2:
                 for event in looked:
                     event.wait(30)
-            array.try_publish(i, (i, w))
-            array.try_publish((i + 1) % n, ((i + 1) % n, w))
+            try_publish(array, i, (i, w))
+            try_publish(array, (i + 1) % n, ((i + 1) % n, w))
 
     def read(r):
         k = r
@@ -239,9 +245,9 @@ def test_lock_free_reads_see_unset_or_final_values():
             count = array.published()
             counts[r].append(count)
             if count == n:
-                full_views.append([array.get(i) for i in range(n)])
+                full_views.append([value_of(array, i) for i in range(n)])
                 return
-            reads[r].append((k, array.get(k)))
+            reads[r].append((k, value_of(array, k)))
             k = (k + 7) % n
             if count > 0:
                 looked[r].set()
@@ -281,8 +287,8 @@ def test_snapshots_see_unset_or_final_values():
             for k, i in enumerate(mine):
                 if k == len(mine) // 2:
                     looked.wait(30)
-                array.try_publish(i, (i, w))
-                array.try_publish((i + 1) % n, ((i + 1) % n, w))
+                try_publish(array, i, (i, w))
+                try_publish(array, (i + 1) % n, ((i + 1) % n, w))
             return
         while True:
             snapshots.append(array.snapshot())

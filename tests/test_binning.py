@@ -1,4 +1,5 @@
 import dis
+import gc
 import itertools
 import sys
 import threading
@@ -14,15 +15,20 @@ from _helpers import (
     chain_block,
     clique_block,
     disjoint_block,
+    publish,
     random_wallet_block,
     run_with_timeout,
+    try_publish,
+    value_of,
     wallet_block,
 )
 from binsched import (
+    CRASH_POINTS,
     UNASSIGNED,
     Aborted,
     BinAssignment,
     ConflictTable,
+    FaultPlan,
     PublishOnceArray,
     Site,
     Worker,
@@ -33,17 +39,17 @@ from binsched import (
     build_conflict_sets_helper,
     build_conflict_sets_standard,
     build_execution_plan,
-    calculate_bin,
     check_conflicts,
 )
 from binsched.atomics import Wakeup
+from binsched.binning import _help
 from binsched.faults import run_workers
 
 
 def published_table(txns):
     table = ConflictTable(txns)
     for t in txns:
-        table.publish(t.id, table.index.frontiers[t.id])
+        publish(table, t.id, table.index.frontiers[t.id])
     return table
 
 
@@ -79,63 +85,69 @@ def run_helper(bins, claims, worker=None):
 # --- bin computation ----------------------------------------------------------
 
 
+def standard_bin(bins, i, worker):
+    """Slot ``i``'s bin, as STANDARD's phase 2 computes and publishes it from one claim."""
+    assign_bins_standard(bins, iter([i]), worker)
+    return value_of(bins, i)
+
+
 def test_calculate_bin_empty_conflicts():
-    table = table_over([("A", "B")])
-    table.publish(0, ())
-    assert calculate_bin(0, BinAssignment(table), Worker(0)) == 0
+    table = published_table(wallet_block([("A", "B")]))
+    assert standard_bin(BinAssignment(table), 0, Worker(0)) == 0
 
 
 def test_calculate_bin_single_dependency():
-    table = table_over([("A", "B"), ("B", "C")])
-    table.publish(1, (0,))
+    table = published_table(wallet_block([("A", "B"), ("B", "C")]))
+    assert table.index.frontiers[1] == (0,)
     bins = BinAssignment(table)
-    bins.publish(0, 2)
-    assert calculate_bin(1, bins, Worker(0)) == 3
+    publish(bins, 0, 2)
+    assert standard_bin(bins, 1, Worker(0)) == 3
 
 
 def test_calculate_bin_max_of_dependencies():
-    table = table_over([("A", "B"), ("C", "D"), ("A", "C")])
-    table.publish(2, (0, 1))
+    table = published_table(wallet_block([("A", "B"), ("C", "D"), ("A", "C")]))
+    assert set(table.index.frontiers[2]) == {0, 1}
     bins = BinAssignment(table)
-    bins.publish(0, 0)
-    bins.publish(1, 4)
-    assert calculate_bin(2, bins, Worker(0)) == 5
+    publish(bins, 0, 0)
+    publish(bins, 1, 4)
+    assert standard_bin(bins, 2, Worker(0)) == 5
 
 
 def test_calculate_bin_requires_published_slot():
-    with pytest.raises(RuntimeError):
-        calculate_bin(0, BinAssignment(table_over([("A", "B")])), Worker(0))
+    # phase 2 reads the index's frontiers only once phase 1 published every slot
+    table = table_over([("A", "B"), ("B", "C")])
+    publish(table, 1, (0,))
+    claims = itertools.count()
+    with pytest.raises(RuntimeError, match="phase 1 incomplete"):
+        assign_bins_standard(BinAssignment(table), claims, Worker(0))
+    assert next(claims) == 0  # it raised before its first claim
 
 
 def test_calculate_bin_abort_breaks_the_wait():
-    table = table_over([("A", "B"), ("B", "C")])
-    table.publish(1, (0,))
+    table = published_table(wallet_block([("A", "B"), ("B", "C")]))
     bins = BinAssignment(table)  # dependency 0 never assigned
     late = Worker(0, deadline=time.perf_counter() - 1)
     with pytest.raises(Aborted):  # a passed deadline ends the wait
-        calculate_bin(1, bins, late)
+        standard_bin(bins, 1, late)
     assert not late.abort.stopped  # a worker raises; the runner stops the run
-    assert run_workers(lambda w: calculate_bin(1, bins, late), 1, "t", late.abort.stop) == []
+    assert run_workers(lambda w: standard_bin(bins, 1, late), 1, "t", late.abort.stop) == []
     assert late.abort.stopped
     # so does the stop a peer made, without a deadline; a lost stop fails instead of hanging
-    raised = run_with_timeout(lambda: calculate_bin(1, bins, Worker(1, abort=late.abort)), 5)
+    raised = run_with_timeout(lambda: standard_bin(bins, 1, Worker(1, abort=late.abort)), 5)
     assert len(raised) == 1 and isinstance(raised[0], Aborted)
 
 
-def sleep_in_calculate_bin(wake):
+def sleep_in_phase2(wake):
     """Slot 1 of a two-transfer block sleeps on its unassigned dependency 0
     with no deadline until ``wake(bins, wakeup)``; returns what the sleeper
     returned or raised."""
-    table = table_over([("A", "B"), ("B", "C")])
-    table.publish(0, ())
-    table.publish(1, (0,))
-    bins = BinAssignment(table)
+    bins = BinAssignment(published_table(wallet_block([("A", "B"), ("B", "C")])))
     wakeup = Wakeup()
     got = []
 
     def sleep():
         try:
-            got.append(calculate_bin(1, bins, Worker(0, abort=wakeup)))
+            got.append(standard_bin(bins, 1, Worker(0, abort=wakeup)))
         except Aborted as exc:
             got.append(exc)
 
@@ -145,7 +157,7 @@ def sleep_in_calculate_bin(wake):
         sleeper.start()  # the worker's deadline is infinite: only a wake or a stop ends it
         limit = time.perf_counter() + 5
         while wakeup.sleepers != 1:
-            assert time.perf_counter() < limit, "calculate_bin never slept"
+            assert time.perf_counter() < limit, "phase 2 never slept"
         wake(bins, wakeup)
         sleeper.join()
 
@@ -156,21 +168,21 @@ def sleep_in_calculate_bin(wake):
 
 def test_a_publish_wakes_a_phase2_sleeper():
     # a peer runs phase 2 on slot 0 alone: its publish, not the test, wakes the sleeper
-    got = sleep_in_calculate_bin(
+    got = sleep_in_phase2(
         lambda bins, wakeup: assign_bins_standard(bins, iter([0, 2]), Worker(1, abort=wakeup))
     )
     assert got == [1]
 
 
 def test_a_peer_stop_ends_a_phase2_sleep_without_a_deadline():
-    got = sleep_in_calculate_bin(lambda bins, wakeup: wakeup.stop())
+    got = sleep_in_phase2(lambda bins, wakeup: wakeup.stop())
     assert len(got) == 1 and isinstance(got[0], Aborted)
 
 
 def test_helper_resolves_an_unassigned_dependency():
     table = table_over([("A", "B"), ("B", "C")])
-    table.publish(0, ())
-    table.publish(1, (0,))
+    publish(table, 0, ())
+    publish(table, 1, (0,))
     bins = BinAssignment(table)
     claims = itertools.count(1)
     helped = run_helper(bins, claims)
@@ -181,7 +193,7 @@ def test_helper_resolves_an_unassigned_dependency():
 
 def test_helper_empty_conflicts():
     table = table_over([("A", "B")])
-    table.publish(0, ())
+    publish(table, 0, ())
     bins = BinAssignment(table)
     helped = run_helper(bins, itertools.count(0))
     assert bins.initial_bin_list() == [0]
@@ -190,12 +202,12 @@ def test_helper_empty_conflicts():
 
 def test_helper_equal_dependencies():
     table = published_table(wallet_block([("A", "B"), ("C", "D"), ("A", "C")]))
-    assert set(table.frontier(2)) == {0, 1}
+    assert set(value_of(table, 2)) == {0, 1}
     bins = BinAssignment(table)
-    bins.publish(0, 1)
-    bins.publish(1, 1)
+    publish(bins, 0, 1)
+    publish(bins, 1, 1)
     helped = run_helper(bins, itertools.count(2))
-    assert bins.bin_of(2) == 2
+    assert value_of(bins, 2) == 2
     assert helped == 0
 
 
@@ -204,10 +216,10 @@ def test_helper_waits_only_on_the_frontier():
     # not resolve it on slot 2's behalf, since 1 already bounds 2's bin
     block = wallet_block([("X", "Y")] * 3)
     table = published_table(block)
-    assert table.frontier(2) == (1,)
+    assert value_of(table, 2) == (1,)
     assert table.index.lower_conflicts(block[2]) == frozenset({0, 1})
     bins = BinAssignment(table)
-    bins.publish(1, 3)
+    publish(bins, 1, 3)
     helped = run_helper(bins, itertools.count(2))
     assert bins.initial_bin_list() == [0, 3, 4]  # 0 was filled by its own claim
     assert helped == 0
@@ -230,7 +242,7 @@ def test_one_claim_resolves_a_whole_unassigned_chain():
 def test_helper_on_an_incomplete_table_raises():
     # phase 2 reads only published frontiers: slot 1's is missing
     table = table_over([("A", "B"), ("B", "C")])
-    table.publish(0, ())
+    publish(table, 0, ())
     bins = BinAssignment(table)
     claims = itertools.count()
     with pytest.raises(RuntimeError, match="phase 1 incomplete"):
@@ -297,6 +309,94 @@ def test_each_slot_visits_its_two_sites_once_in_order(phase1, phase2):
     assert bins.initial_bin_list() == bin_oracle(block)
 
 
+# --- a worker's fault hook ----------------------------------------------------
+
+PHASES = [
+    (build_conflict_sets_standard, assign_bins_standard),
+    (build_conflict_sets_helper, assign_bins_helper),
+]
+
+
+def run_phase(procedure, block, worker, claims):
+    """Run one phase procedure over ``block`` with phase 1 done for a phase-2 one;
+    returns the array it publishes into."""
+    if procedure in (build_conflict_sets_standard, build_conflict_sets_helper):
+        array = ConflictTable(block)
+    else:
+        array = BinAssignment(published_table(block))
+    procedure(array, claims, worker)
+    return array
+
+
+@pytest.mark.parametrize("procedure", [p for pair in PHASES for p in pair], ids=lambda f: f.__name__)
+def test_a_plain_worker_whose_run_is_stopped_raises_at_its_first_claim(procedure):
+    worker = Worker(0)
+    assert worker.hook is None
+    worker.abort.stop()
+    claims = itertools.count()
+    with pytest.raises(Aborted):
+        run_phase(procedure, chain_block(5), worker, claims)
+    assert next(claims) == 1  # it claimed slot 0 and published nothing
+
+
+@pytest.mark.parametrize("phase1, phase2", PHASES, ids=["standard", "helper"])
+def test_a_delayed_worker_sleeps_at_every_claim(phase1, phase2, monkeypatch):
+    slept = []
+    monkeypatch.setattr("binsched.faults.time.sleep", slept.append)
+    plan = FaultPlan(delayed_workers=frozenset({0}), delay_per_claim=0.001)
+    for procedure in (phase1, phase2):
+        slept.clear()
+        array = run_phase(procedure, chain_block(5), Worker(0, plan), itertools.count())
+        assert slept == [0.001] * 5
+        assert array.is_complete()
+
+
+@pytest.mark.parametrize("phase1, phase2", PHASES, ids=["standard", "helper"])
+@pytest.mark.parametrize("site", CRASH_POINTS, ids=lambda s: s.value)
+def test_a_crashed_worker_crashes_at_its_site(phase1, phase2, site):
+    plan = FaultPlan(crashed_workers=frozenset({0}), crash_point=site)
+    for procedure in (phase1, phase2):
+        worker = Worker(0, plan)
+        claims = itertools.count()
+        prefix = "phase1" if procedure is phase1 else "phase2"
+        if not site.value.startswith(prefix):  # the inter-phase site lies in neither phase
+            assert run_phase(procedure, chain_block(5), worker, claims).is_complete()
+            continue
+        with pytest.raises(WorkerCrashed):
+            run_phase(procedure, chain_block(5), worker, claims)
+        assert next(claims) == 1  # at its first claim
+
+
+@pytest.mark.parametrize("procedure", [p for pair in PHASES for p in pair], ids=lambda f: f.__name__)
+def test_a_plain_worker_makes_no_python_call_per_claim(procedure):
+    # a plain worker's claim is C calls only: the profiler records as many
+    # Python calls for 1000 slots as for 10, the procedure's own and its set-up.
+    # The collector is off meanwhile: a finalizer it runs, such as a suspended
+    # generator's left by another test, is a Python call the procedure did not make
+    def calls(n):
+        block = disjoint_block(n)
+        array = ConflictTable(block) if procedure.__name__.startswith("build") else (
+            BinAssignment(published_table(block))
+        )
+        claims = itertools.count()
+        worker = Worker(0)
+        called = []
+        gc.collect()
+        gc.disable()
+        sys.setprofile(
+            lambda frame, event, arg: event == "call" and called.append(frame.f_code.co_name)
+        )
+        try:
+            procedure(array, claims, worker)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert array.is_complete()
+        return called
+
+    assert calls(10) == calls(1000)
+
+
 # --- a helper's first pass and its sweep -----------------------------------------
 
 # Frontiers (), (), (0,), (): no later slot waits on slot 1, so only a sweep reaches it.
@@ -345,7 +445,7 @@ def test_a_helper_sweeps_the_slot_a_stopped_peer_claimed(helper_phase, peer):
     assert [site for site, _ in visits] == list(sites) * len(block)
     assert visits[-2:] == [(site, [1]) for site in sites]  # the swept slot comes last
     if peer == "stalled":
-        assert not array.try_publish(1, expected[1])
+        assert not try_publish(array, 1, expected[1])
     assert array.snapshot() == list(expected)
     assert worker.cas_retries == 0
 
@@ -366,7 +466,7 @@ def test_a_sweep_that_peers_finish_first_ends_the_phase(helper_phase, monkeypatc
     def scan_that_a_peer_finishes_first(arr):
         def scan():  # runs at the scan's first step, after the helper's test
             for i in list(unpublished(arr)):
-                assert arr.try_publish(i, expected[i])
+                assert try_publish(arr, i, expected[i])
             yield from unpublished(arr)
 
         return scan()
@@ -401,7 +501,7 @@ def test_a_first_pass_claim_a_peer_publishes_first_has_one_winner(helper_phase):
         visits.append(site)
         if len(visits) == 5:  # slots 0 and 1 took two sites each: slot 2's claim site
             assert site is sites[0]
-            peer_won.append(array.try_publish(2, expected[2]))
+            peer_won.append(try_publish(array, 2, expected[2]))
 
     worker = StepWorker(peer_publishes_slot_2)
     helper(array, claims, worker)
@@ -419,7 +519,7 @@ def test_a_first_pass_claim_a_peer_publishes_first_has_one_winner(helper_phase):
         build_conflict_sets_helper,
         assign_bins_standard,
         assign_bins_helper,
-        calculate_bin,
+        _help,
     ],
     ids=lambda f: f.__name__,
 )
@@ -434,10 +534,11 @@ def test_phase_loops_do_not_look_up_sites_on_the_enum(procedure):
 
 
 def test_calculate_bin_makes_no_closure_cells():
-    # a predicate closure in calculate_bin itself turns its arguments into
-    # cells at every call: on CPython 3.11 that took an empty frontier's call
-    # from about 300 to 500 ns (timeit, one CPU), paid for every slot
-    assert calculate_bin.__code__.co_cellvars == ()
+    # a predicate closure in STANDARD's phase 2 itself turns its locals into
+    # cells at every call: on CPython 3.11 that took an empty frontier's bin
+    # from about 300 to 500 ns (timeit, one CPU), paid for every slot; the
+    # closure lives in the sleep, which only an unassigned member reaches
+    assert assign_bins_standard.__code__.co_cellvars == ()
 
 
 # --- serial oracle --------------------------------------------------------------
@@ -560,9 +661,9 @@ def test_oracle_equivalence_on_arbitrary_access_sets(txns):
 
 def test_try_assign_publishes_once():
     bins = BinAssignment(ConflictTable(disjoint_block(1)))
-    assert bins.try_publish(0, 2)
-    assert not bins.try_publish(0, 5)
-    assert bins.bin_of(0) == 2
+    assert try_publish(bins, 0, 2)
+    assert not try_publish(bins, 0, 5)
+    assert value_of(bins, 0) == 2
     assert bins.published() == 1
 
 
@@ -574,10 +675,10 @@ def test_assignment_publish_once_accounting():
 
 def test_unassigned_sentinel_distinct_from_bin_zero():
     bins = BinAssignment(ConflictTable(disjoint_block(2)))
-    assert bins.bin_of(0) == UNASSIGNED
-    bins.publish(0, 0)
-    assert bins.bin_of(0) == 0
-    assert bins.bin_of(1) == UNASSIGNED
+    assert value_of(bins, 0) == UNASSIGNED
+    publish(bins, 0, 0)
+    assert value_of(bins, 0) == 0
+    assert value_of(bins, 1) == UNASSIGNED
 
 
 def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
@@ -587,7 +688,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
     block = disjoint_block(2)
     bins = BinAssignment(published_table(block))
     claims = itertools.count()
-    assert bins.try_publish(0, 0)
+    assert try_publish(bins, 0, 0)
     peer_claims = []
 
     def peer_claims_next(site):

@@ -10,6 +10,8 @@ from _helpers import (
     frontier_oracle,
     random_wallet_block,
     run_with_timeout,
+    try_publish,
+    value_of,
     wallet_block,
 )
 from binsched import (
@@ -376,7 +378,7 @@ def test_standard_variant_leaves_crashed_slot_unset():
     table = run_standard_phase1(block, num_threads=2, faults=faults)
     unset = [i for i, f in enumerate(table.snapshot()) if f is UNASSIGNED]
     assert len(unset) == 1
-    assert all(table.frontier(i) == () for i in range(len(block)) if i not in unset)
+    assert all(value_of(table, i) == () for i in range(len(block)) if i not in unset)
     assert table.published() == len(block) - 1
     assert not table.is_complete()
 
@@ -408,11 +410,11 @@ def test_published_slots_are_immutable_snapshots():
     snapshot = table.index.lower_conflicts(block[1])
     assert snapshot == frozenset({0})
     assert isinstance(snapshot, frozenset)
-    assert table.frontier(1) == (0,)
+    assert value_of(table, 1) == (0,)
     # a second publish attempt must lose
-    assert not table.try_publish(1, ())
+    assert not try_publish(table, 1, ())
     assert table.index.lower_conflicts(block[1]) == frozenset({0})
-    assert table.frontier(1) == (0,)
+    assert value_of(table, 1) == (0,)
 
 
 def test_stuck_counters_stay_within_bounds():
@@ -439,7 +441,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
     block = wallet_block([("A", "B"), ("C", "D")])
     table = ConflictTable(block)
     claims = itertools.count()
-    assert table.try_publish(0, ())
+    assert try_publish(table, 0, ())
     peer_claims = []
 
     def peer_claims_next(site):
@@ -449,3 +451,46 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
     build_conflict_sets_helper(table, claims, StepWorker(peer_claims_next))
     assert peer_claims == [1, 1]
     assert published_frontiers(table) == [set(), set()]
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_every_published_slot_holds_the_index_box(variant):
+    # phase 1 publishes what the index built, and phase 2 and the plan read the
+    # index: a slot holding anything else, even an equal value, fails here
+    block = generate_workload(WorkloadSpec(n_txns=300, n_accounts=40, dependency_pct=40, seed=5))
+    table = schedule(block, variant, 1).assignment.table
+    index = table.index
+    assert all(table.box_of(i) is index.boxes[i] for i in range(len(block)))
+    # with peers, a helper's sweep may box a slot's frontier afresh; it is still the index's
+    table = schedule(block, variant, 2).assignment.table
+    index = table.index
+    assert all(table.box_of(i)[0] is index.frontiers[i] for i in range(len(block)))
+    if variant is Variant.STANDARD:
+        assert all(table.box_of(i) is index.boxes[i] for i in range(len(block)))
+
+
+def test_the_index_boxes_each_frontier_in_a_box_of_its_own():
+    index = ConflictIndex(wallet_block([(f"u{i}", f"v{i}") for i in range(50)]))
+    assert all(frontier == () for frontier in index.frontiers)  # one shared ()
+    assert [box[0] for box in index.boxes] == index.frontiers
+    assert len({id(box) for box in index.boxes}) == 50
+
+
+def test_a_sweepers_box_beats_a_stalled_claimers_index_box():
+    # a first-pass claim publishes the index's box, which no peer passes; a
+    # sweep boxes the frontier afresh, so whichever comes second loses its CAS
+    table = ConflictTable(wallet_block([("A", "B"), ("C", "D")]))
+    box = table.index.boxes[1]
+    claims = itertools.count()
+    stalled = []
+
+    def claim_slot_1_and_stall(site):
+        if not stalled:
+            stalled.append(next(claims))
+
+    worker = StepWorker(claim_slot_1_and_stall)
+    build_conflict_sets_helper(table, claims, worker)
+    assert stalled == [1]
+    assert table.box_of(1) is not box and table.box_of(1)[0] is table.index.frontiers[1]
+    assert table.put_once(1, box) is not box  # the stalled claimer resumes and loses
+    assert worker.cas_retries == 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from _helpers import (
     disjoint_block,
     frontier_oracle,
+    publish,
     random_wallet_block,
     run_with_timeout,
     wallet_block,
@@ -36,11 +37,11 @@ def assignment_of(bins_by_txn, table=None):
     if table is None:
         table = ConflictTable(disjoint_block(len(bins_by_txn)))
         for i in range(table.n):
-            table.publish(i, ())
+            publish(table, i, ())
     bins = BinAssignment(table)
     for i, b in enumerate(bins_by_txn):
         if b is not None:
-            bins.publish(i, b)
+            publish(bins, i, b)
     return bins
 
 
@@ -85,15 +86,15 @@ def test_the_plan_rebuilt_from_the_assignment_is_the_scheduled_plan(variant):
 def test_build_plan_rejects_a_table_missing_a_frontier():
     block = wallet_block([("A", "B"), ("B", "C")])
     table = ConflictTable(block)
-    table.publish(0, ())
+    publish(table, 0, ())
     with pytest.raises(ValueError, match="lacks a frontier"):
         build_execution_plan(assignment_of([0, 1], table))
 
 
 def test_plans_stay_frozen_and_hashable():
     table = ConflictTable(wallet_block([("A", "B")] * 2))
-    table.publish(0, ())
-    table.publish(1, (0,))
+    publish(table, 0, ())
+    publish(table, 1, (0,))
     plan = build_execution_plan(assignment_of([0, 1], table))
     assert plan.waits == ((), (0,))
     assert hash(plan) == hash(ExecutionPlan(plan.bin_matrix, plan.waits))
@@ -362,3 +363,36 @@ def test_determinism_property(block, num_threads, variant):
     serial = execute_serial(block, WalletState())
     assert final.balances == serial.balances
     assert final.total() == 0
+
+
+# --- built plans --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_a_built_plans_waits_are_the_index_frontiers(variant):
+    block = random_wallet_block(seed=307, max_n=200)
+    result = schedule(block, variant, num_threads=2)
+    frontiers = result.assignment.table.index.frontiers
+    assert result.plan.waits == tuple(frontiers)
+    assert all(w is f for w, f in zip(result.plan.waits, frontiers))
+
+
+def test_a_built_plan_run_against_a_block_of_another_length_is_rejected():
+    block = random_wallet_block(seed=308, max_n=200)
+    plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+    for other in (block[:-1], block + wallet_block([("A", "B")])):
+        for num_threads in (1, 2):
+            with pytest.raises(ValueError, match="plan is for a block of"):
+                execute_plan(plan, other, WalletState(), num_threads=num_threads)
+
+
+def test_a_plan_made_from_a_built_one_is_checked_in_full():
+    # the built token is not part of equality and no constructor or replace() sets it
+    plan = build_execution_plan(assignment_of([0, 0, 0]))
+    assert plan == ExecutionPlan(plan.bin_matrix, plan.waits)
+    bad_wait = dataclasses.replace(plan, waits=((), (), (7,)))
+    with pytest.raises(ValueError, match=r"transaction 2 waits for \[7\], outside"):
+        execute_plan(bad_wait, disjoint_block(3), WalletState(), num_threads=2)
+    twice = dataclasses.replace(plan, bin_matrix=((0, 0, 1),))
+    with pytest.raises(ValueError, match="partition"):
+        execute_plan(twice, disjoint_block(3), WalletState(), num_threads=2)

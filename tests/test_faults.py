@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from binsched import Aborted, FaultPlan, Site, Worker, WorkerCrashed, make_fault_plan
+from binsched import CRASH_POINTS, Aborted, FaultPlan, Site, Worker, WorkerCrashed, make_fault_plan
 from binsched.atomics import Wakeup
 from binsched.faults import run_workers
 
@@ -178,3 +178,35 @@ def test_run_workers_returns_the_peers_alive_past_until(caller_raises):
     release.set()
     stuck[0].join(5)
     assert not stuck[0].is_alive()
+
+
+class OverridingWorker(Worker):
+    def at(self, site):
+        super().at(site)
+
+
+def test_a_worker_has_a_fault_hook_only_where_there_is_one():
+    plan = FaultPlan(
+        delayed_workers=frozenset({1}),
+        delay_per_claim=0.001,
+        crashed_workers=frozenset({2}),
+        crash_point=Site.PHASE2_PRE_CAS,
+    )
+    assert Worker(0, plan).hook is None  # nothing to honor but the stop
+    for worker in (Worker(1, plan), Worker(2, plan), OverridingWorker(0)):
+        assert worker.hook == worker.at
+
+
+@pytest.mark.parametrize("site", CRASH_POINTS, ids=lambda s: s.value)
+def test_run_workers_stops_the_run_at_a_crash_it_cannot_survive(site):
+    stopped = []
+
+    def body(w):
+        if w == 0:
+            raise WorkerCrashed(0, site)
+
+    run_workers(body, 2, "t", lambda: stopped.append(True), fatal={site})
+    assert stopped == [True]
+    stopped.clear()
+    run_workers(body, 2, "t", lambda: stopped.append(True), fatal=set(CRASH_POINTS) - {site})
+    assert stopped == []  # a crash the run survives ends its worker silently

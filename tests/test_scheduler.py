@@ -10,8 +10,11 @@ from _helpers import (
     StepWorker,
     chain_block,
     disjoint_block,
+    publish,
     random_wallet_block,
     run_with_timeout,
+    try_publish,
+    value_of,
     wallet_block,
     wallet_blocks,
 )
@@ -246,14 +249,13 @@ def test_lockfree_survives_a_crashed_calling_thread(crash_point, num_threads, cr
     assert crashed_on == [threading.current_thread()]
 
 
-def test_standard_stops_at_the_deadline_when_a_peer_waits_on_the_crashed_calling_thread(
+def test_standard_stops_at_once_when_a_peer_waits_on_the_crashed_calling_thread(
     crashed_on,
 ):
     # each transfer's frontier is the one before it. The peer sleeps on
-    # every claim, so the calling thread claims a phase-2 slot, crashes
-    # before publishing it, and the peer waits on that slot in
-    # calculate_bin until the deadline
-    watchdog = 0.5
+    # every claim, so the calling thread claims a phase-2 slot and crashes
+    # before publishing it, while the peer may wait on that slot; STANDARD
+    # survives no crash, so the runner stops the run then, not at the deadline
     faults = FaultPlan(
         delayed_workers=frozenset({0}),
         delay_per_claim=0.005,
@@ -262,11 +264,49 @@ def test_standard_stops_at_the_deadline_when_a_peer_waits_on_the_crashed_calling
     )
     started = time.perf_counter()
     with pytest.raises(NonTermination):
-        schedule(
-            chain_block(40), Variant.STANDARD, 2, faults=faults, watchdog_secs=watchdog
-        )
-    assert watchdog <= time.perf_counter() - started < watchdog + 2
+        schedule(chain_block(40), Variant.STANDARD, 2, faults=faults, watchdog_secs=30)
+    assert time.perf_counter() - started < 1
     assert crashed_on == [threading.current_thread()]
+
+
+@pytest.mark.parametrize(
+    "variant, crashed, crash_point",
+    [
+        (Variant.STANDARD, {0, 1}, Site.PHASE2_PRE_CAS),
+        (Variant.STANDARD, {0}, Site.PHASE1_POST_CLAIM),
+        (Variant.STANDARD, {1}, Site.INTER_PHASE),
+        (Variant.ASSISTED, {0}, Site.PHASE1_PRE_PUBLISH),
+        (Variant.ASSISTED, {0}, Site.INTER_PHASE),
+        (Variant.ASSISTED, {1}, Site.INTER_PHASE),
+    ],
+    ids=lambda v: v.value if isinstance(v, (Variant, Site)) else "-".join(map(str, sorted(v))),
+)
+def test_a_crash_the_variant_cannot_survive_ends_the_run_at_once(
+    variant, crashed, crash_point, crashed_on
+):
+    # before the runner stopped such a run, the survivors slept on the crashed
+    # worker's slot or at the meet until the whole 30 s budget was spent
+    block = generate_workload(WorkloadSpec(40, 10, 100, seed=1))
+    faults = FaultPlan(crashed_workers=frozenset(crashed), crash_point=crash_point)
+    assert crash_point in variant.fatal_crash_sites
+    for _ in range(5):
+        crashed_on.clear()
+        started = time.perf_counter()
+        raised = run_with_timeout(
+            lambda: schedule(block, variant, 2, faults, watchdog_secs=30), timeout=10
+        )
+        elapsed = time.perf_counter() - started
+        if crashed_on:  # a worker whose peer claimed every slot first never reaches its site
+            break
+    assert crashed_on, "no worker reached its crash site"
+    assert [type(exc) for exc in raised] == [NonTermination]
+    assert elapsed < 1
+
+
+def test_lockfree_survives_every_crash_site():
+    assert Variant.LOCKFREE.fatal_crash_sites == frozenset()
+    assert Variant.ASSISTED.fatal_crash_sites == frozenset(CRASH_POINTS) - {Site.PHASE2_PRE_CAS}
+    assert Variant.STANDARD.fatal_crash_sites == frozenset(CRASH_POINTS)
 
 
 def test_a_peer_error_wakes_a_standard_sleeper_long_before_the_deadline(monkeypatch):
@@ -401,22 +441,22 @@ def test_a_lost_phase1_publish_counts_one_cas_retry():
 
     def peer_publishes_first(site):
         if site is Site.PHASE1_PRE_PUBLISH:
-            assert table.try_publish(0, ())
+            assert try_publish(table, 0, ())
 
     worker = StepWorker(peer_publishes_first)
     build_conflict_sets_helper(table, itertools.count(), worker)
     assert worker.cas_retries == 1
-    assert table.frontier(0) == ()
+    assert value_of(table, 0) == ()
 
 
 def test_a_lost_phase2_publish_counts_one_cas_retry():
     table = ConflictTable(wallet_block([("A", "B")]))
-    table.publish(0, ())
+    publish(table, 0, ())
     bins = BinAssignment(table)
 
     def peer_publishes_first(site):
         if site is Site.PHASE2_PRE_CAS:
-            assert bins.try_publish(0, 0)
+            assert try_publish(bins, 0, 0)
 
     worker = StepWorker(peer_publishes_first)
     assign_bins_helper(bins, itertools.count(), worker)
@@ -432,7 +472,7 @@ def test_a_crashed_workers_lost_cas_stays_counted():
 
     def peer_publishes_then_crash(site):
         if site is Site.PHASE1_PRE_PUBLISH:
-            assert table.try_publish(0, ())
+            assert try_publish(table, 0, ())
         elif site is Site.PHASE1_POST_CLAIM:
             claim_sites.append(site)
             if len(claim_sites) == 2:
@@ -442,7 +482,7 @@ def test_a_crashed_workers_lost_cas_stays_counted():
     with pytest.raises(WorkerCrashed):
         build_conflict_sets_helper(table, itertools.count(), worker)
     assert worker.cas_retries == 1
-    assert table.frontier(1) is None
+    assert value_of(table, 1) is None
 
 
 def test_an_incomplete_assignment_names_the_missing_slots(monkeypatch):
