@@ -15,14 +15,16 @@ claim never sleeps, so the script counts, through a stand-in for
 once. A helper whose claim passes n sweeps the slots still unset, as it
 must for a slot a crashed or descheduled peer claimed; through a stand-in
 for ``PublishOnceArray.unpublished`` the script counts the runs in which
-a helper did. Every run's bins are checked against ``bin_oracle``. A wallet
+a helper did. Every run's bins are checked against ``bin_oracle``, and
+every phase-1 slot, claimed or swept, is checked to hold the conflict
+index's own frontier object, which phase 2 and the plan read. A wallet
 block's plan is also executed by ``execute_plan`` on the surviving threads
 and checked against ``execute_serial``'s final balances; access-set blocks
 carry no payload, so they are not executed.
 Every other block runs at a thread switch interval of 10 us, so claims and
 publishes interleave more finely.
-Exits 1 on any wrong bins, wrong balances or error, or when no delayed run
-slept or no helper swept; 0 otherwise.
+Exits 1 on any wrong bins, foreign frontier, wrong balances or error, or
+when no delayed run slept or no helper swept; 0 otherwise.
 
     PYTHONPATH=src python scripts/stress_helpers.py --seed 7 --blocks 100
 """
@@ -115,6 +117,10 @@ def check_run(block, variant, threads, faults, expected, expected_balances) -> l
     problems = []
     if result.assignment.initial_bin_list() != expected:
         problems.append("WRONG BINS")
+    table = result.assignment.table
+    frontiers = table.index.frontiers
+    if not all(table.box_of(i)[0] is frontiers[i] for i in range(len(block))):
+        problems.append("A SLOT HOLDS A FRONTIER THE INDEX DID NOT BUILD")
     if expected_balances is not None and final.balances != expected_balances:
         problems.append("WRONG BALANCES")
     return problems

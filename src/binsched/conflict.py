@@ -24,30 +24,29 @@ instrumented site; a plain worker only has its stop tested at each claim
 or swept slot, so a claim is C calls only.
 
 * :func:`build_conflict_sets_standard` hands each index to exactly one
-  worker by a shared counter and stores the slot's box, which the index
-  built, with the table's bound ``put``. A worker that stops mid claim
-  leaves its slot unset forever; this variant is not crash tolerant.
+  worker by a shared counter and stores the slot's frontier, boxed afresh,
+  with the table's bound ``put``. A worker that stops mid claim leaves its
+  slot unset forever; this variant is not crash tolerant.
 * :func:`build_conflict_sets_helper` makes a first pass over the claims
   below ``n``, each handed out once, and publishes each claimed slot's
-  index box with the table's bound ``put_once``, a compare-and-swap from
-  unset that it won if it gets its own box back, so exactly one publisher
-  wins per slot, without reading the slot first. Its first claim past
-  ``n`` ends the pass: it then sweeps the slots still unset, which
-  :meth:`~binsched.atomics.PublishOnceArray.unpublished` finds by a scan
-  in C, visiting each slot's sites as a claim does, and boxes each swept
-  slot's frontier afresh, since the slot's claimer may still publish the
-  index's box. So fast workers recompute slots abandoned by slow or
-  stopped peers without claiming their way through the published ones. A
-  worker leaves the phase once the table's publish count reaches ``n``,
-  which by :class:`~binsched.atomics.PublishOnceArray`'s invariant means
-  every slot is published. Each CAS it loses counts one on
-  ``worker.cas_retries``.
+  frontier in a fresh box with the table's bound ``put_once``, a
+  compare-and-swap from unset that it won if it gets its own box back, so
+  exactly one publisher wins per slot, without reading the slot first. Its
+  first claim past ``n`` ends the pass: it then sweeps the slots still
+  unset, which :meth:`~binsched.atomics.PublishOnceArray.unpublished` finds
+  by a scan in C, visiting each slot's sites and publishing each as a claim
+  does. So fast workers recompute slots abandoned by slow or stopped peers
+  without claiming their way through the published ones. A worker leaves
+  the phase once the table's publish count reaches ``n``, which by
+  :class:`~binsched.atomics.PublishOnceArray`'s invariant means every slot
+  is published. Each CAS it loses counts one on ``worker.cas_retries``.
 
 :class:`ConflictIndex`, which a :class:`ConflictTable` builds once from the
 immutable block, lists every frontier, each id once, in one id-order scan,
-and boxes each, so a phase-1 claim makes one lookup, ``index.boxes[i]``.
-Phase 2 and the execution plan read ``index.frontiers`` once the table is
-complete, since a published slot holds the index's own frontier.
+so a phase-1 claim makes one lookup, ``index.frontiers[i]``. Phase 2 and
+the execution plan read ``index.frontiers`` once the table is complete,
+since every published slot, claimed or swept, holds the index's own
+frontier.
 :func:`conflict_sets_oracle` is the independent quadratic restatement used
 to cross-check it.
 """
@@ -119,14 +118,13 @@ class ConflictIndex:
     the latest writer; a read-only access lists the writer and joins the run.
     Finishing transaction ``i``, it stores the ids it listed, each once (two
     deduplicated by one comparison, more by a set), as the tuple
-    ``frontiers[i]`` (the shared ``()`` when empty). ``boxes[i]`` is that
-    frontier in a 1-tuple of the slot's own, the box phase 1's first pass
-    publishes. The scan checks each id against its position and raises
-    ``ValueError`` at the first that differs. The block stays as ``txns``
-    for :meth:`lower_conflicts`, which runs :func:`lower_conflict_sets` once.
+    ``frontiers[i]`` (the shared ``()`` when empty). The scan checks each id
+    against its position and raises ``ValueError`` at the first that
+    differs. The block stays as ``txns`` for :meth:`lower_conflicts`, which
+    runs :func:`lower_conflict_sets` once.
     """
 
-    __slots__ = ("txns", "frontiers", "boxes", "_lower")
+    __slots__ = ("txns", "frontiers", "_lower")
 
     def __init__(self, txns: Sequence[Transaction]) -> None:
         self.txns = txns
@@ -168,7 +166,6 @@ class ConflictIndex:
             frontiers.append(tuple(own) if len(own) < 3 else tuple(set(own)))
             own.clear()
         self.frontiers = frontiers
-        self.boxes = list(zip(frontiers))  # 1-tuples, all alive at once, so distinct objects
 
     def lower_conflicts(self, txn: Transaction) -> frozenset[int]:
         if self._lower is None:
@@ -196,7 +193,7 @@ def build_conflict_sets_standard(
 ) -> None:
     """The table's block's frontiers, each index claimed once from ``claims``."""
     n = table.n
-    boxes = table.index.boxes
+    frontiers = table.index.frontiers
     put = table.put
     hook = worker.hook
     abort = worker.abort
@@ -209,7 +206,7 @@ def build_conflict_sets_standard(
         else:
             hook(_PHASE1_POST_CLAIM)
             hook(_PHASE1_PRE_PUBLISH)
-        put(i, boxes[i])
+        put(i, (frontiers[i],))
 
 
 def build_conflict_sets_helper(
@@ -217,20 +214,16 @@ def build_conflict_sets_helper(
 ) -> None:
     """The table's block's frontiers: a first pass of claims, then a sweep; CAS-published."""
     n = table.n
-    index = table.index
-    boxes = index.boxes
-    frontiers = index.frontiers
+    frontiers = table.index.frontiers
     put_once = table.put_once
     published = table.published
     hook = worker.hook
     abort = worker.abort
     slots = claims
-    sweeping = False
     while published() < n:
         i = next(slots, n)
         if i >= n:  # past the claims, or past a sweep peers finished: sweep what is unset
             slots = table.unpublished()
-            sweeping = True  # a swept slot may be a peer's claim: box its frontier afresh
             continue
         if hook is None:
             if abort.stopped:
@@ -238,6 +231,6 @@ def build_conflict_sets_helper(
         else:
             hook(_PHASE1_POST_CLAIM)
             hook(_PHASE1_PRE_PUBLISH)
-        box = (frontiers[i],) if sweeping else boxes[i]
+        box = (frontiers[i],)  # a box of this publisher's own, so only one publisher wins
         if put_once(i, box) is not box:
             worker.cas_retries += 1

@@ -5,10 +5,8 @@ ids per bin, and records what each transaction waits for: its frontier, the
 earlier conflicts phase 1 published. ``build_execution_plan(assignment)``
 needs nothing else: once the assignment's conflict table is complete, the
 waits are its index's frontiers, taken whole. A plan it builds is valid by
-construction and carries a private token saying so, so
-:func:`execute_plan` checks only that it is of the block's length; a
-hand-made plan is checked in full to partition the block and to wait only
-for the block's ids.
+construction and is marked built, and :func:`execute_plan` runs only such
+a plan, checked to be of the block's length.
 Bins remain the schedule; execution replays along the frontiers. Workers
 claim positions of the flattened rows in order, and a transaction starts
 once every member of its frontier has been applied, not once its whole
@@ -37,31 +35,33 @@ from .faults import run_workers
 from .txn import Address, Transaction
 
 
-_BUILT = object()  # marks a plan build_execution_plan made, valid by construction
-
-
 @dataclass(frozen=True)
 class ExecutionPlan:
     """Ragged bin-by-bin layout and what each transaction waits for.
 
     ``bin_matrix[b][k]`` is a transaction id. ``waits[t]`` holds the ids that
-    transaction ``t`` waits for, its frontier. A plan that
-    :func:`build_execution_plan` built carries a private token, which is not
-    part of plan equality and which no constructor call or
-    :func:`dataclasses.replace` sets, so only a hand-made plan is checked in
-    full before it runs.
+    transaction ``t`` waits for, its frontier. ``_built`` is True only on a
+    plan that :func:`build_execution_plan` made and on :data:`EMPTY_PLAN`,
+    the only plans :func:`execute_plan` runs. It is outside plan equality,
+    no constructor call or :func:`dataclasses.replace` sets it, and copies
+    and pickles keep it.
     """
 
     bin_matrix: tuple[tuple[int, ...], ...]
     waits: tuple[tuple[int, ...], ...]
-    _token: object = field(default=None, init=False, repr=False, compare=False)
+    _built: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def num_bins(self) -> int:
         return len(self.bin_matrix)
 
 
-EMPTY_PLAN = ExecutionPlan(bin_matrix=(), waits=())
+def _mark_built(plan: ExecutionPlan) -> ExecutionPlan:
+    object.__setattr__(plan, "_built", True)
+    return plan
+
+
+EMPTY_PLAN = _mark_built(ExecutionPlan(bin_matrix=(), waits=()))
 
 
 def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
@@ -69,7 +69,7 @@ def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
 
     Rows come out ascending because ids are visited in order. The waits are
     the frontiers of ``assignment.table``'s index, which phase 1 published,
-    as a tuple of the index's own tuples. The plan carries the built token.
+    as a tuple of the index's own tuples. The plan is marked built.
     """
     initial = assignment.initial_bin_list()
     if not assignment.is_complete():
@@ -82,8 +82,7 @@ def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
     if not table.is_complete():
         raise ValueError("conflict table lacks a frontier for some transaction of the assignment")
     plan = ExecutionPlan(tuple(tuple(row) for row in rows), tuple(table.index.frontiers))
-    object.__setattr__(plan, "_token", _BUILT)
-    return plan
+    return _mark_built(plan)
 
 
 @dataclass
@@ -128,31 +127,6 @@ def execute_serial(
     return WalletState(balances)
 
 
-def _validate_plan(plan: ExecutionPlan, txns: Sequence[Transaction]) -> list[int]:
-    """The plan's ids in plan order, once checked to partition the block and to
-    wait only for the block's ids; a built plan, valid by construction, is
-    checked only to be of the block's length."""
-    n = len(txns)
-    if plan._token is _BUILT:
-        if len(plan.waits) != n:
-            raise ValueError(f"plan is for a block of {len(plan.waits)} transactions, not {n}")
-        return list(itertools.chain.from_iterable(plan.bin_matrix))
-    ids = set(range(n))
-    order = [txn_id for row in plan.bin_matrix for txn_id in row]
-    if len(order) != n or set(order) != ids:
-        raise ValueError("plan does not partition the block's transaction ids")
-    waits = plan.waits
-    if len(waits) != n:
-        raise ValueError("plan's waits do not cover the block's transaction ids")
-    # in C throughout; the filter skips a conflict-free block's empty frontiers
-    if not ids.issuperset(itertools.chain.from_iterable(filter(None, waits))):
-        txn_id = next(t for t, deps in enumerate(waits) if not ids.issuperset(deps))
-        raise ValueError(
-            f"transaction {txn_id} waits for {list(waits[txn_id])}, outside the block's ids 0..{n - 1}"
-        )
-    return order
-
-
 def execute_plan(
     plan: ExecutionPlan,
     txns: Sequence[Transaction],
@@ -162,23 +136,27 @@ def execute_plan(
 ) -> WalletState:
     """Apply the plan across ``num_threads``; a transaction starts once its waits are applied.
 
-    One thread applies the rows in order. With more, the workers of
-    :func:`~binsched.faults.run_workers`, the calling thread among them,
-    claim positions of the flattened rows from one shared
+    Only a plan that :func:`build_execution_plan` made runs: any other, or
+    one made for a block of another length, raises ``ValueError`` before
+    any transaction applies. One thread applies the rows in order. With
+    more, the workers of :func:`~binsched.faults.run_workers`, the calling
+    thread among them, claim positions of the flattened rows from one shared
     :func:`itertools.count` and apply the claimed transaction ``t`` once
     every member of ``plan.waits[t]`` is marked done, sleeping on one
     :class:`~binsched.atomics.Wakeup` that each worker wakes after marking
     its transaction done. Members sit earlier in plan order, so the lowest
-    unfinished claimed position can always run; a worker about to sleep on
-    a member that is not earlier raises ``ValueError`` instead of hanging. A
-    worker raises; the runner stops the wakeup, so the peers stop, and
-    re-raises the error.
+    unfinished claimed position can always run. A worker raises; the runner
+    stops the wakeup, so the peers stop, and re-raises the error.
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
     if not per_txn_work >= 0:  # NaN too
         raise ValueError("per_txn_work must be >= 0")
-    order = _validate_plan(plan, txns)
+    if not plan._built:
+        raise ValueError("execute_plan runs only plans that build_execution_plan made")
+    n = len(txns)
+    if len(plan.waits) != n:
+        raise ValueError(f"plan is for a block of {len(plan.waits)} transactions, not {n}")
 
     balances = dict(initial.balances)
     for txn in txns:
@@ -187,32 +165,19 @@ def execute_plan(
         balances.setdefault(txn.payload.from_addr, 0)
         balances.setdefault(txn.payload.to_addr, 0)
 
-    if plan.num_bins == 0:
-        return WalletState(balances)
-
-    if num_threads == 1:
-        for txn_id in order:
+    rows = plan.bin_matrix
+    if num_threads == 1 or not rows:
+        for txn_id in itertools.chain.from_iterable(rows):
             if per_txn_work > 0:
                 time.sleep(per_txn_work)
             _apply(balances, txns[txn_id])
         return WalletState(balances)
 
-    n = len(order)
+    order = list(itertools.chain.from_iterable(rows))
     waits = plan.waits
     claims = itertools.count()
     done = [False] * n
     wakeup = Wakeup()
-    position: list[int] = []  # plan position of each id, built at the first sleep
-
-    def wait_for(dep: int, k: int) -> bool:
-        """Sleep until ``dep`` is applied; False once a failed worker stopped the wakeup."""
-        if not position:  # racing first sleepers each store the same list, in one step
-            position[:] = sorted(range(n), key=order.__getitem__)
-        if position[dep] >= k:
-            raise ValueError(
-                f"transaction {order[k]} waits for {dep}, which is not earlier in plan order"
-            )
-        return wakeup.sleep_until(lambda: done[dep])
 
     def body(_worker: int) -> None:
         while (k := next(claims)) < n and not wakeup.stopped:
@@ -220,8 +185,8 @@ def execute_plan(
             deps = waits[txn_id]
             if deps:  # skips the loop's iterator for an empty frontier, as on cold blocks
                 for dep in deps:
-                    if not done[dep] and not wait_for(dep, k):
-                        return
+                    if not done[dep] and not wakeup.sleep_until(lambda: done[dep]):
+                        return  # a failed worker stopped the wakeup
             if per_txn_work > 0:
                 time.sleep(per_txn_work)
             _apply(balances, txns[txn_id])

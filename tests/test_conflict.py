@@ -453,44 +453,53 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
     assert published_frontiers(table) == [set(), set()]
 
 
-@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-def test_every_published_slot_holds_the_index_box(variant):
-    # phase 1 publishes what the index built, and phase 2 and the plan read the
-    # index: a slot holding anything else, even an equal value, fails here
-    block = generate_workload(WorkloadSpec(n_txns=300, n_accounts=40, dependency_pct=40, seed=5))
-    table = schedule(block, variant, 1).assignment.table
-    index = table.index
-    assert all(table.box_of(i) is index.boxes[i] for i in range(len(block)))
-    # with peers, a helper's sweep may box a slot's frontier afresh; it is still the index's
-    table = schedule(block, variant, 2).assignment.table
-    index = table.index
-    assert all(table.box_of(i)[0] is index.frontiers[i] for i in range(len(block)))
-    if variant is Variant.STANDARD:
-        assert all(table.box_of(i) is index.boxes[i] for i in range(len(block)))
+# The survivor sleeps at each claim, so both crashed workers claim a slot
+# and leave it to a sweep; one of the two is past slot 0, whose frontier is
+# the shared ().
+_CRASH_AND_SWEEP = FaultPlan(
+    crashed_workers=frozenset({0, 1}),
+    crash_point=Site.PHASE1_POST_CLAIM,
+    delayed_workers=frozenset({2}),
+    delay_per_claim=1e-4,
+)
 
 
-def test_the_index_boxes_each_frontier_in_a_box_of_its_own():
-    index = ConflictIndex(wallet_block([(f"u{i}", f"v{i}") for i in range(50)]))
-    assert all(frontier == () for frontier in index.frontiers)  # one shared ()
-    assert [box[0] for box in index.boxes] == index.frontiers
-    assert len({id(box) for box in index.boxes}) == 50
+@pytest.mark.parametrize(
+    "variant, num_threads, faults",
+    [pytest.param(v, t, None, id=f"{v.value}-{t}") for v in Variant for t in (1, 2)]
+    + [pytest.param(Variant.LOCKFREE, 3, _CRASH_AND_SWEEP, id="lockfree-3-crash")],
+)
+def test_every_phase1_slot_holds_the_index_frontier(monkeypatch, variant, num_threads, faults):
+    # phase 2 and the plan read the index: a slot holding anything else, even
+    # an equal value, fails here, whether its publisher claimed or swept it
+    swept = []
+    unpublished = ConflictTable.unpublished
+
+    def recorded_sweep(table):
+        for i in unpublished(table):
+            swept.append(i)
+            yield i
+
+    monkeypatch.setattr(ConflictTable, "unpublished", recorded_sweep)
+    block = clique_block(60)  # every frontier but the first is a tuple of its own
+    table = schedule(block, variant, num_threads, faults).assignment.table
+    frontiers = table.index.frontiers
+    assert all(table.box_of(i)[0] is frontiers[i] for i in range(len(block)))
+    if faults is not None:
+        assert any(frontiers[i] for i in swept)  # a crashed worker's claim past slot 0
 
 
-def test_a_sweepers_box_beats_a_stalled_claimers_index_box():
-    # a first-pass claim publishes the index's box, which no peer passes; a
-    # sweep boxes the frontier afresh, so whichever comes second loses its CAS
+def test_a_stalled_claimer_loses_its_cas_to_the_sweeper_of_its_slot():
     table = ConflictTable(wallet_block([("A", "B"), ("C", "D")]))
-    box = table.index.boxes[1]
     claims = itertools.count()
-    stalled = []
+    sweeper = Worker(1)
 
-    def claim_slot_1_and_stall(site):
-        if not stalled:
-            stalled.append(next(claims))
+    def stall_until_swept(site):
+        # holding slot 0, the claimer lets a peer claim slot 1, pass n and sweep slot 0
+        if site is Site.PHASE1_PRE_PUBLISH and not table.is_complete():
+            build_conflict_sets_helper(table, claims, sweeper)
 
-    worker = StepWorker(claim_slot_1_and_stall)
-    build_conflict_sets_helper(table, claims, worker)
-    assert stalled == [1]
-    assert table.box_of(1) is not box and table.box_of(1)[0] is table.index.frontiers[1]
-    assert table.put_once(1, box) is not box  # the stalled claimer resumes and loses
-    assert worker.cas_retries == 0
+    claimer = StepWorker(stall_until_swept)
+    build_conflict_sets_helper(table, claims, claimer)  # resumes, CASes slot 0 and loses
+    assert (claimer.cas_retries, sweeper.cas_retries) == (1, 0)
+    assert all(table.box_of(i)[0] is table.index.frontiers[i] for i in range(2))

@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import dataclasses
+import pickle
 import sys
 import threading
 import time
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import (
+    clique_block,
     disjoint_block,
     frontier_oracle,
     publish,
@@ -132,6 +136,40 @@ def test_serial_materializes_unknown_accounts_at_zero():
 # --- parallel execution ----------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def traced_applies():
+    """Record ("start" | "end", id) around every ``_apply``, in the order they happen."""
+    real_apply = binsched.executor._apply
+    events = []
+
+    def traced_apply(balances, txn):
+        events.append(("start", txn.id))
+        real_apply(balances, txn)
+        events.append(("end", txn.id))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(binsched.executor, "_apply", traced_apply)
+        yield events
+
+
+@contextlib.contextmanager
+def fast_thread_switching():
+    """Switch threads every microsecond, so workers interleave within a transfer."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def assert_each_transfer_started_after_its_frontier_ended(events, block):
+    at = {event: k for k, event in enumerate(events)}
+    for txn_id, frontier in enumerate(frontier_oracle(block)):
+        for dep in frontier:
+            assert at[("end", dep)] < at[("start", txn_id)], (txn_id, dep)
+
+
 def test_conflicting_pair_lands_in_order():
     block = wallet_block([("A", "B", 10), ("B", "A", 10)])
     result = schedule(block, Variant.LOCKFREE, num_threads=2)
@@ -158,14 +196,6 @@ def test_empty_plan_leaves_state_unchanged():
 def test_plan_must_cover_the_block():
     block = wallet_block([("A", "B"), ("C", "D")])
     plan = build_execution_plan(assignment_of([0]))
-    with pytest.raises(ValueError):
-        execute_plan(plan, block, WalletState(), num_threads=2)
-
-
-def test_plan_listing_an_id_twice_is_rejected():
-    # ids {0, 1} are all present, but transfer 0 would be applied twice
-    block = wallet_block([("a", "b", 5), ("c", "d", 5)])
-    plan = ExecutionPlan(bin_matrix=((0,), (0, 1)), waits=((), ()))
     with pytest.raises(ValueError):
         execute_plan(plan, block, WalletState(), num_threads=2)
 
@@ -220,28 +250,20 @@ def test_simulated_work_changes_time_not_state():
     assert lazy.balances == fast.balances
 
 
-# Three bins over disjoint transfers, each transfer waiting for the whole
-# bin before its own: the waits, not conflicts, keep bin 1 after bin 0 here.
-_LAYERS = (tuple(range(8)), tuple(range(8, 14)), (14, 15))
-LAYERED_PLAN = ExecutionPlan(
-    bin_matrix=_LAYERS,
-    waits=tuple(() if t < 8 else _LAYERS[0] if t < 14 else _LAYERS[1] for t in range(16)),
-)
-
-
 def test_a_worker_error_stops_every_worker_and_is_raised(monkeypatch):
+    # a clique: each transfer waits for the one before it
+    block = clique_block(16)
+    plan = schedule(block, Variant.STANDARD, num_threads=2).plan
     real_apply = binsched.executor._apply
 
     def failing_first_transfer(balances, txn):
         if txn.id == 0:
-            time.sleep(0.05)  # peers finish bin 0 and wait for this transfer
+            time.sleep(0.05)  # peers claim transfers 1-3 and sleep behind this one
             raise RuntimeError("transfer 0 failed")
         real_apply(balances, txn)
 
     monkeypatch.setattr(binsched.executor, "_apply", failing_first_transfer)
-    raised = run_with_timeout(
-        lambda: execute_plan(LAYERED_PLAN, disjoint_block(16), WalletState(), num_threads=4)
-    )
+    raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), num_threads=4))
     assert [type(exc) for exc in raised] == [RuntimeError]
     assert [str(exc) for exc in raised] == ["transfer 0 failed"]
     assert not [t for t in threading.enumerate() if t.name.startswith("exec-")]
@@ -271,31 +293,14 @@ def test_a_transfer_waits_for_its_frontier_not_its_previous_bin(monkeypatch):
 
 
 @pytest.mark.parametrize("num_threads", [2, 8])
-def test_every_transfer_starts_after_its_frontier_is_applied(monkeypatch, num_threads):
-    real_apply = binsched.executor._apply
-    events = []  # ("start" | "end", id) in the order they happened
-
-    def traced_apply(balances, txn):
-        events.append(("start", txn.id))
-        real_apply(balances, txn)
-        events.append(("end", txn.id))
-
-    monkeypatch.setattr(binsched.executor, "_apply", traced_apply)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for seed in range(20):
-            block = random_wallet_block(seed=700 + seed, max_n=120)
-            plan = schedule(block, Variant.STANDARD, num_threads=2).plan
-            events.clear()
+def test_every_transfer_starts_after_its_frontier_is_applied(num_threads):
+    for seed in range(20):
+        block = random_wallet_block(seed=700 + seed, max_n=120)
+        plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+        with fast_thread_switching(), traced_applies() as events:
             final = execute_plan(plan, block, WalletState(), num_threads, per_txn_work=1e-5)
-            at = {event: k for k, event in enumerate(events)}
-            for txn_id, frontier in enumerate(frontier_oracle(block)):
-                for dep in frontier:
-                    assert at[("end", dep)] < at[("start", txn_id)], (seed, txn_id, dep)
-            assert final.balances == execute_serial(block, WalletState()).balances
-    finally:
-        sys.setswitchinterval(interval)
+        assert_each_transfer_started_after_its_frontier_ended(events, block)
+        assert final.balances == execute_serial(block, WalletState()).balances
 
 
 def test_an_error_wakes_a_peer_sleeping_on_the_failed_transfer(monkeypatch):
@@ -319,47 +324,23 @@ def test_an_error_wakes_a_peer_sleeping_on_the_failed_transfer(monkeypatch):
     assert applied == []
 
 
-def test_waits_on_a_later_transaction_are_rejected_not_hung():
-    # transfers 0 and 1 wait for each other: 0 would sleep on a later position
-    block = disjoint_block(2)
-    plan = ExecutionPlan(bin_matrix=((0,), (1,)), waits=((1,), (0,)))
-    raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), num_threads=2))
-    assert len(raised) == 1 and isinstance(raised[0], ValueError)
-    assert "not earlier in plan order" in str(raised[0])
-
-
-def test_waits_must_cover_the_block():
-    plan = ExecutionPlan(bin_matrix=((0, 1),), waits=((),))
-    with pytest.raises(ValueError):
-        execute_plan(plan, disjoint_block(2), WalletState(), num_threads=2)
-
-
-@pytest.mark.parametrize("num_threads", [1, 2])
-@pytest.mark.parametrize("bad_wait", [7, 3, -1])
-def test_waits_outside_the_block_are_rejected_naming_the_transaction(num_threads, bad_wait):
-    plan = ExecutionPlan(bin_matrix=((0, 1, 2),), waits=((), (), (bad_wait,)))
-    with pytest.raises(ValueError, match=r"transaction 2 waits for \[-?\d+\], outside"):
-        execute_plan(plan, disjoint_block(3), WalletState(), num_threads=num_threads)
-
-
 def test_parallel_equals_serial_under_fast_thread_switching():
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for seed in range(20):
-            block = random_wallet_block(seed=900 + seed, max_n=150)
-            plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+    for seed in range(20):
+        block = random_wallet_block(seed=900 + seed, max_n=150)
+        plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+        with fast_thread_switching():
             final = execute_plan(plan, block, WalletState(), num_threads=8)
-            assert final.balances == execute_serial(block, WalletState()).balances
-    finally:
-        sys.setswitchinterval(interval)
+        assert final.balances == execute_serial(block, WalletState()).balances
 
 
 @settings(max_examples=15, deadline=None)
 @given(wallet_blocks(max_n=80), st.sampled_from([1, 2, 4]), st.sampled_from(list(Variant)))
 def test_determinism_property(block, num_threads, variant):
+    # transfers commute, so only the apply order shows a replay that skips a wait
     result = schedule(block, variant, num_threads=2)
-    final = execute_plan(result.plan, block, WalletState(), num_threads=num_threads)
+    with fast_thread_switching(), traced_applies() as events:
+        final = execute_plan(result.plan, block, WalletState(), num_threads=num_threads)
+    assert_each_transfer_started_after_its_frontier_ended(events, block)
     serial = execute_serial(block, WalletState())
     assert final.balances == serial.balances
     assert final.total() == 0
@@ -386,13 +367,43 @@ def test_a_built_plan_run_against_a_block_of_another_length_is_rejected():
                 execute_plan(plan, other, WalletState(), num_threads=num_threads)
 
 
-def test_a_plan_made_from_a_built_one_is_checked_in_full():
-    # the built token is not part of equality and no constructor or replace() sets it
-    plan = build_execution_plan(assignment_of([0, 0, 0]))
-    assert plan == ExecutionPlan(plan.bin_matrix, plan.waits)
-    bad_wait = dataclasses.replace(plan, waits=((), (), (7,)))
-    with pytest.raises(ValueError, match=r"transaction 2 waits for \[7\], outside"):
-        execute_plan(bad_wait, disjoint_block(3), WalletState(), num_threads=2)
-    twice = dataclasses.replace(plan, bin_matrix=((0, 0, 1),))
-    with pytest.raises(ValueError, match="partition"):
-        execute_plan(twice, disjoint_block(3), WalletState(), num_threads=2)
+# plans for disjoint_block(3) that build_execution_plan did not make
+UNBUILT_PLANS = {
+    "id_listed_twice": ExecutionPlan(((0,), (0, 1, 2)), ((), (), ())),
+    "waits_short_of_the_block": ExecutionPlan(((0, 1, 2),), ((), ())),
+    "wait_7": ExecutionPlan(((0, 1, 2),), ((), (), (7,))),
+    "wait_3": ExecutionPlan(((0, 1, 2),), ((), (), (3,))),
+    "wait_minus_1": ExecutionPlan(((0, 1, 2),), ((), (), (-1,))),
+    "wait_on_a_later_position": ExecutionPlan(((0,), (1,), (2,)), ((1,), (0,), ())),
+    "replaced_built_plan": dataclasses.replace(build_execution_plan(assignment_of([0, 0, 0]))),
+}
+
+
+@pytest.mark.parametrize("num_threads", [1, 2])
+@pytest.mark.parametrize("case", list(UNBUILT_PLANS))
+def test_a_plan_build_execution_plan_did_not_make_is_rejected(case, num_threads):
+    plan = UNBUILT_PLANS[case]
+    with traced_applies() as events:
+        raised = run_with_timeout(
+            lambda: execute_plan(plan, disjoint_block(3), WalletState(), num_threads)
+        )
+    assert [type(exc) for exc in raised] == [ValueError]
+    assert "only plans that build_execution_plan made" in str(raised[0])
+    assert events == []
+
+
+@pytest.mark.parametrize(
+    "copy_plan",
+    [copy.copy, copy.deepcopy, lambda plan: pickle.loads(pickle.dumps(plan))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_built_plan_runs(copy_plan):
+    block = random_wallet_block(seed=309, max_n=200)
+    plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+    serial = execute_serial(block, WalletState()).balances
+    assert copy_plan(plan) is not plan and copy_plan(EMPTY_PLAN) is not EMPTY_PLAN
+    for num_threads in (1, 2):
+        final = execute_plan(copy_plan(plan), block, WalletState(), num_threads)
+        assert final.balances == serial
+        final = execute_plan(copy_plan(EMPTY_PLAN), [], WalletState({"Z": 3}), num_threads)
+        assert final.balances == {"Z": 3}
