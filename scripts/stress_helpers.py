@@ -19,8 +19,12 @@ a helper did. Every run's bins are checked against ``bin_oracle``, and
 every phase-1 slot, claimed or swept, is checked to hold the conflict
 index's own frontier object, which phase 2 and the plan read. A wallet
 block's plan is also executed by ``execute_plan`` on the surviving threads
-and checked against ``execute_serial``'s final balances; access-set blocks
-carry no payload, so they are not executed.
+and checked against ``execute_serial``'s final balances, both from one
+initial state that funds a seeded half of the block's accounts, so replay
+meets accounts that exist and accounts it opens. The funded accounts come
+from a third generator, so a seed's blocks, bins and fault plans do not
+depend on them either. Access-set blocks carry no payload, so they are not
+executed.
 Every other block runs at a thread switch interval of 10 us, so claims and
 publishes interleave more finely.
 Exits 1 on any wrong bins, foreign frontier, wrong balances or error, or
@@ -103,14 +107,21 @@ def access_set_block(rng: random.Random) -> list[Transaction]:
     return txns
 
 
-def check_run(block, variant, threads, faults, expected, expected_balances) -> list[str]:
-    """Schedule one run, and execute it unless ``expected_balances`` is None;
-    return what went wrong, if anything."""
+def funded_state(block: list[Transaction], rng: random.Random) -> WalletState:
+    """An initial state that funds a ``rng``-chosen half of the block's accounts."""
+    accounts = sorted({a for t in block for a in (t.payload.from_addr, t.payload.to_addr)})
+    funded = rng.sample(accounts, len(accounts) // 2)
+    return WalletState({a: rng.randint(1, 10**6) for a in funded})
+
+
+def check_run(block, variant, threads, faults, expected, initial, expected_balances) -> list[str]:
+    """Schedule one run, and execute it from ``initial`` unless
+    ``expected_balances`` is None; return what went wrong, if anything."""
     try:
         result = schedule(block, variant, threads, faults)
         if expected_balances is not None:
             live_threads = threads - (len(faults.crashed_workers) if faults is not None else 0)
-            final = execute_plan(result.plan, block, WalletState(), live_threads)
+            final = execute_plan(result.plan, block, initial, live_threads)
     except Exception as exc:  # report every failure, keep going
         traceback.print_exc()
         return [f"ERROR {exc!r}"]
@@ -134,7 +145,9 @@ def main(argv: list[str] | None = None) -> int:
 
     rng = random.Random(args.seed)
     delay_rng = random.Random(f"delays-{args.seed}")
+    fund_rng = random.Random(f"funds-{args.seed}")
     runs = crashed_runs = delayed_runs = slept_runs = swept_runs = failures = 0
+    funded_accounts = 0
     counter = SleepCounter()
     sweeps = SweepCounter()
     binsched.faults.time = counter
@@ -147,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
             if b % ACCESS_SET_EVERY == ACCESS_SET_EVERY - 1:
                 block = access_set_block(rng)
                 spec = f"access-set block, n={len(block)}"
-                expected_balances = None
+                initial = expected_balances = None
             else:
                 spec = WorkloadSpec(
                     n_txns=rng.randint(1, MAX_N),
@@ -156,7 +169,9 @@ def main(argv: list[str] | None = None) -> int:
                     seed=rng.randrange(2**32),
                 )
                 block = generate_workload(spec)
-                expected_balances = execute_serial(block, WalletState()).balances
+                initial = funded_state(block, fund_rng)
+                funded_accounts += len(initial.balances)
+                expected_balances = execute_serial(block, initial).balances
             expected = bin_oracle(block)
             for variant in (Variant.STANDARD, Variant.ASSISTED, Variant.LOCKFREE):
                 for threads in THREAD_COUNTS:
@@ -180,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                     runs += 1
                     sleeps_before, sweeps_before = counter.sleeps, sweeps.sweeps
                     problems = check_run(
-                        block, variant, threads, faults, expected, expected_balances
+                        block, variant, threads, faults, expected, initial, expected_balances
                     )
                     if counter.sleeps > sleeps_before:  # only a delay plan sleeps
                         slept_runs += 1
@@ -201,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"{runs} runs ({crashed_runs} with crashes, {delayed_runs} with delays,"
         f" {slept_runs} of which slept; {swept_runs} in which a helper swept)"
-        f" over {args.blocks} blocks, "
+        f" over {args.blocks} blocks ({funded_accounts} accounts funded), "
         f"{failures} failed, {elapsed:.1f} s"
     )
     if not slept_runs:

@@ -3,7 +3,8 @@
 Three experiment families mirror the evaluation axes: BASELINE sweeps block
 size and dependency percentage with no faults, LATENCY sweeps the share of
 delayed workers, and CRASH sweeps the share of crashed workers (lock-free
-scheduler only, since the barrier variants cannot survive a crash). Every
+scheduler only, since it alone survives a crash at every crash point a sweep
+can name; :attr:`Variant.fatal_crash_sites` lists where the others cannot). Every
 measurement appends one row; callers can sink rows incrementally so an
 interrupted run preserves partial data. Medians across repetitions are the
 job of :func:`aggregate_rows` / :func:`report`, not the runner.

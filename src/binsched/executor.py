@@ -17,9 +17,13 @@ The final state always equals single-threaded index-order application
 (:func:`execute_serial`), the reference semantics for equivalence tests.
 
 Transfers debit the sender and credit the receiver unconditionally on signed
-balances; accounts absent from the initial state materialize at balance 0 on
-first touch. Balance cells for every touched account are materialized before
-workers start, so the map structure itself is never mutated concurrently.
+balances. :func:`_apply` alone reads a transfer: it rejects a transaction
+without a payload and opens an account absent from the initial state at
+balance 0 on its first touch, so workers start on a copy of the initial map.
+Under the GIL, which :func:`~binsched.scheduler.schedule` requires, each
+dict ``get`` and store is one atomic step, and two transfers that touch one
+account conflict, so the frontier wait orders them: no two workers ever
+update one account at once.
 """
 
 from __future__ import annotations
@@ -99,8 +103,8 @@ def _apply(balances: dict[Address, int], txn: Transaction) -> None:
     payload = txn.payload
     if payload is None:
         raise ValueError(f"transaction {txn.id} has no wallet payload to execute")
-    balances[payload.from_addr] -= payload.amount
-    balances[payload.to_addr] += payload.amount
+    balances[payload.from_addr] = balances.get(payload.from_addr, 0) - payload.amount
+    balances[payload.to_addr] = balances.get(payload.to_addr, 0) + payload.amount
 
 
 def execute_serial(
@@ -118,9 +122,6 @@ def execute_serial(
         raise ValueError("per_txn_work must be >= 0")
     balances = dict(initial.balances)
     for txn in txns:
-        if txn.payload is not None:
-            balances.setdefault(txn.payload.from_addr, 0)
-            balances.setdefault(txn.payload.to_addr, 0)
         if per_txn_work > 0:
             time.sleep(per_txn_work)
         _apply(balances, txn)
@@ -145,8 +146,11 @@ def execute_plan(
     every member of ``plan.waits[t]`` is marked done, sleeping on one
     :class:`~binsched.atomics.Wakeup` that each worker wakes after marking
     its transaction done. Members sit earlier in plan order, so the lowest
-    unfinished claimed position can always run. A worker raises; the runner
-    stops the wakeup, so the peers stop, and re-raises the error.
+    unfinished claimed position can always run. Nothing is set up first:
+    :func:`_apply` opens each account on its first touch, and raises
+    ``ValueError`` for a transaction without a payload when a worker reaches
+    it. A worker raises; the runner stops the wakeup, so the peers stop, and
+    re-raises the error.
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
@@ -159,12 +163,6 @@ def execute_plan(
         raise ValueError(f"plan is for a block of {len(plan.waits)} transactions, not {n}")
 
     balances = dict(initial.balances)
-    for txn in txns:
-        if txn.payload is None:
-            raise ValueError(f"transaction {txn.id} has no wallet payload to execute")
-        balances.setdefault(txn.payload.from_addr, 0)
-        balances.setdefault(txn.payload.to_addr, 0)
-
     rows = plan.bin_matrix
     if num_threads == 1 or not rows:
         for txn_id in itertools.chain.from_iterable(rows):

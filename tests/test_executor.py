@@ -7,9 +7,10 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _helpers import (
+    chain_block,
     clique_block,
     disjoint_block,
     frontier_oracle,
@@ -127,12 +128,6 @@ def test_serial_inverse_pair():
     assert final.balances == {"A": 10, "B": 10}
 
 
-def test_serial_materializes_unknown_accounts_at_zero():
-    block = wallet_block([("A", "B", 7)])
-    final = execute_serial(block, WalletState())
-    assert final.balances == {"A": -7, "B": 7}
-
-
 # --- parallel execution ----------------------------------------------------------------
 
 
@@ -200,13 +195,32 @@ def test_plan_must_cover_the_block():
         execute_plan(plan, block, WalletState(), num_threads=2)
 
 
-def test_payloadless_transactions_rejected():
-    txn = Transaction(id=0, read_set=frozenset({"X"}), write_set=frozenset({"X"}))
-    plan = build_execution_plan(assignment_of([0]))
-    with pytest.raises(ValueError):
-        execute_plan(plan, [txn], WalletState(), num_threads=1)
-    with pytest.raises(ValueError):
-        execute_serial([txn], WalletState())
+@pytest.mark.parametrize("num_threads", [1, 2, 8])
+def test_a_payloadless_transaction_is_rejected(num_threads):
+    # transfers 0-9 and 11-19 form one clique with transaction 10, so peers sleep on it
+    block = clique_block(20)
+    block[10] = Transaction(id=10, read_set=frozenset({"X", "Y"}), write_set=frozenset({"X", "Y"}))
+    plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+    raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), num_threads))
+    assert [type(exc) for exc in raised] == [ValueError]
+    assert "transaction 10 has no wallet payload" in str(raised[0])
+    with pytest.raises(ValueError, match="transaction 10 has no wallet payload"):
+        execute_serial(block, WalletState())
+
+
+@pytest.mark.parametrize("num_threads", [None, 1, 2, 8], ids=["serial", "1", "2", "8"])
+def test_an_account_opens_at_zero_on_its_first_touch(num_threads):
+    block = wallet_block(
+        [("zero", "new", 3), ("neg", "new", 4), ("fresh", "zero", 5), ("neg", "fresh", 1)]
+    )
+    initial = WalletState({"zero": 0, "neg": -5, "idle": 9})
+    if num_threads is None:
+        final = execute_serial(block, initial)
+    else:
+        plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+        final = execute_plan(plan, block, initial, num_threads)
+    assert final.balances == {"zero": 2, "neg": -10, "new": 7, "fresh": -4, "idle": 9}
+    assert initial.balances == {"zero": 0, "neg": -5, "idle": 9}
 
 
 def test_zero_threads_rejected():
@@ -334,12 +348,19 @@ def test_parallel_equals_serial_under_fast_thread_switching():
 
 
 @settings(max_examples=15, deadline=None)
-@given(wallet_blocks(max_n=80), st.sampled_from([1, 2, 4]), st.sampled_from(list(Variant)))
-def test_determinism_property(block, num_threads, variant):
+@given(
+    wallet_blocks(max_n=80),
+    st.sampled_from([1, 2, 4]),
+    st.sampled_from(list(Variant)),
+    st.sampled_from([0.0, 1e-5]),
+)
+# every transfer waits on the one before it, and peers sleep their work side by side
+@example(chain_block(60), 4, Variant.STANDARD, 1e-5)
+def test_determinism_property(block, num_threads, variant, per_txn_work):
     # transfers commute, so only the apply order shows a replay that skips a wait
     result = schedule(block, variant, num_threads=2)
     with fast_thread_switching(), traced_applies() as events:
-        final = execute_plan(result.plan, block, WalletState(), num_threads=num_threads)
+        final = execute_plan(result.plan, block, WalletState(), num_threads, per_txn_work)
     assert_each_transfer_started_after_its_frontier_ended(events, block)
     serial = execute_serial(block, WalletState())
     assert final.balances == serial.balances
