@@ -18,13 +18,14 @@ for ``PublishOnceArray.unpublished`` the script counts the runs in which
 a helper did. Every run's bins are checked against ``bin_oracle``, and
 every phase-1 slot, claimed or swept, is checked to hold the conflict
 index's own frontier object, which phase 2 and the plan read. A wallet
-block's plan is also executed by ``execute_plan`` on the surviving threads
-and checked against ``execute_serial``'s final balances, both from one
-initial state that funds a seeded half of the block's accounts, so replay
-meets accounts that exist and accounts it opens. The funded accounts come
-from a third generator, so a seed's blocks, bins and fault plans do not
-depend on them either. Access-set blocks carry no payload, so they are not
-executed.
+block's plan is also executed by ``execute_plan`` on the surviving threads,
+with 1 us of simulated work per transaction, since replay without work runs
+on the calling thread alone, and checked against ``execute_serial``'s final
+balances, both from one initial state that funds a seeded half of the
+block's accounts, so replay meets accounts that exist and accounts it
+opens. The funded accounts come from a third generator, so a seed's
+blocks, bins and fault plans do not depend on them either. Access-set
+blocks carry no payload, so they are not executed.
 Every other block runs at a thread switch interval of 10 us, so claims and
 publishes interleave more finely.
 Exits 1 on any wrong bins, foreign frontier, wrong balances or error, or
@@ -63,6 +64,7 @@ MAX_N = 1000
 FINE_SWITCH_INTERVAL = 1e-5  # seconds, for every other block
 ACCESS_SET_EVERY = 3  # every third block is an access-set block
 CLAIM_DELAY = 10e-6  # seconds a delayed worker sleeps per claim
+REPLAY_WORK = 1e-6  # seconds of simulated work per transaction, so replay starts its peers
 
 
 class SleepCounter:
@@ -121,7 +123,7 @@ def check_run(block, variant, threads, faults, expected, initial, expected_balan
         result = schedule(block, variant, threads, faults)
         if expected_balances is not None:
             live_threads = threads - (len(faults.crashed_workers) if faults is not None else 0)
-            final = execute_plan(result.plan, block, initial, live_threads)
+            final = execute_plan(result.plan, block, initial, live_threads, REPLAY_WORK)
     except Exception as exc:  # report every failure, keep going
         traceback.print_exc()
         return [f"ERROR {exc!r}"]

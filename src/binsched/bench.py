@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
 
-from .executor import WalletState, execute_plan, execute_serial
+from .executor import WalletState, check_per_txn_work, execute_plan, execute_serial
 from .faults import FaultPlan, Site, make_fault_plan
 from .scheduler import (
     NonTermination,
@@ -112,8 +112,7 @@ class BenchConfig:
             raise ValueError("repetitions must be >= 1")
         if self.num_threads < 1:
             raise ValueError("num_threads must be >= 1")
-        if not self.per_txn_work >= 0:  # NaN too
-            raise ValueError("per_txn_work must be >= 0")
+        check_per_txn_work(self.per_txn_work)
         for axis, sweeper in (("delayed_pct", Experiment.LATENCY), ("crashed_pct", Experiment.CRASH)):
             if self.experiment is not sweeper and any(getattr(self, f"{axis}_values")):
                 raise ValueError(f"only the {sweeper.value} experiment sweeps {axis}")

@@ -31,7 +31,7 @@ from .bench import (
 )
 from .binning import bin_oracle
 from .conflict import lower_conflict_sets
-from .executor import WalletState, execute_serial
+from .executor import WalletState, check_per_txn_work, execute_serial
 from .faults import Site, make_fault_plan
 from .scheduler import NonTermination, SchedulerConfigError, Variant
 from .txn import dump_workload, load_workload
@@ -40,6 +40,15 @@ from .workload import WorkloadSpec, generate_workload
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
+
+THREADS_HELP = (
+    "scheduler workers, and the most replay workers; replay starts peers only with"
+    " --per-txn-work-ms above 0"
+)
+WORK_HELP = (
+    "simulated work per transaction, finite and >= 0; at 0 replay runs on the calling"
+    " thread alone"
+)
 
 
 class InvariantViolation(RuntimeError):
@@ -89,8 +98,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     per_txn_work = args.per_txn_work_ms / 1000.0
-    if not per_txn_work >= 0:  # NaN too
-        raise ValueError("per_txn_work must be >= 0")
+    check_per_txn_work(per_txn_work)
     txns = load_workload(Path(args.workload).read_text())
     variant = Variant(args.variant)
     faults = make_fault_plan(
@@ -244,13 +252,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     sched = sub.add_parser("schedule", help="one-shot schedule and execute")
     sched.add_argument("-w", "--workload", required=True)
     sched.add_argument("--variant", choices=[v.value for v in Variant], default="lockfree")
-    sched.add_argument("--threads", type=int, default=8)
+    sched.add_argument("--threads", type=int, default=8, help=THREADS_HELP)
     sched.add_argument("--delayed-pct", type=float, default=0.0)
     sched.add_argument("--delay-ms", type=float, default=5.0)
     sched.add_argument("--crashed-pct", type=float, default=0.0)
     sched.add_argument("--crash-point", default="phase1_pre_publish")
     sched.add_argument("--fault-seed", type=int, default=0)
-    sched.add_argument("--per-txn-work-ms", type=float, default=0.0)
+    sched.add_argument("--per-txn-work-ms", type=float, default=0.0, help=WORK_HELP)
     sched.add_argument("--watchdog-secs", type=float, default=None)
     sched.add_argument("--dump-conflicts", action="store_true")
     sched.add_argument("--dump-bins", action="store_true")
@@ -264,13 +272,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run.add_argument("--n-txns", default="600", help="comma list")
     run.add_argument("--dependency-pct", default="40", help="comma list")
     run.add_argument("--schedulers", default="serial,lockfree", help="comma list")
-    run.add_argument("--threads", dest="num_threads", type=int, default=8)
+    run.add_argument("--threads", dest="num_threads", type=int, default=8, help=THREADS_HELP)
     run.add_argument("--delayed-pct", default="0", help="comma list")
     run.add_argument("--crashed-pct", default="0", help="comma list")
     run.add_argument("--delay-ms", type=float, default=5.0)
     run.add_argument("--crash-point", default="phase1_pre_publish")
     run.add_argument("--reps", dest="repetitions", type=int, default=5)
-    run.add_argument("--per-txn-work-ms", type=float, default=0.0)
+    run.add_argument("--per-txn-work-ms", type=float, default=0.0, help=WORK_HELP)
     run.add_argument("--accounts", dest="n_accounts", type=int, default=100)
     run.add_argument("--amount-min", type=int, default=1)
     run.add_argument("--amount-max", type=int, default=100)

@@ -7,12 +7,19 @@ needs nothing else: once the assignment's conflict table is complete, the
 waits are its index's frontiers, taken whole. A plan it builds is valid by
 construction and is marked built, and :func:`execute_plan` runs only such
 a plan, checked to be of the block's length.
-Bins remain the schedule; execution replays along the frontiers. Workers
-claim positions of the flattened rows in order, and a transaction starts
-once every member of its frontier has been applied, not once its whole
-previous bin has. Frontier members sit in lower bins, so they come earlier
-in plan order, and on every account the transfers apply in id order. A
-worker raises; the runner stops the run's :class:`~binsched.atomics.Wakeup`.
+Bins remain the schedule; execution replays along the frontiers. With
+simulated work per transaction (``per_txn_work > 0``), workers claim
+positions of the flattened rows in order, and a transaction starts once
+every member of its frontier has been applied, not once its whole previous
+bin has. Frontier members sit in lower bins, so they come earlier in plan
+order, and on every account the transfers apply in id order. A worker
+raises; the runner stops the run's :class:`~binsched.atomics.Wakeup`.
+Without work the calling thread applies the rows in order and starts no
+peer, because a peer could never run: under the GIL a peer runs only while
+another worker gives the lock up, the wallet :func:`_apply` is dict
+arithmetic that never does, and one worker claiming in plan order finds
+every frontier member already applied, so it never sleeps on a frontier
+either. A payload kind whose apply can block would revisit that rule.
 The final state always equals single-threaded index-order application
 (:func:`execute_serial`), the reference semantics for equivalence tests.
 
@@ -29,6 +36,7 @@ update one account at once.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -107,6 +115,12 @@ def _apply(balances: dict[Address, int], txn: Transaction) -> None:
     balances[payload.to_addr] = balances.get(payload.to_addr, 0) + payload.amount
 
 
+def check_per_txn_work(per_txn_work: float) -> None:
+    """Reject simulated work that is not finite and >= 0, before anything runs."""
+    if not 0 <= per_txn_work < math.inf:  # NaN too
+        raise ValueError("per_txn_work must be finite and >= 0")
+
+
 def execute_serial(
     txns: Sequence[Transaction],
     initial: WalletState,
@@ -118,8 +132,7 @@ def execute_serial(
     cost-comparable to the parallel executor in benchmarks; it defaults to
     zero and never changes the resulting state.
     """
-    if not per_txn_work >= 0:  # NaN too
-        raise ValueError("per_txn_work must be >= 0")
+    check_per_txn_work(per_txn_work)
     balances = dict(initial.balances)
     for txn in txns:
         if per_txn_work > 0:
@@ -135,13 +148,19 @@ def execute_plan(
     num_threads: int = 1,
     per_txn_work: float = 0.0,
 ) -> WalletState:
-    """Apply the plan across ``num_threads``; a transaction starts once its waits are applied.
+    """Apply the plan on up to ``num_threads`` workers; a transaction starts after its waits.
 
     Only a plan that :func:`build_execution_plan` made runs: any other, or
     one made for a block of another length, raises ``ValueError`` before
-    any transaction applies. One thread applies the rows in order. With
-    more, the workers of :func:`~binsched.faults.run_workers`, the calling
-    thread among them, claim positions of the flattened rows from one shared
+    any transaction applies. ``num_threads`` caps the workers. The calling
+    thread alone applies the rows in order at one thread, for an empty
+    plan, and whenever ``per_txn_work`` is 0: a wallet :func:`_apply` never
+    gives the GIL up, and one worker claiming in plan order finds every
+    frontier member applied, so a peer could never run (see the module
+    docstring; a payload kind whose apply can block would revisit this).
+    With work and more threads, the workers of
+    :func:`~binsched.faults.run_workers`, the calling thread among them,
+    claim positions of the flattened rows from one shared
     :func:`itertools.count` and apply the claimed transaction ``t`` once
     every member of ``plan.waits[t]`` is marked done, sleeping on one
     :class:`~binsched.atomics.Wakeup` that each worker wakes after marking
@@ -154,8 +173,7 @@ def execute_plan(
     """
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
-    if not per_txn_work >= 0:  # NaN too
-        raise ValueError("per_txn_work must be >= 0")
+    check_per_txn_work(per_txn_work)
     if not plan._built:
         raise ValueError("execute_plan runs only plans that build_execution_plan made")
     n = len(txns)
@@ -164,7 +182,7 @@ def execute_plan(
 
     balances = dict(initial.balances)
     rows = plan.bin_matrix
-    if num_threads == 1 or not rows:
+    if num_threads == 1 or per_txn_work == 0 or not rows:
         for txn_id in itertools.chain.from_iterable(rows):
             if per_txn_work > 0:
                 time.sleep(per_txn_work)
@@ -185,8 +203,7 @@ def execute_plan(
                 for dep in deps:
                     if not done[dep] and not wakeup.sleep_until(lambda: done[dep]):
                         return  # a failed worker stopped the wakeup
-            if per_txn_work > 0:
-                time.sleep(per_txn_work)
+            time.sleep(per_txn_work)
             _apply(balances, txns[txn_id])
             done[txn_id] = True
             if wakeup.sleepers:

@@ -18,6 +18,10 @@ from binsched import (
     make_transaction,
 )
 
+# seconds of simulated work per transaction, for tests of the parallel replay:
+# execute_plan starts its peers only when there is work to sleep
+PEER_WORK = 1e-6
+
 
 class StepWorker(Worker):
     """A worker whose fault hook runs ``step(site)``, a peer's interleaved

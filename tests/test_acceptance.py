@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from _helpers import frontier_oracle
+from _helpers import PEER_WORK, frontier_oracle
 from binsched import (
     CRASH_POINTS,
     BenchConfig,
@@ -155,7 +155,9 @@ def test_criterion_04_determinism_theorem():
             for variant in Variant:
                 for num_threads in (2, 8):
                     result = schedule(block, variant, num_threads)
-                    final = execute_plan(result.plan, block, WalletState(), num_threads)
+                    final = execute_plan(
+                        result.plan, block, WalletState(), num_threads, PEER_WORK
+                    )
                     assert final.balances == serial.balances
                     assert final.total() == 0
 

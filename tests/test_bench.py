@@ -175,9 +175,11 @@ def test_non_positive_watchdog_rejected_before_any_row(watchdog_secs):
         small_config(watchdog_secs=watchdog_secs)
 
 
-@pytest.mark.parametrize("per_txn_work", [-1.0, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize(
+    "per_txn_work", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"]
+)
 def test_negative_or_nan_per_txn_work_rejected_before_any_row(per_txn_work):
-    with pytest.raises(ValueError, match="per_txn_work must be >= 0"):
+    with pytest.raises(ValueError, match="per_txn_work must be finite and >= 0"):
         small_config(per_txn_work=per_txn_work)
 
 

@@ -164,7 +164,7 @@ def test_schedule_validates_fault_flags_without_fault_percentages(tmp_path, caps
     assert captured.err == message
 
 
-@pytest.mark.parametrize("work_ms", ["-1", "nan"])
+@pytest.mark.parametrize("work_ms", ["-1", "nan", "inf"])
 def test_schedule_rejects_a_bad_per_txn_work_before_scheduling(
     tmp_path, capsys, monkeypatch, work_ms
 ):
@@ -177,7 +177,7 @@ def test_schedule_rejects_a_bad_per_txn_work_before_scheduling(
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: per_txn_work must be >= 0\n"
+    assert captured.err == "error: per_txn_work must be finite and >= 0\n"
     assert scheduled == []
 
 

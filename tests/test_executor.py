@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _helpers import (
+    PEER_WORK,
     chain_block,
     clique_block,
     disjoint_block,
@@ -201,7 +202,9 @@ def test_a_payloadless_transaction_is_rejected(num_threads):
     block = clique_block(20)
     block[10] = Transaction(id=10, read_set=frozenset({"X", "Y"}), write_set=frozenset({"X", "Y"}))
     plan = schedule(block, Variant.STANDARD, num_threads=2).plan
-    raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), num_threads))
+    raised = run_with_timeout(
+        lambda: execute_plan(plan, block, WalletState(), num_threads, PEER_WORK)
+    )
     assert [type(exc) for exc in raised] == [ValueError]
     assert "transaction 10 has no wallet payload" in str(raised[0])
     with pytest.raises(ValueError, match="transaction 10 has no wallet payload"):
@@ -218,7 +221,7 @@ def test_an_account_opens_at_zero_on_its_first_touch(num_threads):
         final = execute_serial(block, initial)
     else:
         plan = schedule(block, Variant.STANDARD, num_threads=2).plan
-        final = execute_plan(plan, block, initial, num_threads)
+        final = execute_plan(plan, block, initial, num_threads, PEER_WORK)
     assert final.balances == {"zero": 2, "neg": -10, "new": 7, "fresh": -4, "idle": 9}
     assert initial.balances == {"zero": 0, "neg": -5, "idle": 9}
 
@@ -233,7 +236,7 @@ def test_zero_threads_rejected():
 def test_parallel_equals_serial(variant, num_threads):
     block = random_wallet_block(seed=303, max_n=300)
     result = schedule(block, variant, num_threads=4)
-    final = execute_plan(result.plan, block, WalletState(), num_threads=num_threads)
+    final = execute_plan(result.plan, block, WalletState(), num_threads, PEER_WORK)
     serial = execute_serial(block, WalletState())
     assert final.balances == serial.balances
 
@@ -246,14 +249,27 @@ def test_balance_sum_is_conserved():
     assert final.total() == 100
 
 
-@pytest.mark.parametrize("per_txn_work", [-0.001, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize(
+    "per_txn_work", [-0.001, float("nan"), float("inf")], ids=["negative", "nan", "inf"]
+)
 def test_a_negative_or_nan_simulated_work_is_rejected(per_txn_work):
     block = wallet_block([("A", "B", 1)])
     plan = schedule(block, Variant.LOCKFREE, num_threads=1).plan
-    with pytest.raises(ValueError, match="per_txn_work must be >= 0"):
+    with pytest.raises(ValueError, match="per_txn_work must be finite and >= 0"):
         execute_plan(plan, block, WalletState(), num_threads=2, per_txn_work=per_txn_work)
-    with pytest.raises(ValueError, match="per_txn_work must be >= 0"):
+    with pytest.raises(ValueError, match="per_txn_work must be finite and >= 0"):
         execute_serial(block, WalletState(), per_txn_work)
+
+
+@pytest.mark.parametrize("num_threads", [2, 8])
+def test_replay_starts_peers_only_with_work(num_threads, started_threads):
+    block = random_wallet_block(seed=310, max_n=200)
+    plan = schedule(block, Variant.STANDARD, num_threads=1).plan
+    serial = execute_serial(block, WalletState()).balances
+    assert execute_plan(plan, block, WalletState(), num_threads).balances == serial
+    assert started_threads == []
+    assert execute_plan(plan, block, WalletState(), num_threads, PEER_WORK).balances == serial
+    assert started_threads == [f"exec-{w}" for w in range(num_threads - 1)]
 
 
 def test_simulated_work_changes_time_not_state():
@@ -277,7 +293,7 @@ def test_a_worker_error_stops_every_worker_and_is_raised(monkeypatch):
         real_apply(balances, txn)
 
     monkeypatch.setattr(binsched.executor, "_apply", failing_first_transfer)
-    raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), num_threads=4))
+    raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), 4, PEER_WORK))
     assert [type(exc) for exc in raised] == [RuntimeError]
     assert [str(exc) for exc in raised] == ["transfer 0 failed"]
     assert not [t for t in threading.enumerate() if t.name.startswith("exec-")]
@@ -301,7 +317,7 @@ def test_a_transfer_waits_for_its_frontier_not_its_previous_bin(monkeypatch):
             transfer_2_applied.set()
 
     monkeypatch.setattr(binsched.executor, "_apply", slow_first_transfer)
-    final = execute_plan(plan, block, WalletState(), num_threads=2)
+    final = execute_plan(plan, block, WalletState(), num_threads=2, per_txn_work=PEER_WORK)
     assert overlapped == [True]
     assert final.balances == execute_serial(block, WalletState()).balances
 
@@ -333,7 +349,7 @@ def test_an_error_wakes_a_peer_sleeping_on_the_failed_transfer(monkeypatch):
         applied.append(txn.id)
 
     monkeypatch.setattr(binsched.executor, "_apply", failing_first_transfer)
-    raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), num_threads=2))
+    raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), 2, PEER_WORK))
     assert [str(exc) for exc in raised] == ["transfer 0 failed"]
     assert applied == []
 
@@ -343,7 +359,7 @@ def test_parallel_equals_serial_under_fast_thread_switching():
         block = random_wallet_block(seed=900 + seed, max_n=150)
         plan = schedule(block, Variant.STANDARD, num_threads=2).plan
         with fast_thread_switching():
-            final = execute_plan(plan, block, WalletState(), num_threads=8)
+            final = execute_plan(plan, block, WalletState(), num_threads=8, per_txn_work=PEER_WORK)
         assert final.balances == execute_serial(block, WalletState()).balances
 
 

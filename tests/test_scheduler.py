@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import (
+    PEER_WORK,
     StepWorker,
     chain_block,
     disjoint_block,
@@ -179,20 +180,6 @@ def test_lockfree_with_watchdog_completes():
 
 
 @pytest.fixture
-def started_threads(monkeypatch):
-    """Names of the threads the worker runner starts, in start order."""
-    names = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            names.append(self.name)
-            super().start()
-
-    monkeypatch.setattr(binsched.faults.threading, "Thread", Recorded)
-    return names
-
-
-@pytest.fixture
 def crashed_on(monkeypatch):
     """The threads on which a worker crashed, in crash order."""
     threads = []
@@ -215,7 +202,7 @@ def test_no_worker_thread_outlives_its_run():
     for variant in ALL_VARIANTS:
         result = schedule(block, variant, num_threads=4)
         assert live_workers() == []
-        execute_plan(result.plan, block, WalletState(), num_threads=4)
+        execute_plan(result.plan, block, WalletState(), num_threads=4, per_txn_work=PEER_WORK)
         assert live_workers() == []
     faults = FaultPlan(crashed_workers=frozenset({1}), crash_point=Site.INTER_PHASE)
     with pytest.raises(NonTermination):
