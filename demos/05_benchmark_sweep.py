@@ -1,13 +1,15 @@
 """Run a small benchmark sweep and render the median report.
 
-The harness generates a workload per sweep point and repetition, schedules
-and executes it, and appends one CSV row per scheduler. The report step
-aggregates repetitions to medians, one series per scheduler.
+A sweep is the product of its axes: block size, dependency percentage, and
+the delayed and crashed shares of workers. This one varies only the block
+size, so it is the paper's fault-free baseline. The harness generates a
+workload per block size and repetition, schedules and executes it, and
+appends one CSV row per scheduler. The report step aggregates repetitions to
+medians, one series per scheduler.
 """
 
 from binsched import (
     BenchConfig,
-    Experiment,
     SchedulerKind,
     aggregate_rows,
     report,
@@ -15,7 +17,6 @@ from binsched import (
 )
 
 config = BenchConfig(
-    experiment=Experiment.BASELINE,
     n_txns_values=(100, 200, 400),
     dependency_pct_values=(30.0,),
     schedulers=(SchedulerKind.SERIAL, SchedulerKind.STANDARD, SchedulerKind.LOCKFREE),

@@ -12,9 +12,10 @@ delay choices come from a second generator, so a seed's blocks and crash
 plans do not depend on them. A delayed worker that finds no slot left to
 claim never sleeps, so the script counts, through a stand-in for
 ``binsched.faults``' ``time`` module, the delayed runs that slept at least
-once. A helper whose claim passes n sweeps the slots still unset, as it
-must for a slot a crashed or descheduled peer claimed; through a stand-in
-for ``PublishOnceArray.unpublished`` the script counts the runs in which
+once, and prints them per variant and thread count. A helper whose claim
+passes n sweeps the slots still unset, as it must for a slot a crashed or
+descheduled peer claimed; through a stand-in for
+``PublishOnceArray.unpublished`` the script counts the runs in which
 a helper did. Every run's bins are checked against ``bin_oracle``, and
 every phase-1 slot, claimed or swept, is checked to hold the conflict
 index's own frontier object, which phase 2 and the plan read. A wallet
@@ -37,6 +38,7 @@ when no delayed run slept or no helper swept; 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import random
 import sys
@@ -148,7 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.seed)
     delay_rng = random.Random(f"delays-{args.seed}")
     fund_rng = random.Random(f"funds-{args.seed}")
-    runs = crashed_runs = delayed_runs = slept_runs = swept_runs = failures = 0
+    runs = crashed_runs = swept_runs = failures = 0
+    delayed_runs = collections.Counter()  # runs with a delay plan, by (variant, threads)
+    slept_runs = collections.Counter()  # those in which a delayed worker slept
     funded_accounts = 0
     counter = SleepCounter()
     sweeps = SweepCounter()
@@ -193,14 +197,14 @@ def main(argv: list[str] | None = None) -> int:
                             delay=CLAIM_DELAY,
                             seed=delay_rng.randrange(2**32),
                         )
-                        delayed_runs += 1
+                        delayed_runs[variant, threads] += 1
                     runs += 1
                     sleeps_before, sweeps_before = counter.sleeps, sweeps.sweeps
                     problems = check_run(
                         block, variant, threads, faults, expected, initial, expected_balances
                     )
                     if counter.sleeps > sleeps_before:  # only a delay plan sleeps
-                        slept_runs += 1
+                        slept_runs[variant, threads] += 1
                     if sweeps.sweeps > sweeps_before:  # only a helper sweeps
                         swept_runs += 1
                     for problem in problems:
@@ -216,10 +220,19 @@ def main(argv: list[str] | None = None) -> int:
         PublishOnceArray.unpublished = sweeps.unpublished
     elapsed = time.perf_counter() - started
     print(
-        f"{runs} runs ({crashed_runs} with crashes, {delayed_runs} with delays,"
-        f" {slept_runs} of which slept; {swept_runs} in which a helper swept)"
+        f"{runs} runs ({crashed_runs} with crashes, {delayed_runs.total()} with delays,"
+        f" {slept_runs.total()} of which slept; {swept_runs} in which a helper swept)"
         f" over {args.blocks} blocks ({funded_accounts} accounts funded), "
         f"{failures} failed, {elapsed:.1f} s"
+    )
+    print(
+        "delayed runs that slept: "
+        + ", ".join(
+            f"{variant.value} at {threads} threads {slept_runs[variant, threads]}"
+            f" of {delayed_runs[variant, threads]}"
+            for variant in Variant
+            for threads in THREAD_COUNTS
+        )
     )
     if not slept_runs:
         print("no delayed run slept, so no delay plan was exercised")

@@ -14,7 +14,6 @@ from .bench import (
     NON_TERMINATION_FLAG,
     BenchConfig,
     BenchRow,
-    Experiment,
     SchedulerKind,
     aggregate_rows,
     render_rows,
@@ -94,7 +93,6 @@ __all__ = [
     "ConflictTable",
     "DEFAULT_WATCHDOG_SECS",
     "EMPTY_PLAN",
-    "Experiment",
     "ExecutionPlan",
     "FaultPlan",
     "NON_TERMINATION_FLAG",

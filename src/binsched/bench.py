@@ -1,11 +1,13 @@
-"""Benchmark harness: experiment sweeps, CSV rows, and report aggregation.
+"""Benchmark harness: sweeps, CSV rows, and report aggregation.
 
-Three experiment families mirror the evaluation axes: BASELINE sweeps block
-size and dependency percentage with no faults, LATENCY sweeps the share of
-delayed workers, and CRASH sweeps the share of crashed workers (lock-free
-scheduler only, since it alone survives a crash at every crash point a sweep
-can name; :attr:`Variant.fatal_crash_sites` lists where the others cannot). Every
-measurement appends one row; callers can sink rows incrementally so an
+A sweep is the product of four axes: block size, dependency percentage, and
+the shares of delayed and crashed workers. The paper's three experiments are
+choices of which axis varies: a baseline sweeps the block axes with no
+faults, a latency sweep varies the delayed share and a crash sweep the
+crashed share; a sweep may vary both fault axes at once. A sweep with any
+crashed share is rejected before any row runs if it names a scheduler that
+cannot survive a crash at its crash point (:attr:`Variant.fatal_crash_sites`).
+Every measurement appends one row; callers can sink rows incrementally so an
 interrupted run preserves partial data. Medians across repetitions are the
 job of :func:`aggregate_rows` / :func:`report`, not the runner.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import json
 import statistics
 import time
@@ -37,12 +40,6 @@ from .scheduler import (
 from .workload import WorkloadSpec, compute_conflict_params, generate_workload
 
 NON_TERMINATION_FLAG = "NON_TERMINATION"
-
-
-class Experiment(enum.Enum):
-    BASELINE = "baseline"
-    LATENCY = "latency"
-    CRASH = "crash"
 
 
 class SchedulerKind(enum.Enum):
@@ -88,7 +85,6 @@ _CONVERTERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in
 
 @dataclass(frozen=True)
 class BenchConfig:
-    experiment: Experiment
     n_txns_values: tuple[int, ...]
     dependency_pct_values: tuple[float, ...]
     schedulers: tuple[SchedulerKind, ...]
@@ -106,29 +102,24 @@ class BenchConfig:
     watchdog_secs: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.n_txns_values or not self.dependency_pct_values or not self.schedulers:
+        points = sweep_points(self)  # the product is empty exactly when an axis is
+        if not points or not self.schedulers:
             raise ValueError("sweep axes and scheduler list must be non-empty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.num_threads < 1:
             raise ValueError("num_threads must be >= 1")
         check_per_txn_work(self.per_txn_work)
-        for axis, sweeper in (("delayed_pct", Experiment.LATENCY), ("crashed_pct", Experiment.CRASH)):
-            if self.experiment is not sweeper and any(getattr(self, f"{axis}_values")):
-                raise ValueError(f"only the {sweeper.value} experiment sweeps {axis}")
         # a bad workload, percentage, crash point, delay or budget fails before any row runs
-        for n, dep, delayed_pct, crashed_pct in sweep_points(self):
+        for n, dep, delayed_pct, crashed_pct in points:
             self.workload_spec(n, dep)
             self.fault_plan(delayed_pct, crashed_pct)
         resolve_watchdog_secs(self.watchdog_secs)
-        if self.experiment is Experiment.CRASH:
-            allowed = {SchedulerKind.LOCKFREE, SchedulerKind.SERIAL}
-            extra = set(self.schedulers) - allowed
-            if extra:
-                raise ValueError(
-                    "crash experiments run on the lockfree scheduler "
-                    f"(plus serial reference); got {sorted(k.value for k in extra)}"
-                )
+        if any(self.crashed_pct_values):
+            for kind in self.schedulers:
+                if kind.variant and self.crash_point in kind.variant.fatal_crash_sites:
+                    point = self.crash_point.value
+                    raise ValueError(f"{kind.value} cannot survive a crash at {point}")
 
     def workload_spec(self, n_txns: int, dependency_pct: float, seed: int = 0) -> WorkloadSpec:
         """The workload of a sweep point with this size and dependency percentage."""
@@ -147,17 +138,9 @@ class BenchConfig:
 
 
 def sweep_points(config: BenchConfig) -> list[tuple[int, float, float, float]]:
-    """(n_txns, dependency_pct, delayed_pct, crashed_pct) per sweep point."""
-    points = []
-    for n in config.n_txns_values:
-        for dep in config.dependency_pct_values:
-            if config.experiment is Experiment.LATENCY:
-                points.extend((n, dep, d, 0.0) for d in config.delayed_pct_values)
-            elif config.experiment is Experiment.CRASH:
-                points.extend((n, dep, 0.0, c) for c in config.crashed_pct_values)
-            else:
-                points.append((n, dep, 0.0, 0.0))
-    return points
+    """(n_txns, dependency_pct, delayed_pct, crashed_pct) per sweep point, in run order."""
+    block_axes = config.n_txns_values, config.dependency_pct_values
+    return list(itertools.product(*block_axes, config.delayed_pct_values, config.crashed_pct_values))
 
 
 def run_benchmark(
@@ -166,19 +149,13 @@ def run_benchmark(
 ) -> list[BenchRow]:
     """Execute the configured sweep; one row per point x scheduler x rep."""
     rows: list[BenchRow] = []
-
-    def emit(row: BenchRow) -> None:
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
-
-    points = sweep_points(config)
-    for n, dep in dict.fromkeys(p[:2] for p in points):  # one block per rep, every fault point
-        for rep in range(config.repetitions):
+    for n, dep in itertools.product(config.n_txns_values, config.dependency_pct_values):
+        for rep in range(config.repetitions):  # one block per rep, run at every fault point
             seed = config.base_seed + rep
             block = generate_workload(config.workload_spec(n, dep, seed))
             params = compute_conflict_params(block)
-            for _, _, delayed_pct, crashed_pct in (p for p in points if p[:2] == (n, dep)):
+            fault_points = itertools.product(config.delayed_pct_values, config.crashed_pct_values)
+            for delayed_pct, crashed_pct in fault_points:
                 base = BenchRow(
                     scheduler="",
                     n_txns=n,
@@ -199,7 +176,9 @@ def run_benchmark(
                     rep=rep,
                 )
                 for kind in config.schedulers:
-                    emit(_measure(kind, block, base, config))
+                    rows.append(_measure(kind, block, base, config))
+                    if on_row is not None:
+                        on_row(rows[-1])
     return rows
 
 

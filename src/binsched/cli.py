@@ -20,8 +20,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .bench import (
+    NON_TERMINATION_FLAG,
     BenchConfig,
-    Experiment,
     SchedulerKind,
     report,
     rows_from_csv,
@@ -115,7 +115,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             txns, variant, args.threads, faults, per_txn_work, args.watchdog_secs
         )
     except NonTermination as hang:
-        out["flags"] = "NON_TERMINATION"
+        out["flags"] = NON_TERMINATION_FLAG
         out["watchdog_secs"] = hang.watchdog_secs
         print(json.dumps(out, indent=2))
         return EXIT_OK
@@ -186,10 +186,9 @@ def config_keys(run: argparse.ArgumentParser) -> set[str]:
 def bench_config(args: argparse.Namespace) -> BenchConfig:
     """The sweep a parsed ``run`` command line asks for."""
     return BenchConfig(
-        experiment=Experiment(args.experiment.lower()),
         n_txns_values=_numbers(args.n_txns, int),
         dependency_pct_values=_numbers(args.dependency_pct, float),
-        schedulers=tuple(SchedulerKind(v.strip().lower()) for v in args.schedulers.split(",")),
+        schedulers=_numbers(args.schedulers.lower(), SchedulerKind),
         num_threads=args.num_threads,
         delayed_pct_values=_numbers(args.delayed_pct, float),
         crashed_pct_values=_numbers(args.crashed_pct, float),
@@ -268,7 +267,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     run = sub.add_parser("run", help="run a benchmark sweep")
     run.add_argument("--config", default=None, help="key = value config file")
-    run.add_argument("--experiment", choices=[e.value for e in Experiment], default="baseline")
     run.add_argument("--n-txns", default="600", help="comma list")
     run.add_argument("--dependency-pct", default="40", help="comma list")
     run.add_argument("--schedulers", default="serial,lockfree", help="comma list")

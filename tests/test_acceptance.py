@@ -15,7 +15,6 @@ from _helpers import PEER_WORK, frontier_oracle
 from binsched import (
     CRASH_POINTS,
     BenchConfig,
-    Experiment,
     FaultPlan,
     NonTermination,
     SchedulerKind,
@@ -249,7 +248,6 @@ def test_criterion_07_speedup_trend():
 def test_criterion_08_latency_trend():
     with criterion(8, "helpers beat the barrier variant under 40% delays", budget_s=180):
         config = BenchConfig(
-            experiment=Experiment.LATENCY,
             n_txns_values=(600,),
             dependency_pct_values=(100.0,),
             schedulers=(SchedulerKind.STANDARD, SchedulerKind.ASSISTED, SchedulerKind.LOCKFREE),
@@ -277,7 +275,6 @@ def test_criterion_08_latency_trend():
 def test_criterion_09_crash_overhead_trend():
     with criterion(9, "lockfree throughput drops as crash percentage rises", budget_s=120):
         config = BenchConfig(
-            experiment=Experiment.CRASH,
             n_txns_values=(600,),
             dependency_pct_values=(40.0,),
             schedulers=(SchedulerKind.LOCKFREE,),

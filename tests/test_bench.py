@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 from pathlib import Path
@@ -6,14 +7,15 @@ import pytest
 
 import binsched.bench
 from binsched import (
+    CRASH_POINTS,
     CSV_HEADER,
     NON_TERMINATION_FLAG,
     BenchConfig,
     BenchRow,
-    Experiment,
     SchedulerConfigError,
     SchedulerKind,
     Site,
+    Variant,
     aggregate_rows,
     render_rows,
     report,
@@ -26,7 +28,6 @@ from binsched import (
 
 def small_config(**overrides):
     defaults = dict(
-        experiment=Experiment.BASELINE,
         n_txns_values=(20, 40),
         dependency_pct_values=(0.0,),
         schedulers=(SchedulerKind.SERIAL, SchedulerKind.LOCKFREE),
@@ -77,7 +78,6 @@ def test_baseline_sweep_points():
 
 def test_latency_sweep_points():
     config = small_config(
-        experiment=Experiment.LATENCY,
         n_txns_values=(600,),
         delayed_pct_values=(0.0, 20.0, 40.0),
     )
@@ -86,7 +86,6 @@ def test_latency_sweep_points():
 
 def test_crash_sweep_points():
     config = small_config(
-        experiment=Experiment.CRASH,
         schedulers=(SchedulerKind.LOCKFREE,),
         crashed_pct_values=(0.0, 80.0),
     )
@@ -109,7 +108,6 @@ def test_a_sweep_builds_each_block_once_per_rep(monkeypatch):
 
     monkeypatch.setattr(binsched.bench, "compute_conflict_params", counted)
     config = small_config(
-        experiment=Experiment.LATENCY,
         schedulers=(SchedulerKind.SERIAL, SchedulerKind.STANDARD),
         delayed_pct_values=(0.0, 50.0, 100.0),
         delay_s=0.0001,
@@ -164,9 +162,66 @@ def test_exec_time_covers_the_whole_schedule_call(monkeypatch):
     assert row.exec_time_s >= 0.05
 
 
-def test_crash_experiment_restricted_to_lockfree():
-    with pytest.raises(ValueError):
-        small_config(experiment=Experiment.CRASH, schedulers=(SchedulerKind.STANDARD,))
+@pytest.mark.parametrize("crash_point", CRASH_POINTS, ids=lambda site: site.value)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda variant: variant.value)
+def test_crash_sweep_accepted_unless_fatal(variant, crash_point):
+    make = functools.partial(
+        small_config,
+        schedulers=(SchedulerKind.SERIAL, SchedulerKind(variant.value)),
+        crash_point=crash_point,
+    )
+    make()  # without a crash, every variant runs at every crash point
+    crash_sweep = functools.partial(make, crashed_pct_values=(0.0, 50.0))
+    if crash_point in variant.fatal_crash_sites:
+        message = f"^{variant.value} cannot survive a crash at {crash_point.value}$"
+        with pytest.raises(ValueError, match=message):
+            crash_sweep()
+    else:
+        assert sweep_points(crash_sweep())[-1] == (40, 0.0, 0.0, 50.0)
+
+
+@pytest.mark.parametrize(
+    "axis",
+    ["n_txns_values", "dependency_pct_values", "delayed_pct_values", "crashed_pct_values", "schedulers"],
+)
+def test_an_empty_axis_is_rejected(axis):
+    # an empty axis makes the sweep's product empty: a run would emit no row
+    with pytest.raises(ValueError, match="sweep axes and scheduler list must be non-empty"):
+        small_config(**{axis: ()})
+
+
+def test_an_assisted_crash_sweep_at_phase2_pre_cas_runs_unflagged():
+    config = small_config(
+        schedulers=(SchedulerKind.ASSISTED,),
+        n_txns_values=(40,),
+        crashed_pct_values=(0.0, 50.0),
+        num_threads=4,
+        repetitions=1,
+        crash_point=Site.PHASE2_PRE_CAS,
+    )
+    rows = run_benchmark(config)
+    assert [r.crashed_pct for r in rows] == [0.0, 50.0]
+    assert not any(r.flags for r in rows)
+    assert rows[0].num_bins == rows[1].num_bins  # one block, one set of bins
+
+
+def test_a_sweep_may_vary_both_fault_axes():
+    both = functools.partial(
+        small_config,
+        schedulers=(SchedulerKind.LOCKFREE,),
+        n_txns_values=(30,),
+        num_threads=4,
+        repetitions=1,
+        delay_s=0.0001,
+    )
+    rows = run_benchmark(both(delayed_pct_values=(0.0, 25.0), crashed_pct_values=(0.0, 50.0)))
+    assert [(r.delayed_pct, r.crashed_pct) for r in rows] == [
+        (0.0, 0.0), (0.0, 50.0), (25.0, 0.0), (25.0, 50.0)
+    ]
+    assert not any(r.flags for r in rows)
+    # 2 delayed + 3 crashed of 4 workers overlap; the sweep's first points would have run
+    with pytest.raises(ValueError, match="fault counts overlap"):
+        both(delayed_pct_values=(0.0, 50.0), crashed_pct_values=(0.0, 75.0))
 
 
 @pytest.mark.parametrize("watchdog_secs", [0.0, -1.0])
@@ -184,45 +239,23 @@ def test_negative_or_nan_per_txn_work_rejected_before_any_row(per_txn_work):
 
 
 def test_negative_delay_rejected_before_any_row():
-    with pytest.raises(ValueError, match="delay_per_claim must be >= 0"):
-        small_config(delay_s=-0.001)
+    for delay_s in (-0.001, float("inf")):
+        with pytest.raises(ValueError, match="delay_per_claim must be finite and >= 0"):
+            small_config(delay_s=delay_s)
 
 
 @pytest.mark.parametrize(
-    "experiment, axis, scheduler",
+    "axis, scheduler",
     [
-        (Experiment.LATENCY, "delayed_pct_values", SchedulerKind.STANDARD),
-        (Experiment.CRASH, "crashed_pct_values", SchedulerKind.LOCKFREE),
+        ("delayed_pct_values", SchedulerKind.STANDARD),
+        ("crashed_pct_values", SchedulerKind.LOCKFREE),
     ],
     ids=["delayed", "crashed"],
 )
-def test_out_of_range_fault_pct_rejected_before_any_row(experiment, axis, scheduler):
+def test_out_of_range_fault_pct_rejected_before_any_row(axis, scheduler):
     # the in-range point comes first in the sweep, so a check at run time would emit its rows
     with pytest.raises(ValueError, match=r"percentages must lie in \[0, 100\]"):
-        small_config(
-            experiment=experiment,
-            schedulers=(SchedulerKind.SERIAL, scheduler),
-            **{axis: (0.0, 150.0)},
-        )
-
-
-@pytest.mark.parametrize(
-    "experiment, axis, sweeper",
-    [
-        (Experiment.BASELINE, "delayed_pct_values", "latency"),
-        (Experiment.CRASH, "delayed_pct_values", "latency"),
-        (Experiment.BASELINE, "crashed_pct_values", "crash"),
-        (Experiment.LATENCY, "crashed_pct_values", "crash"),
-    ],
-    ids=["delayed-baseline", "delayed-crash", "crashed-baseline", "crashed-latency"],
-)
-@pytest.mark.parametrize("values", [(50.0,), (0.0, 150.0)], ids=["in_range", "out_of_range"])
-def test_a_fault_pct_the_experiment_does_not_sweep_is_rejected(experiment, axis, sweeper, values):
-    # the experiment would run every row at 0% and never range-check the list
-    with pytest.raises(ValueError, match=f"only the {sweeper} experiment sweeps"):
-        small_config(
-            experiment=experiment, schedulers=(SchedulerKind.LOCKFREE,), **{axis: values}
-        )
+        small_config(schedulers=(SchedulerKind.SERIAL, scheduler), **{axis: (0.0, 150.0)})
 
 
 @pytest.mark.parametrize(
@@ -241,7 +274,6 @@ def test_out_of_range_workload_rejected_before_any_row(axis, values, message):
 
 def test_crash_experiment_runs_with_dead_threads_excluded():
     config = small_config(
-        experiment=Experiment.CRASH,
         schedulers=(SchedulerKind.LOCKFREE,),
         n_txns_values=(40,),
         crashed_pct_values=(50.0,),
@@ -258,7 +290,6 @@ def test_crash_experiment_runs_with_dead_threads_excluded():
 def test_watchdog_produces_non_termination_rows():
     # delays large enough that the run cannot beat the watchdog
     config = small_config(
-        experiment=Experiment.LATENCY,
         schedulers=(SchedulerKind.STANDARD,),
         n_txns_values=(40,),
         delayed_pct_values=(100.0,),

@@ -150,9 +150,10 @@ def test_unknown_crash_point_is_config_error(tmp_path, capsys):
     "flags, message",
     [
         (["--crash-point", "bogus"], "error: unknown crash point: 'bogus'\n"),
-        (["--delay-ms", "-1"], "error: delay_per_claim must be >= 0\n"),
+        (["--delay-ms", "-1"], "error: delay_per_claim must be finite and >= 0\n"),
+        (["--delay-ms", "inf"], "error: delay_per_claim must be finite and >= 0\n"),
     ],
-    ids=["crash-point", "delay-ms"],
+    ids=["crash-point", "delay-ms", "delay-ms-inf"],
 )
 def test_schedule_validates_fault_flags_without_fault_percentages(tmp_path, capsys, flags, message):
     block = tmp_path / "block.json"
@@ -184,19 +185,19 @@ def test_schedule_rejects_a_bad_per_txn_work_before_scheduling(
 def test_run_rejects_a_nan_delay_before_any_row(tmp_path, capsys):
     rows_path = tmp_path / "rows.csv"
     code = run_cli(
-        ["run", "--experiment", "latency", "--delayed-pct", "0,50", "--delay-ms", "nan",
+        ["run", "--delayed-pct", "0,50", "--delay-ms", "nan",
          "--n-txns", "10", "--reps", "1", "--threads", "2", "-o", str(rows_path)]
     )
     assert code == 1
-    assert capsys.readouterr().err == "error: delay_per_claim must be >= 0\n"
+    assert capsys.readouterr().err == "error: delay_per_claim must be finite and >= 0\n"
     assert not rows_path.exists()
 
 
 def test_run_and_report_round_trip(tmp_path, capsys):
     rows_path = tmp_path / "rows.csv"
     code = run_cli(
-        ["run", "--experiment", "baseline", "--n-txns", "15,30", "--dependency-pct", "0",
-         "--schedulers", "serial,lockfree", "--threads", "2", "--reps", "2",
+        ["run", "--n-txns", "15,30,", "--dependency-pct", "0",
+         "--schedulers", "serial,lockfree,", "--threads", "2", "--reps", "2",
          "--seed", "7", "-o", str(rows_path)]
     )
     assert code == 0
@@ -244,7 +245,6 @@ def test_run_with_config_file(tmp_path):
     cfg.write_text(
         """
         # tiny latency sweep
-        experiment = latency
         n_txns = 12
         dependency_pct = 50
         schedulers = standard, lockfree
@@ -264,7 +264,7 @@ def test_run_with_config_file(tmp_path):
 
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "bench.cfg"
-    cfg.write_text("experiment = baseline\nn_txns = 10\nrepetitions = 3\nschedulers = serial\n")
+    cfg.write_text("n_txns = 10\nrepetitions = 3\nschedulers = serial\n")
     rows_path = tmp_path / "rows.csv"
     assert run_cli(["run", "--config", str(cfg), "--reps", "1", "-o", str(rows_path)]) == 0
     assert len(rows_from_csv(rows_path.read_text())) == 1
@@ -272,14 +272,14 @@ def test_flags_override_config_file(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
-    cfg.write_text("experiment = baseline\nn_txn = 10\n")
+    cfg.write_text("experiment = latency\nn_txn = 10\n")
     assert run_cli(["run", "--config", str(cfg)]) == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown config keys: ['experiment', 'n_txn']\n"
 
 
 def test_malformed_config_line_rejected(tmp_path):
     cfg = tmp_path / "bench.cfg"
-    cfg.write_text("experiment baseline\n")
+    cfg.write_text("repetitions 1\n")
     assert run_cli(["run", "--config", str(cfg)]) == 1
 
 
@@ -300,7 +300,7 @@ def test_console_script_entry_point(tmp_path):
 
 
 RUN_SETTINGS = {
-    "experiment", "n_txns", "dependency_pct", "schedulers", "num_threads", "delayed_pct",
+    "n_txns", "dependency_pct", "schedulers", "num_threads", "delayed_pct",
     "crashed_pct", "delay_ms", "crash_point", "repetitions", "per_txn_work_ms", "n_accounts",
     "amount_min", "amount_max", "seed", "fault_seed", "watchdog_secs",
 }
@@ -313,7 +313,8 @@ def test_config_keys_are_the_run_flags_dests():
 
 
 def test_config_file_and_flags_build_equal_configs(tmp_path):
-    shared = {
+    # one sweep sets every key, both fault axes included
+    settings = {
         "n_txns": ("12, 24", "--n-txns", "12,24"),
         "dependency_pct": ("10, 90", "--dependency-pct", "10,90"),
         "schedulers": ("lockfree, serial", "--schedulers", "lockfree,serial"),
@@ -328,25 +329,16 @@ def test_config_file_and_flags_build_equal_configs(tmp_path):
         "seed": ("4", "--seed", "4"),
         "fault_seed": ("6", "--fault-seed", "6"),
         "watchdog_secs": ("7", "--watchdog-secs", "7"),
-    }
-    axes = {
         "delayed_pct": ("5", "--delayed-pct", "5"),
         "crashed_pct": ("0, 50", "--crashed-pct", "0,50"),
     }
-    assert set(shared) | {"experiment"} | set(axes) == RUN_SETTINGS
-    default = bench_config(parse_args(["run"]))
-    # each experiment sets the fault axis it sweeps; the other keeps its default
-    for experiment, axis, other in [
-        ("latency", "delayed_pct", "crashed_pct"),
-        ("crash", "crashed_pct", "delayed_pct"),
-    ]:
-        settings = {**shared, "experiment": (experiment, "--experiment", experiment), axis: axes[axis]}
-        cfg = tmp_path / f"{experiment}.cfg"
-        cfg.write_text("".join(f"{key} = {value}\n" for key, (value, _, _) in settings.items()))
-        flags = [part for _, flag, value in settings.values() for part in (flag, value)]
+    assert set(settings) == RUN_SETTINGS
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, (value, _, _) in settings.items()))
+    flags = [part for _, flag, value in settings.values() for part in (flag, value)]
 
-        from_file = bench_config(parse_args(["run", "--config", str(cfg)]))
-        assert from_file == bench_config(parse_args(["run", *flags]))
-        for field in dataclasses.fields(default):
-            if field.name != f"{other}_values":
-                assert getattr(from_file, field.name) != getattr(default, field.name), field.name
+    from_file = bench_config(parse_args(["run", "--config", str(cfg)]))
+    assert from_file == bench_config(parse_args(["run", *flags]))
+    default = bench_config(parse_args(["run"]))
+    for field in dataclasses.fields(default):
+        assert getattr(from_file, field.name) != getattr(default, field.name), field.name

@@ -56,10 +56,12 @@ def test_overflowing_selection_rejected():
 
 
 def test_a_nan_delay_is_rejected():
-    with pytest.raises(ValueError, match="delay_per_claim must be >= 0"):
-        FaultPlan(delayed_workers=frozenset({0}), delay_per_claim=float("nan"))
-    with pytest.raises(ValueError, match="delay_per_claim must be >= 0"):
-        make_fault_plan(2, delayed_pct=50, delay=float("nan"))
+    # an infinite delay too: time.sleep would raise OverflowError at a delayed worker's claim
+    for delay in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delay_per_claim must be finite and >= 0"):
+            FaultPlan(delayed_workers=frozenset({0}), delay_per_claim=delay)
+        with pytest.raises(ValueError, match="delay_per_claim must be finite and >= 0"):
+            make_fault_plan(2, delayed_pct=50, delay=delay)
 
 
 def test_plan_invariants_enforced():
