@@ -17,8 +17,10 @@ passes n sweeps the slots still unset, as it must for a slot a crashed or
 descheduled peer claimed; through a stand-in for
 ``PublishOnceArray.unpublished`` the script counts the runs in which
 a helper did. Every run's bins are checked against ``bin_oracle``, and
-every phase-1 slot, claimed or swept, is checked to hold the conflict
-index's own frontier object, which phase 2 and the plan read. A wallet
+every phase-1 slot, claimed or swept, is checked to hold ``(w,)`` for a
+worker ``w`` of the run; when the crash point is a phase-1 site, no slot
+may hold a crashed worker's id, since such a worker crashes before its
+first publish. A wallet
 block's plan is also executed by ``execute_plan`` on the surviving threads,
 with 1 us of simulated work per transaction, since replay without work runs
 on the calling thread alone, and checked against ``execute_serial``'s final
@@ -29,7 +31,7 @@ blocks, bins and fault plans do not depend on them either. Access-set
 blocks carry no payload, so they are not executed.
 Every other block runs at a thread switch interval of 10 us, so claims and
 publishes interleave more finely.
-Exits 1 on any wrong bins, foreign frontier, wrong balances or error, or
+Exits 1 on any wrong bins, wrong phase-1 slot, wrong balances or error, or
 when no delayed run slept or no helper swept; 0 otherwise.
 
     PYTHONPATH=src python scripts/stress_helpers.py --seed 7 --blocks 100
@@ -48,7 +50,7 @@ import traceback
 import binsched.faults
 from binsched import (
     CRASH_POINTS,
-    PublishOnceArray,
+    Site,
     Transaction,
     Variant,
     WalletState,
@@ -60,6 +62,7 @@ from binsched import (
     make_fault_plan,
     schedule,
 )
+from binsched.atomics import PublishOnceArray
 
 THREAD_COUNTS = (2, 8)
 MAX_N = 1000
@@ -67,6 +70,8 @@ FINE_SWITCH_INTERVAL = 1e-5  # seconds, for every other block
 ACCESS_SET_EVERY = 3  # every third block is an access-set block
 CLAIM_DELAY = 10e-6  # seconds a delayed worker sleeps per claim
 REPLAY_WORK = 1e-6  # seconds of simulated work per transaction, so replay starts its peers
+# a worker that crashes at one of these sites does so before its first phase-1 publish
+PHASE1_SITES = (Site.PHASE1_POST_CLAIM, Site.PHASE1_PRE_PUBLISH)
 
 
 class SleepCounter:
@@ -133,9 +138,12 @@ def check_run(block, variant, threads, faults, expected, initial, expected_balan
     if result.assignment.initial_bin_list() != expected:
         problems.append("WRONG BINS")
     table = result.assignment.table
-    frontiers = table.index.frontiers
-    if not all(table.box_of(i)[0] is frontiers[i] for i in range(len(block))):
-        problems.append("A SLOT HOLDS A FRONTIER THE INDEX DID NOT BUILD")
+    boxes = {table.box_of(i) for i in range(len(block))}
+    if not boxes <= {(w,) for w in range(threads)}:
+        problems.append("A PHASE-1 SLOT HOLDS NO WORKER ID OF THE RUN")
+    if faults is not None and faults.crash_point in PHASE1_SITES:
+        if not boxes.isdisjoint({(w,) for w in faults.crashed_workers}):
+            problems.append("A PHASE-1 SLOT HOLDS THE ID OF A WORKER THAT CRASHED IN PHASE 1")
     if expected_balances is not None and final.balances != expected_balances:
         problems.append("WRONG BALANCES")
     return problems

@@ -8,7 +8,7 @@ execution. Three scheduler variants trade synchronization for resilience,
 and a fault-injection harness reproduces latency and crash experiments.
 """
 
-from .atomics import UNASSIGNED, AtomicInt, PublishOnceArray
+from .atomics import AtomicInt
 from .bench import (
     CSV_HEADER,
     NON_TERMINATION_FLAG,
@@ -23,45 +23,25 @@ from .bench import (
     run_benchmark,
     sweep_points,
 )
-from .binning import BinAssignment, assign_bins_helper, assign_bins_standard, bin_oracle
-from .conflict import (
-    ConflictIndex,
-    ConflictTable,
-    build_conflict_sets_helper,
-    build_conflict_sets_standard,
-    check_conflicts,
-    conflict_sets_oracle,
-)
+from .binning import BinAssignment, bin_oracle
+from .conflict import ConflictIndex, check_conflicts, conflict_sets_oracle
 from .executor import (
-    EMPTY_PLAN,
     ExecutionPlan,
     WalletState,
     build_execution_plan,
     execute_plan,
     execute_serial,
 )
-from .faults import (
-    CRASH_POINTS,
-    Aborted,
-    FaultPlan,
-    Site,
-    Worker,
-    WorkerCrashed,
-    make_fault_plan,
-)
+from .faults import CRASH_POINTS, FaultPlan, Site, make_fault_plan
 from .scheduler import (
-    DEFAULT_WATCHDOG_SECS,
     NonTermination,
-    PhaseTimings,
     RetryStats,
-    ScheduleResult,
     SchedulerConfigError,
     Variant,
     schedule,
     schedule_with_watchdog,
 )
 from .txn import (
-    Address,
     Transaction,
     TransferPayload,
     dump_workload,
@@ -70,54 +50,33 @@ from .txn import (
     transaction_from_dict,
     transaction_to_dict,
 )
-from .workload import (
-    ConflictParams,
-    WorkloadSpec,
-    compute_conflict_params,
-    generate_workload,
-)
+from .workload import WorkloadSpec, compute_conflict_params, generate_workload
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Address",
     "AtomicInt",
-    "Aborted",
     "BenchConfig",
     "BenchRow",
     "BinAssignment",
     "CRASH_POINTS",
     "CSV_HEADER",
     "ConflictIndex",
-    "ConflictParams",
-    "ConflictTable",
-    "DEFAULT_WATCHDOG_SECS",
-    "EMPTY_PLAN",
     "ExecutionPlan",
     "FaultPlan",
     "NON_TERMINATION_FLAG",
     "NonTermination",
-    "PhaseTimings",
-    "PublishOnceArray",
     "RetryStats",
-    "ScheduleResult",
     "SchedulerConfigError",
     "SchedulerKind",
     "Site",
     "Transaction",
     "TransferPayload",
-    "UNASSIGNED",
     "Variant",
     "WalletState",
-    "Worker",
-    "WorkerCrashed",
     "WorkloadSpec",
     "aggregate_rows",
-    "assign_bins_helper",
-    "assign_bins_standard",
     "bin_oracle",
-    "build_conflict_sets_helper",
-    "build_conflict_sets_standard",
     "build_execution_plan",
     "check_conflicts",
     "compute_conflict_params",

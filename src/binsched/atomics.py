@@ -12,10 +12,11 @@ bin 0 or an empty set is a published value. A publish is one bound C method
 of the dict, which the array exposes: ``put``, its ``__setitem__``, for a
 slot claimed once, or ``put_once``, its ``setdefault``, which stores a box
 only into an unset slot and returns the box the slot then holds, so the
-caller won if and only if it gets its own box back. Every publisher boxes
-its value in a fresh 1-tuple, so no two publishers of a slot pass one box
-object and exactly one wins, even when all box the same value, such as the
-empty frontier ``()``. As ``published()`` counts the keys,
+caller won if and only if it gets its own box back. Phase 1 boxes each
+worker's id once and publishes that box into every slot it takes; phase 2
+boxes each bin afresh. Either way no two publishers of a slot pass one box
+object, so exactly one wins, even when two box the same value, such as bin
+0. As ``published()`` counts the keys,
 ``published() == n`` means every slot is set, wherever a worker stops or
 crashes; the helper procedures leave a phase on that count. A helper whose
 claim passes ``n`` takes the slots still unset from ``unpublished()``, a

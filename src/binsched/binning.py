@@ -7,9 +7,9 @@ pairwise non-conflicting transactions, so bins can execute internally in
 parallel and sequentially with each other while reproducing the serial
 outcome.
 
-Phase 2 reads only each slot's *frontier*, the one set phase 1 publishes
-per slot: per address, the latest earlier writer and, for a write,
-the readers since it. The max over the frontier equals the max over the
+Phase 2 reads only each transaction's *frontier*, which the conflict
+table's index lists: per address, the latest earlier writer and, for a
+write, the readers since it. The max over the frontier equals the max over the
 full set because bins rise along each address's access chain: any other
 earlier conflict on an address sits in a lower bin than a frontier member.
 A transaction therefore waits only on its frontier's bins.
@@ -22,7 +22,7 @@ from, and the calling thread's :class:`~binsched.faults.Worker`:
 ``(table, claims, worker)``. Each checks once, on entry, that phase 1
 published every slot, and raises ``RuntimeError`` on a table phase 1 left
 incomplete; from then on it reads the frontiers from the table's index,
-``index.frontiers``, which every published slot holds. A worker with a
+``index.frontiers``, built before phase 1 started. A worker with a
 fault ``hook`` has it called at each instrumented site; a plain worker
 only has its stop tested at each claim or swept slot. Each reads a
 member's bin through the assignment's bound ``box_of`` and publishes a

@@ -1,12 +1,11 @@
-"""Phase 1: pairwise conflict predicate and concurrent frontier discovery.
+"""Phase 1: the pairwise conflict predicate, each transaction's frontier, and its claims.
 
 Two transactions conflict when their declared access sets overlap in any
 write-involving way: write/write, read/write, or write/read. Read/read
-overlap is not a conflict. For every transaction ``i`` the phase publishes
-one value into a slot of a shared :class:`ConflictTable`: its *frontier*,
-the earlier conflicts that phase 2 reads. For each address ``i`` touches,
-that is the latest earlier writer, plus, when ``i`` writes the address, the
-readers since that writer.
+overlap is not a conflict. The earlier conflicts that phase 2 reads for
+transaction ``i`` are its *frontier*: for each address ``i`` touches, the
+latest earlier writer, plus, when ``i`` writes the address, the readers
+since that writer.
 
 The frontier gives the same bin as the full *lower conflict set*, the ids
 ``j < i`` that ``i`` conflicts with, because bins rise along each address's
@@ -15,40 +14,46 @@ with, and so sits in a lower bin than, a frontier member. The lower sets,
 the paper's conflict table, are not built by the phase; only
 :func:`lower_conflict_sets`, a plain scan, lists them.
 
-Two discovery procedures share that contract. Each takes only the table,
-whose block it schedules, the claim counter it draws from, and the calling
-thread's :class:`~binsched.faults.Worker`: ``build_conflict_sets_standard(
-table, claims, worker)`` and ``build_conflict_sets_helper(table, claims,
-worker)``. A worker with a fault ``hook`` has it called at each
-instrumented site; a plain worker only has its stop tested at each claim
-or swept slot, so a claim is C calls only.
+:class:`ConflictIndex` lists every frontier, each id once, in one id-order
+scan of the immutable block, which a :class:`ConflictTable` runs once when
+it is built, before any worker starts. Phase 2 and the execution plan read
+``index.frontiers`` once the table is complete.
+
+Phase 1's workers claim the table's slots, and each publishes its own id
+into every slot it takes, so the phase keeps the paper's fault sites and
+crash semantics: a slot a worker claimed and never published stays unset,
+and the table is complete only once every slot is published. Each
+procedure takes only the table, the claim counter it draws from, and the
+calling thread's :class:`~binsched.faults.Worker`, as in
+``build_conflict_sets_helper(table, claims, worker)``. Each boxes its
+worker's id once, on entry, and publishes that one box, so a claim reads
+no frontier and allocates nothing. A worker with a fault ``hook`` has it
+called at each instrumented site; a plain worker only has its stop tested
+at each claim or swept slot, so a claim is C calls only.
 
 * :func:`build_conflict_sets_standard` hands each index to exactly one
-  worker by a shared counter and stores the slot's frontier, boxed afresh,
-  with the table's bound ``put``. A worker that stops mid claim leaves its
-  slot unset forever; this variant is not crash tolerant.
+  worker by a shared counter and stores its box with the table's bound
+  ``put``. A worker that stops mid claim leaves its slot unset forever;
+  this variant is not crash tolerant.
 * :func:`build_conflict_sets_helper` makes a first pass over the claims
-  below ``n``, each handed out once, and publishes each claimed slot's
-  frontier in a fresh box with the table's bound ``put_once``, a
-  compare-and-swap from unset that it won if it gets its own box back, so
-  exactly one publisher wins per slot, without reading the slot first. Its
-  first claim past ``n`` ends the pass: it then sweeps the slots still
-  unset, which :meth:`~binsched.atomics.PublishOnceArray.unpublished` finds
-  by a scan in C, visiting each slot's sites and publishing each as a claim
-  does. So fast workers recompute slots abandoned by slow or stopped peers
-  without claiming their way through the published ones. A worker leaves
-  the phase once the table's publish count reaches ``n``, which by
+  below ``n``, each handed out once, and publishes its box into each
+  claimed slot with the table's bound ``put_once``, a compare-and-swap from
+  unset that it won if it gets its own box back, without reading the slot
+  first. Two publishers of one slot are always two workers, each with a
+  box of its own: a worker claims each index once in its first pass, and
+  its sweeps visit only slots still unset when the scan reaches them. So
+  exactly one publisher wins per slot. Its first claim past ``n`` ends the
+  pass: it then sweeps the slots still unset, which
+  :meth:`~binsched.atomics.PublishOnceArray.unpublished` finds by a scan
+  in C, visiting each slot's sites and publishing each as a claim does. So
+  fast workers take over slots abandoned by slow or stopped peers without
+  claiming their way through the published ones. A worker leaves the phase
+  once the table's publish count reaches ``n``, which by
   :class:`~binsched.atomics.PublishOnceArray`'s invariant means every slot
   is published. Each CAS it loses counts one on ``worker.cas_retries``.
 
-:class:`ConflictIndex`, which a :class:`ConflictTable` builds once from the
-immutable block, lists every frontier, each id once, in one id-order scan,
-so a phase-1 claim makes one lookup, ``index.frontiers[i]``. Phase 2 and
-the execution plan read ``index.frontiers`` once the table is complete,
-since every published slot, claimed or swept, holds the index's own
-frontier.
 :func:`conflict_sets_oracle` is the independent quadratic restatement used
-to cross-check it.
+to cross-check the index.
 """
 
 from __future__ import annotations
@@ -173,12 +178,12 @@ class ConflictIndex:
         return self._lower[txn.id]
 
 
-class ConflictTable(PublishOnceArray[tuple[int, ...]]):
-    """Phase 1's publish-once frontiers over one block.
+class ConflictTable(PublishOnceArray[int]):
+    """Phase 1's publish-once record of which worker published each slot of one block.
 
     The table builds the block's :class:`ConflictIndex` and owns it as
-    ``index``, so the block a phase procedure schedules is always the
-    table's own, ``index.txns``.
+    ``index``, so the frontiers phase 2 reads are always those of the
+    table's own block, ``index.txns``.
     """
 
     __slots__ = ("index",)
@@ -191,12 +196,12 @@ class ConflictTable(PublishOnceArray[tuple[int, ...]]):
 def build_conflict_sets_standard(
     table: ConflictTable, claims: Iterator[int], worker: Worker
 ) -> None:
-    """The table's block's frontiers, each index claimed once from ``claims``."""
+    """Claims each of the table's slots once from ``claims`` and publishes the worker's id."""
     n = table.n
-    frontiers = table.index.frontiers
     put = table.put
     hook = worker.hook
     abort = worker.abort
+    mine = (worker.id,)
     for i in claims:
         if i >= n:
             break
@@ -206,19 +211,19 @@ def build_conflict_sets_standard(
         else:
             hook(_PHASE1_POST_CLAIM)
             hook(_PHASE1_PRE_PUBLISH)
-        put(i, (frontiers[i],))
+        put(i, mine)
 
 
 def build_conflict_sets_helper(
     table: ConflictTable, claims: Iterator[int], worker: Worker
 ) -> None:
-    """The table's block's frontiers: a first pass of claims, then a sweep; CAS-published."""
+    """Publishes the worker's id into the table's slots: a first pass of claims, then a sweep."""
     n = table.n
-    frontiers = table.index.frontiers
     put_once = table.put_once
     published = table.published
     hook = worker.hook
     abort = worker.abort
+    mine = (worker.id,)
     slots = claims
     while published() < n:
         i = next(slots, n)
@@ -231,6 +236,5 @@ def build_conflict_sets_helper(
         else:
             hook(_PHASE1_POST_CLAIM)
             hook(_PHASE1_PRE_PUBLISH)
-        box = (frontiers[i],)  # a box of this publisher's own, so only one publisher wins
-        if put_once(i, box) is not box:
+        if put_once(i, mine) is not mine:
             worker.cas_retries += 1

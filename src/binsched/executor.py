@@ -2,7 +2,7 @@
 
 The plan lays bins out as a ragged matrix, one ascending row of transaction
 ids per bin, and records what each transaction waits for: its frontier, the
-earlier conflicts phase 1 published. ``build_execution_plan(assignment)``
+earlier conflicts the conflict index lists. ``build_execution_plan(assignment)``
 needs nothing else: once the assignment's conflict table is complete, the
 waits are its index's frontiers, taken whole. A plan it builds is valid by
 construction and is marked built, and :func:`execute_plan` runs only such
@@ -53,10 +53,10 @@ class ExecutionPlan:
 
     ``bin_matrix[b][k]`` is a transaction id. ``waits[t]`` holds the ids that
     transaction ``t`` waits for, its frontier. ``_built`` is True only on a
-    plan that :func:`build_execution_plan` made and on :data:`EMPTY_PLAN`,
-    the only plans :func:`execute_plan` runs. It is outside plan equality,
-    no constructor call or :func:`dataclasses.replace` sets it, and copies
-    and pickles keep it.
+    plan that :func:`build_execution_plan` made, the only kind of plan
+    :func:`execute_plan` runs. It is outside plan equality, no constructor
+    call or :func:`dataclasses.replace` sets it, and copies and pickles keep
+    it.
     """
 
     bin_matrix: tuple[tuple[int, ...], ...]
@@ -73,15 +73,12 @@ def _mark_built(plan: ExecutionPlan) -> ExecutionPlan:
     return plan
 
 
-EMPTY_PLAN = _mark_built(ExecutionPlan(bin_matrix=(), waits=()))
-
-
 def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
     """Materialize the per-bin rows from a complete assignment, and the waits from its table.
 
     Rows come out ascending because ids are visited in order. The waits are
-    the frontiers of ``assignment.table``'s index, which phase 1 published,
-    as a tuple of the index's own tuples. The plan is marked built.
+    the frontiers of ``assignment.table``'s index, once phase 1 published
+    every slot, as a tuple of the index's own tuples. The plan is marked built.
     """
     initial = assignment.initial_bin_list()
     if not assignment.is_complete():

@@ -103,7 +103,9 @@ def make_fault_plan(
 
     Counts round to nearest with a floor of one worker whenever the
     percentage is nonzero; the crashed count is additionally capped at
-    ``num_threads - 1`` so at least one worker always survives.
+    ``num_threads - 1`` so at least one worker always survives. A nonzero
+    crashed percentage that the cap leaves without a worker to crash, at
+    one thread, raises ``ValueError``.
     """
     if num_threads < 1:
         raise ValueError(f"num_threads must be >= 1, got {num_threads}")
@@ -116,6 +118,11 @@ def make_fault_plan(
         return max(1, round(num_threads * pct / 100.0))
 
     n_crashed = min(pct_to_count(crashed_pct), num_threads - 1)
+    if crashed_pct and not n_crashed:
+        raise ValueError(
+            f"crashed_pct={crashed_pct:g} crashes no worker at num_threads={num_threads}: "
+            "at least one worker must survive"
+        )
     n_delayed = pct_to_count(delayed_pct)
     if n_crashed + n_delayed > num_threads:
         raise ValueError(

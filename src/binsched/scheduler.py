@@ -36,7 +36,7 @@ from typing import Sequence
 from .atomics import Wakeup
 from .binning import BinAssignment, assign_bins_helper, assign_bins_standard
 from .conflict import ConflictTable, build_conflict_sets_helper, build_conflict_sets_standard
-from .executor import EMPTY_PLAN, ExecutionPlan, build_execution_plan
+from .executor import ExecutionPlan, build_execution_plan
 from .faults import CRASH_POINTS, Aborted, FaultPlan, Site, Worker, run_workers
 from .txn import Transaction
 
@@ -167,7 +167,7 @@ def schedule(
     bins = BinAssignment(table)
     if not txns:
         timing = PhaseTimings(0.0, 0.0, 0.0)
-        return ScheduleResult(bins, EMPTY_PLAN, timing, RetryStats(0, 0))
+        return ScheduleResult(bins, build_execution_plan(bins), timing, RetryStats(0, 0))
 
     if variant.uses_helpers:
         phase1, phase2 = build_conflict_sets_helper, assign_bins_helper

@@ -8,15 +8,9 @@ import threading
 
 from hypothesis import strategies as st
 
-from binsched import (
-    UNASSIGNED,
-    Transaction,
-    TransferPayload,
-    Worker,
-    WorkloadSpec,
-    generate_workload,
-    make_transaction,
-)
+from binsched import Transaction, TransferPayload, WorkloadSpec, generate_workload, make_transaction
+from binsched.atomics import UNASSIGNED
+from binsched.faults import Worker
 
 # seconds of simulated work per transaction, for tests of the parallel replay:
 # execute_plan starts its peers only when there is work to sleep

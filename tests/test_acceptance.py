@@ -100,7 +100,10 @@ def test_criterion_01_conflict_table_oracle_equivalence():
                 for variant in (Variant.STANDARD, Variant.LOCKFREE):
                     table = schedule(block, variant, num_threads).assignment.table
                     assert [sorted(table.index.lower_conflicts(t)) for t in block] == expected
-                    assert [set(f) for f in table.snapshot()] == frontiers
+                    assert [set(f) for f in table.index.frontiers] == frontiers
+                    assert all(len(f) == len(set(f)) for f in table.index.frontiers)
+                    # every slot is published, by a worker of the run
+                    assert all(w in range(num_threads) for w in table.snapshot())
 
 
 def test_criterion_02_bin_oracle_equivalence():

@@ -10,14 +10,9 @@ from _helpers import (
     try_publish,
     value_of,
 )
-from binsched import (
-    UNASSIGNED,
-    AtomicInt,
-    BinAssignment,
-    ConflictTable,
-    PublishOnceArray,
-)
-from binsched.atomics import Wakeup
+from binsched import AtomicInt, BinAssignment
+from binsched.atomics import UNASSIGNED, PublishOnceArray, Wakeup
+from binsched.conflict import ConflictTable
 from binsched.faults import run_workers
 
 
@@ -75,14 +70,14 @@ def test_published_falsy_values_are_distinct_from_unset():
     table = ConflictTable(disjoint_block(2))
     bins = BinAssignment(table)
     assert try_publish(bins, 0, 0)
-    assert try_publish(table, 0, ())
+    assert try_publish(table, 0, 0)  # worker 0's id
     assert value_of(bins, 0) == 0 and value_of(bins, 0) is not UNASSIGNED
     assert table.index.lower_conflicts(table.index.txns[0]) == frozenset()
-    assert value_of(table, 0) == ()
+    assert value_of(table, 0) == 0
     assert value_of(bins, 1) is UNASSIGNED and value_of(table, 1) is UNASSIGNED
     assert not try_publish(bins, 0, 3)
     assert bins.initial_bin_list() == [0, UNASSIGNED]
-    assert table.snapshot() == [(), UNASSIGNED]
+    assert table.snapshot() == [0, UNASSIGNED]
 
 
 def test_is_complete_exactly_when_every_slot_is_published():

@@ -272,6 +272,15 @@ def test_out_of_range_workload_rejected_before_any_row(axis, values, message):
         small_config(**{axis: values})
 
 
+def test_a_crash_sweep_at_one_thread_is_rejected_before_any_row():
+    # one thread leaves no worker to crash: its rows would carry a crash label with no crash
+    with pytest.raises(ValueError, match="crashed_pct=50 crashes no worker at num_threads=1"):
+        small_config(
+            schedulers=(SchedulerKind.LOCKFREE,), num_threads=1, crashed_pct_values=(0.0, 50.0)
+        )
+    small_config(num_threads=1)  # without a crash, one thread runs
+
+
 def test_crash_experiment_runs_with_dead_threads_excluded():
     config = small_config(
         schedulers=(SchedulerKind.LOCKFREE,),

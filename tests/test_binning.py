@@ -24,32 +24,28 @@ from _helpers import (
 )
 from binsched import (
     CRASH_POINTS,
-    UNASSIGNED,
-    Aborted,
     BinAssignment,
-    ConflictTable,
     FaultPlan,
-    PublishOnceArray,
     Site,
-    Worker,
-    WorkerCrashed,
-    assign_bins_helper,
-    assign_bins_standard,
     bin_oracle,
-    build_conflict_sets_helper,
-    build_conflict_sets_standard,
     build_execution_plan,
     check_conflicts,
 )
-from binsched.atomics import Wakeup
-from binsched.binning import _help
-from binsched.faults import run_workers
+from binsched.atomics import UNASSIGNED, PublishOnceArray, Wakeup
+from binsched.binning import _help, assign_bins_helper, assign_bins_standard
+from binsched.conflict import (
+    ConflictTable,
+    build_conflict_sets_helper,
+    build_conflict_sets_standard,
+)
+from binsched.faults import Aborted, Worker, WorkerCrashed, run_workers
 
 
 def published_table(txns):
+    """A conflict table over ``txns`` whose every slot worker 0 published, as after phase 1."""
     table = ConflictTable(txns)
     for t in txns:
-        publish(table, t.id, table.index.frontiers[t.id])
+        publish(table, t.id, 0)
     return table
 
 
@@ -116,7 +112,7 @@ def test_calculate_bin_max_of_dependencies():
 def test_calculate_bin_requires_published_slot():
     # phase 2 reads the index's frontiers only once phase 1 published every slot
     table = table_over([("A", "B"), ("B", "C")])
-    publish(table, 1, (0,))
+    publish(table, 1, 0)
     claims = itertools.count()
     with pytest.raises(RuntimeError, match="phase 1 incomplete"):
         assign_bins_standard(BinAssignment(table), claims, Worker(0))
@@ -180,10 +176,7 @@ def test_a_peer_stop_ends_a_phase2_sleep_without_a_deadline():
 
 
 def test_helper_resolves_an_unassigned_dependency():
-    table = table_over([("A", "B"), ("B", "C")])
-    publish(table, 0, ())
-    publish(table, 1, (0,))
-    bins = BinAssignment(table)
+    bins = BinAssignment(published_table(wallet_block([("A", "B"), ("B", "C")])))
     claims = itertools.count(1)
     helped = run_helper(bins, claims)
     assert bins.initial_bin_list() == [0, 1]
@@ -192,9 +185,7 @@ def test_helper_resolves_an_unassigned_dependency():
 
 
 def test_helper_empty_conflicts():
-    table = table_over([("A", "B")])
-    publish(table, 0, ())
-    bins = BinAssignment(table)
+    bins = BinAssignment(published_table(wallet_block([("A", "B")])))
     helped = run_helper(bins, itertools.count(0))
     assert bins.initial_bin_list() == [0]
     assert helped == 0
@@ -202,7 +193,7 @@ def test_helper_empty_conflicts():
 
 def test_helper_equal_dependencies():
     table = published_table(wallet_block([("A", "B"), ("C", "D"), ("A", "C")]))
-    assert set(value_of(table, 2)) == {0, 1}
+    assert set(table.index.frontiers[2]) == {0, 1}
     bins = BinAssignment(table)
     publish(bins, 0, 1)
     publish(bins, 1, 1)
@@ -216,7 +207,7 @@ def test_helper_waits_only_on_the_frontier():
     # not resolve it on slot 2's behalf, since 1 already bounds 2's bin
     block = wallet_block([("X", "Y")] * 3)
     table = published_table(block)
-    assert value_of(table, 2) == (1,)
+    assert table.index.frontiers[2] == (1,)
     assert table.index.lower_conflicts(block[2]) == frozenset({0, 1})
     bins = BinAssignment(table)
     publish(bins, 1, 3)
@@ -240,9 +231,9 @@ def test_one_claim_resolves_a_whole_unassigned_chain():
 
 
 def test_helper_on_an_incomplete_table_raises():
-    # phase 2 reads only published frontiers: slot 1's is missing
+    # phase 2 reads the frontiers only once phase 1 published every slot: slot 1 is unset
     table = table_over([("A", "B"), ("B", "C")])
-    publish(table, 0, ())
+    publish(table, 0, 0)
     bins = BinAssignment(table)
     claims = itertools.count()
     with pytest.raises(RuntimeError, match="phase 1 incomplete"):
@@ -401,18 +392,21 @@ def test_a_plain_worker_makes_no_python_call_per_claim(procedure):
 
 # Frontiers (), (), (0,), (): no later slot waits on slot 1, so only a sweep reaches it.
 SWEEP_PAIRS = [("A", "B"), ("C", "D"), ("A", "E"), ("F", "G")]
+PEER = 1  # the id a scripted peer publishes under; the helper under test is worker 0
 
 
 def phase1_helper(block):
-    """Phase 1's helper, the array it fills, its two sites and the values it must publish."""
-    table = ConflictTable(block)
+    """Phase 1's helper, the array it fills, its two sites, and ``value(i, w)``,
+    what worker ``w`` must publish into slot ``i``: its own id."""
     sites = (Site.PHASE1_POST_CLAIM, Site.PHASE1_PRE_PUBLISH)
-    return build_conflict_sets_helper, table, sites, table.index.frontiers
+    return build_conflict_sets_helper, ConflictTable(block), sites, lambda i, w: w
 
 
 def phase2_helper(block):
-    bins = BinAssignment(published_table(block))
-    return assign_bins_helper, bins, (Site.PHASE2_POST_CLAIM, Site.PHASE2_PRE_CAS), bin_oracle(block)
+    """As :func:`phase1_helper` for phase 2, where every publisher of a slot publishes its bin."""
+    oracle = bin_oracle(block)
+    sites = (Site.PHASE2_POST_CLAIM, Site.PHASE2_PRE_CAS)
+    return assign_bins_helper, BinAssignment(published_table(block)), sites, lambda i, w: oracle[i]
 
 
 helper_phases = pytest.mark.parametrize(
@@ -428,7 +422,7 @@ def test_a_helper_sweeps_the_slot_a_stopped_peer_claimed(helper_phase, peer):
     # then visits slot 1's two sites and publishes it; a stalled peer that
     # resumes afterwards loses its CAS.
     block = wallet_block(SWEEP_PAIRS)
-    helper, array, sites, expected = helper_phase(block)
+    helper, array, sites, value = helper_phase(block)
     claims = itertools.count()
     peer_claims = []
     visits = []
@@ -445,8 +439,8 @@ def test_a_helper_sweeps_the_slot_a_stopped_peer_claimed(helper_phase, peer):
     assert [site for site, _ in visits] == list(sites) * len(block)
     assert visits[-2:] == [(site, [1]) for site in sites]  # the swept slot comes last
     if peer == "stalled":
-        assert not try_publish(array, 1, expected[1])
-    assert array.snapshot() == list(expected)
+        assert not try_publish(array, 1, value(1, PEER))
+    assert array.snapshot() == [value(i, 0) for i in range(len(block))]
     assert worker.cas_retries == 0
 
 
@@ -457,7 +451,7 @@ def test_a_sweep_that_peers_finish_first_ends_the_phase(helper_phase, monkeypatc
     # publishes slot 1: the scan comes up empty, and the helper must leave
     # the phase without an error or another claim.
     block = wallet_block(SWEEP_PAIRS)
-    helper, array, sites, expected = helper_phase(block)
+    helper, array, sites, value = helper_phase(block)
     claims = itertools.count()
     peer_claims = []
     visits = []
@@ -466,7 +460,7 @@ def test_a_sweep_that_peers_finish_first_ends_the_phase(helper_phase, monkeypatc
     def scan_that_a_peer_finishes_first(arr):
         def scan():  # runs at the scan's first step, after the helper's test
             for i in list(unpublished(arr)):
-                assert try_publish(arr, i, expected[i])
+                assert try_publish(arr, i, value(i, PEER))
             yield from unpublished(arr)
 
         return scan()
@@ -482,7 +476,7 @@ def test_a_sweep_that_peers_finish_first_ends_the_phase(helper_phase, monkeypatc
     assert peer_claims == [1]
     assert visits == list(sites) * (len(block) - 1)  # the helper never reached slot 1
     assert next(claims) == len(block) + 1
-    assert array.snapshot() == list(expected)
+    assert array.snapshot() == [value(i, PEER if i == 1 else 0) for i in range(len(block))]
     assert worker.cas_retries == 0
 
 
@@ -492,7 +486,7 @@ def test_a_first_pass_claim_a_peer_publishes_first_has_one_winner(helper_phase):
     # publishes slot 2 at the helper's claim site for it wins, and the helper
     # tries the CAS, loses it and counts one retry.
     block = wallet_block(SWEEP_PAIRS)
-    helper, array, sites, expected = helper_phase(block)
+    helper, array, sites, value = helper_phase(block)
     claims = itertools.count()
     peer_won = []
     visits = []
@@ -501,14 +495,14 @@ def test_a_first_pass_claim_a_peer_publishes_first_has_one_winner(helper_phase):
         visits.append(site)
         if len(visits) == 5:  # slots 0 and 1 took two sites each: slot 2's claim site
             assert site is sites[0]
-            peer_won.append(try_publish(array, 2, expected[2]))
+            peer_won.append(try_publish(array, 2, value(2, PEER)))
 
     worker = StepWorker(peer_publishes_slot_2)
     helper(array, claims, worker)
     assert peer_won == [True]
     assert worker.cas_retries == 1
     assert visits == list(sites) * len(block)
-    assert array.snapshot() == list(expected)
+    assert array.snapshot() == [value(i, PEER if i == 2 else 0) for i in range(len(block))]
     assert next(claims) == len(block)  # no claim past n: every slot was published
 
 

@@ -193,6 +193,26 @@ def test_run_rejects_a_nan_delay_before_any_row(tmp_path, capsys):
     assert not rows_path.exists()
 
 
+def test_a_crash_percentage_at_one_thread_is_an_error(tmp_path, capsys):
+    # the one worker must survive, so a crash label on it would name a crash-free run
+    message = (
+        "error: crashed_pct=50 crashes no worker at num_threads=1: at least one worker must survive\n"
+    )
+    block = tmp_path / "block.json"
+    run_cli(["gen", "--n", "5", "-o", str(block)])
+    capsys.readouterr()
+    assert run_cli(["schedule", "-w", str(block), "--threads", "1", "--crashed-pct", "50"]) == 1
+    assert capsys.readouterr() == ("", message)
+    rows_path = tmp_path / "rows.csv"
+    code = run_cli(
+        ["run", "--threads", "1", "--schedulers", "lockfree", "--crashed-pct", "50",
+         "--n-txns", "10", "--reps", "1", "-o", str(rows_path)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == message
+    assert not rows_path.exists()
+
+
 def test_run_and_report_round_trip(tmp_path, capsys):
     rows_path = tmp_path / "rows.csv"
     code = run_cli(

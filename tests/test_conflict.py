@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from _helpers import (
     StepWorker,
     access_set_blocks,
+    chain_block,
     clique_block,
     frontier_oracle,
     random_wallet_block,
@@ -15,19 +16,14 @@ from _helpers import (
     wallet_block,
 )
 from binsched import (
-    UNASSIGNED,
     ConflictIndex,
-    ConflictTable,
     FaultPlan,
     Site,
     Transaction,
     TransferPayload,
     Variant,
-    Worker,
     WorkloadSpec,
     bin_oracle,
-    build_conflict_sets_helper,
-    build_conflict_sets_standard,
     check_conflicts,
     conflict_sets_oracle,
     generate_workload,
@@ -35,8 +31,13 @@ from binsched import (
     make_transaction,
     schedule,
 )
-from binsched.atomics import Wakeup
-from binsched.faults import run_workers
+from binsched.atomics import UNASSIGNED, Wakeup
+from binsched.conflict import (
+    ConflictTable,
+    build_conflict_sets_helper,
+    build_conflict_sets_standard,
+)
+from binsched.faults import Worker, WorkerCrashed, run_workers
 
 
 def txn(i, reads, writes):
@@ -49,15 +50,20 @@ def published_conflicts(txns, num_threads, use_helpers, faults=None):
     return schedule(txns, variant, num_threads, faults=faults).assignment.table
 
 
-def published_frontiers(table):
-    """What phase 1 published: each slot's frontier as a set, UNASSIGNED while unset."""
-    return [f if f is UNASSIGNED else set(f) for f in table.snapshot()]
+def frontiers_of(table):
+    """What phase 2 reads: each transaction's frontier in the table's index, as a set."""
+    return [set(f) for f in table.index.frontiers]
 
 
 def assert_frontiers_match_oracle(table, txns):
-    """Every slot is published and holds exactly the oracle's frontier, each id once."""
-    assert published_frontiers(table) == frontier_oracle(txns)
-    assert all(len(f) == len(set(f)) for f in table.snapshot())
+    """The table's index lists exactly the oracle's frontiers, each id once."""
+    assert frontiers_of(table) == frontier_oracle(txns)
+    assert all(len(f) == len(set(f)) for f in table.index.frontiers)
+
+
+def assert_slots_hold_worker_ids(table, workers):
+    """Every slot is published and holds the id of one of ``workers``."""
+    assert all(w in workers for w in table.snapshot())
 
 
 def run_standard_phase1(txns, num_threads, faults):
@@ -291,6 +297,7 @@ def test_scheduled_reader_runs_match_the_oracles(variant):
     result = schedule(block, variant, num_threads=4)
     assert result.assignment.initial_bin_list() == bin_oracle(block)
     assert_frontiers_match_oracle(result.assignment.table, block)
+    assert_slots_hold_worker_ids(result.assignment.table, range(4))
 
 
 def test_oracle_on_worked_example():
@@ -305,21 +312,24 @@ def test_oracle_on_worked_example():
 def test_worked_example_table(use_helpers):
     block = wallet_block([("A", "B"), ("C", "D"), ("B", "E")])
     table = published_conflicts(block, num_threads=4, use_helpers=use_helpers)
-    assert published_frontiers(table) == [set(), set(), {0}]
+    assert frontiers_of(table) == [set(), set(), {0}]
+    assert_slots_hold_worker_ids(table, range(4))
 
 
 @pytest.mark.parametrize("use_helpers", [False, True])
 def test_single_transaction(use_helpers):
     block = wallet_block([("A", "B")])
     table = published_conflicts(block, num_threads=2, use_helpers=use_helpers)
-    assert published_frontiers(table) == [set()]
+    assert frontiers_of(table) == [set()]
+    assert_slots_hold_worker_ids(table, range(2))
 
 
 @pytest.mark.parametrize("use_helpers", [False, True])
 def test_write_write_pair(use_helpers):
     block = wallet_block([("A", "B"), ("A", "B")])
     table = published_conflicts(block, num_threads=3, use_helpers=use_helpers)
-    assert published_frontiers(table) == [set(), {0}]
+    assert frontiers_of(table) == [set(), {0}]
+    assert_slots_hold_worker_ids(table, range(3))
 
 
 def test_empty_block_returns_immediately():
@@ -333,6 +343,7 @@ def test_schedule_independence_across_thread_counts(num_threads, use_helpers):
     block = random_wallet_block(seed=99, max_n=150)
     table = published_conflicts(block, num_threads, use_helpers)
     assert_frontiers_match_oracle(table, block)
+    assert_slots_hold_worker_ids(table, range(num_threads))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -345,6 +356,7 @@ def test_schedule_never_builds_a_lower_set(variant, monkeypatch):
     result = schedule(block, variant, num_threads=2)
     assert result.assignment.initial_bin_list() == bin_oracle(block)
     assert_frontiers_match_oracle(result.assignment.table, block)
+    assert_slots_hold_worker_ids(result.assignment.table, range(2))
 
 
 def test_publish_once_accounting():
@@ -352,6 +364,7 @@ def test_publish_once_accounting():
     table = published_conflicts(block, num_threads=8, use_helpers=True)
     assert table.published() == len(block)
     assert_frontiers_match_oracle(table, block)
+    assert_slots_hold_worker_ids(table, range(8))
 
 
 @pytest.mark.parametrize("crash_point", [Site.PHASE1_POST_CLAIM, Site.PHASE1_PRE_PUBLISH])
@@ -369,6 +382,8 @@ def test_helper_variant_survives_crashes(crash_point, n_crashed):
     table = published_conflicts(block, num_threads=8, use_helpers=True, faults=faults)
     assert_frontiers_match_oracle(table, block)
     assert table.published() == len(block)
+    # a worker that crashes at a phase-1 site does so before its first publish
+    assert_slots_hold_worker_ids(table, range(n_crashed, 8))
 
 
 def test_standard_variant_leaves_crashed_slot_unset():
@@ -376,9 +391,9 @@ def test_standard_variant_leaves_crashed_slot_unset():
     block = wallet_block([(f"u{i}", f"v{i}") for i in range(2000)])
     faults = FaultPlan(crashed_workers=frozenset({0}), crash_point=Site.PHASE1_POST_CLAIM)
     table = run_standard_phase1(block, num_threads=2, faults=faults)
-    unset = [i for i, f in enumerate(table.snapshot()) if f is UNASSIGNED]
+    unset = [i for i, w in enumerate(table.snapshot()) if w is UNASSIGNED]
     assert len(unset) == 1
-    assert all(value_of(table, i) == () for i in range(len(block)) if i not in unset)
+    assert all(value_of(table, i) == 1 for i in range(len(block)) if i not in unset)
     assert table.published() == len(block) - 1
     assert not table.is_complete()
 
@@ -388,19 +403,20 @@ def test_delayed_workers_change_nothing_but_time():
     faults = make_fault_plan(4, delayed_pct=50, delay=0.002, seed=3)
     table = published_conflicts(block, num_threads=4, use_helpers=True, faults=faults)
     assert_frontiers_match_oracle(table, block)
+    assert_slots_hold_worker_ids(table, range(4))
 
 
 def test_direct_worker_invocation_single_thread():
     block = wallet_block([("A", "B"), ("B", "C"), ("C", "D")])
     table = ConflictTable(block)
-    build_conflict_sets_standard(table, itertools.count(), Worker(0))
-    assert published_frontiers(table) == [set(), {0}, {1}]
+    build_conflict_sets_standard(table, itertools.count(), Worker(2))
+    assert frontiers_of(table) == [set(), {0}, {1}]
     assert_frontiers_match_oracle(table, block)
+    assert table.snapshot() == [2, 2, 2]
 
     table2 = ConflictTable(block)
-    build_conflict_sets_helper(table2, itertools.count(), Worker(0))
-    assert published_frontiers(table2) == [set(), {0}, {1}]
-    assert_frontiers_match_oracle(table2, block)
+    build_conflict_sets_helper(table2, itertools.count(), Worker(2))
+    assert table2.snapshot() == [2, 2, 2]
     assert table2.published() == len(block)
 
 
@@ -410,11 +426,13 @@ def test_published_slots_are_immutable_snapshots():
     snapshot = table.index.lower_conflicts(block[1])
     assert snapshot == frozenset({0})
     assert isinstance(snapshot, frozenset)
-    assert value_of(table, 1) == (0,)
-    # a second publish attempt must lose
-    assert not try_publish(table, 1, ())
+    winner = value_of(table, 1)
+    assert winner in (0, 1)
+    # a second publish attempt must lose, even one boxing the winner's own id
+    assert not try_publish(table, 1, winner)
+    assert not try_publish(table, 1, 1 - winner)
     assert table.index.lower_conflicts(block[1]) == frozenset({0})
-    assert value_of(table, 1) == (0,)
+    assert value_of(table, 1) == winner
 
 
 def test_stuck_counters_stay_within_bounds():
@@ -431,7 +449,7 @@ def test_stuck_counters_stay_within_bounds():
     assert run_with_timeout(lambda: run_workers(body, 6, "phase1", abort.stop)) == []
     assert table.is_complete()
     assert table.published() == len(block)
-    assert_frontiers_match_oracle(table, block)
+    assert_slots_hold_worker_ids(table, range(6))
 
 
 def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
@@ -441,7 +459,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
     block = wallet_block([("A", "B"), ("C", "D")])
     table = ConflictTable(block)
     claims = itertools.count()
-    assert try_publish(table, 0, ())
+    assert try_publish(table, 0, 1)  # peer 1's publish
     peer_claims = []
 
     def peer_claims_next(site):
@@ -450,7 +468,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
 
     build_conflict_sets_helper(table, claims, StepWorker(peer_claims_next))
     assert peer_claims == [1, 1]
-    assert published_frontiers(table) == [set(), set()]
+    assert table.snapshot() == [1, 0]
 
 
 # The survivor sleeps at each claim, so both crashed workers claim a slot
@@ -470,8 +488,9 @@ _CRASH_AND_SWEEP = FaultPlan(
     + [pytest.param(Variant.LOCKFREE, 3, _CRASH_AND_SWEEP, id="lockfree-3-crash")],
 )
 def test_every_phase1_slot_holds_the_index_frontier(monkeypatch, variant, num_threads, faults):
-    # phase 2 and the plan read the index: a slot holding anything else, even
-    # an equal value, fails here, whether its publisher claimed or swept it
+    # each slot, claimed or swept, holds the id of a live worker of the run,
+    # and the frontier phase 2 and the plan read for it is the index's own
+    # object, never a copy, whoever published the slot
     swept = []
     unpublished = ConflictTable.unpublished
 
@@ -482,9 +501,12 @@ def test_every_phase1_slot_holds_the_index_frontier(monkeypatch, variant, num_th
 
     monkeypatch.setattr(ConflictTable, "unpublished", recorded_sweep)
     block = clique_block(60)  # every frontier but the first is a tuple of its own
-    table = schedule(block, variant, num_threads, faults).assignment.table
+    result = schedule(block, variant, num_threads, faults)
+    table = result.assignment.table
     frontiers = table.index.frontiers
-    assert all(table.box_of(i)[0] is frontiers[i] for i in range(len(block)))
+    crashed = faults.crashed_workers if faults is not None else frozenset()
+    assert_slots_hold_worker_ids(table, set(range(num_threads)) - crashed)
+    assert all(result.plan.waits[i] is frontiers[i] for i in range(len(block)))
     if faults is not None:
         assert any(frontiers[i] for i in swept)  # a crashed worker's claim past slot 0
 
@@ -502,4 +524,29 @@ def test_a_stalled_claimer_loses_its_cas_to_the_sweeper_of_its_slot():
     claimer = StepWorker(stall_until_swept)
     build_conflict_sets_helper(table, claims, claimer)  # resumes, CASes slot 0 and loses
     assert (claimer.cas_retries, sweeper.cas_retries) == (1, 0)
-    assert all(table.box_of(i)[0] is table.index.frontiers[i] for i in range(2))
+    assert table.snapshot() == [1, 1]  # the sweeper's id in the slot it swept, too
+
+
+@pytest.mark.parametrize("crash_point", [Site.PHASE1_POST_CLAIM, Site.PHASE1_PRE_PUBLISH])
+def test_a_worker_that_crashes_in_phase1_publishes_into_no_slot(crash_point):
+    # worker 0 crashes at its first claim, before any publish; worker 1 then
+    # claims the rest, passes n and sweeps the abandoned slot 0
+    table = ConflictTable(chain_block(5))
+    claims = itertools.count()
+    crashing = Worker(0, FaultPlan(crashed_workers=frozenset({0}), crash_point=crash_point))
+    with pytest.raises(WorkerCrashed):
+        build_conflict_sets_helper(table, claims, crashing)
+    assert table.published() == 0
+    build_conflict_sets_helper(table, claims, Worker(1))
+    assert table.snapshot() == [1] * 5
+
+
+def test_a_worker_that_crashes_between_the_phases_keeps_its_phase1_slots():
+    # worker 0, the first started, claims before the calling thread runs; it
+    # ends phase 1, then crashes, and its published slots stay its own
+    block = chain_block(300)
+    faults = FaultPlan(crashed_workers=frozenset({0}), crash_point=Site.INTER_PHASE)
+    result = schedule(block, Variant.LOCKFREE, 2, faults)
+    owners = result.assignment.table.snapshot()
+    assert 0 in owners and set(owners) <= {0, 1}
+    assert result.assignment.initial_bin_list() == bin_oracle(block)

@@ -23,9 +23,7 @@ from _helpers import (
 )
 import binsched.executor
 from binsched import (
-    EMPTY_PLAN,
     BinAssignment,
-    ConflictTable,
     ExecutionPlan,
     Transaction,
     Variant,
@@ -35,15 +33,16 @@ from binsched import (
     execute_serial,
     schedule,
 )
+from binsched.conflict import ConflictTable
 
 
 def assignment_of(bins_by_txn, table=None):
     """An assignment publishing the given bins (None leaves a slot unset) over
-    ``table``, by default a disjoint block's with every frontier published."""
+    ``table``, by default a disjoint block's with every slot published by worker 0."""
     if table is None:
         table = ConflictTable(disjoint_block(len(bins_by_txn)))
         for i in range(table.n):
-            publish(table, i, ())
+            publish(table, i, 0)
     bins = BinAssignment(table)
     for i, b in enumerate(bins_by_txn):
         if b is not None:
@@ -92,19 +91,21 @@ def test_the_plan_rebuilt_from_the_assignment_is_the_scheduled_plan(variant):
 def test_build_plan_rejects_a_table_missing_a_frontier():
     block = wallet_block([("A", "B"), ("B", "C")])
     table = ConflictTable(block)
-    publish(table, 0, ())
+    publish(table, 0, 0)
     with pytest.raises(ValueError, match="lacks a frontier"):
         build_execution_plan(assignment_of([0, 1], table))
 
 
 def test_plans_stay_frozen_and_hashable():
     table = ConflictTable(wallet_block([("A", "B")] * 2))
-    publish(table, 0, ())
-    publish(table, 1, (0,))
+    publish(table, 0, 0)
+    publish(table, 1, 0)
     plan = build_execution_plan(assignment_of([0, 1], table))
     assert plan.waits == ((), (0,))
     assert hash(plan) == hash(ExecutionPlan(plan.bin_matrix, plan.waits))
-    assert hash(EMPTY_PLAN) == hash(ExecutionPlan(bin_matrix=(), waits=()))
+    empty = build_execution_plan(assignment_of([]))
+    assert empty == ExecutionPlan(bin_matrix=(), waits=())
+    assert hash(empty) == hash(ExecutionPlan(bin_matrix=(), waits=()))
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.waits = ()
 
@@ -184,7 +185,7 @@ def test_disjoint_block_any_thread_count(num_threads):
 
 def test_empty_plan_leaves_state_unchanged():
     state = WalletState({"Z": 3})
-    final = execute_plan(EMPTY_PLAN, [], state, num_threads=4)
+    final = execute_plan(build_execution_plan(assignment_of([])), [], state, num_threads=4)
     assert final.balances == {"Z": 3}
     assert final is not state
 
@@ -228,7 +229,7 @@ def test_an_account_opens_at_zero_on_its_first_touch(num_threads):
 
 def test_zero_threads_rejected():
     with pytest.raises(ValueError):
-        execute_plan(EMPTY_PLAN, [], WalletState(), num_threads=0)
+        execute_plan(build_execution_plan(assignment_of([])), [], WalletState(), num_threads=0)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -438,9 +439,10 @@ def test_a_copied_built_plan_runs(copy_plan):
     block = random_wallet_block(seed=309, max_n=200)
     plan = schedule(block, Variant.STANDARD, num_threads=2).plan
     serial = execute_serial(block, WalletState()).balances
-    assert copy_plan(plan) is not plan and copy_plan(EMPTY_PLAN) is not EMPTY_PLAN
+    empty = build_execution_plan(assignment_of([]))
+    assert copy_plan(plan) is not plan and copy_plan(empty) is not empty
     for num_threads in (1, 2):
         final = execute_plan(copy_plan(plan), block, WalletState(), num_threads)
         assert final.balances == serial
-        final = execute_plan(copy_plan(EMPTY_PLAN), [], WalletState({"Z": 3}), num_threads)
+        final = execute_plan(copy_plan(empty), [], WalletState({"Z": 3}), num_threads)
         assert final.balances == {"Z": 3}

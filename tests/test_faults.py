@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from binsched import CRASH_POINTS, Aborted, FaultPlan, Site, Worker, WorkerCrashed, make_fault_plan
+from binsched import CRASH_POINTS, FaultPlan, Site, make_fault_plan
 from binsched.atomics import Wakeup
-from binsched.faults import run_workers
+from binsched.faults import Aborted, Worker, WorkerCrashed, run_workers
 
 
 def test_one_third_of_nine_rounds_to_three():
@@ -28,6 +28,15 @@ def test_99_pct_crashed_leaves_a_survivor():
 def test_full_crash_percentage_still_capped():
     plan = make_fault_plan(4, crashed_pct=100, seed=0)
     assert len(plan.crashed_workers) == 3
+
+
+@pytest.mark.parametrize("crashed_pct", [50, 100])
+def test_a_crash_percentage_the_cap_leaves_without_a_crash_is_rejected(crashed_pct):
+    # the cap keeps a lone worker alive, so the plan would crash no one under a crash label
+    message = rf"^crashed_pct={crashed_pct} crashes no worker at num_threads=1: "
+    with pytest.raises(ValueError, match=message):
+        make_fault_plan(1, crashed_pct=crashed_pct)
+    assert make_fault_plan(1, crashed_pct=0) == FaultPlan()
 
 
 def test_nonzero_percentage_selects_at_least_one():

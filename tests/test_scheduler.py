@@ -24,7 +24,6 @@ import binsched.scheduler
 from binsched import (
     CRASH_POINTS,
     BinAssignment,
-    ConflictTable,
     FaultPlan,
     NonTermination,
     RetryStats,
@@ -32,19 +31,18 @@ from binsched import (
     Site,
     Variant,
     WalletState,
-    Worker,
-    WorkerCrashed,
-    assign_bins_helper,
-    bin_oracle,
-    build_conflict_sets_helper,
-    execute_plan,
     WorkloadSpec,
+    bin_oracle,
+    execute_plan,
     generate_workload,
     make_fault_plan,
     schedule,
     schedule_with_watchdog,
 )
 from binsched.atomics import Wakeup
+from binsched.binning import assign_bins_helper
+from binsched.conflict import ConflictTable, build_conflict_sets_helper
+from binsched.faults import Worker, WorkerCrashed
 
 ALL_VARIANTS = list(Variant)
 
@@ -428,17 +426,17 @@ def test_a_lost_phase1_publish_counts_one_cas_retry():
 
     def peer_publishes_first(site):
         if site is Site.PHASE1_PRE_PUBLISH:
-            assert try_publish(table, 0, ())
+            assert try_publish(table, 0, 1)  # peer 1's publish
 
     worker = StepWorker(peer_publishes_first)
     build_conflict_sets_helper(table, itertools.count(), worker)
     assert worker.cas_retries == 1
-    assert value_of(table, 0) == ()
+    assert value_of(table, 0) == 1
 
 
 def test_a_lost_phase2_publish_counts_one_cas_retry():
     table = ConflictTable(wallet_block([("A", "B")]))
-    publish(table, 0, ())
+    publish(table, 0, 0)
     bins = BinAssignment(table)
 
     def peer_publishes_first(site):
@@ -459,7 +457,7 @@ def test_a_crashed_workers_lost_cas_stays_counted():
 
     def peer_publishes_then_crash(site):
         if site is Site.PHASE1_PRE_PUBLISH:
-            assert try_publish(table, 0, ())
+            assert try_publish(table, 0, 1)  # peer 1's publish
         elif site is Site.PHASE1_POST_CLAIM:
             claim_sites.append(site)
             if len(claim_sites) == 2:
