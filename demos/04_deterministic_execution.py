@@ -6,7 +6,7 @@ each of its accounts, has been applied, not once its whole previous bin
 has. So on every account the transfers apply in index order, and the final
 wallet state always equals plain index-order execution; the total balance
 is conserved. The plan takes the frontiers from the conflict index of the
-table that the bin assignment owns. Replay starts its peers only with
+table that the bin assignment owns. Replay uses pool peers only with
 simulated per-transaction work, the one thing here that releases the
 interpreter lock; without it the calling thread applies the plan alone.
 So the demo replays with work on 8 threads, checks the state against

@@ -69,7 +69,7 @@ MAX_N = 1000
 FINE_SWITCH_INTERVAL = 1e-5  # seconds, for every other block
 ACCESS_SET_EVERY = 3  # every third block is an access-set block
 CLAIM_DELAY = 10e-6  # seconds a delayed worker sleeps per claim
-REPLAY_WORK = 1e-6  # seconds of simulated work per transaction, so replay starts its peers
+REPLAY_WORK = 1e-6  # seconds of simulated work per transaction, so replay uses pool peers
 # a worker that crashes at one of these sites does so before its first phase-1 publish
 PHASE1_SITES = (Site.PHASE1_POST_CLAIM, Site.PHASE1_PRE_PUBLISH)
 

@@ -15,7 +15,7 @@ earlier conflict on an address sits in a lower bin than a frontier member.
 A transaction therefore waits only on its frontier's bins.
 
 Each procedure takes the bin assignment it publishes into, whose ``table``
-is the conflict table of the block it bins, the claim counter it draws
+is the publisher table of the block it bins, the claim counter it draws
 from, and the calling thread's :class:`~binsched.faults.Worker`:
 ``assign_bins_standard(bins, claims, worker)`` and
 ``assign_bins_helper(bins, claims, worker)``, the shape of phase 1's
@@ -59,7 +59,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .atomics import PublishOnceArray
-from .conflict import ConflictTable, check_conflicts
+from .conflict import PublisherTable, check_conflicts
 from .faults import Aborted, Site, Worker
 from .txn import Transaction
 
@@ -71,12 +71,12 @@ _PHASE2_PRE_CAS = Site.PHASE2_PRE_CAS
 class BinAssignment(PublishOnceArray[int]):
     """Phase 2's publish-once bin number per transaction of ``table``'s block.
 
-    It owns the :class:`~binsched.conflict.ConflictTable` phase 2 bins by.
+    It owns the :class:`~binsched.conflict.PublisherTable` phase 2 bins by.
     """
 
     __slots__ = ("table",)
 
-    def __init__(self, table: ConflictTable) -> None:
+    def __init__(self, table: PublisherTable) -> None:
         super().__init__(table.n)
         self.table = table
 
@@ -87,7 +87,7 @@ def _frontiers_of(bins: BinAssignment) -> list[tuple[int, ...]]:
     """The frontiers phase 2 reads: the index's, once phase 1 published every slot."""
     table = bins.table
     if not table.is_complete():
-        raise RuntimeError("conflict table not fully published; phase 1 incomplete")
+        raise RuntimeError("publisher table not fully published; phase 1 incomplete")
     return table.index.frontiers
 
 

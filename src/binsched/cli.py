@@ -42,7 +42,7 @@ EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 
 THREADS_HELP = (
-    "scheduler workers, and the most replay workers; replay starts peers only with"
+    "scheduler workers, and the most replay workers; replay uses peers only with"
     " --per-txn-work-ms above 0"
 )
 WORK_HELP = (

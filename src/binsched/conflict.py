@@ -15,27 +15,28 @@ the paper's conflict table, are not built by the phase; only
 :func:`lower_conflict_sets`, a plain scan, lists them.
 
 :class:`ConflictIndex` lists every frontier, each id once, in one id-order
-scan of the immutable block, which a :class:`ConflictTable` runs once when
+scan of the immutable block, which a :class:`PublisherTable` runs once when
 it is built, before any worker starts. Phase 2 and the execution plan read
 ``index.frontiers`` once the table is complete.
 
-Phase 1's workers claim the table's slots, and each publishes its own id
-into every slot it takes, so the phase keeps the paper's fault sites and
-crash semantics: a slot a worker claimed and never published stays unset,
-and the table is complete only once every slot is published. Each
-procedure takes only the table, the claim counter it draws from, and the
-calling thread's :class:`~binsched.faults.Worker`, as in
-``build_conflict_sets_helper(table, claims, worker)``. Each boxes its
-worker's id once, on entry, and publishes that one box, so a claim reads
-no frontier and allocates nothing. A worker with a fault ``hook`` has it
+Phase 1's workers claim the slots of a :class:`PublisherTable`, and each
+publishes its own id into every slot it takes, so the table records who
+published each slot, and the phase keeps the paper's fault sites and crash
+semantics: a slot a worker claimed and never published stays unset, and
+the table is complete only once every slot is published. Each procedure
+takes only the table, the claim counter it draws from, and the calling
+thread's :class:`~binsched.faults.Worker`, as in
+``claim_slots_helper(table, claims, worker)``. Each boxes its worker's id
+once, on entry, and publishes that one box, so a claim reads no frontier
+and allocates nothing. A worker with a fault ``hook`` has it
 called at each instrumented site; a plain worker only has its stop tested
 at each claim or swept slot, so a claim is C calls only.
 
-* :func:`build_conflict_sets_standard` hands each index to exactly one
+* :func:`claim_slots_standard` hands each index to exactly one
   worker by a shared counter and stores its box with the table's bound
   ``put``. A worker that stops mid claim leaves its slot unset forever;
   this variant is not crash tolerant.
-* :func:`build_conflict_sets_helper` makes a first pass over the claims
+* :func:`claim_slots_helper` makes a first pass over the claims
   below ``n``, each handed out once, and publishes its box into each
   claimed slot with the table's bound ``put_once``, a compare-and-swap from
   unset that it won if it gets its own box back, without reading the slot
@@ -178,7 +179,7 @@ class ConflictIndex:
         return self._lower[txn.id]
 
 
-class ConflictTable(PublishOnceArray[int]):
+class PublisherTable(PublishOnceArray[int]):
     """Phase 1's publish-once record of which worker published each slot of one block.
 
     The table builds the block's :class:`ConflictIndex` and owns it as
@@ -193,8 +194,8 @@ class ConflictTable(PublishOnceArray[int]):
         self.index = ConflictIndex(txns)
 
 
-def build_conflict_sets_standard(
-    table: ConflictTable, claims: Iterator[int], worker: Worker
+def claim_slots_standard(
+    table: PublisherTable, claims: Iterator[int], worker: Worker
 ) -> None:
     """Claims each of the table's slots once from ``claims`` and publishes the worker's id."""
     n = table.n
@@ -214,8 +215,8 @@ def build_conflict_sets_standard(
         put(i, mine)
 
 
-def build_conflict_sets_helper(
-    table: ConflictTable, claims: Iterator[int], worker: Worker
+def claim_slots_helper(
+    table: PublisherTable, claims: Iterator[int], worker: Worker
 ) -> None:
     """Publishes the worker's id into the table's slots: a first pass of claims, then a sweep."""
     n = table.n

@@ -3,7 +3,7 @@
 The plan lays bins out as a ragged matrix, one ascending row of transaction
 ids per bin, and records what each transaction waits for: its frontier, the
 earlier conflicts the conflict index lists. ``build_execution_plan(assignment)``
-needs nothing else: once the assignment's conflict table is complete, the
+needs nothing else: once the assignment's publisher table is complete, the
 waits are its index's frontiers, taken whole. A plan it builds is valid by
 construction and is marked built, and :func:`execute_plan` runs only such
 a plan, checked to be of the block's length.
@@ -14,13 +14,13 @@ every member of its frontier has been applied, not once its whole previous
 bin has. Frontier members sit in lower bins, so they come earlier in plan
 order, and on every account the transfers apply in id order. A worker
 raises; the runner stops the run's :class:`~binsched.atomics.Wakeup`.
-Without work the calling thread applies the rows in order and starts no
-peer, because a peer could never run: under the GIL a peer runs only while
-another worker gives the lock up, the wallet :func:`_apply` is dict
-arithmetic that never does, and one worker claiming in plan order finds
-every frontier member already applied, so it never sleeps on a frontier
-either. A payload kind whose apply can block would revisit that rule.
-The final state always equals single-threaded index-order application
+Without work the calling thread applies the rows in order and hands the
+worker pool no job, because a peer could never run: under the GIL a peer
+runs only while another worker gives the lock up, the wallet
+:func:`_apply` is dict arithmetic that never does, and one worker claiming
+in plan order finds every frontier member already applied, so it never
+sleeps on a frontier either. A payload kind whose apply can block would
+revisit that rule. The final state always equals single-threaded index-order application
 (:func:`execute_serial`), the reference semantics for equivalence tests.
 
 Transfers debit the sender and credit the receiver unconditionally on signed
@@ -89,7 +89,7 @@ def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
         rows[bin_no].append(txn_id)
     table = assignment.table
     if not table.is_complete():
-        raise ValueError("conflict table lacks a frontier for some transaction of the assignment")
+        raise ValueError("publisher table lacks a frontier for some transaction of the assignment")
     plan = ExecutionPlan(tuple(tuple(row) for row in rows), tuple(table.index.frontiers))
     return _mark_built(plan)
 
@@ -156,12 +156,12 @@ def execute_plan(
     frontier member applied, so a peer could never run (see the module
     docstring; a payload kind whose apply can block would revisit this).
     With work and more threads, the workers of
-    :func:`~binsched.faults.run_workers`, the calling thread among them,
-    claim positions of the flattened rows from one shared
-    :func:`itertools.count` and apply the claimed transaction ``t`` once
-    every member of ``plan.waits[t]`` is marked done, sleeping on one
-    :class:`~binsched.atomics.Wakeup` that each worker wakes after marking
-    its transaction done. Members sit earlier in plan order, so the lowest
+    :func:`~binsched.faults.run_workers`, the calling thread and parked
+    peers of the one worker pool, claim positions of the flattened rows
+    from one shared :func:`itertools.count` and apply the claimed
+    transaction ``t`` once every member of ``plan.waits[t]`` is marked
+    done, sleeping on one :class:`~binsched.atomics.Wakeup` that each
+    worker wakes after marking its transaction done. Members sit earlier in plan order, so the lowest
     unfinished claimed position can always run. Nothing is set up first:
     :func:`_apply` opens each account on its first touch, and raises
     ``ValueError`` for a transaction without a payload when a worker reaches
@@ -206,5 +206,5 @@ def execute_plan(
             if wakeup.sleepers:
                 wakeup.wake()
 
-    run_workers(body, num_threads, "exec", wakeup.stop)
+    run_workers(body, num_threads, wakeup.stop)
     return WalletState(balances)

@@ -8,20 +8,27 @@ reproducible and exercises exactly the recovery paths that an OS-level kill
 would (a kill after a successful CAS is indistinguishable from a stop).
 
 A :class:`FaultPlan` names workers by id; :func:`run_workers` runs the last
-id on the calling thread and the others on peers started in id order. Each
-worker's :class:`Worker` record resolves the plan once into its crash site
-and delay, and carries the run's deadline and its stop signal, ``abort``,
-the run's one :class:`~binsched.atomics.Wakeup`. A worker with no fault
-and no overridden :meth:`Worker.at` has no hook: the phase procedures then
-only test the stop at each claim. A worker raises; the runner stops the
-run: only :func:`run_workers` calls the run's ``stop``, also at once when a
+id on the calling thread and hands the others, in id order, to parked
+peers of the process's one worker pool. The pool starts no thread at
+import, starts a peer only when a run needs more than are parked, and
+keeps each peer for every later run; :func:`close_pool` ends the parked
+ones, and a forked child starts with an empty pool. Each worker's
+:class:`Worker` record resolves the plan once into its crash site and
+delay, and carries the run's deadline and its stop signal, ``abort``, the
+run's one :class:`~binsched.atomics.Wakeup`. A worker with no fault and no
+overridden :meth:`Worker.at` has no hook: the phase procedures then only
+test the stop at each claim. A worker raises; the runner stops the run:
+only :func:`run_workers` calls the run's ``stop``, also at once when a
 worker crashes at a site the run cannot survive.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
+import os
 import random
 import threading
 import time
@@ -145,8 +152,8 @@ class Worker:
     """One scheduler worker: its id, the run's wakeup, ``abort``, and deadline
     (a :func:`time.perf_counter` time), its crash site (or None) and per-claim
     delay (or 0.0), its fault ``hook``, and the telemetry only its own thread
-    writes, read after the join without a lock; a crashed worker's counts
-    outlive its thread.
+    writes, read without a lock once the run has ended; a crashed worker's
+    counts outlive its worker.
 
     ``hook`` is fixed when the record is built: the bound :meth:`at` for a
     worker with a crash site or a delay, or of a subclass that overrides
@@ -203,20 +210,130 @@ class Worker:
                 raise Aborted()
 
 
+class _Peer:
+    """One thread of the pool and its three signals, locks held while idle.
+
+    The caller sets ``job``, releases ``go`` and waits on ``took``, which
+    the peer releases as it takes the job. So the peer runs first, as a
+    thread started for the run would, and claims before the caller does.
+    The peer runs the job, drops it, releases ``done`` and parks on ``go``
+    again. Dropping the job first leaves the run's state to its caller to
+    free, inside that run, not to the peer when the next job wakes it. A
+    ``retired`` peer, one its caller stopped waiting for, exits when its
+    job ends instead of parking; a ``None`` job ends a peer at once.
+    """
+
+    __slots__ = ("go", "took", "done", "job", "retired", "thread")
+
+    def __init__(self) -> None:
+        self.go = threading.Lock()
+        self.go.acquire()
+        self.took = threading.Lock()
+        self.took.acquire()
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.job: Callable[[], None] | None = None
+        self.retired = False  # set by the caller under _pool_lock
+        self.thread = threading.Thread(
+            target=self._serve, name=f"binsched-peer-{next(_numbers)}", daemon=True
+        )
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self.go.acquire()
+            job, self.job = self.job, None
+            if job is None:
+                return
+            self.took.release()
+            job()
+            job = None
+            with _pool_lock:
+                if self.retired:
+                    return
+                self.done.release()
+
+    def wait(self, until: float) -> bool:
+        """Wait for the job to end, until ``until``; False, retiring the peer, if it has not."""
+        if until == math.inf:
+            self.done.acquire()
+            return True
+        left = min(max(0.0, until - time.perf_counter()), threading.TIMEOUT_MAX)
+        if self.done.acquire(timeout=left):
+            return True
+        with _pool_lock:
+            if self.done.acquire(blocking=False):  # it ended as the wait timed out
+                return True
+            self.retired = True
+            return False
+
+
+_numbers = itertools.count()  # names the pool's threads binsched-peer-0, -1, ...
+_pool_lock = threading.Lock()
+_parked: list[_Peer] = []  # the pool: peers waiting for a job, taken under _pool_lock
+
+
+def _park(peers: list[_Peer]) -> None:
+    with _pool_lock:
+        _parked.extend(peers)
+
+
+def _take_peers(k: int) -> list[_Peer]:
+    """``k`` peers for one run, parked ones first, starting a thread for each one missing."""
+    with _pool_lock:
+        keep = max(0, len(_parked) - k)
+        peers = _parked[keep:]
+        del _parked[keep:]
+    try:
+        while len(peers) < k:
+            peers.append(_Peer())
+    except BaseException:  # a thread that could not start: keep the peers that did
+        _park(peers)
+        raise
+    return peers
+
+
+def close_pool() -> None:
+    """End and join every parked peer; the next run that needs one starts it afresh."""
+    with _pool_lock:
+        peers = _parked[:]
+        _parked.clear()
+    for peer in peers:
+        peer.go.release()  # with no job: the peer exits
+    for peer in peers:
+        peer.thread.join()
+
+
+def _forget_pool() -> None:
+    # a forked child has only the forking thread: every peer, and any holder
+    # of the pool's lock, stayed behind in the parent
+    global _pool_lock, _parked
+    _pool_lock = threading.Lock()
+    _parked = []
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def run_workers(
-    body: Callable[[int], None], num_threads: int, name: str, stop: Callable[[], None],
+    body: Callable[[int], None], num_threads: int, stop: Callable[[], None],
     until: float = math.inf, fatal: Collection[Site] = (),
 ) -> list[threading.Thread]:
     """Run ``body(w)`` for each worker id ``w < num_threads``; the one place a run stops.
 
-    The last id runs on the calling thread; the others on daemon threads
-    ``{name}-{w}`` started in id order. A worker raises; the runner stops
-    the run: a :class:`WorkerCrashed` ends its worker silently, unless its
-    site is in ``fatal``, the crash sites the run cannot survive, where it
-    calls ``stop()``; an :class:`Aborted` calls ``stop()``, and any other
-    raise is recorded and calls ``stop()``. Peers still alive when joined
-    until ``until``, a :func:`time.perf_counter` time, call ``stop()`` and
-    are returned; otherwise the first recorded error is re-raised.
+    The last id runs on the calling thread, after the others are handed, in
+    id order, to parked peers of the process's one pool, which starts a
+    thread only when a run needs more peers than are parked. Concurrent
+    runs take disjoint peers. A worker raises; the runner stops the run: a
+    :class:`WorkerCrashed` ends its worker silently, unless its site is in
+    ``fatal``, the crash sites the run cannot survive, where it calls
+    ``stop()``; an :class:`Aborted` calls ``stop()``, and any other raise is
+    recorded and calls ``stop()``. Each peer whose job ended by ``until``, a
+    :func:`time.perf_counter` time, parks again. If any is still running
+    then, the runner calls ``stop()`` and returns their threads; each exits
+    when its job ends and never takes another. Otherwise the first recorded
+    error is re-raised.
     """
     errors: list[BaseException] = []
 
@@ -232,16 +349,14 @@ def run_workers(
             errors.append(exc)
             stop()
 
-    peers = [
-        threading.Thread(target=run, args=(w,), name=f"{name}-{w}", daemon=True)
-        for w in range(num_threads - 1)
-    ]
-    for t in peers:
-        t.start()
+    peers = _take_peers(num_threads - 1)
+    for w, peer in enumerate(peers):
+        peer.job = functools.partial(run, w)
+        peer.go.release()
+        peer.took.acquire()
     run(num_threads - 1)
-    for t in peers:
-        t.join(None if until == math.inf else max(0.0, until - time.perf_counter()))
-    alive = [t for t in peers if t.is_alive()]
+    alive = [peer.thread for peer in peers if not peer.wait(until)]
+    _park([peer for peer in peers if not peer.retired])
     if alive:
         stop()
     elif errors:

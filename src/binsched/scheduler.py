@@ -11,12 +11,14 @@ Three variants combine the phase procedures differently:
   stopped peers never gate progress.
 
 All three produce the same bin assignment for the same block, on the
-workers of :func:`~binsched.faults.run_workers`, the calling thread among
-them. A run has a deadline, ``watchdog_secs`` after its start, which ends
-the only places a worker blocks: a sleep on the run's one ``Wakeup``, at the
-barrier or on a dependency, and a delayed claim's sleep. A worker raises;
-the runner stops the run: it stops the ``Wakeup``, which ends every sleep and
-stops the peers, so a stopped barrier variant reports :class:`NonTermination`.
+workers of :func:`~binsched.faults.run_workers`: the calling thread and
+parked peers of the process's one worker pool, which every call reuses
+instead of starting threads of its own. A run has a deadline,
+``watchdog_secs`` after its start, which ends the only places a worker
+blocks: a sleep on the run's one ``Wakeup``, at the barrier or on a
+dependency, and a delayed claim's sleep. A worker raises; the runner stops
+the run: it stops the ``Wakeup``, which ends every sleep and stops the
+peers, so a stopped barrier variant reports :class:`NonTermination`.
 The runner also stops the run as soon as a worker crashes where the variant
 cannot survive it: anywhere under STANDARD, and before the meet under
 ASSISTED. :func:`schedule` runs any plan it can start, and a run that a
@@ -35,7 +37,7 @@ from typing import Sequence
 
 from .atomics import Wakeup
 from .binning import BinAssignment, assign_bins_helper, assign_bins_standard
-from .conflict import ConflictTable, build_conflict_sets_helper, build_conflict_sets_standard
+from .conflict import PublisherTable, claim_slots_helper, claim_slots_standard
 from .executor import ExecutionPlan, build_execution_plan
 from .faults import CRASH_POINTS, Aborted, FaultPlan, Site, Worker, run_workers
 from .txn import Transaction
@@ -163,16 +165,16 @@ def schedule(
         raise SchedulerConfigError("fault plan names worker ids outside the pool")
     watchdog_secs = resolve_watchdog_secs(watchdog_secs)
 
-    table = ConflictTable(txns)
+    table = PublisherTable(txns)
     bins = BinAssignment(table)
     if not txns:
         timing = PhaseTimings(0.0, 0.0, 0.0)
         return ScheduleResult(bins, build_execution_plan(bins), timing, RetryStats(0, 0))
 
     if variant.uses_helpers:
-        phase1, phase2 = build_conflict_sets_helper, assign_bins_helper
+        phase1, phase2 = claim_slots_helper, assign_bins_helper
     else:
-        phase1, phase2 = build_conflict_sets_standard, assign_bins_standard
+        phase1, phase2 = claim_slots_standard, assign_bins_standard
     phase1_claims = itertools.count()
     phase2_claims = itertools.count()
     abort = Wakeup()
@@ -197,7 +199,7 @@ def schedule(
         worker.phase2_end = time.perf_counter()
 
     until = deadline + _GRACE_SECS
-    if run_workers(body, num_threads, "sched", abort.stop, until, variant.fatal_crash_sites):
+    if run_workers(body, num_threads, abort.stop, until, variant.fatal_crash_sites):
         raise NonTermination(variant, num_threads, watchdog_secs)
     if not bins.is_complete() and (faults.crashes_anyone or abort.stopped):
         # a dead worker's claim is never redone in this variant, and an

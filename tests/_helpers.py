@@ -1,5 +1,5 @@
 """Shared test fixtures: block builders, hypothesis strategies, a scripted worker,
-publish-once slot access and a hang guard."""
+publish-once slot access, a hang guard and a look at the worker pool."""
 
 from __future__ import annotations
 
@@ -8,12 +8,13 @@ import threading
 
 from hypothesis import strategies as st
 
+import binsched.faults
 from binsched import Transaction, TransferPayload, WorkloadSpec, generate_workload, make_transaction
 from binsched.atomics import UNASSIGNED
-from binsched.faults import Worker
+from binsched.faults import Worker, close_pool
 
 # seconds of simulated work per transaction, for tests of the parallel replay:
-# execute_plan starts its peers only when there is work to sleep
+# execute_plan hands work to pool peers only when there is work to sleep
 PEER_WORK = 1e-6
 
 
@@ -51,7 +52,8 @@ def run_with_timeout(fn, timeout=30):
 
     Fails if ``fn`` is still running after ``timeout`` seconds, so a lost
     wakeup fails the test instead of hanging it, or if a thread it started
-    outlives it.
+    outlives it once the pool's parked peers are closed: a peer still
+    running a body is not parked, so it fails the check.
     """
     before = set(threading.enumerate())
     raised = []
@@ -66,8 +68,25 @@ def run_with_timeout(fn, timeout=30):
     caller.start()
     caller.join(timeout=timeout)
     assert not caller.is_alive(), f"still running after {timeout} s"
+    close_pool()
     assert set(threading.enumerate()) <= before
     return raised
+
+
+def pool_threads():
+    """The live threads of the worker pool, parked or not."""
+    return {t for t in threading.enumerate() if t.name.startswith("binsched-peer-")}
+
+
+def parked_threads():
+    """The threads of the pool's parked peers, each handed no job and running none."""
+    peers = binsched.faults._parked
+    return {peer.thread for peer in peers if peer.job is None and peer.go.locked()}
+
+
+def assert_pool_parked():
+    """Every live thread of the worker pool is parked."""
+    assert pool_threads() == parked_threads()
 
 
 def transfer(a, b, amount=10):

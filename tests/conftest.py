@@ -3,7 +3,9 @@ import threading
 import pytest
 from hypothesis import settings
 
+import binsched.executor
 import binsched.faults
+import binsched.scheduler
 
 # property tests spawn threads and share a noisy host; wall-clock deadlines
 # would turn scheduler jitter into spurious failures
@@ -12,14 +14,21 @@ settings.load_profile("binsched")
 
 
 @pytest.fixture
-def started_threads(monkeypatch):
-    """Names of the threads the worker runner starts, in start order."""
-    names = []
+def worker_threads(monkeypatch):
+    """For each run of the worker runner, in run order, the thread each worker id ran on."""
+    runs = []
+    run_workers = binsched.faults.run_workers
 
-    class Recorded(threading.Thread):
-        def start(self):
-            names.append(self.name)
-            super().start()
+    def recorded(body, num_threads, *args, **kwargs):
+        ran_on = {}
+        runs.append(ran_on)
 
-    monkeypatch.setattr(binsched.faults.threading, "Thread", Recorded)
-    return names
+        def traced(w):
+            ran_on[w] = threading.current_thread()
+            body(w)
+
+        return run_workers(traced, num_threads, *args, **kwargs)
+
+    monkeypatch.setattr(binsched.scheduler, "run_workers", recorded)
+    monkeypatch.setattr(binsched.executor, "run_workers", recorded)
+    return runs

@@ -12,7 +12,7 @@ from _helpers import (
 )
 from binsched import AtomicInt, BinAssignment
 from binsched.atomics import UNASSIGNED, PublishOnceArray, Wakeup
-from binsched.conflict import ConflictTable
+from binsched.conflict import PublisherTable
 from binsched.faults import run_workers
 
 
@@ -20,7 +20,7 @@ def run_threads(target, num_threads):
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        raised = run_with_timeout(lambda: run_workers(target, num_threads, "race", Wakeup().stop))
+        raised = run_with_timeout(lambda: run_workers(target, num_threads, Wakeup().stop))
     finally:
         sys.setswitchinterval(old_interval)
     assert raised == []
@@ -67,7 +67,7 @@ def test_racing_claims_hand_out_every_index_exactly_once():
 
 
 def test_published_falsy_values_are_distinct_from_unset():
-    table = ConflictTable(disjoint_block(2))
+    table = PublisherTable(disjoint_block(2))
     bins = BinAssignment(table)
     assert try_publish(bins, 0, 0)
     assert try_publish(table, 0, 0)  # worker 0's id

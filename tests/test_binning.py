@@ -33,17 +33,13 @@ from binsched import (
 )
 from binsched.atomics import UNASSIGNED, PublishOnceArray, Wakeup
 from binsched.binning import _help, assign_bins_helper, assign_bins_standard
-from binsched.conflict import (
-    ConflictTable,
-    build_conflict_sets_helper,
-    build_conflict_sets_standard,
-)
+from binsched.conflict import PublisherTable, claim_slots_helper, claim_slots_standard
 from binsched.faults import Aborted, Worker, WorkerCrashed, run_workers
 
 
 def published_table(txns):
-    """A conflict table over ``txns`` whose every slot worker 0 published, as after phase 1."""
-    table = ConflictTable(txns)
+    """A publisher table over ``txns`` whose every slot worker 0 published, as after phase 1."""
+    table = PublisherTable(txns)
     for t in txns:
         publish(table, t.id, 0)
     return table
@@ -51,7 +47,7 @@ def published_table(txns):
 
 def table_over(pairs):
     """An unpublished table over a wallet block of the given transfers."""
-    return ConflictTable(wallet_block(pairs))
+    return PublisherTable(wallet_block(pairs))
 
 
 def run_assignment(txns, num_threads, use_helpers):
@@ -64,7 +60,7 @@ def run_assignment(txns, num_threads, use_helpers):
     def body(w):
         target(bins, claims, Worker(w, abort=abort))
 
-    assert run_with_timeout(lambda: run_workers(body, num_threads, "phase2", abort.stop)) == []
+    assert run_with_timeout(lambda: run_workers(body, num_threads, abort.stop)) == []
     return bins
 
 
@@ -126,7 +122,7 @@ def test_calculate_bin_abort_breaks_the_wait():
     with pytest.raises(Aborted):  # a passed deadline ends the wait
         standard_bin(bins, 1, late)
     assert not late.abort.stopped  # a worker raises; the runner stops the run
-    assert run_workers(lambda w: standard_bin(bins, 1, late), 1, "t", late.abort.stop) == []
+    assert run_workers(lambda w: standard_bin(bins, 1, late), 1, late.abort.stop) == []
     assert late.abort.stopped
     # so does the stop a peer made, without a deadline; a lost stop fails instead of hanging
     raised = run_with_timeout(lambda: standard_bin(bins, 1, Worker(1, abort=late.abort)), 5)
@@ -281,15 +277,15 @@ def test_a_long_chain_resolves_without_recursion():
 @pytest.mark.parametrize(
     "phase1, phase2",
     [
-        (build_conflict_sets_standard, assign_bins_standard),
-        (build_conflict_sets_helper, assign_bins_helper),
+        (claim_slots_standard, assign_bins_standard),
+        (claim_slots_helper, assign_bins_helper),
     ],
     ids=["standard", "helper"],
 )
 def test_each_slot_visits_its_two_sites_once_in_order(phase1, phase2):
     n = 5
     block = chain_block(n)
-    table = ConflictTable(block)
+    table = PublisherTable(block)
     bins = BinAssignment(table)
     sites = []
     phase1(table, itertools.count(), StepWorker(sites.append))
@@ -303,16 +299,16 @@ def test_each_slot_visits_its_two_sites_once_in_order(phase1, phase2):
 # --- a worker's fault hook ----------------------------------------------------
 
 PHASES = [
-    (build_conflict_sets_standard, assign_bins_standard),
-    (build_conflict_sets_helper, assign_bins_helper),
+    (claim_slots_standard, assign_bins_standard),
+    (claim_slots_helper, assign_bins_helper),
 ]
 
 
 def run_phase(procedure, block, worker, claims):
     """Run one phase procedure over ``block`` with phase 1 done for a phase-2 one;
     returns the array it publishes into."""
-    if procedure in (build_conflict_sets_standard, build_conflict_sets_helper):
-        array = ConflictTable(block)
+    if procedure in (claim_slots_standard, claim_slots_helper):
+        array = PublisherTable(block)
     else:
         array = BinAssignment(published_table(block))
     procedure(array, claims, worker)
@@ -366,7 +362,7 @@ def test_a_plain_worker_makes_no_python_call_per_claim(procedure):
     # generator's left by another test, is a Python call the procedure did not make
     def calls(n):
         block = disjoint_block(n)
-        array = ConflictTable(block) if procedure.__name__.startswith("build") else (
+        array = PublisherTable(block) if procedure.__name__.startswith("claim") else (
             BinAssignment(published_table(block))
         )
         claims = itertools.count()
@@ -399,7 +395,7 @@ def phase1_helper(block):
     """Phase 1's helper, the array it fills, its two sites, and ``value(i, w)``,
     what worker ``w`` must publish into slot ``i``: its own id."""
     sites = (Site.PHASE1_POST_CLAIM, Site.PHASE1_PRE_PUBLISH)
-    return build_conflict_sets_helper, ConflictTable(block), sites, lambda i, w: w
+    return claim_slots_helper, PublisherTable(block), sites, lambda i, w: w
 
 
 def phase2_helper(block):
@@ -509,8 +505,8 @@ def test_a_first_pass_claim_a_peer_publishes_first_has_one_winner(helper_phase):
 @pytest.mark.parametrize(
     "procedure",
     [
-        build_conflict_sets_standard,
-        build_conflict_sets_helper,
+        claim_slots_standard,
+        claim_slots_helper,
         assign_bins_standard,
         assign_bins_helper,
         _help,
@@ -654,7 +650,7 @@ def test_oracle_equivalence_on_arbitrary_access_sets(txns):
 
 
 def test_try_assign_publishes_once():
-    bins = BinAssignment(ConflictTable(disjoint_block(1)))
+    bins = BinAssignment(PublisherTable(disjoint_block(1)))
     assert try_publish(bins, 0, 2)
     assert not try_publish(bins, 0, 5)
     assert value_of(bins, 0) == 2
@@ -668,7 +664,7 @@ def test_assignment_publish_once_accounting():
 
 
 def test_unassigned_sentinel_distinct_from_bin_zero():
-    bins = BinAssignment(ConflictTable(disjoint_block(2)))
+    bins = BinAssignment(PublisherTable(disjoint_block(2)))
     assert value_of(bins, 0) == UNASSIGNED
     publish(bins, 0, 0)
     assert value_of(bins, 0) == 0

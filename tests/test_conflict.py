@@ -32,11 +32,7 @@ from binsched import (
     schedule,
 )
 from binsched.atomics import UNASSIGNED, Wakeup
-from binsched.conflict import (
-    ConflictTable,
-    build_conflict_sets_helper,
-    build_conflict_sets_standard,
-)
+from binsched.conflict import PublisherTable, claim_slots_helper, claim_slots_standard
 from binsched.faults import Worker, WorkerCrashed, run_workers
 
 
@@ -45,7 +41,7 @@ def txn(i, reads, writes):
 
 
 def published_conflicts(txns, num_threads, use_helpers, faults=None):
-    """The conflict table a full scheduling run published."""
+    """The publisher table a full scheduling run published."""
     variant = Variant.LOCKFREE if use_helpers else Variant.STANDARD
     return schedule(txns, variant, num_threads, faults=faults).assignment.table
 
@@ -68,15 +64,15 @@ def assert_slots_hold_worker_ids(table, workers):
 
 def run_standard_phase1(txns, num_threads, faults):
     """Phase 1 alone, for crash plans that ``schedule`` rejects on STANDARD."""
-    table = ConflictTable(txns)
+    table = PublisherTable(txns)
     claims = itertools.count()
 
     abort = Wakeup()
 
     def body(worker_id):  # the runner ends a crashed worker silently
-        build_conflict_sets_standard(table, claims, Worker(worker_id, faults, abort))
+        claim_slots_standard(table, claims, Worker(worker_id, faults, abort))
 
-    assert run_with_timeout(lambda: run_workers(body, num_threads, "phase1", abort.stop)) == []
+    assert run_with_timeout(lambda: run_workers(body, num_threads, abort.stop)) == []
     return table
 
 
@@ -408,14 +404,14 @@ def test_delayed_workers_change_nothing_but_time():
 
 def test_direct_worker_invocation_single_thread():
     block = wallet_block([("A", "B"), ("B", "C"), ("C", "D")])
-    table = ConflictTable(block)
-    build_conflict_sets_standard(table, itertools.count(), Worker(2))
+    table = PublisherTable(block)
+    claim_slots_standard(table, itertools.count(), Worker(2))
     assert frontiers_of(table) == [set(), {0}, {1}]
     assert_frontiers_match_oracle(table, block)
     assert table.snapshot() == [2, 2, 2]
 
-    table2 = ConflictTable(block)
-    build_conflict_sets_helper(table2, itertools.count(), Worker(2))
+    table2 = PublisherTable(block)
+    claim_slots_helper(table2, itertools.count(), Worker(2))
     assert table2.snapshot() == [2, 2, 2]
     assert table2.published() == len(block)
 
@@ -438,15 +434,15 @@ def test_published_slots_are_immutable_snapshots():
 def test_stuck_counters_stay_within_bounds():
     """Six helpers on a small block: every slot published, the count stops at n."""
     block = random_wallet_block(seed=13, max_n=60)
-    table = ConflictTable(block)
+    table = PublisherTable(block)
     claims = itertools.count()
 
     abort = Wakeup()
 
     def body(w):
-        build_conflict_sets_helper(table, claims, Worker(w, abort=abort))
+        claim_slots_helper(table, claims, Worker(w, abort=abort))
 
-    assert run_with_timeout(lambda: run_workers(body, 6, "phase1", abort.stop)) == []
+    assert run_with_timeout(lambda: run_workers(body, 6, abort.stop)) == []
     assert table.is_complete()
     assert table.published() == len(block)
     assert_slots_hold_worker_ids(table, range(6))
@@ -457,7 +453,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
     # worker only ever claims the filled slot 0. The worker must not leave
     # the phase on its run of filled claims: it has to fill slot 1 itself.
     block = wallet_block([("A", "B"), ("C", "D")])
-    table = ConflictTable(block)
+    table = PublisherTable(block)
     claims = itertools.count()
     assert try_publish(table, 0, 1)  # peer 1's publish
     peer_claims = []
@@ -466,7 +462,7 @@ def test_helper_waits_for_a_slot_a_peer_claimed_and_skipped():
         if site is Site.PHASE1_POST_CLAIM and len(peer_claims) < 2:
             peer_claims.append(next(claims) % 2)
 
-    build_conflict_sets_helper(table, claims, StepWorker(peer_claims_next))
+    claim_slots_helper(table, claims, StepWorker(peer_claims_next))
     assert peer_claims == [1, 1]
     assert table.snapshot() == [1, 0]
 
@@ -492,14 +488,14 @@ def test_every_phase1_slot_holds_the_index_frontier(monkeypatch, variant, num_th
     # and the frontier phase 2 and the plan read for it is the index's own
     # object, never a copy, whoever published the slot
     swept = []
-    unpublished = ConflictTable.unpublished
+    unpublished = PublisherTable.unpublished
 
     def recorded_sweep(table):
         for i in unpublished(table):
             swept.append(i)
             yield i
 
-    monkeypatch.setattr(ConflictTable, "unpublished", recorded_sweep)
+    monkeypatch.setattr(PublisherTable, "unpublished", recorded_sweep)
     block = clique_block(60)  # every frontier but the first is a tuple of its own
     result = schedule(block, variant, num_threads, faults)
     table = result.assignment.table
@@ -512,17 +508,17 @@ def test_every_phase1_slot_holds_the_index_frontier(monkeypatch, variant, num_th
 
 
 def test_a_stalled_claimer_loses_its_cas_to_the_sweeper_of_its_slot():
-    table = ConflictTable(wallet_block([("A", "B"), ("C", "D")]))
+    table = PublisherTable(wallet_block([("A", "B"), ("C", "D")]))
     claims = itertools.count()
     sweeper = Worker(1)
 
     def stall_until_swept(site):
         # holding slot 0, the claimer lets a peer claim slot 1, pass n and sweep slot 0
         if site is Site.PHASE1_PRE_PUBLISH and not table.is_complete():
-            build_conflict_sets_helper(table, claims, sweeper)
+            claim_slots_helper(table, claims, sweeper)
 
     claimer = StepWorker(stall_until_swept)
-    build_conflict_sets_helper(table, claims, claimer)  # resumes, CASes slot 0 and loses
+    claim_slots_helper(table, claims, claimer)  # resumes, CASes slot 0 and loses
     assert (claimer.cas_retries, sweeper.cas_retries) == (1, 0)
     assert table.snapshot() == [1, 1]  # the sweeper's id in the slot it swept, too
 
@@ -531,13 +527,13 @@ def test_a_stalled_claimer_loses_its_cas_to_the_sweeper_of_its_slot():
 def test_a_worker_that_crashes_in_phase1_publishes_into_no_slot(crash_point):
     # worker 0 crashes at its first claim, before any publish; worker 1 then
     # claims the rest, passes n and sweeps the abandoned slot 0
-    table = ConflictTable(chain_block(5))
+    table = PublisherTable(chain_block(5))
     claims = itertools.count()
     crashing = Worker(0, FaultPlan(crashed_workers=frozenset({0}), crash_point=crash_point))
     with pytest.raises(WorkerCrashed):
-        build_conflict_sets_helper(table, claims, crashing)
+        claim_slots_helper(table, claims, crashing)
     assert table.published() == 0
-    build_conflict_sets_helper(table, claims, Worker(1))
+    claim_slots_helper(table, claims, Worker(1))
     assert table.snapshot() == [1] * 5
 
 

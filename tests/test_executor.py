@@ -11,10 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from _helpers import (
     PEER_WORK,
+    assert_pool_parked,
     chain_block,
     clique_block,
     disjoint_block,
     frontier_oracle,
+    pool_threads,
     publish,
     random_wallet_block,
     run_with_timeout,
@@ -33,14 +35,14 @@ from binsched import (
     execute_serial,
     schedule,
 )
-from binsched.conflict import ConflictTable
+from binsched.conflict import PublisherTable
 
 
 def assignment_of(bins_by_txn, table=None):
     """An assignment publishing the given bins (None leaves a slot unset) over
     ``table``, by default a disjoint block's with every slot published by worker 0."""
     if table is None:
-        table = ConflictTable(disjoint_block(len(bins_by_txn)))
+        table = PublisherTable(disjoint_block(len(bins_by_txn)))
         for i in range(table.n):
             publish(table, i, 0)
     bins = BinAssignment(table)
@@ -90,14 +92,14 @@ def test_the_plan_rebuilt_from_the_assignment_is_the_scheduled_plan(variant):
 
 def test_build_plan_rejects_a_table_missing_a_frontier():
     block = wallet_block([("A", "B"), ("B", "C")])
-    table = ConflictTable(block)
+    table = PublisherTable(block)
     publish(table, 0, 0)
     with pytest.raises(ValueError, match="lacks a frontier"):
         build_execution_plan(assignment_of([0, 1], table))
 
 
 def test_plans_stay_frozen_and_hashable():
-    table = ConflictTable(wallet_block([("A", "B")] * 2))
+    table = PublisherTable(wallet_block([("A", "B")] * 2))
     publish(table, 0, 0)
     publish(table, 1, 0)
     plan = build_execution_plan(assignment_of([0, 1], table))
@@ -263,14 +265,20 @@ def test_a_negative_or_nan_simulated_work_is_rejected(per_txn_work):
 
 
 @pytest.mark.parametrize("num_threads", [2, 8])
-def test_replay_starts_peers_only_with_work(num_threads, started_threads):
+def test_replay_starts_peers_only_with_work(num_threads, worker_threads):
     block = random_wallet_block(seed=310, max_n=200)
     plan = schedule(block, Variant.STANDARD, num_threads=1).plan
     serial = execute_serial(block, WalletState()).balances
+    worker_threads.clear()
     assert execute_plan(plan, block, WalletState(), num_threads).balances == serial
-    assert started_threads == []
+    assert worker_threads == []  # no run: the pool was handed no job
     assert execute_plan(plan, block, WalletState(), num_threads, PEER_WORK).balances == serial
-    assert started_threads == [f"exec-{w}" for w in range(num_threads - 1)]
+    [ran_on] = worker_threads
+    assert sorted(ran_on) == list(range(num_threads))
+    assert ran_on[num_threads - 1] is threading.current_thread()
+    peers = {ran_on[w] for w in range(num_threads - 1)}
+    assert len(peers) == num_threads - 1 and peers <= pool_threads()
+    assert_pool_parked()
 
 
 def test_simulated_work_changes_time_not_state():
@@ -297,7 +305,7 @@ def test_a_worker_error_stops_every_worker_and_is_raised(monkeypatch):
     raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), 4, PEER_WORK))
     assert [type(exc) for exc in raised] == [RuntimeError]
     assert [str(exc) for exc in raised] == ["transfer 0 failed"]
-    assert not [t for t in threading.enumerate() if t.name.startswith("exec-")]
+    assert pool_threads() == set()  # each peer stopped, parked, then closed by the guard
 
 
 def test_a_transfer_waits_for_its_frontier_not_its_previous_bin(monkeypatch):

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from _helpers import (
     PEER_WORK,
     StepWorker,
+    assert_pool_parked,
     chain_block,
     disjoint_block,
+    pool_threads,
     publish,
     random_wallet_block,
     run_with_timeout,
@@ -41,8 +43,8 @@ from binsched import (
 )
 from binsched.atomics import Wakeup
 from binsched.binning import assign_bins_helper
-from binsched.conflict import ConflictTable, build_conflict_sets_helper
-from binsched.faults import Worker, WorkerCrashed
+from binsched.conflict import PublisherTable, claim_slots_helper
+from binsched.faults import Worker, WorkerCrashed, close_pool
 
 ALL_VARIANTS = list(Variant)
 
@@ -191,30 +193,35 @@ def crashed_on(monkeypatch):
     return threads
 
 
-def live_workers():
-    return [t.name for t in threading.enumerate() if t.name.startswith(("sched-", "exec-"))]
-
-
 def test_no_worker_thread_outlives_its_run():
+    # after every run, each thread of the pool is parked again, running no body
     block = random_wallet_block(seed=91, max_n=120)
     for variant in ALL_VARIANTS:
         result = schedule(block, variant, num_threads=4)
-        assert live_workers() == []
+        assert_pool_parked()
         execute_plan(result.plan, block, WalletState(), num_threads=4, per_txn_work=PEER_WORK)
-        assert live_workers() == []
+        assert_pool_parked()
+    assert len(pool_threads()) >= 3
     faults = FaultPlan(crashed_workers=frozenset({1}), crash_point=Site.INTER_PHASE)
     with pytest.raises(NonTermination):
         schedule(block, Variant.STANDARD, 4, faults=faults, watchdog_secs=0.3)
-    assert live_workers() == []
+    assert_pool_parked()
 
 
-def test_the_calling_thread_is_one_of_the_workers(started_threads):
+def test_the_calling_thread_is_one_of_the_workers(worker_threads):
     block = random_wallet_block(seed=92, max_n=60)
+    close_pool()
+    before = threading.enumerate()
     result = schedule(block, Variant.STANDARD, num_threads=1)
     execute_plan(result.plan, block, WalletState(), num_threads=1)
-    assert started_threads == []
+    assert worker_threads == [{0: threading.current_thread()}]  # the replay ran no worker
+    assert threading.enumerate() == before  # a one-thread run starts no thread
     schedule(block, Variant.STANDARD, num_threads=4)
-    assert started_threads == ["sched-0", "sched-1", "sched-2"]
+    ran_on = worker_threads[1]
+    assert ran_on[3] is threading.current_thread()
+    peers = [ran_on[w] for w in range(3)]
+    assert len(set(peers)) == 3 and set(peers) == pool_threads()
+    assert_pool_parked()
 
 
 @pytest.mark.parametrize("crash_point", CRASH_POINTS)
@@ -392,7 +399,7 @@ def test_a_delayed_calling_thread_sleeps_only_until_the_deadline(num_threads):
             chain_block(20), Variant.STANDARD, num_threads, faults=faults, watchdog_secs=watchdog
         )
     assert time.perf_counter() - started < watchdog + 2
-    assert live_workers() == []
+    assert_pool_parked()
 
 
 # --- result metadata ---------------------------------------------------------------
@@ -422,20 +429,20 @@ def test_standard_reports_no_retries():
 def test_a_lost_phase1_publish_counts_one_cas_retry():
     # a peer publishes the claimed slot between the helper's compute and
     # its publish, so the helper's compare-and-set loses
-    table = ConflictTable(wallet_block([("A", "B")]))
+    table = PublisherTable(wallet_block([("A", "B")]))
 
     def peer_publishes_first(site):
         if site is Site.PHASE1_PRE_PUBLISH:
             assert try_publish(table, 0, 1)  # peer 1's publish
 
     worker = StepWorker(peer_publishes_first)
-    build_conflict_sets_helper(table, itertools.count(), worker)
+    claim_slots_helper(table, itertools.count(), worker)
     assert worker.cas_retries == 1
     assert value_of(table, 0) == 1
 
 
 def test_a_lost_phase2_publish_counts_one_cas_retry():
-    table = ConflictTable(wallet_block([("A", "B")]))
+    table = PublisherTable(wallet_block([("A", "B")]))
     publish(table, 0, 0)
     bins = BinAssignment(table)
 
@@ -452,7 +459,7 @@ def test_a_lost_phase2_publish_counts_one_cas_retry():
 def test_a_crashed_workers_lost_cas_stays_counted():
     # the worker's CAS on slot 0 loses to a peer, then it crashes at its
     # next claim: the count it made before the crash stays on its record
-    table = ConflictTable(wallet_block([("A", "B"), ("C", "D")]))
+    table = PublisherTable(wallet_block([("A", "B"), ("C", "D")]))
     claim_sites = []
 
     def peer_publishes_then_crash(site):
@@ -465,7 +472,7 @@ def test_a_crashed_workers_lost_cas_stays_counted():
 
     worker = StepWorker(peer_publishes_then_crash)
     with pytest.raises(WorkerCrashed):
-        build_conflict_sets_helper(table, itertools.count(), worker)
+        claim_slots_helper(table, itertools.count(), worker)
     assert worker.cas_retries == 1
     assert value_of(table, 1) is None
 
