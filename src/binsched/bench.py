@@ -31,10 +31,11 @@ from typing import Callable, Iterable, Sequence
 from .executor import WalletState, check_per_txn_work, execute_plan, execute_serial
 from .faults import FaultPlan, Site, make_fault_plan
 from .scheduler import (
+    DEFAULT_WATCHDOG_SECS,
     NonTermination,
     ScheduleResult,
     Variant,
-    resolve_watchdog_secs,
+    check_watchdog_secs,
     schedule,
 )
 from .workload import WorkloadSpec, compute_conflict_params, generate_workload
@@ -99,7 +100,7 @@ class BenchConfig:
     amount_range: tuple[int, int] = (1, 100)
     base_seed: int = 1
     fault_seed: int = 0
-    watchdog_secs: float | None = None
+    watchdog_secs: float = DEFAULT_WATCHDOG_SECS
 
     def __post_init__(self) -> None:
         points = sweep_points(self)  # the product is empty exactly when an axis is
@@ -114,7 +115,7 @@ class BenchConfig:
         for n, dep, delayed_pct, crashed_pct in points:
             self.workload_spec(n, dep)
             self.fault_plan(delayed_pct, crashed_pct)
-        resolve_watchdog_secs(self.watchdog_secs)
+        check_watchdog_secs(self.watchdog_secs)
         if any(self.crashed_pct_values):
             for kind in self.schedulers:
                 if kind.variant and self.crash_point in kind.variant.fatal_crash_sites:
@@ -231,7 +232,7 @@ def run_block(
     num_threads: int,
     faults: FaultPlan,
     per_txn_work: float,
-    watchdog_secs: float | None,
+    watchdog_secs: float = DEFAULT_WATCHDOG_SECS,
 ) -> tuple[ScheduleResult, WalletState, float, float]:
     """Schedule ``block`` under the watchdog, then execute it on the threads ``faults`` spares.
 

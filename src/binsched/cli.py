@@ -33,7 +33,7 @@ from .binning import bin_oracle
 from .conflict import lower_conflict_sets
 from .executor import WalletState, check_per_txn_work, execute_serial
 from .faults import Site, make_fault_plan
-from .scheduler import NonTermination, SchedulerConfigError, Variant
+from .scheduler import DEFAULT_WATCHDOG_SECS, NonTermination, SchedulerConfigError, Variant
 from .txn import dump_workload, load_workload
 from .workload import WorkloadSpec, generate_workload
 
@@ -258,7 +258,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     sched.add_argument("--crash-point", default="phase1_pre_publish")
     sched.add_argument("--fault-seed", type=int, default=0)
     sched.add_argument("--per-txn-work-ms", type=float, default=0.0, help=WORK_HELP)
-    sched.add_argument("--watchdog-secs", type=float, default=None)
+    sched.add_argument("--watchdog-secs", type=float, default=DEFAULT_WATCHDOG_SECS)
     sched.add_argument("--dump-conflicts", action="store_true")
     sched.add_argument("--dump-bins", action="store_true")
     sched.add_argument("--dump-state", action="store_true")
@@ -282,7 +282,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run.add_argument("--amount-max", type=int, default=100)
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--fault-seed", type=int, default=0)
-    run.add_argument("--watchdog-secs", type=float, default=None)
+    run.add_argument("--watchdog-secs", type=float, default=DEFAULT_WATCHDOG_SECS)
     run.add_argument("-o", "--output", default=None)
     run.set_defaults(func=_cmd_run)
 

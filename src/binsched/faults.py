@@ -19,7 +19,8 @@ run's one :class:`~binsched.atomics.Wakeup`. A worker with no fault and no
 overridden :meth:`Worker.at` has no hook: the phase procedures then only
 test the stop at each claim. A worker raises; the runner stops the run:
 only :func:`run_workers` calls the run's ``stop``, also at once when a
-worker crashes at a site the run cannot survive.
+worker crashes at a site the run cannot survive. A run ends when its
+workers end: the runner returns only once each of them has returned.
 """
 
 from __future__ import annotations
@@ -219,11 +220,10 @@ class _Peer:
     The peer runs the job, drops it, releases ``done`` and parks on ``go``
     again. Dropping the job first leaves the run's state to its caller to
     free, inside that run, not to the peer when the next job wakes it. A
-    ``retired`` peer, one its caller stopped waiting for, exits when its
-    job ends instead of parking; a ``None`` job ends a peer at once.
+    ``None`` job ends a peer at once.
     """
 
-    __slots__ = ("go", "took", "done", "job", "retired", "thread")
+    __slots__ = ("go", "took", "done", "job", "thread")
 
     def __init__(self) -> None:
         self.go = threading.Lock()
@@ -233,7 +233,6 @@ class _Peer:
         self.done = threading.Lock()
         self.done.acquire()
         self.job: Callable[[], None] | None = None
-        self.retired = False  # set by the caller under _pool_lock
         self.thread = threading.Thread(
             target=self._serve, name=f"binsched-peer-{next(_numbers)}", daemon=True
         )
@@ -248,24 +247,7 @@ class _Peer:
             self.took.release()
             job()
             job = None
-            with _pool_lock:
-                if self.retired:
-                    return
-                self.done.release()
-
-    def wait(self, until: float) -> bool:
-        """Wait for the job to end, until ``until``; False, retiring the peer, if it has not."""
-        if until == math.inf:
-            self.done.acquire()
-            return True
-        left = min(max(0.0, until - time.perf_counter()), threading.TIMEOUT_MAX)
-        if self.done.acquire(timeout=left):
-            return True
-        with _pool_lock:
-            if self.done.acquire(blocking=False):  # it ended as the wait timed out
-                return True
-            self.retired = True
-            return False
+            self.done.release()
 
 
 _numbers = itertools.count()  # names the pool's threads binsched-peer-0, -1, ...
@@ -319,7 +301,7 @@ if hasattr(os, "register_at_fork"):
 def run_workers(
     body: Callable[[int], None], num_threads: int, stop: Callable[[], None],
     until: float = math.inf, fatal: Collection[Site] = (),
-) -> list[threading.Thread]:
+) -> None:
     """Run ``body(w)`` for each worker id ``w < num_threads``; the one place a run stops.
 
     The last id runs on the calling thread, after the others are handed, in
@@ -329,11 +311,11 @@ def run_workers(
     :class:`WorkerCrashed` ends its worker silently, unless its site is in
     ``fatal``, the crash sites the run cannot survive, where it calls
     ``stop()``; an :class:`Aborted` calls ``stop()``, and any other raise is
-    recorded and calls ``stop()``. Each peer whose job ended by ``until``, a
-    :func:`time.perf_counter` time, parks again. If any is still running
-    then, the runner calls ``stop()`` and returns their threads; each exits
-    when its job ends and never takes another. Otherwise the first recorded
-    error is re-raised.
+    recorded and calls ``stop()``. A peer still running at ``until``, a
+    :func:`time.perf_counter` time, gets ``stop()`` and is waited for again:
+    every worker tests the stop at each claim or swept slot, so it returns
+    within one claim's work. The run ends when every worker has returned:
+    each peer parks again, and the first recorded error is re-raised.
     """
     errors: list[BaseException] = []
 
@@ -355,10 +337,11 @@ def run_workers(
         peer.go.release()
         peer.took.acquire()
     run(num_threads - 1)
-    alive = [peer.thread for peer in peers if not peer.wait(until)]
-    _park([peer for peer in peers if not peer.retired])
-    if alive:
-        stop()
-    elif errors:
+    for peer in peers:
+        left = min(max(0.0, until - time.perf_counter()), threading.TIMEOUT_MAX)
+        if not peer.done.acquire(timeout=left):
+            stop()
+            peer.done.acquire()
+    _park(peers)
+    if errors:
         raise errors[0]
-    return alive

@@ -43,7 +43,7 @@ from .faults import CRASH_POINTS, Aborted, FaultPlan, Site, Worker, run_workers
 from .txn import Transaction
 
 DEFAULT_WATCHDOG_SECS = 30.0
-_GRACE_SECS = 1.0  # past the deadline, the longest the run waits for a peer to stop
+_GRACE_SECS = 1.0  # past the deadline, how long the run waits for a peer before it stops it
 
 
 class Variant(enum.Enum):
@@ -79,7 +79,7 @@ class SchedulerConfigError(ValueError):
 
 
 class NonTermination(RuntimeError):
-    """A crash or the deadline left the assignment incomplete, or a worker outran the deadline.
+    """A crash or the deadline left the assignment incomplete.
 
     ``watchdog_secs`` is the run's budget, not the time it took: a run whose
     every worker crashed raises at once.
@@ -126,13 +126,10 @@ class ScheduleResult:
     retries: RetryStats
 
 
-def resolve_watchdog_secs(watchdog_secs: float | None) -> float:
-    """The argument, else the default; finite and > 0."""
-    if watchdog_secs is None:
-        watchdog_secs = DEFAULT_WATCHDOG_SECS
-    if not 0 < watchdog_secs < math.inf:
+def check_watchdog_secs(watchdog_secs: float) -> None:
+    """Reject a watchdog budget that is not finite and > 0, before anything runs."""
+    if not 0 < watchdog_secs < math.inf:  # NaN too
         raise SchedulerConfigError(f"watchdog_secs must be finite and > 0, got {watchdog_secs}")
-    return watchdog_secs
 
 
 def schedule(
@@ -140,7 +137,7 @@ def schedule(
     variant: Variant,
     num_threads: int,
     faults: FaultPlan | None = None,
-    watchdog_secs: float | None = None,
+    watchdog_secs: float = DEFAULT_WATCHDOG_SECS,
 ) -> ScheduleResult:
     """Run one block through a variant on ``num_threads`` workers.
 
@@ -163,7 +160,7 @@ def schedule(
     workers = faults.crashed_workers | faults.delayed_workers
     if workers and (min(workers) < 0 or max(workers) >= num_threads):
         raise SchedulerConfigError("fault plan names worker ids outside the pool")
-    watchdog_secs = resolve_watchdog_secs(watchdog_secs)
+    check_watchdog_secs(watchdog_secs)
 
     table = PublisherTable(txns)
     bins = BinAssignment(table)
@@ -198,9 +195,7 @@ def schedule(
         phase2(bins, phase2_claims, worker)
         worker.phase2_end = time.perf_counter()
 
-    until = deadline + _GRACE_SECS
-    if run_workers(body, num_threads, abort.stop, until, variant.fatal_crash_sites):
-        raise NonTermination(variant, num_threads, watchdog_secs)
+    run_workers(body, num_threads, abort.stop, deadline + _GRACE_SECS, variant.fatal_crash_sites)
     if not bins.is_complete() and (faults.crashes_anyone or abort.stopped):
         # a dead worker's claim is never redone in this variant, and an
         # aborted run stopped short: neither can produce a plan

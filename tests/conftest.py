@@ -27,7 +27,7 @@ def worker_threads(monkeypatch):
             ran_on[w] = threading.current_thread()
             body(w)
 
-        return run_workers(traced, num_threads, *args, **kwargs)
+        run_workers(traced, num_threads, *args, **kwargs)
 
     monkeypatch.setattr(binsched.scheduler, "run_workers", recorded)
     monkeypatch.setattr(binsched.executor, "run_workers", recorded)

@@ -1,11 +1,13 @@
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from binsched import CSV_HEADER, conflict_sets_oracle, load_workload, rows_from_csv
+from binsched import CSV_HEADER, conflict_sets_oracle, load_workload, rows_from_csv, schedule
+from binsched.bench import run_block
 from binsched.cli import (
     bench_config,
     build_parser,
@@ -14,6 +16,7 @@ from binsched.cli import (
     parse_args,
     parse_config_file,
 )
+from binsched.scheduler import DEFAULT_WATCHDOG_SECS
 
 
 def run_cli(argv):
@@ -86,6 +89,16 @@ def test_schedule_rejects_a_zero_watchdog(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "watchdog_secs must be finite and > 0" in captured.err
+
+
+def test_every_entry_point_defaults_to_one_watchdog_budget():
+    # the budget is a value at every entry point, never a None resolved later
+    entries = (schedule, run_block)
+    defaults = {inspect.signature(f).parameters["watchdog_secs"].default for f in entries}
+    defaults.add(parse_args(["schedule", "-w", "block.json"]).watchdog_secs)
+    defaults.add(parse_args(["run"]).watchdog_secs)
+    defaults.add(bench_config(parse_args(["run"])).watchdog_secs)
+    assert defaults == {DEFAULT_WATCHDOG_SECS}
 
 
 def test_schedule_check_detects_violation(tmp_path, capsys, monkeypatch):

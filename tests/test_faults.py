@@ -15,7 +15,6 @@ import binsched.scheduler
 from _helpers import (
     PEER_WORK,
     assert_pool_parked,
-    parked_threads,
     pool_threads,
     random_wallet_block,
     run_with_timeout,
@@ -166,7 +165,7 @@ def test_a_delayed_claim_sleeps_at_most_to_the_deadline(sleeps):
         worker.at(Site.PHASE2_POST_CLAIM)
     assert len(sleeps) == 1 and 0 < sleeps[0] <= 0.5
     assert not worker.abort.stopped  # a worker raises; the runner stops the run
-    assert run_workers(lambda w: worker.at(Site.PHASE2_POST_CLAIM), 1, worker.abort.stop) == []
+    run_workers(lambda w: worker.at(Site.PHASE2_POST_CLAIM), 1, worker.abort.stop)
     assert worker.abort.stopped  # so the worker's peers stop too
 
 
@@ -193,7 +192,7 @@ def test_run_workers_runs_the_last_id_on_the_calling_thread(raised, stops):
         with pytest.raises(ValueError, match="worker 0 failed"):
             run_workers(body, 3, lambda: stopped.append(True))
     else:
-        assert run_workers(body, 3, lambda: stopped.append(True)) == []
+        run_workers(body, 3, lambda: stopped.append(True))
     assert stopped == ([True] if stops else [])
     assert ran_on[2] is threading.current_thread()
     peers = {ran_on[0], ran_on[1]}
@@ -202,34 +201,31 @@ def test_run_workers_runs_the_last_id_on_the_calling_thread(raised, stops):
 
 
 @pytest.mark.parametrize("caller_raises", [False, True], ids=["alone", "beside_an_error"])
-def test_run_workers_returns_the_peers_alive_past_until(caller_raises):
-    release = threading.Event()
-    stopped = []
-    ran_on = {}
+def test_run_workers_stops_and_joins_a_peer_alive_past_until(caller_raises):
+    sleep = Wakeup()
+    stops = []
+    returned = []
+
+    def stop():
+        stops.append(True)
+        if len(stops) > caller_raises:  # the error's stop leaves the peer asleep: only
+            sleep.stop()  # the stop for the overrun may end its sleep
 
     def body(w):
-        ran_on[w] = threading.current_thread()
         if w == 0:
-            release.wait(5)
+            returned.append(sleep.sleep_until(lambda: False, time.perf_counter() + 5))
         elif caller_raises:
-            raise ValueError("worker 1 failed")  # an alive peer takes precedence
+            raise ValueError("worker 1 failed")
 
-    stuck = run_workers(body, 2, lambda: stopped.append(True), until=time.perf_counter())
-    assert stuck == [ran_on[0]]
-    assert stopped == [True] * (1 + caller_raises)  # the error's stop, then the alive peer's
-    assert pool_threads() - parked_threads() == {stuck[0]}  # it is not back in the pool
-    def record(w):
-        ran_on[w] = threading.current_thread()
-
-    for _ in range(3):  # and is never handed another job
-        ran_on.clear()
-        assert run_workers(record, 3, stopped.clear) == []
-        assert stuck[0] not in ran_on.values()
-    assert stuck[0].is_alive()
-    release.set()
-    stuck[0].join(5)
-    assert not stuck[0].is_alive()  # its body returned: it exits instead of parking
-    assert stuck[0] not in threading.enumerate()
+    started = time.perf_counter()
+    if caller_raises:
+        with pytest.raises(ValueError, match="worker 1 failed"):  # re-raised after the join
+            run_workers(body, 2, stop, until=started)
+    else:
+        run_workers(body, 2, stop, until=started)
+    assert returned == [False]  # the body returned before the runner did, at the stop
+    assert time.perf_counter() - started < 5  # not at its own deadline
+    assert stops == [True] * (1 + caller_raises)  # the error's stop, then the overrun's
     assert_pool_parked()
 
 
@@ -245,8 +241,8 @@ def test_a_peer_whose_worker_crashed_serves_the_next_run():
     def serving(w):
         served[w] = threading.current_thread()
 
-    assert run_workers(crashing, 2, pytest.fail) == []
-    assert run_workers(serving, 2, pytest.fail) == []
+    run_workers(crashing, 2, pytest.fail)
+    run_workers(serving, 2, pytest.fail)
     assert served == {0: ran_on[0], 1: threading.current_thread()}
     assert_pool_parked()
 
@@ -259,7 +255,7 @@ def test_a_parked_peer_holds_nothing_of_its_last_run():
 
     body = Body()
     freed = weakref.ref(body)
-    assert run_workers(body, 3, pytest.fail) == []
+    run_workers(body, 3, pytest.fail)
     del body
     assert freed() is None
 
