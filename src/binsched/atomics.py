@@ -22,8 +22,9 @@ crashes; the helper procedures leave a phase on that count. A helper whose
 claim passes ``n`` takes the slots still unset from ``unpublished()``, a
 scan that runs in C, instead of claiming on.
 
-:class:`Wakeup` is a run's one wait, meeting point and stop signal: ``stop()``
-ends every sleep on it and sets ``stopped``, which each worker tests per claim.
+:class:`Wakeup` is a run's one wait, meeting point and stop signal, and it
+holds the run's deadline: ``stop()`` ends every sleep on it and sets
+``stopped``, and no sleep outlasts ``deadline``.
 
 :class:`AtomicInt` keeps a lock and serves no library code: each
 scheduler worker counts its telemetry on its own
@@ -75,7 +76,8 @@ class AtomicInt:
 
 
 class Wakeup:
-    """A condition, its sleeper count, which a waker reads unlocked, and a ``stopped`` flag.
+    """A condition, its sleeper count, which a waker reads unlocked, a ``stopped`` flag,
+    and the run's ``deadline``, a :func:`time.perf_counter` time that ends every sleep.
 
     A waker changes the shared state, then calls :meth:`wake`, which uncounts
     the sleepers it notifies; a per-slot path tests ``sleepers`` first, to skip
@@ -85,16 +87,18 @@ class Wakeup:
     sees the change or the notify finds it waiting.
     """
 
-    __slots__ = ("_cond", "_wakes", "sleepers", "stopped")
+    __slots__ = ("_cond", "_wakes", "sleepers", "stopped", "deadline")
 
-    def __init__(self) -> None:
+    def __init__(self, deadline: float = math.inf) -> None:
         self._cond = threading.Condition(threading.Lock())
         self._wakes = 0  # changed under the lock, once per wake that found a sleeper
         self.sleepers = 0  # changed under the lock
         self.stopped = False
+        self.deadline = deadline
 
-    def sleep_until(self, ready: Callable[[], object], deadline: float = math.inf) -> bool:
-        """Wait for ``ready()``; False once stopped or past the deadline, a perf_counter time."""
+    def sleep_until(self, ready: Callable[[], object]) -> bool:
+        """Wait for ``ready()``; False once stopped or past the deadline."""
+        deadline = self.deadline
         with self._cond:
             counted = None
             while True:

@@ -24,15 +24,17 @@ published every slot, and raises ``RuntimeError`` on a table phase 1 left
 incomplete; from then on it reads the frontiers from the table's index,
 ``index.frontiers``, built before phase 1 started. A worker with a
 fault ``hook`` has it called at each instrumented site; a plain worker
-only has its stop tested at each claim or swept slot. Each reads a
-member's bin through the assignment's bound ``box_of`` and publishes a
-fresh box, so a claim is C calls only.
+has nothing tested per claim. Each reads a member's bin through the
+assignment's bound ``box_of`` and publishes a fresh box, so a claim is C
+calls only.
 :func:`assign_bins_standard` claims each index exactly once and computes
 its bin inline. It *blocks* only on a dependency that is still
 unassigned: it sleeps on the run's wakeup until the publish, or until the
-wakeup stops or the deadline passes, and then raises
+wakeup stops or its deadline passes, and then raises
 :class:`~binsched.faults.Aborted`: a worker raises; the runner stops the
-run. Safe behind a barrier, not crash tolerant.
+run. That sleep is the only place a plain worker of a stopped run stops
+inside phase 2; a plain helper, which never waits, finishes the phase.
+Safe behind a barrier, not crash tolerant.
 :func:`assign_bins_helper` never blocks. It makes a first pass over the
 claims below ``n``, each handed out once, computing the claimed slot's bin
 inline and CAS-publishing it without reading the slot first. Only when a
@@ -94,10 +96,10 @@ def _frontiers_of(bins: BinAssignment) -> list[tuple[int, ...]]:
 def _sleep_until_published(dep: int, bins: BinAssignment, worker: Worker) -> tuple[int]:
     """``dep``'s box, once published; a function of its own, so that the
     predicate's closure costs :func:`assign_bins_standard` nothing when no
-    member waits. A stop or a passed deadline raise
+    member waits. A stop or the wakeup's passed deadline raise
     :class:`~binsched.faults.Aborted`: a worker raises; the runner stops the run."""
     box_of = bins.box_of
-    if not worker.abort.sleep_until(lambda: box_of(dep) is not None, worker.deadline):
+    if not worker.abort.sleep_until(lambda: box_of(dep) is not None):
         raise Aborted()
     return box_of(dep)
 
@@ -113,10 +115,7 @@ def assign_bins_standard(bins: BinAssignment, claims: Iterator[int], worker: Wor
     for i in claims:
         if i >= n:
             break
-        if hook is None:
-            if wakeup.stopped:
-                raise Aborted()
-        else:
+        if hook is not None:
             hook(_PHASE2_POST_CLAIM)
         current = -1
         for dep in frontiers[i]:
@@ -140,17 +139,13 @@ def assign_bins_helper(bins: BinAssignment, claims: Iterator[int], worker: Worke
     put_once = bins.put_once
     published = bins.published
     hook = worker.hook
-    abort = worker.abort
     slots = claims
     while published() < n:
         i = next(slots, n)
         if i >= n:  # past the claims, or past a sweep peers finished: sweep what is unset
             slots = bins.unpublished()
             continue
-        if hook is None:
-            if abort.stopped:
-                raise Aborted()
-        else:
+        if hook is not None:
             hook(_PHASE2_POST_CLAIM)
         current = -1
         for dep in frontiers[i]:

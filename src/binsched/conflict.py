@@ -29,8 +29,9 @@ thread's :class:`~binsched.faults.Worker`, as in
 ``claim_slots_helper(table, claims, worker)``. Each boxes its worker's id
 once, on entry, and publishes that one box, so a claim reads no frontier
 and allocates nothing. A worker with a fault ``hook`` has it
-called at each instrumented site; a plain worker only has its stop tested
-at each claim or swept slot, so a claim is C calls only.
+called at each instrumented site; a plain worker's claim is C calls only
+and tests nothing, so a plain worker in a stopped run finishes its claims
+and stops at the inter-phase site after the phase.
 
 * :func:`claim_slots_standard` hands each index to exactly one
   worker by a shared counter and stores its box with the table's bound
@@ -62,7 +63,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .atomics import PublishOnceArray
-from .faults import Aborted, Site, Worker
+from .faults import Site, Worker
 from .txn import Address, Transaction
 
 # Bound once: ``Site.X`` goes through the enum's Python-level descriptor on every read.
@@ -201,15 +202,11 @@ def claim_slots_standard(
     n = table.n
     put = table.put
     hook = worker.hook
-    abort = worker.abort
     mine = (worker.id,)
     for i in claims:
         if i >= n:
             break
-        if hook is None:
-            if abort.stopped:
-                raise Aborted()
-        else:
+        if hook is not None:
             hook(_PHASE1_POST_CLAIM)
             hook(_PHASE1_PRE_PUBLISH)
         put(i, mine)
@@ -223,7 +220,6 @@ def claim_slots_helper(
     put_once = table.put_once
     published = table.published
     hook = worker.hook
-    abort = worker.abort
     mine = (worker.id,)
     slots = claims
     while published() < n:
@@ -231,10 +227,7 @@ def claim_slots_helper(
         if i >= n:  # past the claims, or past a sweep peers finished: sweep what is unset
             slots = table.unpublished()
             continue
-        if hook is None:
-            if abort.stopped:
-                raise Aborted()
-        else:
+        if hook is not None:
             hook(_PHASE1_POST_CLAIM)
             hook(_PHASE1_PRE_PUBLISH)
         if put_once(i, mine) is not mine:

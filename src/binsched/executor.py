@@ -3,8 +3,8 @@
 The plan lays bins out as a ragged matrix, one ascending row of transaction
 ids per bin, and records what each transaction waits for: its frontier, the
 earlier conflicts the conflict index lists. ``build_execution_plan(assignment)``
-needs nothing else: once the assignment's publisher table is complete, the
-waits are its index's frontiers, taken whole. A plan it builds is valid by
+needs nothing else: the waits are the frontiers of the index that the
+assignment's publisher table built when it was made, taken whole. A plan it builds is valid by
 construction and is marked built, and :func:`execute_plan` runs only such
 a plan, checked to be of the block's length.
 Bins remain the schedule; execution replays along the frontiers. With
@@ -77,8 +77,8 @@ def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
     """Materialize the per-bin rows from a complete assignment, and the waits from its table.
 
     Rows come out ascending because ids are visited in order. The waits are
-    the frontiers of ``assignment.table``'s index, once phase 1 published
-    every slot, as a tuple of the index's own tuples. The plan is marked built.
+    the frontiers of ``assignment.table``'s index, built with the table, as a
+    tuple of the index's own tuples. The plan is marked built.
     """
     initial = assignment.initial_bin_list()
     if not assignment.is_complete():
@@ -87,10 +87,8 @@ def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
     rows: list[list[int]] = [[] for _ in range(max(initial, default=-1) + 1)]
     for txn_id, bin_no in enumerate(initial):
         rows[bin_no].append(txn_id)
-    table = assignment.table
-    if not table.is_complete():
-        raise ValueError("publisher table lacks a frontier for some transaction of the assignment")
-    plan = ExecutionPlan(tuple(tuple(row) for row in rows), tuple(table.index.frontiers))
+    waits = tuple(assignment.table.index.frontiers)
+    plan = ExecutionPlan(tuple(tuple(row) for row in rows), waits)
     return _mark_built(plan)
 
 

@@ -14,12 +14,15 @@ import, starts a peer only when a run needs more than are parked, and
 keeps each peer for every later run; :func:`close_pool` ends the parked
 ones, and a forked child starts with an empty pool. Each worker's
 :class:`Worker` record resolves the plan once into its crash site and
-delay, and carries the run's deadline and its stop signal, ``abort``, the
-run's one :class:`~binsched.atomics.Wakeup`. A worker with no fault and no
-overridden :meth:`Worker.at` has no hook: the phase procedures then only
-test the stop at each claim. A worker raises; the runner stops the run:
-only :func:`run_workers` calls the run's ``stop``, also at once when a
-worker crashes at a site the run cannot survive. A run ends when its
+delay, and carries its stop signal, ``abort``, the run's one
+:class:`~binsched.atomics.Wakeup`, which also holds the run's deadline. A
+worker with no fault and no overridden :meth:`Worker.at` has no hook: the
+phase procedures then test nothing per claim. A run is stopped, or times
+out, only where a worker waits: on the wakeup, in a delayed claim's sleep,
+and at :meth:`Worker.at`, which every worker calls between the phases.
+The deadline ends waits, not work. A worker raises; the runner stops the
+run: only :func:`run_workers` calls the run's ``stop``, also at once when
+a worker crashes at a site the run cannot survive. A run ends when its
 workers end: the runner returns only once each of them has returned.
 """
 
@@ -150,36 +153,30 @@ def make_fault_plan(
 
 
 class Worker:
-    """One scheduler worker: its id, the run's wakeup, ``abort``, and deadline
-    (a :func:`time.perf_counter` time), its crash site (or None) and per-claim
-    delay (or 0.0), its fault ``hook``, and the telemetry only its own thread
-    writes, read without a lock once the run has ended; a crashed worker's
-    counts outlive its worker.
+    """One scheduler worker: its id, the run's wakeup, ``abort``, which holds
+    the run's deadline, its crash site (or None) and per-claim delay (or
+    0.0), its fault ``hook``, and the telemetry only its own thread writes,
+    read without a lock once the run has ended; a crashed worker's counts
+    outlive its worker.
 
     ``hook`` is fixed when the record is built: the bound :meth:`at` for a
     worker with a crash site or a delay, or of a subclass that overrides
     :meth:`at`, and None for a plain worker, which has nothing to honor at a
     site but the stop. A phase procedure calls a hook at every site, in
-    order; for a plain worker it only tests ``abort.stopped`` once per claim
-    or swept slot and raises :class:`Aborted`, the test :meth:`at` starts
-    with, so no Python call is made per claim.
+    order, and makes no Python call per claim for a plain worker. So a plain
+    worker in a stopped run finishes the stretch of claims it is in, which
+    the block's size bounds, and stops at its next wait or at
+    :meth:`at`, which every worker calls between the phases.
     """
 
     __slots__ = (
-        "id", "abort", "deadline", "crash_site", "delay", "hook", "cas_retries", "helped",
+        "id", "abort", "crash_site", "delay", "hook", "cas_retries", "helped",
         "phase1_start", "phase1_end", "phase2_start", "phase2_end",
     )
 
-    def __init__(
-        self,
-        id: int,
-        plan: FaultPlan = FaultPlan(),
-        abort: Wakeup | None = None,
-        deadline: float = math.inf,
-    ) -> None:
+    def __init__(self, id: int, plan: FaultPlan = FaultPlan(), abort: Wakeup | None = None) -> None:
         self.id = id
         self.abort = abort if abort is not None else Wakeup()
-        self.deadline = deadline
         self.crash_site = plan.crash_point if id in plan.crashed_workers else None
         self.delay = plan.delay_per_claim if id in plan.delayed_workers else 0.0
         hooked = self.crash_site is not None or self.delay or type(self).at is not Worker.at
@@ -197,15 +194,16 @@ class Worker:
         Raises :class:`Aborted` once the run's wakeup is stopped, raises
         :class:`WorkerCrashed` at its crash site, and sleeps when a delayed
         worker reaches a claim site, in that order; a sleep that reaches the
-        deadline ends there and raises :class:`Aborted`. It stops nothing: a
-        worker raises; the runner, :func:`run_workers`, stops the run.
+        deadline, ``abort.deadline``, ends there and raises :class:`Aborted`.
+        It stops nothing: a worker raises; the runner, :func:`run_workers`,
+        stops the run.
         """
         if self.abort.stopped:
             raise Aborted()
         if site is self.crash_site:
             raise WorkerCrashed(self.id, site)
         if self.delay and site in _CLAIM_SITES:
-            left = self.deadline - time.perf_counter()
+            left = self.abort.deadline - time.perf_counter()
             time.sleep(max(0.0, min(self.delay, left)))
             if left <= self.delay:
                 raise Aborted()
@@ -300,7 +298,7 @@ if hasattr(os, "register_at_fork"):
 
 def run_workers(
     body: Callable[[int], None], num_threads: int, stop: Callable[[], None],
-    until: float = math.inf, fatal: Collection[Site] = (),
+    fatal: Collection[Site] = (),
 ) -> None:
     """Run ``body(w)`` for each worker id ``w < num_threads``; the one place a run stops.
 
@@ -311,11 +309,11 @@ def run_workers(
     :class:`WorkerCrashed` ends its worker silently, unless its site is in
     ``fatal``, the crash sites the run cannot survive, where it calls
     ``stop()``; an :class:`Aborted` calls ``stop()``, and any other raise is
-    recorded and calls ``stop()``. A peer still running at ``until``, a
-    :func:`time.perf_counter` time, gets ``stop()`` and is waited for again:
-    every worker tests the stop at each claim or swept slot, so it returns
-    within one claim's work. The run ends when every worker has returned:
-    each peer parks again, and the first recorded error is re-raised.
+    recorded and calls ``stop()``. The runner keeps no clock: it waits,
+    with no timeout, for every peer's body to return; a stopped worker
+    returns at its next wait or fault site, or when its work runs out. The
+    run ends when every worker has returned: each peer parks again, and the
+    first recorded error is re-raised.
     """
     errors: list[BaseException] = []
 
@@ -338,10 +336,7 @@ def run_workers(
         peer.took.acquire()
     run(num_threads - 1)
     for peer in peers:
-        left = min(max(0.0, until - time.perf_counter()), threading.TIMEOUT_MAX)
-        if not peer.done.acquire(timeout=left):
-            stop()
-            peer.done.acquire()
+        peer.done.acquire()
     _park(peers)
     if errors:
         raise errors[0]

@@ -14,15 +14,19 @@ All three produce the same bin assignment for the same block, on the
 workers of :func:`~binsched.faults.run_workers`: the calling thread and
 parked peers of the process's one worker pool, which every call reuses
 instead of starting threads of its own. A run has a deadline,
-``watchdog_secs`` after its start, which ends the only places a worker
-blocks: a sleep on the run's one ``Wakeup``, at the barrier or on a
-dependency, and a delayed claim's sleep. A worker raises; the runner stops
-the run: it stops the ``Wakeup``, which ends every sleep and stops the
-peers, so a stopped barrier variant reports :class:`NonTermination`.
-The runner also stops the run as soon as a worker crashes where the variant
-cannot survive it: anywhere under STANDARD, and before the meet under
-ASSISTED. :func:`schedule` runs any plan it can start, and a run that a
-crash or the deadline leaves short raises :class:`NonTermination`.
+``watchdog_secs`` after its start, which the run's one ``Wakeup`` holds. It
+ends the only places a worker blocks: a sleep on that ``Wakeup``, at the
+barrier or on a dependency, and a delayed claim's sleep. The deadline ends
+waits, not work: a worker that keeps working past it without waiting
+finishes, on whichever thread it runs. A worker raises; the runner stops
+the run: it stops the ``Wakeup``, which ends every sleep, and each worker
+stops at its next wait or fault site, such as the inter-phase site every
+worker visits, so a stopped barrier variant reports
+:class:`NonTermination`. The runner also stops the run as soon as a worker
+crashes where the variant cannot survive it: anywhere under STANDARD, and
+before the meet under ASSISTED. :func:`schedule` runs any plan it can
+start, and a run that a crash or the deadline leaves short raises
+:class:`NonTermination`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .faults import CRASH_POINTS, Aborted, FaultPlan, Site, Worker, run_workers
 from .txn import Transaction
 
 DEFAULT_WATCHDOG_SECS = 30.0
-_GRACE_SECS = 1.0  # past the deadline, how long the run waits for a peer before it stops it
 
 
 class Variant(enum.Enum):
@@ -164,20 +167,15 @@ def schedule(
 
     table = PublisherTable(txns)
     bins = BinAssignment(table)
-    if not txns:
-        timing = PhaseTimings(0.0, 0.0, 0.0)
-        return ScheduleResult(bins, build_execution_plan(bins), timing, RetryStats(0, 0))
-
     if variant.uses_helpers:
         phase1, phase2 = claim_slots_helper, assign_bins_helper
     else:
         phase1, phase2 = claim_slots_standard, assign_bins_standard
     phase1_claims = itertools.count()
     phase2_claims = itertools.count()
-    abort = Wakeup()
+    abort = Wakeup(time.perf_counter() + watchdog_secs)
     arrived: list[int] = []  # the barrier variants' workers that ended phase 1
-    deadline = time.perf_counter() + watchdog_secs
-    records = [Worker(w, faults, abort, deadline) for w in range(num_threads)]
+    records = [Worker(w, faults, abort) for w in range(num_threads)]
 
     def body(w: int) -> None:
         worker = records[w]
@@ -189,13 +187,13 @@ def schedule(
             arrived.append(w)
             if len(arrived) == num_threads:
                 abort.wake()
-            elif not abort.sleep_until(lambda: len(arrived) == num_threads, deadline):
+            elif not abort.sleep_until(lambda: len(arrived) == num_threads):
                 raise Aborted()
         worker.phase2_start = time.perf_counter()
         phase2(bins, phase2_claims, worker)
         worker.phase2_end = time.perf_counter()
 
-    run_workers(body, num_threads, abort.stop, deadline + _GRACE_SECS, variant.fatal_crash_sites)
+    run_workers(body, num_threads, abort.stop, variant.fatal_crash_sites)
     if not bins.is_complete() and (faults.crashes_anyone or abort.stopped):
         # a dead worker's claim is never redone in this variant, and an
         # aborted run stopped short: neither can produce a plan
@@ -207,8 +205,9 @@ def schedule(
 
     p1_start = min(r.phase1_start for r in records)
     p1_end = max(r.phase1_end for r in records if r.phase1_end is not None)
-    p2_start = min(r.phase2_start for r in records if r.phase2_start is not None)
-    p2_end = max(r.phase2_end for r in records if r.phase2_end is not None)
+    # an empty block's run stopped between the phases is complete with no phase 2: it took 0 s
+    p2_start = min((r.phase2_start for r in records if r.phase2_start is not None), default=p1_end)
+    p2_end = max((r.phase2_end for r in records if r.phase2_end is not None), default=p2_start)
     timing = PhaseTimings(p1_end - p1_start, p2_end - p2_start, p2_end - p1_start)
     retries = RetryStats(sum(r.cas_retries for r in records), sum(r.helped for r in records))
     return ScheduleResult(bins, plan, timing, retries)

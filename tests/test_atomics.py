@@ -306,9 +306,10 @@ def test_snapshots_see_unset_or_final_values():
 def test_sleep_until_returns_false_only_when_the_deadline_passes_first():
     wakeup = Wakeup()
     assert wakeup.sleep_until(lambda: True)
-    assert not wakeup.sleep_until(lambda: False, time.perf_counter() - 1)
+    assert not Wakeup(time.perf_counter() - 1).sleep_until(lambda: False)
     started = time.perf_counter()
-    assert not wakeup.sleep_until(lambda: False, started + 0.05)
+    wakeup = Wakeup(started + 0.05)
+    assert not wakeup.sleep_until(lambda: False)
     assert time.perf_counter() - started >= 0.05
     assert wakeup.sleepers == 0
 
@@ -339,10 +340,15 @@ def test_stop_ends_every_sleep_for_good():
     assert wakeup.stopped and wakeup.sleepers == 0
     wakeup.wake()  # harmless after a stop
     started = time.perf_counter()
-    assert not wakeup.sleep_until(lambda: True, started + 5)  # a ready sleep still fails
+    assert not wakeup.sleep_until(lambda: True)  # a ready sleep still fails
     assert not wakeup.sleep_until(lambda: False)  # and never waits, even with no deadline
+    stopped = Wakeup(started + 5)
+    stopped.stop()
+    assert not stopped.sleep_until(lambda: True)  # nor with one
+    assert not stopped.sleep_until(lambda: False)
     assert time.perf_counter() - started < 1
     assert wakeup.stopped and wakeup.sleepers == 0
+    assert stopped.sleepers == 0
 
 
 def wait_for_sleepers(wakeup, count):

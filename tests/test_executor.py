@@ -90,14 +90,6 @@ def test_the_plan_rebuilt_from_the_assignment_is_the_scheduled_plan(variant):
     assert build_execution_plan(result.assignment) == result.plan
 
 
-def test_build_plan_rejects_a_table_missing_a_frontier():
-    block = wallet_block([("A", "B"), ("B", "C")])
-    table = PublisherTable(block)
-    publish(table, 0, 0)
-    with pytest.raises(ValueError, match="lacks a frontier"):
-        build_execution_plan(assignment_of([0, 1], table))
-
-
 def test_plans_stay_frozen_and_hashable():
     table = PublisherTable(wallet_block([("A", "B")] * 2))
     publish(table, 0, 0)

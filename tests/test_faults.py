@@ -160,7 +160,7 @@ def test_fault_site_honors_abort():
 
 def test_a_delayed_claim_sleeps_at_most_to_the_deadline(sleeps):
     plan = FaultPlan(delayed_workers=frozenset({1}), delay_per_claim=60.0)
-    worker = Worker(1, plan, deadline=time.perf_counter() + 0.5)
+    worker = Worker(1, plan, Wakeup(time.perf_counter() + 0.5))
     with pytest.raises(Aborted):
         worker.at(Site.PHASE2_POST_CLAIM)
     assert len(sleeps) == 1 and 0 < sleeps[0] <= 0.5
@@ -200,32 +200,21 @@ def test_run_workers_runs_the_last_id_on_the_calling_thread(raised, stops):
     assert_pool_parked()  # each parked again after its worker ended, however it ended
 
 
-@pytest.mark.parametrize("caller_raises", [False, True], ids=["alone", "beside_an_error"])
-def test_run_workers_stops_and_joins_a_peer_alive_past_until(caller_raises):
-    sleep = Wakeup()
+def test_run_workers_waits_for_a_slow_peer_and_never_stops_it():
+    # the runner keeps no clock: a peer still working after the caller's
+    # body returned is waited for, not stopped
     stops = []
     returned = []
 
-    def stop():
-        stops.append(True)
-        if len(stops) > caller_raises:  # the error's stop leaves the peer asleep: only
-            sleep.stop()  # the stop for the overrun may end its sleep
-
     def body(w):
         if w == 0:
-            returned.append(sleep.sleep_until(lambda: False, time.perf_counter() + 5))
-        elif caller_raises:
-            raise ValueError("worker 1 failed")
+            time.sleep(0.3)
+            returned.append(time.perf_counter())
 
-    started = time.perf_counter()
-    if caller_raises:
-        with pytest.raises(ValueError, match="worker 1 failed"):  # re-raised after the join
-            run_workers(body, 2, stop, until=started)
-    else:
-        run_workers(body, 2, stop, until=started)
-    assert returned == [False]  # the body returned before the runner did, at the stop
-    assert time.perf_counter() - started < 5  # not at its own deadline
-    assert stops == [True] * (1 + caller_raises)  # the error's stop, then the overrun's
+    run_workers(body, 2, lambda: stops.append(True))
+    ended = time.perf_counter()
+    assert len(returned) == 1 and returned[0] <= ended  # the peer's body returned first
+    assert stops == []
     assert_pool_parked()
 
 
@@ -261,13 +250,13 @@ def test_a_parked_peer_holds_nothing_of_its_last_run():
 
 
 def test_a_worker_error_is_re_raised_and_stops_its_peers():
-    abort = Wakeup()
+    abort = Wakeup(time.perf_counter() + 10)
     woken = []
 
     def body(w):
         if w == 0:
             raise ValueError("worker 0 failed")
-        woken.append(abort.sleep_until(lambda: False, time.perf_counter() + 10))
+        woken.append(abort.sleep_until(lambda: False))
 
     started = time.perf_counter()
     raised = run_with_timeout(lambda: run_workers(body, 4, abort.stop), timeout=5)

@@ -58,11 +58,16 @@ def test_worked_example_all_variants():
 
 
 def test_empty_block():
+    # an empty block runs the general path; a crash between the phases, which
+    # stops a barrier variant before phase 2, still leaves nothing unassigned
+    crash = FaultPlan(crashed_workers=frozenset({0}), crash_point=Site.INTER_PHASE)
     for variant in ALL_VARIANTS:
-        result = schedule([], variant, num_threads=3)
-        assert result.plan.num_bins == 0
-        assert result.plan.bin_matrix == ()
-        assert result.assignment.initial_bin_list() == []
+        for faults in (None, crash):
+            result = schedule([], variant, num_threads=3, faults=faults)
+            assert result.plan.num_bins == 0
+            assert result.plan.bin_matrix == ()
+            assert result.assignment.initial_bin_list() == []
+            assert result.timing.phase2_s >= 0
 
 
 @pytest.mark.parametrize("num_threads", [1, 2, 4, 8, 16])
@@ -401,6 +406,29 @@ def test_a_delayed_calling_thread_sleeps_only_until_the_deadline(num_threads):
             chain_block(20), Variant.STANDARD, num_threads, faults=faults, watchdog_secs=watchdog
         )
     assert time.perf_counter() - started < watchdog + 2
+    assert_pool_parked()
+
+
+@pytest.mark.parametrize("slow", [0, 1], ids=["peer", "caller"])
+def test_a_worker_past_the_deadline_finishes_on_any_thread(slow, monkeypatch):
+    # the deadline ends waits, not work: a worker that works past it without
+    # waiting finishes, whether it is a pool peer (worker 0) or the calling
+    # thread (worker 1). The other worker's short sleep at its first claim
+    # lets the slow one claim a slot; then it bins the rest without waiting
+    slept = []
+
+    class SlowWorker(Worker):
+        def at(self, site):
+            if site is Site.PHASE2_POST_CLAIM and self.id not in slept:
+                slept.append(self.id)
+                time.sleep(1.3 if self.id == slow else 0.01)
+            super().at(site)
+
+    monkeypatch.setattr(binsched.scheduler, "Worker", SlowWorker)
+    block = disjoint_block(50)
+    result = schedule(block, Variant.STANDARD, 2, watchdog_secs=0.1)
+    assert result.assignment.initial_bin_list() == bin_oracle(block)
+    assert sorted(slept) == [0, 1]  # the slow worker held a claim past the deadline
     assert_pool_parked()
 
 
