@@ -315,24 +315,26 @@ def run_phase(procedure, block, worker, claims):
     return array
 
 
-def test_a_plain_worker_of_a_stopped_run_stops_only_at_a_wait_or_site():
+@pytest.mark.parametrize("procedure", [p for pair in PHASES for p in pair], ids=lambda f: f.__name__)
+def test_a_stopped_plain_worker_stops_at_a_wait_or_site(procedure):
     # a plain worker tests nothing per claim: in a stopped run it finishes
     # the claims it is in and stops at its next wait or fault site
     worker = Worker(0)
     assert worker.hook is None
     worker.abort.stop()
-    for procedure in (claim_slots_standard, claim_slots_helper, assign_bins_helper):
+    if procedure is assign_bins_standard:
+        # its wait on unassigned member 0 ends at once; a lost stop fails instead of hanging
+        bins = BinAssignment(published_table(chain_block(3)))
+        started = time.perf_counter()
+        raised = run_with_timeout(lambda: procedure(bins, iter([1]), worker), 5)
+        assert [type(exc) for exc in raised] == [Aborted]
+        assert time.perf_counter() - started < 1
+        assert bins.published() == 0 and worker.abort.sleepers == 0
+    else:
         claims = itertools.count()
         assert run_phase(procedure, chain_block(5), worker, claims).is_complete()
         # each slot claimed once; STANDARD's loop ends on a claim past the block
         assert next(claims) == (6 if procedure is claim_slots_standard else 5)
-    # STANDARD's wait on unassigned member 0 ends at once; a lost stop fails instead of hanging
-    bins = BinAssignment(published_table(chain_block(3)))
-    started = time.perf_counter()
-    raised = run_with_timeout(lambda: assign_bins_standard(bins, iter([1]), worker), 5)
-    assert [type(exc) for exc in raised] == [Aborted]
-    assert time.perf_counter() - started < 1
-    assert bins.published() == 0 and worker.abort.sleepers == 0
     with pytest.raises(Aborted):  # the site every worker visits between the phases
         worker.at(Site.INTER_PHASE)
 

@@ -200,9 +200,10 @@ def test_run_workers_runs_the_last_id_on_the_calling_thread(raised, stops):
     assert_pool_parked()  # each parked again after its worker ended, however it ended
 
 
-def test_run_workers_waits_for_a_slow_peer_and_never_stops_it():
+@pytest.mark.parametrize("caller_raises", [False, True], ids=["alone", "beside_an_error"])
+def test_run_workers_joins_a_slow_peer_without_a_timeout(caller_raises):
     # the runner keeps no clock: a peer still working after the caller's
-    # body returned is waited for, not stopped
+    # body ended is waited for, and never stopped for being slow
     stops = []
     returned = []
 
@@ -210,11 +211,17 @@ def test_run_workers_waits_for_a_slow_peer_and_never_stops_it():
         if w == 0:
             time.sleep(0.3)
             returned.append(time.perf_counter())
+        elif caller_raises:
+            raise ValueError("worker 1 failed")
 
-    run_workers(body, 2, lambda: stops.append(True))
+    if caller_raises:
+        with pytest.raises(ValueError, match="worker 1 failed"):  # re-raised after the join
+            run_workers(body, 2, lambda: stops.append(True))
+    else:
+        run_workers(body, 2, lambda: stops.append(True))
     ended = time.perf_counter()
     assert len(returned) == 1 and returned[0] <= ended  # the peer's body returned first
-    assert stops == []
+    assert stops == [True] * caller_raises  # only the error's stop
     assert_pool_parked()
 
 
