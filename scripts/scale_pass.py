@@ -12,6 +12,10 @@ over a fixed number of repetitions:
   ``bin_oracle`` and is the yardstick the schedules are divided by, not an
   oracle: its bins are checked against every schedule's, untimed.
 
+Each schedule's plan is also replayed without simulated work, untimed, and
+its final balances must equal ``execute_serial``'s, so the pass checks the
+plan build and the replay at every size too.
+
 The process is pinned to one CPU, so no timing depends on the load on
 another CPU; under the GIL the two scheduler threads never run Python at
 once anyway. The garbage collector stays on, and a collection runs before
@@ -92,16 +96,26 @@ def make_block(binsched, n: int, dep: int):
 
 
 def one_rep(binsched, block) -> tuple[dict[str, float], list[int]]:
-    """Every layer timed once, in ms, and the floor's bins, checked against every schedule's."""
+    """Every layer timed once, in ms, and the floor's bins, checked against every schedule's.
+
+    Each schedule's plan is also replayed without work, untimed, and its
+    final balances checked against ``execute_serial``'s.
+    """
     times = {}
     times["index_build"], _ = timed_ms(lambda: binsched.ConflictIndex(block))
     times["floor"], floor = timed_ms(lambda: floor_bins(block))
+    serial = binsched.execute_serial(block, binsched.WalletState()).balances
     for variant in binsched.Variant:
         times[variant.value], result = timed_ms(
             lambda: binsched.schedule(block, variant, THREADS)
         )
         if result.assignment.initial_bin_list() != floor:
             raise AssertionError(f"{variant.value} bins differ from the floor's at n={len(block)}")
+        final = binsched.execute_plan(result.plan, block, binsched.WalletState(), THREADS)
+        if final.balances != serial:
+            raise AssertionError(
+                f"{variant.value} replay differs from serial execution at n={len(block)}"
+            )
     return times, floor
 
 

@@ -118,12 +118,14 @@ def assign_bins_standard(bins: BinAssignment, claims: Iterator[int], worker: Wor
         if hook is not None:
             hook(_PHASE2_POST_CLAIM)
         current = -1
-        for dep in frontiers[i]:
-            box = box_of(dep)
-            if box is None:
-                box = _sleep_until_published(dep, bins, worker)
-            if box[0] > current:
-                current = box[0]
+        deps = frontiers[i]
+        if deps:  # skips the loop's iterator for an empty frontier, as on cold blocks
+            for dep in deps:
+                box = box_of(dep)
+                if box is None:
+                    box = _sleep_until_published(dep, bins, worker)
+                if box[0] > current:
+                    current = box[0]
         if hook is not None:
             hook(_PHASE2_PRE_CAS)
         put(i, (current + 1,))

@@ -111,7 +111,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     )
     out: dict = {"variant": variant.value, "n_txns": len(txns), "num_threads": args.threads}
     try:
-        result, final, _, exec_stage = run_block(
+        result, final, schedule_s, exec_stage = run_block(
             txns, variant, args.threads, faults, per_txn_work, args.watchdog_secs
         )
     except NonTermination as hang:
@@ -125,7 +125,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             "num_bins": result.plan.num_bins,
             "phase1_s": result.timing.phase1_s,
             "phase2_s": result.timing.phase2_s,
-            "schedule_s": result.timing.total_s,
+            "schedule_s": schedule_s,
             "exec_stage_s": exec_stage,
             "cas_retries": result.retries.cas_retries,
             "not_ready_skips": result.retries.not_ready_skips,

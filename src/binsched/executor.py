@@ -3,10 +3,12 @@
 The plan lays bins out as a ragged matrix, one ascending row of transaction
 ids per bin, and records what each transaction waits for: its frontier, the
 earlier conflicts the conflict index lists. ``build_execution_plan(assignment)``
-needs nothing else: the waits are the frontiers of the index that the
-assignment's publisher table built when it was made, taken whole. A plan it builds is valid by
-construction and is marked built, and :func:`execute_plan` runs only such
-a plan, checked to be of the block's length.
+needs nothing else: it builds the rows in one scan of the ids through the
+assignment's ``box_of``, and the waits are the frontiers of the index that
+the assignment's publisher table built when it was made, taken whole. A plan
+it builds is valid by construction and is marked built, and
+:func:`execute_plan` runs only such a plan, checked to be of the block's
+length.
 Bins remain the schedule; execution replays along the frontiers. With
 simulated work per transaction (``per_txn_work > 0``), workers claim
 positions of the flattened rows in order, and a transaction starts once
@@ -14,23 +16,30 @@ every member of its frontier has been applied, not once its whole previous
 bin has. Frontier members sit in lower bins, so they come earlier in plan
 order, and on every account the transfers apply in id order. A worker
 raises; the runner stops the run's :class:`~binsched.atomics.Wakeup`.
-Without work the calling thread applies the rows in order and hands the
-worker pool no job, because a peer could never run: under the GIL a peer
-runs only while another worker gives the lock up, the wallet
-:func:`_apply` is dict arithmetic that never does, and one worker claiming
-in plan order finds every frontier member already applied, so it never
-sleeps on a frontier either. A payload kind whose apply can block would
-revisit that rule. The final state always equals single-threaded index-order application
-(:func:`execute_serial`), the reference semantics for equivalence tests.
+Without work the calling thread applies the whole plan, in plan order, with
+one call of :func:`_apply_all`, and hands the worker pool no job, because a
+peer could never run: under the GIL a peer runs only while another worker
+gives the lock up, wallet application is dict arithmetic that never does,
+and one worker claiming in plan order finds every frontier member already
+applied, so it never sleeps on a frontier either. A payload kind whose
+apply can block would revisit that rule. The final state always equals
+single-threaded index-order application (:func:`execute_serial`), the
+reference semantics for equivalence tests.
 
 Transfers debit the sender and credit the receiver unconditionally on signed
-balances. :func:`_apply` alone reads a transfer: it rejects a transaction
-without a payload and opens an account absent from the initial state at
-balance 0 on its first touch, so workers start on a copy of the initial map.
-Under the GIL, which :func:`~binsched.scheduler.schedule` requires, each
-dict ``get`` and store is one atomic step, and two transfers that touch one
-account conflict, so the frontier wait orders them: no two workers ever
-update one account at once.
+balances. :func:`_apply_all` alone reads a transfer: it applies the
+transactions it is handed in one loop, rejects a transaction without a
+payload and opens an account absent from the initial state at balance 0 on
+its first touch, so workers start on a copy of the initial map. Every
+replay calls it once per worker, over an iterable that hands on each
+transaction when it may apply: after its sleep through C iterators
+(:func:`_after_work`) on the calling thread alone, and as a generator of
+its claims on each worker of a parallel replay. So no replay calls a
+Python function per transaction to apply it. Under the GIL, which
+:func:`~binsched.scheduler.schedule` requires, each dict ``get`` and store
+is one atomic step, and two transfers that touch one account conflict, so
+the frontier wait orders them: no two workers ever update one account at
+once.
 """
 
 from __future__ import annotations
@@ -39,9 +48,10 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
-from .atomics import UNASSIGNED, Wakeup
+from .atomics import Wakeup
 from .binning import BinAssignment
 from .faults import run_workers
 from .txn import Address, Transaction
@@ -76,19 +86,31 @@ def _mark_built(plan: ExecutionPlan) -> ExecutionPlan:
 def build_execution_plan(assignment: BinAssignment) -> ExecutionPlan:
     """Materialize the per-bin rows from a complete assignment, and the waits from its table.
 
-    Rows come out ascending because ids are visited in order. The waits are
-    the frontiers of ``assignment.table``'s index, built with the table, as a
-    tuple of the index's own tuples. The plan is marked built.
+    The rows come from one scan of the ids through ``assignment.box_of``,
+    each id appended to its bin's row, so rows come out ascending. A
+    transaction in bin ``b > 0`` has a frontier member with a smaller id in
+    bin ``b - 1``, so a scheduled assignment's bins first appear in id order
+    and each new bin appends a row; a hand-built one that skips a bin or
+    lists bins out of order gets empty rows padded up to the bin. The waits
+    are the frontiers of ``assignment.table``'s index, built with the table,
+    as a tuple of the index's own tuples. The plan is marked built.
     """
-    initial = assignment.initial_bin_list()
     if not assignment.is_complete():
-        missing = [i for i, b in enumerate(initial) if b is UNASSIGNED]
-        raise ValueError(f"assignment incomplete: {len(missing)} unassigned (first: {missing[:5]})")
-    rows: list[list[int]] = [[] for _ in range(max(initial, default=-1) + 1)]
-    for txn_id, bin_no in enumerate(initial):
-        rows[bin_no].append(txn_id)
+        missing = list(itertools.islice(assignment.unpublished(), 5))
+        unassigned = assignment.n - assignment.published()
+        raise ValueError(f"assignment incomplete: {unassigned} unassigned (first: {missing})")
+    box_of = assignment.box_of
+    rows: list[list[int]] = []
+    for txn_id in range(assignment.n):
+        (bin_no,) = box_of(txn_id)
+        if bin_no < len(rows):
+            rows[bin_no].append(txn_id)
+        else:
+            while len(rows) < bin_no:  # only a hand-built assignment skips a bin
+                rows.append([])
+            rows.append([txn_id])
     waits = tuple(assignment.table.index.frontiers)
-    plan = ExecutionPlan(tuple(tuple(row) for row in rows), waits)
+    plan = ExecutionPlan(tuple(map(tuple, rows)), waits)
     return _mark_built(plan)
 
 
@@ -102,12 +124,29 @@ class WalletState:
         return sum(self.balances.values())
 
 
-def _apply(balances: dict[Address, int], txn: Transaction) -> None:
-    payload = txn.payload
-    if payload is None:
-        raise ValueError(f"transaction {txn.id} has no wallet payload to execute")
-    balances[payload.from_addr] = balances.get(payload.from_addr, 0) - payload.amount
-    balances[payload.to_addr] = balances.get(payload.to_addr, 0) + payload.amount
+def _apply_all(balances: dict[Address, int], txns: Iterable[Transaction]) -> None:
+    """Apply ``txns`` to ``balances`` in order, in one loop: the only reader of a payload."""
+    get = balances.get
+    for txn in txns:
+        payload = txn.payload
+        if payload is None:
+            raise ValueError(f"transaction {txn.id} has no wallet payload to execute")
+        from_addr, to_addr, amount = payload.from_addr, payload.to_addr, payload.amount
+        balances[from_addr] = get(from_addr, 0) - amount
+        balances[to_addr] = get(to_addr, 0) + amount
+
+
+def _after_work(txns: Iterable[Transaction], per_txn_work: float) -> Iterable[Transaction]:
+    """``txns``, each handed on after ``per_txn_work`` seconds of simulated work.
+
+    Each sleep follows the draw of its transaction, so n transactions sleep
+    n times, each just before its transaction applies. The sleeps run in C
+    iterators, so they add no Python call per transaction.
+    """
+    if per_txn_work == 0:
+        return txns
+    sleeps = map(time.sleep, itertools.repeat(per_txn_work))
+    return map(itemgetter(0), zip(txns, sleeps))
 
 
 def check_per_txn_work(per_txn_work: float) -> None:
@@ -129,10 +168,7 @@ def execute_serial(
     """
     check_per_txn_work(per_txn_work)
     balances = dict(initial.balances)
-    for txn in txns:
-        if per_txn_work > 0:
-            time.sleep(per_txn_work)
-        _apply(balances, txn)
+    _apply_all(balances, _after_work(txns, per_txn_work))
     return WalletState(balances)
 
 
@@ -147,21 +183,27 @@ def execute_plan(
 
     Only a plan that :func:`build_execution_plan` made runs: any other, or
     one made for a block of another length, raises ``ValueError`` before
-    any transaction applies. ``num_threads`` caps the workers. The calling
-    thread alone applies the rows in order at one thread, for an empty
-    plan, and whenever ``per_txn_work`` is 0: a wallet :func:`_apply` never
-    gives the GIL up, and one worker claiming in plan order finds every
-    frontier member applied, so a peer could never run (see the module
-    docstring; a payload kind whose apply can block would revisit this).
+    any transaction applies. ``num_threads`` caps the workers. At one
+    thread, for an empty plan, and whenever ``per_txn_work`` is 0, the
+    calling thread alone applies the whole plan with one :func:`_apply_all`
+    call over the flattened rows, each transaction after its work, if any
+    (:func:`_after_work`). Without work a peer could never run: wallet
+    application never gives the GIL up, and one worker claiming in plan
+    order finds every frontier member applied (see the module docstring;
+    a payload kind whose apply can block would revisit this).
     With work and more threads, the workers of
     :func:`~binsched.faults.run_workers`, the calling thread and parked
     peers of the one worker pool, claim positions of the flattened rows
     from one shared :func:`itertools.count` and apply the claimed
     transaction ``t`` once every member of ``plan.waits[t]`` is marked
-    done, sleeping on one :class:`~binsched.atomics.Wakeup` that each
-    worker wakes after marking its transaction done. Members sit earlier in plan order, so the lowest
+    done and its work is slept, sleeping on one
+    :class:`~binsched.atomics.Wakeup` that each worker wakes after marking
+    its transaction done. Each worker makes one :func:`_apply_all` call
+    over a generator of its claims, which yields a claimed transaction when
+    it may apply and marks it done when the loop draws the next. Members
+    sit earlier in plan order, so the lowest
     unfinished claimed position can always run. Nothing is set up first:
-    :func:`_apply` opens each account on its first touch, and raises
+    :func:`_apply_all` opens each account on its first touch, and raises
     ``ValueError`` for a transaction without a payload when a worker reaches
     it. A worker raises; the runner stops the wakeup, so the peers stop, and
     re-raises the error.
@@ -178,10 +220,8 @@ def execute_plan(
     balances = dict(initial.balances)
     rows = plan.bin_matrix
     if num_threads == 1 or per_txn_work == 0 or not rows:
-        for txn_id in itertools.chain.from_iterable(rows):
-            if per_txn_work > 0:
-                time.sleep(per_txn_work)
-            _apply(balances, txns[txn_id])
+        in_order = map(txns.__getitem__, itertools.chain.from_iterable(rows))
+        _apply_all(balances, _after_work(in_order, per_txn_work))
         return WalletState(balances)
 
     order = list(itertools.chain.from_iterable(rows))
@@ -190,7 +230,9 @@ def execute_plan(
     done = [False] * n
     wakeup = Wakeup()
 
-    def body(_worker: int) -> None:
+    def claimed() -> Iterator[Transaction]:
+        """A worker's claims in turn, each once its frontier is applied and its
+        work slept; the draw of the next marks the last one applied."""
         while (k := next(claims)) < n and not wakeup.stopped:
             txn_id = order[k]
             deps = waits[txn_id]
@@ -199,10 +241,13 @@ def execute_plan(
                     if not done[dep] and not wakeup.sleep_until(lambda: done[dep]):
                         return  # a failed worker stopped the wakeup
             time.sleep(per_txn_work)
-            _apply(balances, txns[txn_id])
+            yield txns[txn_id]
             done[txn_id] = True
             if wakeup.sleepers:
                 wakeup.wake()
+
+    def body(_worker: int) -> None:
+        _apply_all(balances, claimed())
 
     run_workers(body, num_threads, wakeup.stop)
     return WalletState(balances)

@@ -3,6 +3,7 @@ import inspect
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -64,6 +65,26 @@ def test_schedule_with_dumps_and_check(tmp_path, capsys):
     assert sum(len(b) for b in out["bins"]) == 30
     assert sum(out["state"].values()) == 0
     assert out["num_bins"] == len(out["bins"])
+
+
+def test_schedule_s_is_the_wall_time_of_the_schedule_call(tmp_path, capsys, monkeypatch):
+    block = tmp_path / "block.json"
+    run_cli(["gen", "--n", "200", "--dependency-pct", "40", "--seed", "1", "-o", str(block)])
+    capsys.readouterr()
+    argv = ["schedule", "-w", str(block), "--variant", "standard", "--threads", "2"]
+    assert run_cli(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    # behind the barrier the phases do not overlap, and the call spans both
+    assert out["schedule_s"] >= out["phase1_s"] + out["phase2_s"]
+
+    def slow_to_start(*args):
+        time.sleep(0.05)  # stands for work the call does before its workers' phases
+        return schedule(*args)
+
+    monkeypatch.setattr("binsched.bench.schedule", slow_to_start)
+    assert run_cli(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["schedule_s"] >= 0.05 + out["phase1_s"] + out["phase2_s"]
 
 
 def test_schedule_reports_non_termination(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from _helpers import (
     PEER_WORK,
+    access_set_blocks,
     assert_pool_parked,
     chain_block,
     clique_block,
@@ -30,6 +31,7 @@ from binsched import (
     Transaction,
     Variant,
     WalletState,
+    bin_oracle,
     build_execution_plan,
     execute_plan,
     execute_serial,
@@ -72,9 +74,34 @@ def test_build_plan_sorts_rows():
     assert plan.bin_matrix == ((0, 1, 2),)
 
 
+def test_build_plan_pads_a_skipped_bin_and_takes_bins_in_any_id_order():
+    plan = build_execution_plan(assignment_of([1, 0, 3]))
+    assert plan.bin_matrix == ((1,), (0,), (), (2,))
+    assert plan.num_bins == 4
+
+
 def test_build_plan_rejects_incomplete_assignment():
-    with pytest.raises(ValueError):
-        build_execution_plan(assignment_of([0, None, 1]))
+    with pytest.raises(ValueError, match=r"assignment incomplete: 2 unassigned \(first: \[1, 3\]\)"):
+        build_execution_plan(assignment_of([0, None, 1, None]))
+
+
+def oracle_rows(block):
+    """``bin_oracle(block)`` grouped by bin, each row in id order."""
+    bins = bin_oracle(block)
+    rows = [[] for _ in range(max(bins, default=-1) + 1)]
+    for txn_id, bin_no in enumerate(bins):
+        rows[bin_no].append(txn_id)
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(wallet_blocks(max_n=60), access_set_blocks(max_n=12)),
+    st.sampled_from(list(Variant)),
+)
+def test_a_scheduled_plans_rows_are_the_oracle_bins_in_id_order(block, variant):
+    plan = schedule(block, variant, num_threads=2).plan
+    assert plan.bin_matrix == oracle_rows(block)
 
 
 def test_scheduled_plan_waits_are_the_frontiers():
@@ -129,17 +156,19 @@ def test_serial_inverse_pair():
 
 @contextlib.contextmanager
 def traced_applies():
-    """Record ("start" | "end", id) around every ``_apply``, in the order they happen."""
-    real_apply = binsched.executor._apply
+    """Record ("start" | "end", id) around each transaction ``_apply_all`` is
+    handed, in the order they happen."""
+    real_apply_all = binsched.executor._apply_all
     events = []
 
-    def traced_apply(balances, txn):
-        events.append(("start", txn.id))
-        real_apply(balances, txn)
-        events.append(("end", txn.id))
+    def traced_apply_all(balances, txns):
+        for txn in txns:
+            events.append(("start", txn.id))
+            real_apply_all(balances, (txn,))
+            events.append(("end", txn.id))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(binsched.executor, "_apply", traced_apply)
+        patch.setattr(binsched.executor, "_apply_all", traced_apply_all)
         yield events
 
 
@@ -204,6 +233,21 @@ def test_a_payloadless_transaction_is_rejected(num_threads):
     assert "transaction 10 has no wallet payload" in str(raised[0])
     with pytest.raises(ValueError, match="transaction 10 has no wallet payload"):
         execute_serial(block, WalletState())
+
+
+@pytest.mark.parametrize("num_threads", [None, 1, 2], ids=["serial", "1", "2"])
+def test_a_payloadless_transaction_is_rejected_without_work(num_threads):
+    # replay without work applies the whole plan in one call on the calling thread
+    block = clique_block(20)
+    block[10] = Transaction(id=10, read_set=frozenset({"X", "Y"}), write_set=frozenset({"X", "Y"}))
+    initial = WalletState({"X": 7, "Y": -7})
+    plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+    with pytest.raises(ValueError, match="transaction 10 has no wallet payload"):
+        if num_threads is None:
+            execute_serial(block, initial)
+        else:
+            execute_plan(plan, block, initial, num_threads)
+    assert initial.balances == {"X": 7, "Y": -7}
 
 
 @pytest.mark.parametrize("num_threads", [None, 1, 2, 8], ids=["serial", "1", "2", "8"])
@@ -281,19 +325,33 @@ def test_simulated_work_changes_time_not_state():
     assert lazy.balances == fast.balances
 
 
+@pytest.mark.parametrize("num_threads", [None, 1], ids=["serial", "1"])
+def test_a_one_thread_replay_sleeps_once_before_each_transaction(num_threads, monkeypatch):
+    block = chain_block(4)
+    plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+    with traced_applies() as events:
+        monkeypatch.setattr(time, "sleep", lambda secs: events.append(("sleep", secs)))
+        if num_threads is None:
+            execute_serial(block, WalletState(), per_txn_work=0.5)
+        else:
+            execute_plan(plan, block, WalletState(), num_threads, per_txn_work=0.5)
+    assert events == [e for t in range(4) for e in (("sleep", 0.5), ("start", t), ("end", t))]
+
+
 def test_a_worker_error_stops_every_worker_and_is_raised(monkeypatch):
     # a clique: each transfer waits for the one before it
     block = clique_block(16)
     plan = schedule(block, Variant.STANDARD, num_threads=2).plan
-    real_apply = binsched.executor._apply
+    real_apply_all = binsched.executor._apply_all
 
-    def failing_first_transfer(balances, txn):
-        if txn.id == 0:
-            time.sleep(0.05)  # peers claim transfers 1-3 and sleep behind this one
-            raise RuntimeError("transfer 0 failed")
-        real_apply(balances, txn)
+    def failing_first_transfer(balances, txns):
+        for txn in txns:
+            if txn.id == 0:
+                time.sleep(0.05)  # peers claim transfers 1-3 and sleep behind this one
+                raise RuntimeError("transfer 0 failed")
+            real_apply_all(balances, (txn,))
 
-    monkeypatch.setattr(binsched.executor, "_apply", failing_first_transfer)
+    monkeypatch.setattr(binsched.executor, "_apply_all", failing_first_transfer)
     raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), 4, PEER_WORK))
     assert [type(exc) for exc in raised] == [RuntimeError]
     assert [str(exc) for exc in raised] == ["transfer 0 failed"]
@@ -306,20 +364,45 @@ def test_a_transfer_waits_for_its_frontier_not_its_previous_bin(monkeypatch):
     plan = schedule(block, Variant.STANDARD, num_threads=2).plan
     assert plan.bin_matrix == ((0, 1), (2,))
     assert plan.waits[2] == (1,)
-    real_apply = binsched.executor._apply
+    real_apply_all = binsched.executor._apply_all
     transfer_2_applied = threading.Event()
     overlapped = []
 
-    def slow_first_transfer(balances, txn):
-        if txn.id == 0:  # runs until transfer 2 is applied, or gives up
-            overlapped.append(transfer_2_applied.wait(timeout=5))
-        real_apply(balances, txn)
-        if txn.id == 2:
-            transfer_2_applied.set()
+    def slow_first_transfer(balances, txns):
+        for txn in txns:
+            if txn.id == 0:  # runs until transfer 2 is applied, or gives up
+                overlapped.append(transfer_2_applied.wait(timeout=5))
+            real_apply_all(balances, (txn,))
+            if txn.id == 2:
+                transfer_2_applied.set()
 
-    monkeypatch.setattr(binsched.executor, "_apply", slow_first_transfer)
+    monkeypatch.setattr(binsched.executor, "_apply_all", slow_first_transfer)
     final = execute_plan(plan, block, WalletState(), num_threads=2, per_txn_work=PEER_WORK)
     assert overlapped == [True]
+    assert final.balances == execute_serial(block, WalletState()).balances
+
+
+def test_a_transfer_is_marked_applied_only_once_it_has_applied(monkeypatch):
+    # transfer 2 waits for transfer 0 alone; while one worker still applies
+    # transfer 0, the other applies transfer 1 and then claims transfer 2
+    block = wallet_block([("A", "B"), ("C", "D"), ("B", "E")])
+    plan = schedule(block, Variant.STANDARD, num_threads=2).plan
+    assert plan.bin_matrix == ((0, 1), (2,))
+    assert plan.waits[2] == (0,)
+    real_apply_all = binsched.executor._apply_all
+    events = []
+
+    def slow_first_transfer(balances, txns):
+        for txn in txns:
+            events.append(("start", txn.id))
+            if txn.id == 0:
+                time.sleep(0.05)
+            real_apply_all(balances, (txn,))
+            events.append(("end", txn.id))
+
+    monkeypatch.setattr(binsched.executor, "_apply_all", slow_first_transfer)
+    final = execute_plan(plan, block, WalletState(), num_threads=2, per_txn_work=PEER_WORK)
+    assert events.index(("end", 0)) < events.index(("start", 2))
     assert final.balances == execute_serial(block, WalletState()).balances
 
 
@@ -339,17 +422,18 @@ def test_an_error_wakes_a_peer_sleeping_on_the_failed_transfer(monkeypatch):
     block = wallet_block([("A", "B"), ("B", "C")])
     plan = schedule(block, Variant.STANDARD, num_threads=2).plan
     assert plan.waits[1] == (0,)
-    real_apply = binsched.executor._apply
+    real_apply_all = binsched.executor._apply_all
     applied = []
 
-    def failing_first_transfer(balances, txn):
-        if txn.id == 0:
-            time.sleep(0.05)  # the peer claims transfer 1 and sleeps on this one
-            raise RuntimeError("transfer 0 failed")
-        real_apply(balances, txn)
-        applied.append(txn.id)
+    def failing_first_transfer(balances, txns):
+        for txn in txns:
+            if txn.id == 0:
+                time.sleep(0.05)  # the peer claims transfer 1 and sleeps on this one
+                raise RuntimeError("transfer 0 failed")
+            real_apply_all(balances, (txn,))
+            applied.append(txn.id)
 
-    monkeypatch.setattr(binsched.executor, "_apply", failing_first_transfer)
+    monkeypatch.setattr(binsched.executor, "_apply_all", failing_first_transfer)
     raised = run_with_timeout(lambda: execute_plan(plan, block, WalletState(), 2, PEER_WORK))
     assert [str(exc) for exc in raised] == ["transfer 0 failed"]
     assert applied == []
